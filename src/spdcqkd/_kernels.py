@@ -1,12 +1,11 @@
-"""Hot per-round sampling loops for Monte Carlo sessions.
+"""Per-round sampling for Monte Carlo sessions, and the legacy transcript hash.
 
 Every round consumes a fixed block of DRAWS_PER_ROUND uniforms from the
 counter-based master stream (slot layout below), picks a pre-enumerated
-scenario and outcome row, and writes one int8 record.  The loop ships in two
-interchangeable builds: a numba @njit kernel and a vectorized pure-NumPy
-fallback.  Selection: numba when importable, unless SPDCQKD_NO_NUMBA=1 is set
-in the environment.  Both builds are bit-for-bit identical (same float
-comparisons, same draw layout), which the test suite asserts.
+scenario and outcome row, and writes one int8 record.  `sample_rounds` does
+this for a whole chunk of rounds at once with vectorized numpy: one
+`searchsorted` over the scenarios, then one per (scenario, basis pair) group
+over its outcome rows.
 
 Draw slots per round: 0 scenario, 1 Alice basis, 2 Bob basis, 3 outcome row,
 4 Alice double-click bit, 5 Bob double-click bit, 6-7 reserved.
@@ -14,78 +13,28 @@ Draw slots per round: 0 scenario, 1 Alice basis, 2 Bob basis, 3 outcome row,
 Record columns: scenario, alice_basis, bob_basis, alice_kind, bob_kind,
 alice_bit, bob_key_bit, sifted, eve1_bit, eve2_bit (bits are -1 when absent;
 kinds encode NoClick/Bit0/Bit1/Double as 0..3).
+
+`fnv1a64` is the checksum of version-1 transcripts (trailer '#fnv1a64=');
+replay still verifies those files with it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 DRAWS_PER_ROUND = 8
-(COL_SCENARIO, COL_ABASIS, COL_BBASIS, COL_AKIND, COL_BKIND,
- COL_ABIT, COL_BKEY, COL_SIFTED, COL_E1, COL_E2) = range(10)
 N_COLS = 10
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def _sample_rounds_loop(u, scen_cum, grp_off, grp_len,
-                        row_cum, row_a, row_b, row_e1, row_e2,
-                        keep_double, out):
+def sample_rounds(u, scen_cum, grp_off, grp_len,
+                  row_cum, row_a, row_b, row_e1, row_e2,
+                  keep_double: bool) -> np.ndarray:
+    """Run one chunk of rounds; returns the (n, N_COLS) int8 record array."""
     n = u.shape[0]
-    n_scen = scen_cum.shape[0]
-    for r in range(n):
-        s = 0
-        while s < n_scen - 1 and u[r, 0] >= scen_cum[s]:
-            s += 1
-        abasis = 0 if u[r, 1] < 0.5 else 1
-        bbasis = 0 if u[r, 2] < 0.5 else 1
-        g = (s * 2 + abasis) * 2 + bbasis
-        off = grp_off[g]
-        k = 0
-        last = grp_len[g] - 1
-        while k < last and u[r, 3] >= row_cum[off + k]:
-            k += 1
-        akind = row_a[off + k]
-        bkind = row_b[off + k]
-
-        abit = -1
-        if akind == 1:
-            abit = 0
-        elif akind == 2:
-            abit = 1
-        elif akind == 3:
-            abit = 0 if u[r, 4] < 0.5 else 1
-        bkey = -1
-        if bkind == 1:
-            bkey = 1  # outcome bit 0, flipped for the key
-        elif bkind == 2:
-            bkey = 0
-        elif bkind == 3:
-            bkey = 1 if u[r, 5] < 0.5 else 0
-
-        a_clicked = akind != 0 and (keep_double or akind != 3)
-        b_clicked = bkind != 0 and (keep_double or bkind != 3)
-        sifted = 1 if (abasis == bbasis and a_clicked and b_clicked) else 0
-
-        out[r, 0] = s
-        out[r, 1] = abasis
-        out[r, 2] = bbasis
-        out[r, 3] = akind
-        out[r, 4] = bkind
-        out[r, 5] = abit
-        out[r, 6] = bkey
-        out[r, 7] = sifted
-        out[r, 8] = row_e1[off + k]
-        out[r, 9] = row_e2[off + k]
-
-
-def _sample_rounds_numpy(u, scen_cum, grp_off, grp_len,
-                         row_cum, row_a, row_b, row_e1, row_e2,
-                         keep_double, out):
-    n = u.shape[0]
+    out = np.empty((n, N_COLS), dtype=np.int8)
     s = np.searchsorted(scen_cum, u[:, 0], side="right")
     abasis = (u[:, 1] >= 0.5).astype(np.int8)
     bbasis = (u[:, 2] >= 0.5).astype(np.int8)
@@ -130,68 +79,12 @@ def _sample_rounds_numpy(u, scen_cum, grp_off, grp_len,
     out[:, 7] = sifted
     out[:, 8] = row_e1[idx]
     out[:, 9] = row_e2[idx]
-
-
-def _fnv1a64_py(data: bytes, state: int) -> int:
-    h = state
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
-def _fnv1a64_loop(buf, state):
-    h = np.uint64(state)
-    prime = np.uint64(_FNV_PRIME)
-    for i in range(buf.shape[0]):
-        h = (h ^ np.uint64(buf[i])) * prime
-    return h
-
-
-_DISABLED = os.environ.get("SPDCQKD_NO_NUMBA", "") == "1"
-_sample_rounds_nb = None
-_fnv1a64_nb = None
-if not _DISABLED:
-    try:
-        import numba
-
-        _sample_rounds_nb = numba.njit(cache=True)(_sample_rounds_loop)
-        _fnv1a64_nb = numba.njit(cache=True)(_fnv1a64_loop)
-    except ImportError:
-        pass
-
-HAVE_NUMBA = _sample_rounds_nb is not None
-DEFAULT_IMPL = "numba" if HAVE_NUMBA else "numpy"
-
-
-def sample_rounds(u, scen_cum, grp_off, grp_len,
-                  row_cum, row_a, row_b, row_e1, row_e2,
-                  keep_double: bool, impl: str | None = None) -> np.ndarray:
-    """Run one chunk of rounds; returns the (n, N_COLS) int8 record array."""
-    impl = impl or DEFAULT_IMPL
-    out = np.empty((u.shape[0], N_COLS), dtype=np.int8)
-    if impl == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba kernel requested but numba is unavailable")
-        _sample_rounds_nb(u, scen_cum, grp_off, grp_len,
-                          row_cum, row_a, row_b, row_e1, row_e2,
-                          keep_double, out)
-    elif impl == "numpy":
-        _sample_rounds_numpy(u, scen_cum, grp_off, grp_len,
-                             row_cum, row_a, row_b, row_e1, row_e2,
-                             keep_double, out)
-    else:
-        raise ValueError(f"unknown kernel impl {impl!r}")
     return out
 
 
-def fnv1a64(data: bytes, state: int | None = None, impl: str | None = None) -> int:
-    """64-bit FNV-1a hash of a byte string.
-
-    Pass the previous return value as `state` to hash a stream in chunks;
-    the result equals hashing the concatenated bytes in one call.
-    """
-    state = _FNV_OFFSET if state is None else state
-    impl = impl or DEFAULT_IMPL
-    if impl == "numba" and _fnv1a64_nb is not None:
-        return int(_fnv1a64_nb(np.frombuffer(data, dtype=np.uint8), np.uint64(state)))
-    return _fnv1a64_py(data, state)
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a hash of a byte string."""
+    h = _FNV_OFFSET
+    for b in data:
+        h = ((h ^ b) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return h

@@ -219,7 +219,10 @@ def _load_config(config_path: str, seed: int | None) -> SessionConfig:
     except ConfigError as exc:
         raise click.UsageError(f"--config: {exc}")
     if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
+        try:
+            config = dataclasses.replace(config, seed=seed)
+        except FockError as exc:
+            raise click.UsageError(f"--seed: {exc}")
     return config
 
 
@@ -239,6 +242,8 @@ def cmd_simulate(config_path, transcript_path, seed, fmt):
     except OSError as exc:
         click.echo(f"error: cannot write transcript: {exc}", err=True)
         sys.exit(3)
+    except FockError as exc:
+        raise click.UsageError(f"--config: {exc}")
     results = report.to_dict()
 
     def text():

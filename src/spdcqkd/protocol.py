@@ -17,13 +17,16 @@ with identical results; a session is reproduced bit-for-bit by its seed.
 Transcript files are CSV with header
 round_idx,source_tag,alice_basis,bob_basis,alice_outcome,bob_outcome,sifted_flag,alice_bit,bob_bit
 (bob_bit already flipped to the key convention, '-' marks absent bits) and a
-trailing 64-bit FNV-1a checksum line '#fnv1a64=<hex>' over all preceding
-bytes.  replay() rebuilds the full report from a transcript alone and flags
-checksum mismatches.
+trailing checksum line '#sha256=<hex>' over all preceding bytes.  The
+trailer's tag is the format version: version-1 files end in a 64-bit FNV-1a
+line '#fnv1a64=<hex>' instead, and replay still verifies them.  replay()
+rebuilds the full report from a transcript alone and flags checksum
+mismatches.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -169,7 +172,7 @@ def config_from_dict(d: dict) -> SessionConfig:
             source = AttackMixture(float(_require(src, "p", (int, float), "source.")))
         else:
             raise ConfigError(f"unknown source.kind {kind!r}")
-        eve_d = d.get("eve", {"kind": "none"})
+        eve_d = _require(d, "eve", dict, "") if "eve" in d else {"kind": "none"}
         ekind = _require(eve_d, "kind", str, "eve.")
         if ekind == "none":
             eve: EveStrategy = None
@@ -441,7 +444,7 @@ def _transcript_lines(rec: np.ndarray, start: int, tags: list[str],
     ]
 
 
-def _simulate(config: SessionConfig, impl: str | None = None):
+def _simulate(config: SessionConfig):
     """Yields (start_round, record-chunk, tables)."""
     tables = _build_tables(config)
     keep_double = config.double_click_policy == "assign"
@@ -452,41 +455,39 @@ def _simulate(config: SessionConfig, impl: str | None = None):
         rec = _kernels.sample_rounds(
             u, tables.scen_cum, tables.grp_off, tables.grp_len,
             tables.row_cum, tables.row_a, tables.row_b,
-            tables.row_e1, tables.row_e2, keep_double, impl=impl)
+            tables.row_e1, tables.row_e2, keep_double)
         yield start, rec, tables
         start += count
 
 
-def run_session(config: SessionConfig, transcript_path=None,
-                impl: str | None = None) -> SessionReport:
+def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
     """Run the session; optionally stream a checksummed transcript to disk."""
     tally = _Tally()
     fh = None
-    hstate = None
+    digest = hashlib.sha256()
     try:
         if transcript_path is not None:
             fh = open(transcript_path, "wb")
             head = (TRANSCRIPT_HEADER + "\n").encode("ascii")
             fh.write(head)
-            hstate = _kernels.fnv1a64(head)
-        for start, rec, tables in _simulate(config, impl=impl):
+            digest.update(head)
+        for start, rec, tables in _simulate(config):
             tally.update(rec, tables.emission_tags, tables.scen_emission)
             if fh is not None:
                 blob = ("\n".join(_transcript_lines(
                     rec, start, tables.emission_tags, tables.scen_emission)) + "\n"
                         ).encode("ascii")
                 fh.write(blob)
-                hstate = _kernels.fnv1a64(blob, state=hstate)
+                digest.update(blob)
         if fh is not None:
-            fh.write(f"#fnv1a64={hstate:016x}\n".encode("ascii"))
+            fh.write(f"#sha256={digest.hexdigest()}\n".encode("ascii"))
     finally:
         if fh is not None:
             fh.close()
     return tally.report()
 
 
-def eve_mutual_information(config: SessionConfig, impl: str | None = None
-                           ) -> tuple[float, int, dict]:
+def eve_mutual_information(config: SessionConfig) -> tuple[float, int, dict]:
     """Empirical I(Alice bit; eavesdropper record) over sifted rounds, in bits.
 
     The eavesdropper's record is the pair of tap-channel threshold outcomes
@@ -495,7 +496,7 @@ def eve_mutual_information(config: SessionConfig, impl: str | None = None
     'empty' symbol.  Returns (mi_bits, sifted_rounds, joint counts).
     """
     counts: dict[tuple[int, int, int], int] = {}
-    for _, rec, _ in _simulate(config, impl=impl):
+    for _, rec, _ in _simulate(config):
         sif = rec[:, 7] == 1
         sub = rec[sif]
         enc = ((sub[:, 5].astype(np.int64) * 3 + (sub[:, 8] + 1)) * 3
@@ -523,23 +524,32 @@ def eve_mutual_information(config: SessionConfig, impl: str | None = None
 # transcript replay
 
 
+def _checksum_ok(trailer: str, body: bytes, lineno: int) -> bool:
+    """Whether the trailing checksum line matches the bytes before it.
+
+    The tag is the format version: '#sha256=' today, '#fnv1a64=' in
+    version-1 files, each followed by its digest in lowercase hex.
+    """
+    tag, _, tok = trailer.partition("=")
+    digits = {"#sha256": 64, "#fnv1a64": 16}.get(tag)
+    if digits is None:
+        raise TranscriptError("missing trailing checksum line", line=lineno)
+    if len(tok) != digits or not set(tok) <= set("0123456789abcdef"):
+        raise TranscriptError("malformed checksum line", line=lineno)
+    if tag == "#sha256":
+        return tok == hashlib.sha256(body).hexdigest()
+    return int(tok, 16) == _kernels.fnv1a64(body)
+
+
 def _parse_transcript(data: bytes):
     lines = data.decode("ascii", errors="replace").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
         raise TranscriptError("empty transcript", line=1)
-    checksum_ok = False
-    if lines[-1].startswith("#fnv1a64="):
-        tok = lines[-1][len("#fnv1a64="):]
-        body = data[:data.rfind(b"#fnv1a64=")]
-        try:
-            checksum_ok = int(tok, 16) == _kernels.fnv1a64(body)
-        except ValueError:
-            raise TranscriptError("malformed checksum line", line=len(lines)) from None
-        lines.pop()
-    else:
-        raise TranscriptError("missing trailing checksum line", line=len(lines))
+    trailer = lines.pop()
+    body = data[:data.rfind(b"\n#") + 1]  # all before the trailer, the last '#' line
+    checksum_ok = _checksum_ok(trailer, body, len(lines) + 1)
     if not lines or lines[0] != TRANSCRIPT_HEADER:
         raise TranscriptError("bad or missing header", line=1)
     basis_idx = {t: i for i, t in enumerate(_BASIS_TOKEN)}

@@ -232,6 +232,30 @@ def test_simulate_missing_config_file(runner, tmp_path):
     assert "cannot read" in result.stderr
 
 
+def test_simulate_unsupported_attack_is_usage_error(runner, tmp_path):
+    # intercept-resend needs one photon per channel; SPDC emits multi-pair terms
+    cfg = write_config(tmp_path, {"rounds": 10, "seed": 1,
+                                  "source": {"kind": "spdc", "tanh_xi": 0.3},
+                                  "eve": {"kind": "intercept"}})
+    result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "intercept-resend" in result.stderr
+
+
+def test_simulate_rejects_non_object_eve(runner, tmp_path):
+    cfg = write_config(tmp_path, dict(SINGLET_CFG, eve=5))
+    result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "field eve has wrong type int" in result.stderr
+
+
+def test_simulate_rejects_negative_seed(runner, tmp_path):
+    cfg = write_config(tmp_path, SINGLET_CFG)
+    result = runner.invoke(main, ["simulate", "--config", str(cfg), "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "--seed" in result.stderr
+
+
 def test_simulate_text_format(runner, tmp_path):
     cfg = write_config(tmp_path, SINGLET_CFG)
     result = runner.invoke(

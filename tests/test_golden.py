@@ -52,3 +52,4 @@ def test_golden_transcript(tmp_path):
     data = path.read_bytes()
     body = data[:data.rstrip(b"\n").rfind(b"\n") + 1]
     assert hashlib.sha256(body).hexdigest() == GOLDEN_TRANSCRIPT_BODY
+    assert data[len(body):] == f"#sha256={GOLDEN_TRANSCRIPT_BODY}\n".encode("ascii")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,51 +83,11 @@ def test_uniform_blocks_differ_by_seed():
 # -- kernels ----------------------------------------------------------------
 
 
-def _any_tables():
-    cfg = SessionConfig(rounds=1, seed=0, source=SpdcSource(SpdcParams(0.25)),
-                        eve=SplitAttack())
-    return protocol._build_tables(cfg)
-
-
-def test_kernel_impls_agree_bytewise():
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    t = _any_tables()
-    u = protocol._uniform_block(7, 0, 5000)
-    for keep_double in (True, False):
-        a = _kernels.sample_rounds(u, t.scen_cum, t.grp_off, t.grp_len,
-                                   t.row_cum, t.row_a, t.row_b, t.row_e1,
-                                   t.row_e2, keep_double, impl="numba")
-        b = _kernels.sample_rounds(u, t.scen_cum, t.grp_off, t.grp_len,
-                                   t.row_cum, t.row_a, t.row_b, t.row_e1,
-                                   t.row_e2, keep_double, impl="numpy")
-        assert np.array_equal(a, b)
-
-
-def test_kernel_rejects_unknown_impl():
-    t = _any_tables()
-    u = protocol._uniform_block(7, 0, 2)
-    with pytest.raises(ValueError):
-        _kernels.sample_rounds(u, t.scen_cum, t.grp_off, t.grp_len, t.row_cum,
-                               t.row_a, t.row_b, t.row_e1, t.row_e2, True,
-                               impl="fortran")
-
-
 def test_fnv1a64_known_vectors():
     # standard FNV-1a 64-bit test vectors
     assert _kernels.fnv1a64(b"") == 0xCBF29CE484222325
     assert _kernels.fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert _kernels.fnv1a64(b"foobar") == 0x85944171F73967E8
-
-
-def test_fnv1a64_chaining_and_impls():
-    data = b"round_idx,source_tag\n0,singlet\n1,attack\n"
-    whole = _kernels.fnv1a64(data)
-    split = _kernels.fnv1a64(data[11:], state=_kernels.fnv1a64(data[:11]))
-    assert whole == split
-    assert _kernels.fnv1a64(data, impl="numpy") == whole
-    if _kernels.HAVE_NUMBA:
-        assert _kernels.fnv1a64(data, impl="numba") == whole
 
 
 # -- sessions ---------------------------------------------------------------
@@ -295,7 +256,7 @@ def test_transcript_layout(tmp_path):
     assert lines[0] == ("round_idx,source_tag,alice_basis,bob_basis,"
                         "alice_outcome,bob_outcome,sifted_flag,alice_bit,bob_bit")
     assert len(lines) == 3000 + 2
-    assert lines[-1].startswith("#fnv1a64=")
+    assert re.fullmatch("#sha256=[0-9a-f]{64}", lines[-1])
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[1] in ("singlet", "attack")
@@ -386,3 +347,45 @@ def test_session_with_spdc_source_writes_replayable_transcript(tmp_path):
     live = run_session(cfg, transcript_path=path)
     assert replay(cfg, path) == live
     assert live.no_click_count > 0
+
+
+# -- version-1 transcripts (trailing '#fnv1a64=' line) -------------------------
+
+
+def as_v1(path):
+    """Rewrite a transcript with the version-1 trailer over the same body."""
+    data = path.read_bytes()
+    body = data[:data.rfind(b"#sha256=")]
+    path.write_bytes(body + b"#fnv1a64=%016x\n" % _kernels.fnv1a64(body))
+    return body
+
+
+def test_replay_verifies_v1_transcript(tmp_path):
+    cfg, path, live = transcript_session(tmp_path)
+    as_v1(path)
+    rep = replay(cfg, path)
+    assert rep.checksum_ok
+    assert rep == live
+
+
+def test_replay_flags_edited_v1_transcript(tmp_path):
+    cfg, path, _ = transcript_session(tmp_path)
+    body = as_v1(path)
+    lines = path.read_text().splitlines()
+    first = lines[1].split(",")
+    first[2] = "DA" if first[2] == "HV" else "HV"
+    lines[1] = ",".join(first)
+    path.write_text("\n".join(lines) + "\n")
+    assert path.read_bytes()[:len(body)] != body
+    assert not replay(cfg, path).checksum_ok
+
+
+@pytest.mark.parametrize("trailer", ["#fnv1a64=0451096dfad15bzz", "#fnv1a64=451096dfad15b9e",
+                                     "#fnv1a64=", "#sha256=" + "g" * 64])
+def test_replay_rejects_malformed_checksum(tmp_path, trailer):
+    _, path, _ = transcript_session(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[-1] = trailer
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TranscriptError, match=f"line {len(lines)}: malformed checksum"):
+        replay(None, path)
