@@ -22,16 +22,29 @@ trailer's tag is the format version: version-1 files end in a 64-bit FNV-1a
 line '#fnv1a64=<hex>' instead, and replay still verifies them.  replay()
 rebuilds the full report from a transcript alone and flags checksum
 mismatches.
+
+Both directions work on blocks of rows with numpy, never a Python string
+per row.  The writer builds, once per session, the text after the round
+index of every possible row (it depends only on the source tag and the
+seven fixed-width fields), and assembles each block of WRITE_ROWS rows from
+index digits and that table.  replay() reads the checksum line from the
+file's tail first, then streams the body READ_BYTES at a time: each read is
+hashed, and its whole lines are checked field by field for all rows at once
+and tallied, so memory does not grow with the file.  The first row a block
+check rejects is re-checked on its own to name its error and line.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from ._kernels import DRAWS_PER_ROUND, N_COLS
@@ -49,6 +62,20 @@ TRANSCRIPT_HEADER = ("round_idx,source_tag,alice_basis,bob_basis,"
 _BASIS_TOKEN = ("HV", "DA")
 _KIND_TOKEN = ("nc", "b0", "b1", "dc")
 _BIT_TOKEN = {-1: "-", 0: "0", 1: "1"}
+# The fixed-width fields after the source tag, in file order (alice_basis,
+# bob_basis, alice_outcome, bob_outcome, sifted_flag, alice_bit, bob_bit),
+# each a comma and one of its tokens: 18 bytes, e.g. ",HV,DA,b0,b1,1,0,1".
+# Per field: its record column, its tokens, and the value of the first token.
+_BITS = tuple(_BIT_TOKEN.values())
+_TAIL_FIELDS = ((1, _BASIS_TOKEN, 0), (2, _BASIS_TOKEN, 0), (3, _KIND_TOKEN, 0),
+                (4, _KIND_TOKEN, 0), (7, ("0", "1"), 0), (5, _BITS, -1), (6, _BITS, -1))
+_TAIL = sum(1 + len(tokens[0]) for _, tokens, _ in _TAIL_FIELDS)
+
+# Transcript blocks: rows formatted per write, bytes per read in replay, and
+# bytes read to find the checksum line (the longest valid one is 72).
+WRITE_ROWS = 8192
+READ_BYTES = 1 << 18
+TRAILER_BYTES = 128
 
 
 class TranscriptError(ValueError):
@@ -147,6 +174,13 @@ def config_to_dict(config: SessionConfig) -> dict:
 def _require(d: dict, key: str, types, path: str):
     if key not in d:
         raise ConfigError(f"missing field {path}{key}")
+    return _optional(d, key, types, path, None)
+
+
+def _optional(d: dict, key: str, types, path: str, default):
+    """d[key] if it is of one of `types` (never a bool), default if absent."""
+    if key not in d:
+        return default
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, types):
         raise ConfigError(f"field {path}{key} has wrong type {type(v).__name__}")
@@ -166,8 +200,8 @@ def config_from_dict(d: dict) -> SessionConfig:
         elif kind == "spdc":
             source = SpdcSource(SpdcParams(
                 tanh_xi=float(_require(src, "tanh_xi", (int, float), "source.")),
-                phi=float(src.get("phi", 0.0)),
-                n_max=int(src.get("n_max", 4))))
+                phi=float(_optional(src, "phi", (int, float), "source.", 0.0)),
+                n_max=_optional(src, "n_max", int, "source.", 4)))
         elif kind == "attack_mixture":
             source = AttackMixture(float(_require(src, "p", (int, float), "source.")))
         else:
@@ -178,8 +212,8 @@ def config_from_dict(d: dict) -> SessionConfig:
             eve: EveStrategy = None
         elif ekind == "split":
             eve = SplitAttack(AttackConfig(
-                max_attempts=int(eve_d.get("max_attempts", 20)),
-                mode=SplitMode(eve_d.get("mode", "analytic"))))
+                max_attempts=_optional(eve_d, "max_attempts", int, "eve.", 20),
+                mode=SplitMode(_optional(eve_d, "mode", str, "eve.", "analytic"))))
         elif ekind == "intercept":
             tok = eve_d.get("basis", "random")
             if tok not in ("random", "HV", "DA"):
@@ -433,36 +467,89 @@ class SessionReport:
         return d
 
 
-def _transcript_lines(rec: np.ndarray, start: int, tags: list[str],
-                      scen_emission: np.ndarray) -> list[str]:
-    emis = scen_emission[rec[:, 0]]
-    return [
-        f"{start + r},{tags[emis[r]]},{_BASIS_TOKEN[rec[r, 1]]},{_BASIS_TOKEN[rec[r, 2]]},"
-        f"{_KIND_TOKEN[rec[r, 3]]},{_KIND_TOKEN[rec[r, 4]]},{rec[r, 7]},"
-        f"{_BIT_TOKEN[int(rec[r, 5])]},{_BIT_TOKEN[int(rec[r, 6])]}"
-        for r in range(rec.shape[0])
-    ]
+def _suffix_table(tags: list[str]) -> np.ndarray:
+    """Row text after the round index for every row code: uint8[codes, width].
+
+    A row's code is its tag and its _TAIL_FIELDS token indices in
+    row-major order; rows are NUL-padded to the widest.
+    """
+    shape = tuple(len(tokens) for _, tokens, _ in _TAIL_FIELDS)
+    tail = np.full(shape + (_TAIL + 1,), ord(","), dtype=np.uint8)
+    pos = 1
+    for axis, (_, tokens, _) in enumerate(_TAIL_FIELDS):
+        width = len(tokens[0])
+        tok = np.frombuffer("".join(tokens).encode("ascii"), dtype=np.uint8)
+        tok = tok.reshape((1,) * axis + (len(tokens),) + (1,) * (len(shape) - 1 - axis) + (width,))
+        tail[..., pos:pos + width] = tok
+        pos += width + 1
+    tail[..., -1] = ord("\n")
+    tail = tail.reshape(-1, _TAIL + 1)
+    heads = [("," + tag).encode("ascii") for tag in tags]
+    out = np.zeros((len(tags), len(tail), max(map(len, heads)) + _TAIL + 1), dtype=np.uint8)
+    for t, head in enumerate(heads):
+        out[t, :, :len(head)] = np.frombuffer(head, dtype=np.uint8)
+        out[t, :, len(head):len(head) + _TAIL + 1] = tail
+    return out.reshape(-1, out.shape[2])
+
+
+def _transcript_block(rec: np.ndarray, start: int, table: np.ndarray,
+                      scen_emission: np.ndarray) -> bytes:
+    """Transcript rows of a record block whose first round is `start`.
+
+    Each row is its index digits and its code's suffix-table row, in one
+    NUL-padded matrix; NUL is in no tag or token, so the text is the
+    matrix's nonzero bytes.
+    """
+    code = scen_emission[rec[:, 0]].astype(np.int32)
+    for col, tokens, first in _TAIL_FIELDS:
+        code *= len(tokens)
+        code += rec[:, col] - first
+    n = rec.shape[0]
+    width = len(str(start + n - 1))
+    row = np.empty((n, width + table.shape[1]), dtype=np.uint8)
+    row[:, width:] = np.take(table, code, axis=0)
+    q = np.arange(start, start + n, dtype=np.uint64)
+    for k in range(width - 1, -1, -1):  # index digits, right-aligned
+        rest = q // 10
+        row[:, k] = q - rest * 10 + 48
+        q = rest
+    for k in range(width - 1):  # column k is a leading zero below 10**(width-1-k)
+        row[:max(10 ** (width - 1 - k) - start, 0), k] = 0
+    return row[row != 0].tobytes()
+
+
+def _transcript_lines(rec: np.ndarray, start: int, table: np.ndarray,
+                      scen_emission: np.ndarray) -> list[bytes]:
+    """Transcript rows of a record chunk, in blocks of at most WRITE_ROWS rows."""
+    return [_transcript_block(rec[lo:lo + WRITE_ROWS], start + lo, table, scen_emission)
+            for lo in range(0, rec.shape[0], WRITE_ROWS)]
 
 
 def _simulate(config: SessionConfig):
-    """Yields (start_round, record-chunk, tables)."""
+    """Build the tables now (a FockError raises here); return an iterator of
+    (start_round, record-chunk, tables)."""
     tables = _build_tables(config)
     keep_double = config.double_click_policy == "assign"
-    start = 0
-    while start < config.rounds:
-        count = min(CHUNK_ROUNDS, config.rounds - start)
-        u = _uniform_block(config.seed, start, count)
-        rec = _kernels.sample_rounds(
-            u, tables.scen_cum, tables.grp_off, tables.grp_len,
-            tables.row_cum, tables.row_a, tables.row_b,
-            tables.row_e1, tables.row_e2, keep_double)
-        yield start, rec, tables
-        start += count
+
+    def chunks():
+        start = 0
+        while start < config.rounds:
+            count = min(CHUNK_ROUNDS, config.rounds - start)
+            u = _uniform_block(config.seed, start, count)
+            rec = _kernels.sample_rounds(
+                u, tables.scen_cum, tables.grp_off, tables.grp_len,
+                tables.row_cum, tables.row_a, tables.row_b,
+                tables.row_e1, tables.row_e2, keep_double)
+            yield start, rec, tables
+            start += count
+
+    return chunks()
 
 
 def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
     """Run the session; optionally stream a checksummed transcript to disk."""
     tally = _Tally()
+    chunks = _simulate(config)  # before the transcript exists: no file on a table error
     fh = None
     digest = hashlib.sha256()
     try:
@@ -471,12 +558,14 @@ def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
             head = (TRANSCRIPT_HEADER + "\n").encode("ascii")
             fh.write(head)
             digest.update(head)
-        for start, rec, tables in _simulate(config):
+        table = None
+        for start, rec, tables in chunks:
             tally.update(rec, tables.emission_tags, tables.scen_emission)
-            if fh is not None:
-                blob = ("\n".join(_transcript_lines(
-                    rec, start, tables.emission_tags, tables.scen_emission)) + "\n"
-                        ).encode("ascii")
+            if fh is None:
+                continue
+            if table is None:
+                table = _suffix_table(tables.emission_tags)
+            for blob in _transcript_lines(rec, start, table, tables.scen_emission):
                 fh.write(blob)
                 digest.update(blob)
         if fh is not None:
@@ -524,70 +613,222 @@ def eve_mutual_information(config: SessionConfig) -> tuple[float, int, dict]:
 # transcript replay
 
 
-def _checksum_ok(trailer: str, body: bytes, lineno: int) -> bool:
-    """Whether the trailing checksum line matches the bytes before it.
+def _body_reads(fh, length: int):
+    """The file's first `length` bytes, in reads of at most READ_BYTES."""
+    fh.seek(0)
+    while length > 0:
+        chunk = fh.read(min(READ_BYTES, length))
+        if not chunk:
+            raise TranscriptError("transcript shrank while it was read")
+        length -= len(chunk)
+        yield chunk
+
+
+def _line_start(fh, end: int) -> int:
+    """Offset of the line that ends at `end`: just past the last newline before it."""
+    pos, step = end, TRAILER_BYTES
+    while pos > 0:
+        step = min(step, pos)
+        fh.seek(pos - step)
+        cut = fh.read(step).rfind(b"\n")
+        if cut >= 0:
+            return pos - step + cut + 1
+        pos -= step
+        step = READ_BYTES
+    return 0
+
+
+def _read_trailer(fh) -> tuple[str, str, int]:
+    """(tag, digest, offset) of the checksum line that ends the file.
 
     The tag is the format version: '#sha256=' today, '#fnv1a64=' in
-    version-1 files, each followed by its digest in lowercase hex.
+    version-1 files, each followed by its digest in lowercase hex.  The
+    line is read from the file's tail, so a bad trailer is reported before
+    any row error.  A line longer than TRAILER_BYTES is read only that far,
+    which cannot change its verdict: the longest checksum line is 72 bytes.
     """
+    size = fh.seek(0, os.SEEK_END)
+    if size == 0:
+        raise TranscriptError("empty transcript", line=1)
+    fh.seek(size - 1)
+    end = size - (fh.read(1) == b"\n")
+    start = _line_start(fh, end)
+    fh.seek(start)
+    trailer = fh.read(min(end - start, TRAILER_BYTES)).decode("ascii", errors="replace")
     tag, _, tok = trailer.partition("=")
     digits = {"#sha256": 64, "#fnv1a64": 16}.get(tag)
     if digits is None:
-        raise TranscriptError("missing trailing checksum line", line=lineno)
-    if len(tok) != digits or not set(tok) <= set("0123456789abcdef"):
-        raise TranscriptError("malformed checksum line", line=lineno)
-    if tag == "#sha256":
-        return tok == hashlib.sha256(body).hexdigest()
-    return int(tok, 16) == _kernels.fnv1a64(body)
+        message = "missing trailing checksum line"
+    elif len(tok) != digits or not set(tok) <= set("0123456789abcdef"):
+        message = "malformed checksum line"
+    else:
+        return tag, tok, start
+    lineno = 1 + sum(chunk.count(b"\n") for chunk in _body_reads(fh, start))
+    raise TranscriptError(message, line=lineno)
 
 
-def _parse_transcript(data: bytes):
-    lines = data.decode("ascii", errors="replace").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise TranscriptError("empty transcript", line=1)
-    trailer = lines.pop()
-    body = data[:data.rfind(b"\n#") + 1]  # all before the trailer, the last '#' line
-    checksum_ok = _checksum_ok(trailer, body, len(lines) + 1)
-    if not lines or lines[0] != TRANSCRIPT_HEADER:
-        raise TranscriptError("bad or missing header", line=1)
-    basis_idx = {t: i for i, t in enumerate(_BASIS_TOKEN)}
-    kind_idx = {t: i for i, t in enumerate(_KIND_TOKEN)}
-    bit_idx = {"-": -1, "0": 0, "1": 1}
-    n = len(lines) - 1
-    rec = np.empty((n, N_COLS), dtype=np.int8)
-    tags: list[str] = []
-    tag_idx: dict[str, int] = {}
-    for i, ln in enumerate(lines[1:]):
-        fields = ln.split(",")
-        lineno = i + 2
-        if len(fields) != 9:
-            raise TranscriptError(f"expected 9 fields, got {len(fields)}", line=lineno)
-        (idx_s, tag, ab, bb, ak, bk, sf, abit, bbit) = fields
-        if idx_s != str(i):
-            raise TranscriptError(f"round index {idx_s!r}, expected {i}", line=lineno)
-        if tag not in tag_idx:
-            if len(tags) > 100:
-                raise TranscriptError("too many distinct source tags", line=lineno)
-            tag_idx[tag] = len(tags)
+def _check_row(line: bytes, i: int, tags: list[str]) -> None:
+    """Raise the TranscriptError of round i's row, if it has one.
+
+    `tags` are the distinct source tags of the rows before it.  Only run to
+    explain a row the block parser rejected.
+    """
+    lineno = i + 2
+    fields = line.decode("ascii", errors="replace").split(",")
+    if len(fields) != 9:
+        raise TranscriptError(f"expected 9 fields, got {len(fields)}", line=lineno)
+    (idx_s, tag, ab, bb, ak, bk, sf, abit, bbit) = fields
+    if idx_s != str(i):
+        raise TranscriptError(f"round index {idx_s!r}, expected {i}", line=lineno)
+    if tag not in tags and len(tags) > 100:
+        raise TranscriptError("too many distinct source tags", line=lineno)
+    allowed = {col: tokens for col, tokens, _ in _TAIL_FIELDS}
+    for col, tok in sorted(zip(allowed, fields[2:])):  # in record-column order
+        if tok not in allowed[col]:
+            raise TranscriptError(f"bad token {tok!r}", line=lineno)
+    if sf == "1" and "-" in (abit, bbit):
+        raise TranscriptError("sifted round missing a key bit", line=lineno)
+
+
+def _token_lookups() -> list[np.ndarray]:
+    """Per _TAIL_FIELDS entry: int8 table from a token's bytes, read as a
+    big-endian integer, to its index; -1 for every other byte string."""
+    lookups = []
+    for _, tokens, _ in _TAIL_FIELDS:
+        table = np.full(256 ** len(tokens[0]), -1, dtype=np.int8)
+        for j, tok in enumerate(tokens):
+            table[int.from_bytes(tok.encode("ascii"), "big")] = j
+        lookups.append(table)
+    return lookups
+
+
+def _parse_rows(block: bytes, first: int, tags: list[str], keys: dict[bytes, int],
+                lookups: list[np.ndarray]) -> np.ndarray:
+    """Records of the rows in `block`, whole lines from round `first` on.
+
+    Every field of every row is checked at once; the first row that fails
+    goes to _check_row for its error.  Source tags first seen here are
+    appended to `tags`; `keys` maps each tag's bytes to its index.
+    """
+    a = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(a == 10)
+    n = ends.size
+    starts = np.zeros(n, dtype=np.int64)
+    starts[1:] = ends[:-1] + 1
+    nd = np.full(n, len(str(first)), dtype=np.int64)  # digits of each round index
+    for d in range(len(str(first)), len(str(first + n - 1))):
+        nd[10 ** d - first:] += 1
+    # a row too short for its index, a comma and the tail fails, and the rows
+    # after the first such row need no check
+    long_enough = ends - starts >= nd + 1 + _TAIL
+    m = n if long_enough.all() else int(np.argmin(long_enough))
+    line_bounds = starts, ends
+    starts, ends, nd = starts[:m], ends[:m], nd[:m]
+    ok = np.ones(m, dtype=bool)
+
+    # the round index: nd decimal digits of the expected value, then a comma
+    value = np.zeros(m, dtype=np.int64)
+    for k in range(int(nd.max(initial=0))):
+        digit = a[k:][starts] - 48  # uint8: every non-digit byte reads as > 9
+        has = nd > k
+        ok &= ~has | (digit <= 9)
+        value = np.where(has, value * 10 + digit, value)
+    ok &= value == np.arange(first, first + m)
+    ok &= a[starts + nd] == 44
+
+    # the tail: a comma and a known token per field
+    tail = ends - _TAIL
+    rec = np.empty((m, N_COLS), dtype=np.int8)
+    rec[:, 8:] = -1
+    pos = 1
+    for (col, tokens, first_value), lookup in zip(_TAIL_FIELDS, lookups):
+        ok &= a[pos - 1:][tail] == 44
+        code = a[pos:][tail]
+        if len(tokens[0]) == 2:
+            code = (code.astype(np.uint16) << 8) | a[pos + 1:][tail]
+        index = lookup[code]
+        ok &= index >= 0
+        rec[:, col] = index + first_value
+        pos += len(tokens[0]) + 1
+    ok &= (rec[:, 7] == 0) | ((rec[:, 5] >= 0) & (rec[:, 6] >= 0))  # sifted: both bits
+    commas = a[:ends[-1] if m else 0] == 44
+    if np.count_nonzero(commas) != 8 * m:  # some tag holds a comma
+        ok &= np.add.reduceat(commas, starts, dtype=np.int64) == 8
+    bad = m if ok.all() else int(np.argmin(ok))
+
+    # source tags, in order of first appearance, over the rows before `bad`;
+    # ASCII decoding reads every non-ASCII byte as U+FFFD, so byte strings
+    # that differ only there are one tag
+    tag_start = starts[:bad] + nd[:bad] + 1
+    tag_len = ends[:bad] - _TAIL - tag_start
+    tag_id = np.full(bad, -1, dtype=np.int8)
+
+    def label(key: bytes) -> None:
+        rows = np.flatnonzero(tag_len == len(key))
+        at = tag_start[rows]
+        hit = np.ones(rows.size, dtype=bool)
+        for k, ch in enumerate(key):
+            hit &= a[k:][at] == ch
+        tag_id[rows[hit]] = keys[key]
+
+    for key in keys:
+        label(key)
+    while True:
+        unseen = np.flatnonzero(tag_id < 0)
+        if not unseen.size:
+            break
+        r = int(unseen[0])
+        key = block[tag_start[r]:tag_start[r] + tag_len[r]]
+        tag = key.decode("ascii", errors="replace")
+        if tag not in tags:
+            if len(tags) > 100:  # the 102nd distinct tag
+                bad = r
+                break
             tags.append(tag)
-        try:
-            rec[i, 0] = tag_idx[tag]
-            rec[i, 1] = basis_idx[ab]
-            rec[i, 2] = basis_idx[bb]
-            rec[i, 3] = kind_idx[ak]
-            rec[i, 4] = kind_idx[bk]
-            rec[i, 5] = bit_idx[abit]
-            rec[i, 6] = bit_idx[bbit]
-            rec[i, 7] = {"0": 0, "1": 1}[sf]
-        except KeyError as exc:
-            raise TranscriptError(f"bad token {exc.args[0]!r}", line=lineno) from None
-        if rec[i, 7] == 1 and (rec[i, 5] < 0 or rec[i, 6] < 0):
-            raise TranscriptError("sifted round missing a key bit", line=lineno)
-    rec[:, 8] = -1
-    rec[:, 9] = -1
-    return rec, tags, checksum_ok
+        keys[key] = tags.index(tag)
+        label(key)
+
+    if bad < n:
+        _check_row(block[line_bounds[0][bad]:line_bounds[1][bad]], first + bad, tags)
+        raise RuntimeError(f"line {first + bad + 2}: rejected by the block parser "
+                           "but not by the row check")
+    rec[:, 0] = tag_id
+    return rec
+
+
+def _parse_transcript(fh, body_len: int) -> tuple[_Tally, str]:
+    """Tally the header and rows of a transcript's first `body_len` bytes.
+
+    The body is read READ_BYTES at a time; each read is hashed, its whole
+    lines are parsed as one block, and a partial last line is carried over.
+    Returns (tally, sha256 hex digest of the body).
+    """
+    digest = hashlib.sha256()
+    tally = _Tally()
+    tags: list[str] = []
+    keys: dict[bytes, int] = {}
+    lookups = _token_lookups()
+    carry: list[bytes] = []
+    header = (TRANSCRIPT_HEADER + "\n").encode("ascii")
+    seen_header = False
+    for chunk in _body_reads(fh, body_len):
+        digest.update(chunk)
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            carry.append(chunk)
+            continue
+        block = b"".join(carry + [memoryview(chunk)[:cut]])
+        carry = [chunk[cut:]]
+        if not seen_header:
+            if not block.startswith(header):
+                raise TranscriptError("bad or missing header", line=1)
+            seen_header = True
+            block = block[len(header):]
+        if block:
+            tally.update(_parse_rows(block, tally.rounds, tags, keys, lookups), tags, None)
+    if not seen_header:
+        raise TranscriptError("bad or missing header", line=1)
+    return tally, digest.hexdigest()
 
 
 def replay(config: SessionConfig | None, transcript_path) -> SessionReport:
@@ -596,15 +837,18 @@ def replay(config: SessionConfig | None, transcript_path) -> SessionReport:
     A matching live report is reproduced exactly; a failed checksum is
     reported via checksum_ok=False (the tallies still reflect the file's
     contents).  config, when given, is only cross-checked against the
-    transcript's round count.
+    transcript's round count.  The file is read in blocks, so memory does
+    not grow with its length.
     """
     with open(transcript_path, "rb") as fh:
-        data = fh.read()
-    rec, tags, checksum_ok = _parse_transcript(data)
-    if config is not None and config.rounds != rec.shape[0]:
+        tag, tok, body_len = _read_trailer(fh)
+        tally, sha256 = _parse_transcript(fh, body_len)
+        if tag == "#sha256":
+            checksum_ok = tok == sha256
+        else:  # version 1: fnv1a64 hashes one buffer, so the body is read whole
+            fh.seek(0)
+            checksum_ok = int(tok, 16) == _kernels.fnv1a64(fh.read(body_len))
+    if config is not None and config.rounds != tally.rounds:
         raise TranscriptError(
-            f"config expects {config.rounds} rounds, transcript has {rec.shape[0]}")
-    tally = _Tally()
-    if rec.shape[0]:
-        tally.update(rec, tags, None)
+            f"config expects {config.rounds} rounds, transcript has {tally.rounds}")
     return tally.report(checksum_ok=checksum_ok)

@@ -242,6 +242,32 @@ def test_simulate_unsupported_attack_is_usage_error(runner, tmp_path):
     assert "intercept-resend" in result.stderr
 
 
+def test_simulate_leaves_no_transcript_on_table_error(runner, tmp_path):
+    cfg = write_config(tmp_path, {"rounds": 10, "seed": 1,
+                                  "source": {"kind": "spdc", "tanh_xi": 0.3},
+                                  "eve": {"kind": "intercept"}})
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, ["simulate", "--config", str(cfg), "--transcript", str(out)])
+    assert result.exit_code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,field,value,type_name", [
+    ("source", "phi", [1], "list"),
+    ("source", "n_max", [4], "list"),
+    ("eve", "max_attempts", [3], "list"),
+    ("eve", "max_attempts", 3.7, "float"),
+])
+def test_simulate_rejects_wrong_typed_optional_field(runner, tmp_path, section, field,
+                                                    value, type_name):
+    doc = {"rounds": 10, "seed": 1, "source": {"kind": "spdc", "tanh_xi": 0.3},
+           "eve": {"kind": "split"}}
+    doc[section][field] = value
+    result = runner.invoke(main, ["simulate", "--config", str(write_config(tmp_path, doc))])
+    assert result.exit_code == 2
+    assert f"field {section}.{field} has wrong type {type_name}" in result.stderr
+
+
 def test_simulate_rejects_non_object_eve(runner, tmp_path):
     cfg = write_config(tmp_path, dict(SINGLET_CFG, eve=5))
     result = runner.invoke(main, ["simulate", "--config", str(cfg)])

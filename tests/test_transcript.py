@@ -1,15 +1,22 @@
-"""Transcript rejection: replay names the same error and line for every corrupt file.
+"""Transcripts: exact rejection errors, and the block writer and parser
+against the row-by-row code they replaced.
 
-Each case edits a transcript written by `run_session` and asserts the exact
-`TranscriptError` text, line number included.
+Each rejection case edits a transcript written by `run_session` and asserts
+the exact `TranscriptError` text, line number included.
 """
 
 import hashlib
+import itertools
+import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from spdcqkd.protocol import (AttackMixture, SessionConfig, TranscriptError, replay,
-                              run_session)
+from spdcqkd import _kernels, protocol
+from spdcqkd.protocol import (AttackMixture, SessionConfig, SingletSource, SpdcSource,
+                              TranscriptError, replay, run_session)
+from spdcqkd.source import SpdcParams
 
 
 def write_transcript(tmp_path, rounds=3000, seed=17, source=AttackMixture(0.7)):
@@ -47,6 +54,13 @@ def test_leading_zero_round_index(tmp_path):
     _, path, _ = write_transcript(tmp_path)
     edit_fields(path, 6, idx=b"04")
     assert_rejected(path, "round index '04', expected 4", 6)
+
+
+def test_round_index_with_a_non_digit(tmp_path):
+    # ':' follows '9' in ASCII: "0:" must not read as 0 * 10 + 10
+    _, path, _ = write_transcript(tmp_path)
+    edit_fields(path, 12, idx=b"0:")
+    assert_rejected(path, "round index '0:', expected 10", 12)
 
 
 def test_tag_with_a_comma(tmp_path):
@@ -90,6 +104,12 @@ def test_sifted_row_with_a_dash_bit(tmp_path):
     assert_rejected(path, "sifted round missing a key bit", 1501)
 
 
+def test_bit_tokens_are_checked_before_the_sifted_flag(tmp_path):
+    _, path, _ = write_transcript(tmp_path)
+    edit_fields(path, 40, sf=b"2", abit=b"x")
+    assert_rejected(path, "bad token 'x'", 40)
+
+
 def test_file_cut_inside_a_row(tmp_path):
     _, path, _ = write_transcript(tmp_path)
     data = path.read_bytes()
@@ -123,3 +143,172 @@ def test_degenerate_files(tmp_path, data, message):
     path = tmp_path / "t.csv"
     path.write_bytes(data)
     assert_rejected(path, message, 1)
+
+
+# -- the block writer and parser against the row-by-row reference -------------
+
+_BASIS = ("HV", "DA")
+_KIND = ("nc", "b0", "b1", "dc")
+_BIT = {-1: "-", 0: "0", 1: "1"}
+
+
+def reference_lines(rec, start, tags, scen_emission):
+    """The row-by-row formatter the block writer replaced."""
+    emis = scen_emission[rec[:, 0]]
+    return [
+        f"{start + r},{tags[emis[r]]},{_BASIS[rec[r, 1]]},{_BASIS[rec[r, 2]]},"
+        f"{_KIND[rec[r, 3]]},{_KIND[rec[r, 4]]},{rec[r, 7]},"
+        f"{_BIT[int(rec[r, 5])]},{_BIT[int(rec[r, 6])]}"
+        for r in range(rec.shape[0])
+    ]
+
+
+def reference_replay(config, path):
+    """The whole-file, line-by-line replay the block parser replaced."""
+    data = path.read_bytes()
+    lines = data.decode("ascii", errors="replace").split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise TranscriptError("empty transcript", line=1)
+    trailer = lines.pop()
+    body = data[:data.rfind(b"\n#") + 1]
+    tag, _, tok = trailer.partition("=")
+    digits = {"#sha256": 64, "#fnv1a64": 16}.get(tag)
+    if digits is None:
+        raise TranscriptError("missing trailing checksum line", line=len(lines) + 1)
+    if len(tok) != digits or not set(tok) <= set("0123456789abcdef"):
+        raise TranscriptError("malformed checksum line", line=len(lines) + 1)
+    if tag == "#sha256":
+        checksum_ok = tok == hashlib.sha256(body).hexdigest()
+    else:
+        checksum_ok = int(tok, 16) == _kernels.fnv1a64(body)
+    if not lines or lines[0] != protocol.TRANSCRIPT_HEADER:
+        raise TranscriptError("bad or missing header", line=1)
+    basis_idx = {t: i for i, t in enumerate(_BASIS)}
+    kind_idx = {t: i for i, t in enumerate(_KIND)}
+    bit_idx = {"-": -1, "0": 0, "1": 1}
+    rec = np.empty((len(lines) - 1, _kernels.N_COLS), dtype=np.int8)
+    tags, tag_idx = [], {}
+    for i, ln in enumerate(lines[1:]):
+        fields = ln.split(",")
+        lineno = i + 2
+        if len(fields) != 9:
+            raise TranscriptError(f"expected 9 fields, got {len(fields)}", line=lineno)
+        (idx_s, tag, ab, bb, ak, bk, sf, abit, bbit) = fields
+        if idx_s != str(i):
+            raise TranscriptError(f"round index {idx_s!r}, expected {i}", line=lineno)
+        if tag not in tag_idx:
+            if len(tags) > 100:
+                raise TranscriptError("too many distinct source tags", line=lineno)
+            tag_idx[tag] = len(tags)
+            tags.append(tag)
+        try:
+            rec[i, :8] = (tag_idx[tag], basis_idx[ab], basis_idx[bb], kind_idx[ak],
+                          kind_idx[bk], bit_idx[abit], bit_idx[bbit], {"0": 0, "1": 1}[sf])
+        except KeyError as exc:
+            raise TranscriptError(f"bad token {exc.args[0]!r}", line=lineno) from None
+        if rec[i, 7] == 1 and (rec[i, 5] < 0 or rec[i, 6] < 0):
+            raise TranscriptError("sifted round missing a key bit", line=lineno)
+    rec[:, 8:] = -1
+    if config is not None and config.rounds != rec.shape[0]:
+        raise TranscriptError(
+            f"config expects {config.rounds} rounds, transcript has {rec.shape[0]}")
+    tally = protocol._Tally()
+    if rec.shape[0]:
+        tally.update(rec, tags, None)
+    return tally.report(checksum_ok=checksum_ok)
+
+
+# (emission tags, scenario -> tag): one tag, and two tags over four scenarios
+TAG_TABLES = [(["spdc"], np.array([0], dtype=np.int8)),
+              (["attack", "singlet"], np.array([1, 0, 0, 1], dtype=np.int8))]
+
+
+def every_code(scen_emission):
+    """One record per (scenario, bases, kinds, sifted flag, bits)."""
+    rows = itertools.product(range(len(scen_emission)), (0, 1), (0, 1), range(4), range(4),
+                             (-1, 0, 1), (-1, 0, 1), (0, 1))
+    rec = np.full((2 * 2 * 4 * 4 * 3 * 3 * 2 * len(scen_emission), _kernels.N_COLS), -1,
+                  dtype=np.int8)
+    rec[:, :8] = np.array(list(rows), dtype=np.int8)
+    return rec
+
+
+@pytest.mark.parametrize("start", [0, 9990, 99995])
+@pytest.mark.parametrize("tags,scen_emission", TAG_TABLES, ids=["one-tag", "two-tag"])
+def test_block_writer_matches_reference(tags, scen_emission, start):
+    rec = every_code(scen_emission)
+    blob = protocol._transcript_block(rec, start, protocol._suffix_table(tags), scen_emission)
+    assert blob.decode("ascii").split("\n")[:-1] == reference_lines(rec, start, tags,
+                                                                     scen_emission)
+
+
+@pytest.mark.parametrize("tags,scen_emission", TAG_TABLES, ids=["one-tag", "two-tag"])
+def test_session_transcript_matches_reference(tmp_path, monkeypatch, tags, scen_emission):
+    # every code, repeated past 10**5 rounds: crosses powers of ten, writer
+    # blocks and sampling chunks
+    codes = every_code(scen_emission)
+    rounds = 100_003
+    rec = codes[np.arange(rounds) % codes.shape[0]]
+    tables = SimpleNamespace(emission_tags=tags, scen_emission=scen_emission)
+    chunks = [(lo, rec[lo:lo + protocol.CHUNK_ROUNDS], tables)
+              for lo in range(0, rounds, protocol.CHUNK_ROUNDS)]
+    monkeypatch.setattr(protocol, "_simulate", lambda config: iter(chunks))
+    path = tmp_path / "t.csv"
+    run_session(SessionConfig(rounds=rounds, seed=0, source=SingletSource()), path)
+    body = "\n".join([protocol.TRANSCRIPT_HEADER]
+                     + reference_lines(rec, 0, tags, scen_emission)) + "\n"
+    digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+    assert path.read_text() == body + f"#sha256={digest}\n"
+
+
+@pytest.mark.parametrize("source", [SpdcSource(SpdcParams(0.3)), AttackMixture(0.5)],
+                         ids=["one-tag", "two-tag"])
+def test_replay_of_long_session_gives_live_counts(tmp_path, source):
+    cfg, path, live = write_transcript(tmp_path, rounds=100_005, seed=3, source=source)
+    rep = replay(cfg, path)
+    assert rep == live
+    assert rep == reference_replay(cfg, path)
+
+
+def outcome(replay_fn, path):
+    try:
+        return replay_fn(None, path)
+    except TranscriptError as exc:
+        return str(exc), exc.line
+
+
+@pytest.mark.parametrize("read_bytes", [97, 1000, protocol.READ_BYTES])
+def test_replay_agrees_with_reference_on_corrupted_files(tmp_path, monkeypatch, read_bytes):
+    # a transcript with one byte replaced, deleted or inserted: replay accepts
+    # it with the same report, or rejects it with the same error and line
+    monkeypatch.setattr(protocol, "READ_BYTES", read_bytes)
+    _, path, _ = write_transcript(tmp_path, rounds=60, seed=5)
+    data = path.read_bytes()
+    rng = np.random.default_rng(read_bytes)
+    alphabet = b"0123456789,-\n#=HVDAncbd\xc3x"
+    for _ in range(300):
+        pos = int(rng.integers(len(data)))
+        byte = alphabet[int(rng.integers(len(alphabet)))].to_bytes(1, "big")
+        edit = int(rng.integers(3))
+        if edit == 0:
+            mutated = data[:pos] + byte + data[pos + 1:]
+        elif edit == 1:
+            mutated = data[:pos] + data[pos + 1:]
+        else:
+            mutated = data[:pos] + byte + data[pos:]
+        path.write_bytes(mutated)
+        assert outcome(replay, path) == outcome(reference_replay, path), (pos, edit, byte)
+
+
+def test_replay_memory_does_not_grow_with_the_file(tmp_path):
+    peaks = []
+    for rounds in (20_000, 200_000):
+        _, path, live = write_transcript(tmp_path, rounds=rounds, seed=9)
+        tracemalloc.start()
+        rep = replay(None, path)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert rep == live
+    assert peaks[1] < 1.5 * peaks[0], peaks
