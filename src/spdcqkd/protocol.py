@@ -37,14 +37,12 @@ check rejects is re-checked on its own to name its error and line.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from ._kernels import DRAWS_PER_ROUND, N_COLS
