@@ -28,7 +28,7 @@ per row.  The writer builds, once per session, the text after the round
 index of every possible row (it depends only on the source tag and the
 seven fixed-width fields), and assembles each block of WRITE_ROWS rows from
 index digits and that table.  replay() reads the checksum line from the
-file's tail first, then streams the body READ_BYTES at a time: each read is
+file's tail first, then streams the body in fixed-size reads: each read is
 hashed, and its whole lines are checked field by field for all rows at once
 and tallied, so memory does not grow with the file.  The first row a block
 check rejects is re-checked on its own to name its error and line.
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -69,11 +68,8 @@ _TAIL_FIELDS = ((1, _BASIS_TOKEN, 0), (2, _BASIS_TOKEN, 0), (3, _KIND_TOKEN, 0),
                 (4, _KIND_TOKEN, 0), (7, ("0", "1"), 0), (5, _BITS, -1), (6, _BITS, -1))
 _TAIL = sum(1 + len(tokens[0]) for _, tokens, _ in _TAIL_FIELDS)
 
-# Transcript blocks: rows formatted per write, bytes per read in replay, and
-# bytes read to find the checksum line (the longest valid one is 72).
+# Rows formatted per transcript block.
 WRITE_ROWS = 8192
-READ_BYTES = 1 << 18
-TRAILER_BYTES = 128
 
 
 class TranscriptError(ValueError):
@@ -611,205 +607,24 @@ def eve_mutual_information(config: SessionConfig) -> tuple[float, int, dict]:
 # transcript replay
 
 
-def _body_reads(fh, length: int):
-    """The file's first `length` bytes, in reads of at most READ_BYTES."""
-    fh.seek(0)
-    while length > 0:
-        chunk = fh.read(min(READ_BYTES, length))
-        if not chunk:
-            raise TranscriptError("transcript shrank while it was read")
-        length -= len(chunk)
-        yield chunk
-
-
-def _line_start(fh, end: int) -> int:
-    """Offset of the line that ends at `end`: just past the last newline before it."""
-    pos, step = end, TRAILER_BYTES
-    while pos > 0:
-        step = min(step, pos)
-        fh.seek(pos - step)
-        cut = fh.read(step).rfind(b"\n")
-        if cut >= 0:
-            return pos - step + cut + 1
-        pos -= step
-        step = READ_BYTES
-    return 0
-
-
-def _read_trailer(fh) -> tuple[str, str, int]:
-    """(tag, digest, offset) of the checksum line that ends the file.
-
-    The tag is the format version: '#sha256=' today, '#fnv1a64=' in
-    version-1 files, each followed by its digest in lowercase hex.  The
-    line is read from the file's tail, so a bad trailer is reported before
-    any row error.  A line longer than TRAILER_BYTES is read only that far,
-    which cannot change its verdict: the longest checksum line is 72 bytes.
-    """
-    size = fh.seek(0, os.SEEK_END)
-    if size == 0:
-        raise TranscriptError("empty transcript", line=1)
-    fh.seek(size - 1)
-    end = size - (fh.read(1) == b"\n")
-    start = _line_start(fh, end)
-    fh.seek(start)
-    trailer = fh.read(min(end - start, TRAILER_BYTES)).decode("ascii", errors="replace")
-    tag, _, tok = trailer.partition("=")
-    digits = {"#sha256": 64, "#fnv1a64": 16}.get(tag)
-    if digits is None:
-        message = "missing trailing checksum line"
-    elif len(tok) != digits or not set(tok) <= set("0123456789abcdef"):
-        message = "malformed checksum line"
-    else:
-        return tag, tok, start
-    lineno = 1 + sum(chunk.count(b"\n") for chunk in _body_reads(fh, start))
-    raise TranscriptError(message, line=lineno)
-
-
-def _check_row(line: bytes, i: int, tags: list[str]) -> None:
-    """Raise the TranscriptError of round i's row, if it has one.
-
-    `tags` are the distinct source tags of the rows before it.  Only run to
-    explain a row the block parser rejected.
-    """
-    lineno = i + 2
-    fields = line.decode("ascii", errors="replace").split(",")
-    if len(fields) != 9:
-        raise TranscriptError(f"expected 9 fields, got {len(fields)}", line=lineno)
-    (idx_s, tag, ab, bb, ak, bk, sf, abit, bbit) = fields
-    if idx_s != str(i):
-        raise TranscriptError(f"round index {idx_s!r}, expected {i}", line=lineno)
-    if tag not in tags and len(tags) > 100:
-        raise TranscriptError("too many distinct source tags", line=lineno)
-    allowed = {col: tokens for col, tokens, _ in _TAIL_FIELDS}
-    for col, tok in sorted(zip(allowed, fields[2:])):  # in record-column order
-        if tok not in allowed[col]:
-            raise TranscriptError(f"bad token {tok!r}", line=lineno)
-    if sf == "1" and "-" in (abit, bbit):
-        raise TranscriptError("sifted round missing a key bit", line=lineno)
-
-
-def _token_lookups() -> list[np.ndarray]:
-    """Per _TAIL_FIELDS entry: int8 table from a token's bytes, read as a
-    big-endian integer, to its index; -1 for every other byte string."""
-    lookups = []
-    for _, tokens, _ in _TAIL_FIELDS:
-        table = np.full(256 ** len(tokens[0]), -1, dtype=np.int8)
-        for j, tok in enumerate(tokens):
-            table[int.from_bytes(tok.encode("ascii"), "big")] = j
-        lookups.append(table)
-    return lookups
-
-
-def _parse_rows(block: bytes, first: int, tags: list[str], keys: dict[bytes, int],
-                lookups: list[np.ndarray]) -> np.ndarray:
-    """Records of the rows in `block`, whole lines from round `first` on.
-
-    Every field of every row is checked at once; the first row that fails
-    goes to _check_row for its error.  Source tags first seen here are
-    appended to `tags`; `keys` maps each tag's bytes to its index.
-    """
-    a = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(a == 10)
-    n = ends.size
-    starts = np.zeros(n, dtype=np.int64)
-    starts[1:] = ends[:-1] + 1
-    nd = np.full(n, len(str(first)), dtype=np.int64)  # digits of each round index
-    for d in range(len(str(first)), len(str(first + n - 1))):
-        nd[10 ** d - first:] += 1
-    # a row too short for its index, a comma and the tail fails, and the rows
-    # after the first such row need no check
-    long_enough = ends - starts >= nd + 1 + _TAIL
-    m = n if long_enough.all() else int(np.argmin(long_enough))
-    line_bounds = starts, ends
-    starts, ends, nd = starts[:m], ends[:m], nd[:m]
-    ok = np.ones(m, dtype=bool)
-
-    # the round index: nd decimal digits of the expected value, then a comma
-    value = np.zeros(m, dtype=np.int64)
-    for k in range(int(nd.max(initial=0))):
-        digit = a[k:][starts] - 48  # uint8: every non-digit byte reads as > 9
-        has = nd > k
-        ok &= ~has | (digit <= 9)
-        value = np.where(has, value * 10 + digit, value)
-    ok &= value == np.arange(first, first + m)
-    ok &= a[starts + nd] == 44
-
-    # the tail: a comma and a known token per field
-    tail = ends - _TAIL
-    rec = np.empty((m, N_COLS), dtype=np.int8)
-    rec[:, 8:] = -1
-    pos = 1
-    for (col, tokens, first_value), lookup in zip(_TAIL_FIELDS, lookups):
-        ok &= a[pos - 1:][tail] == 44
-        code = a[pos:][tail]
-        if len(tokens[0]) == 2:
-            code = (code.astype(np.uint16) << 8) | a[pos + 1:][tail]
-        index = lookup[code]
-        ok &= index >= 0
-        rec[:, col] = index + first_value
-        pos += len(tokens[0]) + 1
-    ok &= (rec[:, 7] == 0) | ((rec[:, 5] >= 0) & (rec[:, 6] >= 0))  # sifted: both bits
-    commas = a[:ends[-1] if m else 0] == 44
-    if np.count_nonzero(commas) != 8 * m:  # some tag holds a comma
-        ok &= np.add.reduceat(commas, starts, dtype=np.int64) == 8
-    bad = m if ok.all() else int(np.argmin(ok))
-
-    # source tags, in order of first appearance, over the rows before `bad`;
-    # ASCII decoding reads every non-ASCII byte as U+FFFD, so byte strings
-    # that differ only there are one tag
-    tag_start = starts[:bad] + nd[:bad] + 1
-    tag_len = ends[:bad] - _TAIL - tag_start
-    tag_id = np.full(bad, -1, dtype=np.int8)
-
-    def label(key: bytes) -> None:
-        rows = np.flatnonzero(tag_len == len(key))
-        at = tag_start[rows]
-        hit = np.ones(rows.size, dtype=bool)
-        for k, ch in enumerate(key):
-            hit &= a[k:][at] == ch
-        tag_id[rows[hit]] = keys[key]
-
-    for key in keys:
-        label(key)
-    while True:
-        unseen = np.flatnonzero(tag_id < 0)
-        if not unseen.size:
-            break
-        r = int(unseen[0])
-        key = block[tag_start[r]:tag_start[r] + tag_len[r]]
-        tag = key.decode("ascii", errors="replace")
-        if tag not in tags:
-            if len(tags) > 100:  # the 102nd distinct tag
-                bad = r
-                break
-            tags.append(tag)
-        keys[key] = tags.index(tag)
-        label(key)
-
-    if bad < n:
-        _check_row(block[line_bounds[0][bad]:line_bounds[1][bad]], first + bad, tags)
-        raise RuntimeError(f"line {first + bad + 2}: rejected by the block parser "
-                           "but not by the row check")
-    rec[:, 0] = tag_id
-    return rec
-
-
 def _parse_transcript(fh, body_len: int) -> tuple[_Tally, str]:
     """Tally the header and rows of a transcript's first `body_len` bytes.
 
-    The body is read READ_BYTES at a time; each read is hashed, its whole
+    The body is read in fixed-size reads; each read is hashed, its whole
     lines are parsed as one block, and a partial last line is carried over.
     Returns (tally, sha256 hex digest of the body).
     """
+    from . import _replay
+
     digest = hashlib.sha256()
     tally = _Tally()
     tags: list[str] = []
     keys: dict[bytes, int] = {}
-    lookups = _token_lookups()
+    lookups = _replay.token_lookups()
     carry: list[bytes] = []
     header = (TRANSCRIPT_HEADER + "\n").encode("ascii")
     seen_header = False
-    for chunk in _body_reads(fh, body_len):
+    for chunk in _replay.body_reads(fh, body_len):
         digest.update(chunk)
         cut = chunk.rfind(b"\n") + 1
         if not cut:
@@ -823,7 +638,8 @@ def _parse_transcript(fh, body_len: int) -> tuple[_Tally, str]:
             seen_header = True
             block = block[len(header):]
         if block:
-            tally.update(_parse_rows(block, tally.rounds, tags, keys, lookups), tags, None)
+            tally.update(_replay.parse_rows(block, tally.rounds, tags, keys, lookups),
+                         tags, None)
     if not seen_header:
         raise TranscriptError("bad or missing header", line=1)
     return tally, digest.hexdigest()
@@ -838,8 +654,10 @@ def replay(config: SessionConfig | None, transcript_path) -> SessionReport:
     transcript's round count.  The file is read in blocks, so memory does
     not grow with its length.
     """
+    from . import _replay  # loaded on first use: a process that never replays skips it
+
     with open(transcript_path, "rb") as fh:
-        tag, tok, body_len = _read_trailer(fh)
+        tag, tok, body_len = _replay.read_trailer(fh)
         tally, sha256 = _parse_transcript(fh, body_len)
         if tag == "#sha256":
             checksum_ok = tok == sha256

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spdcqkd import _kernels, protocol
+from spdcqkd import _kernels, _replay, protocol
 from spdcqkd.protocol import (AttackMixture, SessionConfig, SingletSource, SpdcSource,
                               TranscriptError, replay, run_session)
 from spdcqkd.source import SpdcParams
@@ -279,11 +279,11 @@ def outcome(replay_fn, path):
         return str(exc), exc.line
 
 
-@pytest.mark.parametrize("read_bytes", [97, 1000, protocol.READ_BYTES])
+@pytest.mark.parametrize("read_bytes", [97, 1000, _replay.READ_BYTES])
 def test_replay_agrees_with_reference_on_corrupted_files(tmp_path, monkeypatch, read_bytes):
     # a transcript with one byte replaced, deleted or inserted: replay accepts
     # it with the same report, or rejects it with the same error and line
-    monkeypatch.setattr(protocol, "READ_BYTES", read_bytes)
+    monkeypatch.setattr(_replay, "READ_BYTES", read_bytes)
     _, path, _ = write_transcript(tmp_path, rounds=60, seed=5)
     data = path.read_bytes()
     rng = np.random.default_rng(read_bytes)
