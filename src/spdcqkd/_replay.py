@@ -12,7 +12,10 @@ transcript neither compiles nor loads it.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import shutil
+import tempfile
 
 import numpy as np
 
@@ -23,6 +26,20 @@ from .protocol import _TAIL, _TAIL_FIELDS, TranscriptError
 # line (the longest valid one is 72).
 READ_BYTES = 1 << 18
 TRAILER_BYTES = 128
+
+
+def seekable(fh):
+    """A context manager giving `fh` itself if it can seek, else a temporary
+    file holding its bytes: a pipe's end cannot be read before its start."""
+    if fh.seekable():
+        return contextlib.nullcontext(fh)
+    spool = tempfile.TemporaryFile()
+    try:
+        shutil.copyfileobj(fh, spool, READ_BYTES)
+    except BaseException:
+        spool.close()
+        raise
+    return spool
 
 
 def body_reads(fh, length: int):

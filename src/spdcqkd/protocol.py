@@ -28,10 +28,11 @@ per row.  The writer builds, once per session, the text after the round
 index of every possible row (it depends only on the source tag and the
 seven fixed-width fields), and assembles each block of WRITE_ROWS rows from
 index digits and that table.  replay() reads the checksum line from the
-file's tail first, then streams the body in fixed-size reads: each read is
-hashed, and its whole lines are checked field by field for all rows at once
-and tallied, so memory does not grow with the file.  The first row a block
-check rejects is re-checked on its own to name its error and line.
+file's tail first (a pipe is spooled to a temporary file), then streams the
+body in fixed-size reads: each read is hashed, and its whole lines are
+checked field by field for all rows at once and tallied, so memory does not
+grow with the file.  The first row a block check rejects is re-checked on
+its own to name its error and line.  The block parser lives in `_replay`.
 """
 
 from __future__ import annotations
@@ -656,7 +657,7 @@ def replay(config: SessionConfig | None, transcript_path) -> SessionReport:
     """
     from . import _replay  # loaded on first use: a process that never replays skips it
 
-    with open(transcript_path, "rb") as fh:
+    with open(transcript_path, "rb") as source, _replay.seekable(source) as fh:
         tag, tok, body_len = _replay.read_trailer(fh)
         tally, sha256 = _parse_transcript(fh, body_len)
         if tag == "#sha256":

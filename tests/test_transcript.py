@@ -7,6 +7,8 @@ the exact `TranscriptError` text, line number included.
 
 import hashlib
 import itertools
+import os
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -300,6 +302,20 @@ def test_replay_agrees_with_reference_on_corrupted_files(tmp_path, monkeypatch, 
             mutated = data[:pos] + byte + data[pos:]
         path.write_bytes(mutated)
         assert outcome(replay, path) == outcome(reference_replay, path), (pos, edit, byte)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_replay_reads_a_pipe(tmp_path):
+    cfg, path, live = write_transcript(tmp_path)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        assert replay(cfg, fifo) == live
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
 
 
 def test_replay_memory_does_not_grow_with_the_file(tmp_path):
