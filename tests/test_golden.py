@@ -3,15 +3,18 @@
 Each pin is the sha256 of the int8 record bytes `_simulate` yields for one
 session, chunk after chunk, or of a transcript's bytes.  A change to the
 sampler, the uniform stream, the sampling tables or the transcript
-formatting that moves a single byte fails here.
+formatting that moves a single byte fails here.  The sampling tables are
+also pinned on their own, over a grid of every source and eavesdropper kind.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from spdcqkd import protocol
 from spdcqkd.attack import AttackConfig
+from spdcqkd.optics import DA, HV
 from spdcqkd.protocol import (AttackMixture, InterceptResend, SessionConfig,
                               SingletSource, SpdcSource, SplitAttack, run_session)
 from spdcqkd.source import SpdcParams
@@ -53,3 +56,95 @@ def test_golden_transcript(tmp_path):
     body = data[:data.rstrip(b"\n").rfind(b"\n") + 1]
     assert hashlib.sha256(body).hexdigest() == GOLDEN_TRANSCRIPT_BODY
     assert data[len(body):] == f"#sha256={GOLDEN_TRANSCRIPT_BODY}\n".encode("ascii")
+
+
+# Table grid: every source kind (SPDC truncated at 1..6 pairs) against every
+# eavesdropper kind, at fixed continuous parameters.
+TABLE_SOURCES = [("singlet", SingletSource()), ("mixture", AttackMixture(0.4))] + [
+    (f"spdc{n}", SpdcSource(SpdcParams(0.3, n_max=n))) for n in range(1, 7)]
+TABLE_EVES = [("none", None)] + [
+    (f"split{n}", SplitAttack(AttackConfig(max_attempts=n))) for n in (1, 3, 8)] + [
+    ("intercept-random", InterceptResend(None)), ("intercept-HV", InterceptResend(HV)),
+    ("intercept-DA", InterceptResend(DA))]
+
+# sha256 over the emission tags and every `_Tables` array (name, dtype, shape,
+# bytes), or the name of the exception the table build raises
+GOLDEN_TABLES = {
+    "singlet/none": "6992db68117bcd2713fa1850f815f01f376b8b67ab802f6e7f85208c4600b7b1",
+    "singlet/split1": "6992db68117bcd2713fa1850f815f01f376b8b67ab802f6e7f85208c4600b7b1",
+    "singlet/split3": "6992db68117bcd2713fa1850f815f01f376b8b67ab802f6e7f85208c4600b7b1",
+    "singlet/split8": "6992db68117bcd2713fa1850f815f01f376b8b67ab802f6e7f85208c4600b7b1",
+    "singlet/intercept-random": "df76e44886b334fddf311d72437a8d7214061372b56f34b8e5391fab3bfeb935",
+    "singlet/intercept-HV": "14324db6a1fed90880d315fe40f97b3395bce4791332a6850e066107cb46f1fd",
+    "singlet/intercept-DA": "1176eea4c94246139e9a250b64471282d538240553255f7e171077bf0705a343",
+    "mixture/none": "4b8ffd5be062577d4e646c94c3abff50fad54c08da5df79e64088b8742932344",
+    "mixture/split1": "c6122c87b581faa4e59bbcad2f6333b26c58d2fd3d0ccb0b0e15fc12f48a9c25",
+    "mixture/split3": "c6122c87b581faa4e59bbcad2f6333b26c58d2fd3d0ccb0b0e15fc12f48a9c25",
+    "mixture/split8": "c6122c87b581faa4e59bbcad2f6333b26c58d2fd3d0ccb0b0e15fc12f48a9c25",
+    "mixture/intercept-random": "27b8a715071e855c3d5a5983984ab716738460c0c4ccae6771336613dc258a43",
+    "mixture/intercept-HV": "3d63b0228539683a0ba25d22cbe509dc9abb620738e5843b60b524a15a642a87",
+    "mixture/intercept-DA": "88a004569f4c00dcf4375ec548a1573af81e8f30898492877b6a838ebc1fe0ff",
+    "spdc1/none": "fd8dec088ab2d2b06fd23ab5da471ebf214018b3b0faf5606849e2d9bfb7c0d3",
+    "spdc1/split1": "c7aafabc13a471a1bdd77d6821b13e61afa697b43ded0bcc172e0d976367c0c3",
+    "spdc1/split3": "c7aafabc13a471a1bdd77d6821b13e61afa697b43ded0bcc172e0d976367c0c3",
+    "spdc1/split8": "c7aafabc13a471a1bdd77d6821b13e61afa697b43ded0bcc172e0d976367c0c3",
+    "spdc1/intercept-random": "d1c48a0688102ea47846b97bf2a03e66dfea56e0fe6a21af54fd4e7e40ebbe6f",
+    "spdc1/intercept-HV": "d4df2f613fc2dd7f63e0c2b4634bcc2b31e2f3df13f42ca591108bf04ea67379",
+    "spdc1/intercept-DA": "afc0e76bdfc1d2a36915a24e180e3fbb27f538b1a68f8d3a94fa17ca6ef825cd",
+    "spdc2/none": "fe56452dcf68c2df5f298bfc88ebc293642bc11c2e30b81696b491bcb0a71252",
+    "spdc2/split1": "bbbb7e59fd67cf0f19cb10f4c5d90d6f6d1f48160d9f376dbba4f35667046026",
+    "spdc2/split3": "dea5c4a4598ec4e8f42265cb551afc37b4aae5951692c8609437381054de6466",
+    "spdc2/split8": "4276507b0a58f88801a52bdd39b64bbd24aaab2703ab0e4409f36ffc56ce87bc",
+    "spdc2/intercept-random": "FockError",
+    "spdc2/intercept-HV": "FockError",
+    "spdc2/intercept-DA": "FockError",
+    "spdc3/none": "77f45b427cfd5d3b217bee764b58ce1439fcb474fe83054e27d12bde1a6eb763",
+    "spdc3/split1": "6b7eca9fcbd164654b90fef382bac2bdfd355baa126885ff0759e6a25c1541db",
+    "spdc3/split3": "2e723bfe41353a98cf81404bb1b5ea5966a0b02d1e7b13c10c333ba3abea1a1b",
+    "spdc3/split8": "2b6ef665815eaa4b8fdc6e07c9ed49d50de2135b6fcfe39b07eb39e34027782d",
+    "spdc3/intercept-random": "FockError",
+    "spdc3/intercept-HV": "FockError",
+    "spdc3/intercept-DA": "FockError",
+    "spdc4/none": "6f9ee3898ae688b1c3aebb489135e8faeed48b3cc0b303861297f3cac02cd5c5",
+    "spdc4/split1": "b27be5ddebc957b250af838effd5f4be47fecc05d54a533426b9acc686ea6387",
+    "spdc4/split3": "81c779f753d63470550143b08efac9e22f40abc86fa3bbee724a6fe8f11287c6",
+    "spdc4/split8": "42379d0a115d4acbfb4cfe6c9cafe4e9f0f20e5784d8ef89eab9589748b9ea09",
+    "spdc4/intercept-random": "FockError",
+    "spdc4/intercept-HV": "FockError",
+    "spdc4/intercept-DA": "FockError",
+    "spdc5/none": "a82e8e2e80326a36ec0426d71e2f5b4fbfd83e48f467eaffded69ef5095d4cf7",
+    "spdc5/split1": "f7bb425561c2911bce8a8bc9406d6542f75ffe989b3ed7a46b7986d8b562043b",
+    "spdc5/split3": "129e55ae6d6e4a23861f98aef4ca3ac503bb10a8a193c5774d906250fb3276f2",
+    "spdc5/split8": "e59a84eab58ae716abe882941bad0a6864780cb308e0a920f92d22dc3b992e10",
+    "spdc5/intercept-random": "FockError",
+    "spdc5/intercept-HV": "FockError",
+    "spdc5/intercept-DA": "FockError",
+    "spdc6/none": "82b45b89a65978c716e1abbb49748368711df2f211f2ab3e4cee135e0e85952c",
+    "spdc6/split1": "3406f93bd48dd2880f9b0809f59a9d87576b36c70af45e100724404215716c5a",
+    "spdc6/split3": "9a100e1596872ccb94101c87432172a2e89993e62257d0bbdc7a413de6c4a5e2",
+    "spdc6/split8": "011483b848b77e0d67212e8dd4abe170203f040c2c06464929b91b35cc103164",
+    "spdc6/intercept-random": "FockError",
+    "spdc6/intercept-HV": "FockError",
+    "spdc6/intercept-DA": "FockError",
+}
+
+
+def _tables_digest(tables) -> str:
+    h = hashlib.sha256(",".join(tables.emission_tags).encode("ascii"))
+    for f in dataclasses.fields(tables):
+        if f.name != "emission_tags":
+            a = getattr(tables, f.name)
+            h.update(f"{f.name}:{a.dtype.str}:{a.shape}".encode("ascii"))
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("source_name,source", TABLE_SOURCES, ids=[n for n, _ in TABLE_SOURCES])
+@pytest.mark.parametrize("eve_name,eve", TABLE_EVES, ids=[n for n, _ in TABLE_EVES])
+def test_golden_tables(source_name, source, eve_name, eve):
+    config = SessionConfig(rounds=1, seed=0, source=source, eve=eve)
+    try:
+        got = _tables_digest(protocol._build_tables(config))
+    except Exception as exc:  # a build that raises is pinned by its exception type
+        got = type(exc).__name__
+    assert got == GOLDEN_TABLES[f"{source_name}/{eve_name}"]
