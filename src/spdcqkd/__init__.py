@@ -4,8 +4,9 @@ threshold detection, the rare four-photon double-pair component, the
 photon-number-splitting attack it enables, the resulting error-rate and
 information-leak bounds, and a reproducible Monte Carlo protocol runner."""
 
-from .attack import (AttackConfig, InterceptResult, SplitMode, SplitResult,
-                     attack_four_photon, intercept_resend, split_channel)
+from .attack import (AttackConfig, InterceptResult, SplitResult, attack_four_photon,
+                     intercept_branches, intercept_resend, split_attack_branches,
+                     split_channel)
 from .fock import (DEFAULT_MODE_CAP, DEFAULT_PRUNE_TOL, FockError, ModeCapError,
                    ModeLabel, ModeRegistry, RegistryMismatchError, StateVector,
                    UnknownModeError, attack_registry, source_registry)
@@ -34,15 +35,16 @@ __all__ = [
     "InterceptResult", "LeakBound", "ModeCapError", "ModeLabel",
     "ModeRegistry", "OutcomeKind", "QberReport", "RegistryMismatchError",
     "SessionConfig", "SessionReport", "SingletSource", "SpdcParams",
-    "SpdcSource", "SplitAttack", "SplitMode", "SplitResult", "StateVector",
+    "SpdcSource", "SplitAttack", "SplitResult", "StateVector",
     "TranscriptError", "UnknownModeError", "attack_four_photon",
     "attack_registry", "beamsplitter_50_50", "binary_entropy",
     "config_from_dict", "config_to_dict", "eve_conditional_states",
     "eve_mutual_information", "eve_wrong_basis_correlation",
-    "four_photon_component", "holevo_binary", "intercept_resend",
-    "joint_threshold_branches", "leak_vs_bound", "pair_statistics",
-    "qber_from_state", "qnd_count", "replay", "rotate_polarization",
-    "run_session", "singlet_state", "source_registry", "spdc_state",
-    "spdc_state_recursive", "split_channel", "squared_norm_truncated",
-    "threshold_detect", "truncation_tail",
+    "four_photon_component", "holevo_binary", "intercept_branches",
+    "intercept_resend", "joint_threshold_branches", "leak_vs_bound",
+    "pair_statistics", "qber_from_state", "qnd_count", "replay",
+    "rotate_polarization", "run_session", "singlet_state", "source_registry",
+    "spdc_state", "spdc_state_recursive", "split_attack_branches",
+    "split_channel", "squared_norm_truncated", "threshold_detect",
+    "truncation_tail",
 ]

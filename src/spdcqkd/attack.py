@@ -1,5 +1,8 @@
 """Eavesdropping operations: photon-pair splitting and intercept-resend.
 
+This module is the one model of each eavesdropper; the session tables are
+built from its exact branch enumerators.
+
 The splitting attack taps a channel known (by nondemolition counting) to
 carry exactly two photons: a 50:50 beamsplitter deflects each photon
 independently toward the eavesdropper, and a second nondemolition count on
@@ -7,37 +10,37 @@ the deflected arm heralds success when exactly one photon crossed.  On the
 heralded branch the channel keeps one photon and the eavesdropper holds a
 copy correlated with it; either failure outcome (zero or two deflected)
 leaves both photons together, so recombining restores the pre-attempt state
-exactly and the attempt can be repeated.  On the two-pair source component
+exactly and the attempt can be repeated.  The retry loop is therefore exact
+in closed form: with per-attempt probability p and at most n attempts the
+split succeeds with probability 1 - (1 - p)^n, and otherwise gives up with
+the channel passed through unchanged.  On the two-pair source component
 this pipeline produces, after splitting both channels,
 
   (1/(2 sqrt 3)) [ |HV>_AB (2|HV>_E - |VH>_E) + |VH>_AB (2|VH>_E - |HV>_E)
                    - |HH>_AB |VV>_E - |VV>_AB |HH>_E ]
 
 with anti-correlated key rounds kept at error rate 1/6.
+
+Intercept-resend measures an (at most one-photon) channel in the
+eavesdropper's basis and resends the observed polarization; its branches are enumerated
+exactly too, and the sampled form draws one of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from .fock import FockError, ModeLabel, ModeRegistry, StateVector, attack_registry
-from .optics import BasisAngle, beamsplitter_50_50, qnd_count, rotate_polarization
-
-
-class SplitMode(Enum):
-    ANALYTIC = "analytic"        # condition on the heralded success branch
-    MONTE_CARLO = "monte_carlo"  # simulate the retry loop with an RNG
+from .optics import DA, HV, BasisAngle, beamsplitter_50_50, qnd_count, rotate_polarization
 
 
 @dataclass(frozen=True)
 class AttackConfig:
     max_attempts: int = 20
-    mode: SplitMode = SplitMode.ANALYTIC
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -45,58 +48,62 @@ class AttackConfig:
 
 
 class SplitResult(NamedTuple):
-    success: bool
-    attempts: int
-    state: StateVector
+    state: StateVector  # the heralded branch, one photon moved to the eavesdropper
     per_attempt_probability: float
 
 
-def _split_branches(state: StateVector, party: str, channel: int, eve_party: str):
-    """One splitting attempt: beamsplit both polarizations, count the tap arm.
+def split_channel(state: StateVector, party: str, channel: int,
+                  eve_party: str) -> SplitResult:
+    """One splitting attempt on a two-photon channel, conditioned on success.
 
-    Returns (success_probability, success_state, input_norm_sq).  Failure
-    needs no state: zero or two deflected photons recombine into the original
-    channel, restoring the input exactly.
+    Beamsplits both polarizations into eve_party's modes and counts the tap
+    arm; returns the one-photon tap branch and its probability.  Failure
+    needs no state: zero or two deflected photons recombine into the
+    original channel, restoring the input exactly.
     """
-    reg = state.registry
-    hi = ModeLabel(party, channel, 0)
-    vi = ModeLabel(party, channel, 1)
-    eh = ModeLabel(eve_party, 0, 0)
-    ev = ModeLabel(eve_party, 0, 1)
-    h_idx, v_idx = reg.channel_modes(party, channel)
+    h_idx, v_idx = state.registry.channel_modes(party, channel)
     for occ, _ in state.terms():
         if occ[h_idx] + occ[v_idx] != 2:
             raise FockError(
                 f"split attack requires exactly 2 photons in channel {party}{channel}; "
                 f"gate the input with qnd_count first")
-    tapped = beamsplitter_50_50(beamsplitter_50_50(state, hi, eh), vi, ev)
+    eh = ModeLabel(eve_party, 0, 0)
+    ev = ModeLabel(eve_party, 0, 1)
+    tapped = beamsplitter_50_50(beamsplitter_50_50(state, ModeLabel(party, channel, 0), eh),
+                                ModeLabel(party, channel, 1), ev)
     norm_sq = state.norm_sq()
     for branch in qnd_count(tapped, [eh, ev]):
         if branch.count == 1:
-            return branch.probability / norm_sq, branch.state * math.sqrt(norm_sq), norm_sq
+            return SplitResult(branch.state * math.sqrt(norm_sq), branch.probability / norm_sq)
     raise FockError("splitting attempt has no one-photon tap branch")
 
 
-def split_channel(state: StateVector, party: str, channel: int, eve_party: str,
-                  config: AttackConfig = AttackConfig(),
-                  rng: np.random.Generator | None = None) -> SplitResult:
-    """Split one photon out of a two-photon channel into eve_party's modes.
+def split_attack_branches(state: StateVector, config: AttackConfig
+                          ) -> list[tuple[float, StateVector]]:
+    """Every outcome of the splitting attack on both channels: (probability, state).
 
-    ANALYTIC mode conditions on the heralded success and reports the
-    per-attempt success probability.  MONTE_CARLO mode draws the retry loop:
-    each failed attempt restores the input state, so up to
-    config.max_attempts draws decide between the success branch and giving
-    up (state passed through untouched, success=False).
+    Each channel (A into E1, then B into E2) is counted; a two-photon count
+    is split with probability q = 1 - (1 - p)^max_attempts, p being
+    split_channel's per-attempt probability, and the give-up branch,
+    probability 1 - q, passes the channel through unchanged.  Other counts
+    pass through.
     """
-    p_success, success_state, _ = _split_branches(state, party, channel, eve_party)
-    if config.mode is SplitMode.ANALYTIC:
-        return SplitResult(True, 1, success_state, p_success)
-    if rng is None:
-        raise FockError("MONTE_CARLO split needs an rng")
-    for attempt in range(1, config.max_attempts + 1):
-        if rng.random() < p_success:
-            return SplitResult(True, attempt, success_state, p_success)
-    return SplitResult(False, config.max_attempts, state, p_success)
+    branches = [(1.0, state)]
+    for party, eve_party in (("A", "E1"), ("B", "E2")):
+        modes = [ModeLabel(party, 0, 0), ModeLabel(party, 0, 1)]
+        nxt = []
+        for pr, st in branches:
+            for count, p_c, post in qnd_count(st, modes):
+                if count != 2:
+                    nxt.append((pr * p_c, post))
+                    continue
+                res = split_channel(post, party, 0, eve_party)
+                q = 1.0 - (1.0 - res.per_attempt_probability) ** config.max_attempts
+                nxt.append((pr * p_c * q, res.state))
+                if q < 1.0:
+                    nxt.append((pr * p_c * (1.0 - q), post))
+        branches = nxt
+    return branches
 
 
 def attack_four_photon(registry: ModeRegistry | None = None) -> StateVector:
@@ -126,35 +133,48 @@ class InterceptResult(NamedTuple):
     state: StateVector
 
 
+def intercept_branches(state: StateVector, party: str, channel: int,
+                       basis: BasisAngle | None) -> list[tuple[float, StateVector, int]]:
+    """Every outcome of intercept-resend on one channel: (probability, state, bit).
+
+    The channel is rotated into the eavesdropper's basis, collapsed onto each
+    occupation that can be observed there (empty, bit 0, bit 1), and rotated
+    back; since the eavesdropper re-injects a fresh photon of exactly the
+    polarization observed, the collapsed state already is the resent state.  bit is -1 for an empty
+    channel.  basis None is a fresh random basis: H/V and D/A at 1/2 each.
+    """
+    h_idx, v_idx = state.registry.channel_modes(party, channel)
+    if any(occ[h_idx] + occ[v_idx] > 1 for occ, _ in state.terms()):
+        raise FockError(
+            f"intercept-resend expects at most one photon in channel {party}{channel}")
+    bases = [(basis, 1.0)] if basis is not None else [(HV, 0.5), (DA, 0.5)]
+    out = []
+    for b, w in bases:
+        rotated = rotate_polarization(state, party, channel, b) if b.theta else state
+        for bit, pattern in ((-1, (0, 0)), (0, (1, 0)), (1, (0, 1))):
+            prob, post = rotated.project(lambda occ, p=pattern: (occ[h_idx], occ[v_idx]) == p)
+            if prob <= 0.0:
+                continue
+            if b.theta:
+                post = rotate_polarization(post, party, channel, -b.theta)
+            out.append((w * prob, post, bit))
+    return out
+
+
 def intercept_resend(state: StateVector, party: str, channel: int,
                      eve_basis: BasisAngle, rng: np.random.Generator) -> InterceptResult:
     """Measure one (at most single-photon) channel in eve_basis and resend.
 
-    The channel is rotated into the eavesdropper's basis, collapsed onto her
-    observed occupation, and rotated back; since she re-injects a fresh
-    photon of exactly the polarization she saw, the collapsed state already
-    is the resent state.  An empty channel resends nothing (bit None).
+    Draws one of intercept_branches with one uniform; an empty channel
+    resends nothing (bit None).
     """
-    h_idx, v_idx = state.registry.channel_modes(party, channel)
-    for occ, _ in state.terms():
-        if occ[h_idx] + occ[v_idx] > 1:
-            raise FockError(
-                f"intercept-resend expects at most one photon in channel {party}{channel}")
-    rotated = rotate_polarization(state, party, channel, eve_basis)
-    branches = []  # (bit, probability, post)
-    for want_bit, pattern in ((None, (0, 0)), (0, (1, 0)), (1, (0, 1))):
-        prob, post = rotated.project(lambda occ, p=pattern: (occ[h_idx], occ[v_idx]) == p)
-        if prob > 0.0:
-            branches.append((want_bit, prob, post))
-    total = sum(p for _, p, _ in branches)
-    u = rng.random() * total
+    branches = intercept_branches(state, party, channel, eve_basis)
+    u = rng.random() * sum(p for p, _, _ in branches)
     acc = 0.0
-    bit, _, post = branches[-1]
-    for b, p, st in branches:
+    _, post, bit = branches[-1]
+    for p, st, b in branches:
         acc += p
         if u < acc:
-            bit, post = b, st
+            post, bit = st, b
             break
-    if eve_basis.theta != 0.0:
-        post = rotate_polarization(post, party, channel, -eve_basis.theta)
-    return InterceptResult(bit, post)
+    return InterceptResult(None if bit < 0 else bit, post)

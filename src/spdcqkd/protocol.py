@@ -9,7 +9,9 @@ anti-correlates), so the sifted keys agree except on error rounds.
 
 The emitted-state / strategy / outcome tree is finite and tiny, so it is
 enumerated exactly once with the sparse engine into categorical tables, and
-the per-round loop just samples those tables.  Every round owns a fixed
+the per-round loop just samples those tables.  The strategy branches come
+from the eavesdropper models in `attack` (split_attack_branches,
+intercept_branches); this module only dispatches to them.  Every round owns a fixed
 block of DRAWS_PER_ROUND uniforms from a counter-based Philox stream keyed
 by the session seed, so rounds can be evaluated in any order or chunking
 with identical results; a session is reproduced bit-for-bit by its seed.
@@ -45,11 +47,10 @@ from typing import Union
 import numpy as np
 
 from . import _kernels
-from ._kernels import DRAWS_PER_ROUND, N_COLS
-from .attack import AttackConfig, SplitMode, attack_four_photon, split_channel
-from .fock import FockError, ModeLabel, StateVector, attack_registry
-from .optics import (DA, HV, BasisAngle, OutcomeKind, joint_threshold_branches,
-                     qnd_count, rotate_polarization)
+from ._kernels import DRAWS_PER_ROUND
+from .attack import AttackConfig, attack_four_photon, intercept_branches, split_attack_branches
+from .fock import FockError, StateVector, attack_registry
+from .optics import DA, HV, BasisAngle, OutcomeKind, joint_threshold_branches
 from .security import LeakBound, leak_vs_bound
 from .source import SpdcParams, singlet_state, spdc_state
 
@@ -156,8 +157,7 @@ def config_to_dict(config: SessionConfig) -> dict:
     if config.eve is None:
         eve = {"kind": "none"}
     elif isinstance(config.eve, SplitAttack):
-        eve = {"kind": "split", "max_attempts": config.eve.config.max_attempts,
-               "mode": config.eve.config.mode.value}
+        eve = {"kind": "split", "max_attempts": config.eve.config.max_attempts}
     else:
         basis = config.eve.basis
         eve = {"kind": "intercept",
@@ -207,8 +207,7 @@ def config_from_dict(d: dict) -> SessionConfig:
             eve: EveStrategy = None
         elif ekind == "split":
             eve = SplitAttack(AttackConfig(
-                max_attempts=_optional(eve_d, "max_attempts", int, "eve.", 20),
-                mode=SplitMode(_optional(eve_d, "mode", str, "eve.", "analytic"))))
+                max_attempts=_optional(eve_d, "max_attempts", int, "eve.", 20)))
         elif ekind == "intercept":
             tok = eve_d.get("basis", "random")
             if tok not in ("random", "HV", "DA"):
@@ -257,57 +256,14 @@ def _emission_branches(source: Source, registry) -> list[tuple[str, float, State
     return out
 
 
-def _split_tree(state: StateVector, cfg: AttackConfig) -> list[tuple[float, StateVector]]:
-    """Branch over per-channel photon counts; split the two-photon gates."""
-    q = 1.0 - 0.5 ** cfg.max_attempts
-    branches = [(1.0, state)]
-    for party, eve_party in (("A", "E1"), ("B", "E2")):
-        modes = [ModeLabel(party, 0, 0), ModeLabel(party, 0, 1)]
-        nxt = []
-        for pr, st in branches:
-            for count, p_c, post in qnd_count(st, modes):
-                if count == 2:
-                    res = split_channel(post, party, 0, eve_party,
-                                        AttackConfig(cfg.max_attempts, SplitMode.ANALYTIC))
-                    nxt.append((pr * p_c * q, res.state))
-                    if q < 1.0:
-                        nxt.append((pr * p_c * (1.0 - q), post))
-                else:
-                    nxt.append((pr * p_c, post))
-        branches = nxt
-    return branches
-
-
-def _intercept_branches(state: StateVector, basis: BasisAngle | None
-                        ) -> list[tuple[float, StateVector, int]]:
-    """Enumerate the eavesdropper's intercept/resend on Alice's channel."""
-    bases = [(basis, 1.0)] if basis is not None else [(HV, 0.5), (DA, 0.5)]
-    h_idx, v_idx = state.registry.channel_modes("A", 0)
-    if any(occ[h_idx] + occ[v_idx] > 1 for occ, _ in state.terms()):
-        raise FockError("intercept-resend supports at most one photon "
-                        "in the intercepted channel")
-    out = []
-    for b, w in bases:
-        rotated = rotate_polarization(state, "A", 0, b) if b.theta else state
-        for bit, pattern in ((-1, (0, 0)), (0, (1, 0)), (1, (0, 1))):
-            prob, post = rotated.project(
-                lambda occ, p=pattern: (occ[h_idx], occ[v_idx]) == p)
-            if prob <= 0.0:
-                continue
-            if b.theta:
-                post = rotate_polarization(post, "A", 0, -b.theta)
-            out.append((w * prob, post, bit))
-    return out
-
-
 def _eve_branches(state: StateVector, eve: EveStrategy
                   ) -> list[tuple[float, StateVector, int]]:
     """Returns (probability, post state, fixed eve bit or -1) per branch."""
     if eve is None:
         return [(1.0, state, -1)]
     if isinstance(eve, SplitAttack):
-        return [(pr, st, -1) for pr, st in _split_tree(state, eve.config)]
-    return _intercept_branches(state, eve.basis)
+        return [(pr, st, -1) for pr, st in split_attack_branches(state, eve.config)]
+    return intercept_branches(state, "A", 0, eve.basis)
 
 
 _EBIT = {OutcomeKind.NO_CLICK: -1, OutcomeKind.BIT0: 0, OutcomeKind.BIT1: 1}

@@ -55,6 +55,25 @@ def _bit_weights(kind: OutcomeKind) -> tuple[tuple[int, float], ...]:
     return ((0, 0.5), (1, 0.5))  # DOUBLE
 
 
+def _clicked_joint(state: StateVector, assignments: list[tuple[str, int, BasisAngle]]
+                   ) -> tuple[dict[tuple[int, int], float], float]:
+    """Joint bit weights of two channels over the branches where both clicked.
+
+    Returns the unnormalized joint over (first bit, second bit) and the mass
+    of those branches; a double click spreads its weight over both bits.
+    """
+    joint = {(a, b): 0.0 for a in (0, 1) for b in (0, 1)}
+    mass = 0.0
+    for (ka, kb), prob, _ in joint_threshold_branches(state, assignments):
+        if ka not in _CLICKED or kb not in _CLICKED:
+            continue
+        mass += prob
+        for a, wa in _bit_weights(ka):
+            for b, wb in _bit_weights(kb):
+                joint[(a, b)] += prob * wa * wb
+    return joint, mass
+
+
 @dataclass(frozen=True)
 class QberReport:
     qber: float
@@ -65,25 +84,14 @@ class QberReport:
 def qber_from_state(state: StateVector, alice_basis: BasisAngle,
                     bob_basis: BasisAngle) -> QberReport:
     """Exact Born-rule error rate of one emitted state under threshold detection."""
-    branches = joint_threshold_branches(
+    joint, clicked_mass = _clicked_joint(
         state, [("A", 0, alice_basis), ("B", 0, bob_basis)])
-    total = state.norm_sq()
-    joint = {(a, b): 0.0 for a in (0, 1) for b in (0, 1)}
-    clicked_mass = 0.0
-    for kinds, prob, _ in branches:
-        ka, kb = kinds
-        if ka not in _CLICKED or kb not in _CLICKED:
-            continue
-        clicked_mass += prob
-        for a, wa in _bit_weights(ka):
-            for b, wb in _bit_weights(kb):
-                joint[(a, b)] += prob * wa * wb
     if clicked_mass <= 0.0:
         return QberReport(0.0, 0.0, joint)
     joint = {k: v / clicked_mass for k, v in joint.items()}
     # anti-correlation convention: equal outcomes are errors
     qber = joint[(0, 0)] + joint[(1, 1)]
-    return QberReport(qber, clicked_mass / total, joint)
+    return QberReport(qber, clicked_mass / state.norm_sq(), joint)
 
 
 class EveBranch(NamedTuple):
@@ -163,18 +171,7 @@ def eve_wrong_basis_correlation(state: StateVector,
     coefficient is undefined: the report is flagged degenerate and the value
     is +1 for a perfectly copied bit, -1 for a perfectly flipped one, else 0.
     """
-    branches = joint_threshold_branches(
-        state, [("A", 0, alice_basis), ("E1", 0, eve_basis)])
-    joint = {(a, e): 0.0 for a in (0, 1) for e in (0, 1)}
-    mass = 0.0
-    for kinds, prob, _ in branches:
-        ka, ke = kinds
-        if ka not in _CLICKED or ke not in _CLICKED:
-            continue
-        mass += prob
-        for a, wa in _bit_weights(ka):
-            for e, we in _bit_weights(ke):
-                joint[(a, e)] += prob * wa * we
+    joint, mass = _clicked_joint(state, [("A", 0, alice_basis), ("E1", 0, eve_basis)])
     if mass <= 0.0:
         raise FockError("no rounds where both Alice and the tap clicked")
     joint = {k: v / mass for k, v in joint.items()}

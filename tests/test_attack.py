@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spdcqkd.attack import (AttackConfig, SplitMode, attack_four_photon,
-                            intercept_resend, split_channel)
+from spdcqkd.attack import (AttackConfig, attack_four_photon, intercept_resend,
+                            split_attack_branches, split_channel)
 from spdcqkd.fock import FockError, StateVector, attack_registry, source_registry
 from spdcqkd.optics import DA, HV
 from spdcqkd.source import four_photon_component, singlet_state
@@ -25,7 +25,6 @@ def test_per_attempt_probability_on_two_same_photons():
     st = StateVector(attack_registry(), {(2, 0, 0, 0, 0, 0, 0, 0): 1.0})
     res = split_channel(st, "A", 0, "E1")
     assert res.per_attempt_probability == pytest.approx(0.5, abs=1e-12)
-    assert res.success
 
 
 def test_per_attempt_probability_on_orthogonal_pair():
@@ -89,59 +88,24 @@ def test_attack_state_golden_dump():
 
 def test_analytic_split_reports_success_and_attempt_budget():
     st = psi4_full()
-    res = split_channel(st, "A", 0, "E1", AttackConfig(max_attempts=5))
-    assert res.success
-    assert res.attempts <= 5
+    res = split_channel(st, "A", 0, "E1")
     assert res.per_attempt_probability == pytest.approx(0.5)
 
 
-def test_monte_carlo_split_matches_analytic_on_success():
+@pytest.mark.parametrize("attempts", [1, 3])
+def test_split_attack_branches_retry_loop(attempts):
+    # the four-photon component carries two photons in each channel: split
+    # both, give up on A, give up on B, or give up on both
     st = psi4_full()
-    analytic = split_channel(st, "A", 0, "E1").state
-    rng = np.random.default_rng(3)
-    cfg = AttackConfig(max_attempts=50, mode=SplitMode.MONTE_CARLO)
-    res = split_channel(st, "A", 0, "E1", cfg, rng=rng)
-    assert res.success
-    assert_states_close(res.state, analytic)
-
-
-def test_monte_carlo_split_failure_passes_input_through():
-    st = psi4_full()
-    failures = successes = 0
-    attempts = []
-    for seed in range(400):
-        rng = np.random.default_rng(seed)
-        res = split_channel(st, "A", 0, "E1",
-                            AttackConfig(max_attempts=1, mode=SplitMode.MONTE_CARLO),
-                            rng=rng)
-        attempts.append(res.attempts)
-        if res.success:
-            successes += 1
-        else:
-            failures += 1
-            assert_states_close(res.state, st)
-    # one attempt at probability 1/2: a 3-sigma band around 200 each
-    assert abs(successes - 200) < 3 * math.sqrt(400 * 0.25)
-    assert set(attempts) == {1}
-
-
-def test_monte_carlo_attempt_counts_are_geometric():
-    st = psi4_full()
-    counts = {}
-    for seed in range(600):
-        res = split_channel(st, "A", 0, "E1",
-                            AttackConfig(max_attempts=30, mode=SplitMode.MONTE_CARLO),
-                            rng=np.random.default_rng(seed))
-        assert res.success  # 2^-30 failure chance; treat as impossible
-        counts[res.attempts] = counts.get(res.attempts, 0) + 1
-    assert counts[1] > counts.get(2, 0) > counts.get(3, 0)
-    assert abs(counts[1] - 300) < 3 * math.sqrt(600 * 0.25)
-
-
-def test_monte_carlo_split_requires_rng():
-    with pytest.raises(FockError):
-        split_channel(psi4_full(), "A", 0, "E1",
-                      AttackConfig(mode=SplitMode.MONTE_CARLO))
+    q = 1.0 - 2.0 ** -attempts
+    branches = split_attack_branches(st, AttackConfig(max_attempts=attempts))
+    assert [p for p, _ in branches] == pytest.approx(
+        [q * q, q * (1 - q), (1 - q) * q, (1 - q) ** 2], abs=1e-15)
+    split_a = split_channel(st, "A", 0, "E1").state
+    assert_states_close(branches[0][1], attack_four_photon())
+    assert_states_close(branches[1][1], split_a)  # B passed through
+    assert_states_close(branches[2][1], split_channel(st, "B", 0, "E2").state)
+    assert_states_close(branches[3][1], st)
 
 
 def test_attack_config_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spdcqkd import _kernels, protocol
-from spdcqkd.attack import AttackConfig, SplitMode
+from spdcqkd.attack import AttackConfig
 from spdcqkd.fock import FockError
 from spdcqkd.optics import DA, HV
 from spdcqkd.protocol import (AttackMixture, ConfigError, InterceptResend,
@@ -50,6 +50,19 @@ def test_config_dict_roundtrip():
     ]
     for cfg in configs:
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+@pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
+def test_config_ignores_removed_split_mode(mode):
+    # eve.mode once chose between an exact and a sampled split and never
+    # changed a session; configs that still carry it load as before
+    doc = {"rounds": 4000, "seed": 3, "source": {"kind": "spdc", "tanh_xi": 0.3},
+           "eve": {"kind": "split", "max_attempts": 3}}
+    with_mode = json.loads(json.dumps(doc))
+    with_mode["eve"]["mode"] = mode
+    assert config_from_dict(with_mode) == config_from_dict(doc)
+    assert (run_session(config_from_dict(with_mode)).to_dict()
+            == run_session(config_from_dict(doc)).to_dict())
 
 
 def test_config_from_dict_error_paths():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spdcqkd.attack import attack_four_photon
-from spdcqkd.fock import FockError, StateVector, attack_registry
+from spdcqkd.fock import StateVector, attack_registry
 from spdcqkd.optics import DA, HV
 from spdcqkd.security import (binary_entropy, eve_conditional_states,
                               eve_wrong_basis_correlation, holevo_binary,

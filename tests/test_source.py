@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from spdcqkd.fock import FockError, ModeLabel, StateVector, attack_registry, source_registry
+from spdcqkd.fock import FockError, ModeLabel, attack_registry
 from spdcqkd.optics import DA, rotate_polarization
 from spdcqkd.source import (SpdcParams, four_photon_component, pair_statistics,
                             singlet_state, spdc_state, spdc_state_recursive,
