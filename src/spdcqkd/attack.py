@@ -22,8 +22,8 @@ this pipeline produces, after splitting both channels,
 with anti-correlated key rounds kept at error rate 1/6.
 
 Intercept-resend measures an (at most one-photon) channel in the
-eavesdropper's basis and resends the observed polarization; its branches are enumerated
-exactly too, and the sampled form draws one of them.
+eavesdropper's basis and resends the observed polarization; its branches
+are enumerated exactly too, and the sampled form draws one of them.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ def intercept_branches(state: StateVector, party: str, channel: int,
     The channel is rotated into the eavesdropper's basis, collapsed onto each
     occupation that can be observed there (empty, bit 0, bit 1), and rotated
     back; since the eavesdropper re-injects a fresh photon of exactly the
-    polarization observed, the collapsed state already is the resent state.  bit is -1 for an empty
-    channel.  basis None is a fresh random basis: H/V and D/A at 1/2 each.
+    polarization observed, the collapsed state already is the resent state.
+    bit is -1 for an empty channel.  basis None is a fresh random basis:
+    H/V and D/A at 1/2 each.
     """
     h_idx, v_idx = state.registry.channel_modes(party, channel)
     if any(occ[h_idx] + occ[v_idx] > 1 for occ, _ in state.terms()):

@@ -11,10 +11,11 @@ The emitted-state / strategy / outcome tree is finite and tiny, so it is
 enumerated exactly once with the sparse engine into categorical tables, and
 the per-round loop just samples those tables.  The strategy branches come
 from the eavesdropper models in `attack` (split_attack_branches,
-intercept_branches); this module only dispatches to them.  Every round owns a fixed
-block of DRAWS_PER_ROUND uniforms from a counter-based Philox stream keyed
-by the session seed, so rounds can be evaluated in any order or chunking
-with identical results; a session is reproduced bit-for-bit by its seed.
+intercept_branches); this module only dispatches to them.  Every round owns
+a fixed block of DRAWS_PER_ROUND uniforms from a counter-based Philox
+stream keyed by the session seed, so rounds can be evaluated in any order
+or chunking with identical results; a session is reproduced bit-for-bit by
+its seed.
 
 Transcript files are CSV with header
 round_idx,source_tag,alice_basis,bob_basis,alice_outcome,bob_outcome,sifted_flag,alice_bit,bob_bit
