@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import re
@@ -229,6 +231,62 @@ def test_report_to_dict_is_json_serializable():
     again = json.loads(json.dumps(d, sort_keys=True))
     assert again["rounds"] == 100
     assert set(again["leak"]) == {"eve_info", "bound", "margin"}
+
+
+# -- tally --------------------------------------------------------------------
+
+
+def reference_tally_update(tally, rec, tags, scen_emission):
+    """`_Tally.update` as one masked count per field."""
+    tally.rounds += rec.shape[0]
+    sif = rec[:, 7] == 1
+    err = sif & (rec[:, 5] != rec[:, 6])
+    tally.sifted += int(sif.sum())
+    tally.errors += int(err.sum())
+    tally.double_clicks += int((rec[:, 3] == 3).sum()) + int((rec[:, 4] == 3).sum())
+    tally.no_clicks += int((rec[:, 3] == 0).sum()) + int((rec[:, 4] == 0).sum())
+    emis = rec[:, 0] if scen_emission is None else scen_emission[rec[:, 0]]
+    counts = np.bincount(emis, minlength=len(tags))
+    for t, c in zip(tags, counts):
+        if c:
+            tally.source_counts[t] = tally.source_counts.get(t, 0) + int(c)
+    for basis in (0, 1):
+        m = sif & (rec[:, 1] == basis)
+        tally.basis_sifted[basis] += int(m.sum())
+        tally.basis_errors[basis] += int((m & err).sum())
+
+
+def every_tallied_field():
+    """One record per (scenario of four, Alice basis, kinds, bits with -1, sifted flag)."""
+    rows = itertools.product(range(4), (0, 1), range(4), range(4), (-1, 0, 1), (-1, 0, 1),
+                             (0, 1))
+    rec = np.full((4 * 2 * 4 * 4 * 3 * 3 * 2, _kernels.N_COLS), -1, dtype=np.int8)
+    rec[:, [0, 1, 3, 4, 5, 6, 7]] = np.array(list(rows), dtype=np.int8)
+    rec[:, 2] = rec[:, 1]
+    return rec
+
+
+@pytest.mark.parametrize("config", [
+    SessionConfig(rounds=70000, seed=4, source=AttackMixture(0.5),
+                  eve=SplitAttack(AttackConfig(max_attempts=2))),
+    SessionConfig(rounds=20000, seed=5, source=SpdcSource(SpdcParams(0.4)),
+                  double_click_policy="discard"),
+], ids=["mixture-split", "spdc-discard"])
+def test_tally_matches_reference(config):
+    chunks = []
+    for _, rec, tables in protocol._simulate(config):
+        chunks.append((rec, tables.emission_tags, tables.scen_emission))
+        as_read = rec.copy()  # replay's records hold the emission, not the scenario
+        as_read[:, 0] = tables.scen_emission[rec[:, 0]]
+        chunks.append((as_read, tables.emission_tags, None))
+    crafted = every_tallied_field()
+    chunks += [(crafted, ["attack", "singlet"], np.array([1, 0, 0, 1], dtype=np.int8)),
+               (crafted, ["a", "b", "c", "d"], None)]
+    got, want = protocol._Tally(), protocol._Tally()
+    for rec, tags, scen_emission in chunks:
+        got.update(rec, tags, scen_emission)
+        reference_tally_update(want, rec, tags, scen_emission)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
 # -- eavesdropper information -----------------------------------------------
