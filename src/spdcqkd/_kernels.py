@@ -4,8 +4,10 @@ Every round consumes a fixed block of DRAWS_PER_ROUND uniforms from the
 counter-based master stream (slot layout below), picks a pre-enumerated
 scenario and outcome row, and writes one int8 record.  `sample_rounds` does
 this for a whole chunk of rounds at once with vectorized numpy: one
-`searchsorted` over the scenarios, then one per (scenario, basis pair) group
-over its outcome rows.
+`searchsorted` over the scenarios, then a fixed-width binary search over the
+outcome rows of each round's (scenario, basis pair) group, and one gather of
+the record from a per-session template (`lookup_tables`).  It makes the same
+float comparisons as a per-group `searchsorted`, so records are unchanged.
 
 Draw slots per round: 0 scenario, 1 Alice basis, 2 Bob basis, 3 outcome row,
 4 Alice double-click bit, 5 Bob double-click bit, 6-7 reserved.
@@ -29,62 +31,85 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def sample_rounds(u, scen_cum, grp_off, grp_len,
-                  row_cum, row_a, row_b, row_e1, row_e2,
-                  keep_double: bool) -> np.ndarray:
-    """Run one chunk of rounds; returns the (n, N_COLS) int8 record array."""
+def lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1, row_e2,
+                  keep_double: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-width lookup arrays for `sample_rounds`: (thresholds, template).
+
+    Group g (scenario g // 4, Alice basis g // 2 % 2, Bob basis g % 2)
+    owns slots [g*W, (g+1)*W), W the next power of two >= its longest
+    group.  thresholds (float64[groups, W]) holds each group's `row_cum`,
+    whose last row is 1.0, and +inf in the padding.  template
+    (int8[groups * W, N_COLS]) holds each row's record as far as the row
+    decides it: a double-click bit is 0, to be set from its draw slot.
+    """
+    groups = grp_off.shape[0]
+    width = 1 << (int(grp_len.max()) - 1).bit_length()
+    g = np.repeat(np.arange(groups), grp_len)
+    slot = g * width + np.arange(row_cum.shape[0]) - grp_off[g]
+    thresholds = np.full(groups * width, np.inf)
+    thresholds[slot] = row_cum
+    clicked = (row_a != 0) & (row_b != 0)
+    if not keep_double:
+        clicked &= (row_a != 3) & (row_b != 3)
+    template = np.zeros((groups * width, N_COLS), dtype=np.int8)
+    template[slot] = np.column_stack([
+        g // 4, g // 2 % 2, g % 2, row_a, row_b,
+        np.array([-1, 0, 1, 0])[row_a],  # Alice's bit: Bit0 -> 0, Bit1 -> 1
+        np.array([-1, 1, 0, 0])[row_b],  # Bob's key bit is flipped: Bit0 -> 1
+        clicked & (g // 2 % 2 == g % 2), row_e1, row_e2]).astype(np.int8)
+    return thresholds.reshape(groups, width), template
+
+
+def sample_rounds(u, scen_cum, thresholds, template) -> np.ndarray:
+    """Run one chunk of rounds; returns the (n, N_COLS) int8 record array.
+
+    `u` holds each round's uniforms in [0, 1); `thresholds` and `template`
+    come from `lookup_tables`.  The outcome row is found by a branchless
+    binary search over the round's group slots: each step compares
+    u3 >= thresholds[slot], the comparisons `searchsorted(row_cum, u3,
+    side="right")` makes on the group's non-decreasing rows, and u3 < 1
+    never passes a group's last row or its padding.  Every index stays
+    inside the arrays, so the takes use mode="clip", which writes `out=`
+    without a buffered copy.
+    """
     n = u.shape[0]
     out = np.empty((n, N_COLS), dtype=np.int8)
-    s = np.searchsorted(scen_cum, u[:, 0], side="right")
-    abasis = (u[:, 1] >= 0.5).astype(np.int8)
-    bbasis = (u[:, 2] >= 0.5).astype(np.int8)
-    g = (s * 2 + abasis) * 2 + bbasis
-    idx = np.empty(n, dtype=np.int64)
-    for gi in range(grp_off.shape[0]):
-        mask = g == gi
-        if not mask.any():
-            continue
-        off = grp_off[gi]
-        k = np.searchsorted(row_cum[off:off + grp_len[gi]], u[mask, 3], side="right")
-        idx[mask] = off + k
-    akind = row_a[idx]
-    bkind = row_b[idx]
-
-    abit = np.full(n, -1, dtype=np.int8)
-    abit[akind == 1] = 0
-    abit[akind == 2] = 1
-    dc = akind == 3
-    abit[dc] = (u[dc, 4] >= 0.5).astype(np.int8)
-    bkey = np.full(n, -1, dtype=np.int8)
-    bkey[bkind == 1] = 1
-    bkey[bkind == 2] = 0
-    dc = bkind == 3
-    bkey[dc] = (u[dc, 5] < 0.5).astype(np.int8)
-
-    if keep_double:
-        a_clicked = akind != 0
-        b_clicked = bkind != 0
-    else:
-        a_clicked = (akind != 0) & (akind != 3)
-        b_clicked = (bkind != 0) & (bkind != 3)
-    sifted = ((abasis == bbasis) & a_clicked & b_clicked).astype(np.int8)
-
-    out[:, 0] = s
-    out[:, 1] = abasis
-    out[:, 2] = bbasis
-    out[:, 3] = akind
-    out[:, 4] = bkind
-    out[:, 5] = abit
-    out[:, 6] = bkey
-    out[:, 7] = sifted
-    out[:, 8] = row_e1[idx]
-    out[:, 9] = row_e2[idx]
+    width = thresholds.shape[1]
+    thr = thresholds.ravel()
+    draw = np.empty(n)
+    draw[:] = u[:, 0]
+    pos = np.searchsorted(scen_cum, draw, side="right")
+    pos *= 2
+    pos += u[:, 1] >= 0.5
+    pos *= 2
+    pos += u[:, 2] >= 0.5
+    pos *= width
+    draw[:] = u[:, 3]
+    probe = np.empty_like(pos)
+    cut = np.empty(n)
+    passed = np.empty(n, dtype=bool)
+    step = width // 2
+    while step:
+        np.add(pos, step - 1, out=probe)
+        np.take(thr, probe, out=cut, mode="clip")
+        np.greater_equal(draw, cut, out=passed)
+        np.multiply(passed, step, out=probe)
+        pos += probe
+        step //= 2
+    np.take(template, pos, axis=0, out=out, mode="clip")
+    dc = np.flatnonzero(out[:, 3] == 3)
+    out[dc, 5] = u[dc, 4] >= 0.5
+    dc = np.flatnonzero(out[:, 4] == 3)
+    out[dc, 6] = u[dc, 5] < 0.5
     return out
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a hash of a byte string."""
-    h = _FNV_OFFSET
+def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
+    """64-bit FNV-1a hash of a byte string.
+
+    `h` is the state to start from: the hash of the bytes before `data`
+    chains the hash over pieces.
+    """
     for b in data:
         h = ((h ^ b) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h

@@ -216,8 +216,14 @@ def config_from_dict(d: dict) -> SessionConfig:
             eve = InterceptResend(None if tok == "random" else (HV if tok == "HV" else DA))
         else:
             raise ConfigError(f"unknown eve.kind {ekind!r}")
-        return SessionConfig(rounds=rounds, seed=seed, source=source, eve=eve,
-                             double_click_policy=d.get("double_click_policy", "assign"))
+        config = SessionConfig(rounds=rounds, seed=seed, source=source, eve=eve,
+                               double_click_policy=d.get("double_click_policy", "assign"))
+        if isinstance(eve, InterceptResend):
+            # intercept-resend takes at most one photon per channel, which an
+            # SPDC source's multi-pair terms break: reject it here, not at table build
+            for _, _, state in _emission_branches(source, attack_registry()):
+                intercept_branches(state, "A", 0, eve.basis)
+        return config
     except (FockError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -363,22 +369,40 @@ class _Tally:
     basis_errors: list = field(default_factory=lambda: [0, 0])
 
     def update(self, rec: np.ndarray, tags: list[str], scen_emission: np.ndarray | None):
+        """Count a record chunk with one bincount.
+
+        A round's key is its column 0 (the scenario, or the emission when
+        `scen_emission` is None) above 7 bits: Alice basis, sifted, bits
+        differ, Alice kind, Bob kind.
+        """
         self.rounds += rec.shape[0]
-        sif = rec[:, 7] == 1
-        err = sif & (rec[:, 5] != rec[:, 6])
-        self.sifted += int(sif.sum())
-        self.errors += int(err.sum())
-        self.double_clicks += int((rec[:, 3] == 3).sum()) + int((rec[:, 4] == 3).sum())
-        self.no_clicks += int((rec[:, 3] == 0).sum()) + int((rec[:, 4] == 0).sum())
-        emis = rec[:, 0] if scen_emission is None else scen_emission[rec[:, 0]]
-        counts = np.bincount(emis, minlength=len(tags))
-        for t, c in zip(tags, counts):
+        col = np.ascontiguousarray(rec[:, :8].T)  # bit operations run faster on rows
+        low = col[1] << 6
+        low |= col[7] << 5
+        low |= (col[5] != col[6]).view(np.int8) << 4
+        low |= col[3] << 2
+        low |= col[4]
+        key = col[0].astype(np.intp)
+        key <<= 7
+        key |= low
+        first = len(tags) if scen_emission is None else len(scen_emission)
+        counts = np.bincount(key, minlength=first * 128).reshape(first, 2, 2, 2, 4, 4)
+        per_tag = counts.sum(axis=(1, 2, 3, 4, 5))
+        if scen_emission is not None:
+            per_scen, per_tag = per_tag, np.zeros(len(tags), dtype=per_tag.dtype)
+            np.add.at(per_tag, scen_emission, per_scen)
+        for t, c in zip(tags, per_tag):
             if c:
                 self.source_counts[t] = self.source_counts.get(t, 0) + int(c)
+        kinds = counts.sum(axis=(0, 1, 2, 3))  # [Alice kind, Bob kind]
+        self.double_clicks += int(kinds[3].sum() + kinds[:, 3].sum())
+        self.no_clicks += int(kinds[0].sum() + kinds[:, 0].sum())
+        sifted = counts[:, :, 1].sum(axis=(0, 3, 4))  # [Alice basis, bits differ]
         for basis in (0, 1):
-            m = sif & (rec[:, 1] == basis)
-            self.basis_sifted[basis] += int(m.sum())
-            self.basis_errors[basis] += int((m & err).sum())
+            self.basis_sifted[basis] += int(sifted[basis].sum())
+            self.basis_errors[basis] += int(sifted[basis, 1])
+        self.sifted += int(sifted.sum())
+        self.errors += int(sifted[:, 1].sum())
 
     def report(self, checksum_ok: bool = True) -> "SessionReport":
         qber = self.errors / self.sifted if self.sifted else 0.0
@@ -481,17 +505,16 @@ def _simulate(config: SessionConfig):
     """Build the tables now (a FockError raises here); return an iterator of
     (start_round, record-chunk, tables)."""
     tables = _build_tables(config)
-    keep_double = config.double_click_policy == "assign"
+    thresholds, template = _kernels.lookup_tables(
+        tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
+        tables.row_e1, tables.row_e2, config.double_click_policy == "assign")
 
     def chunks():
         start = 0
         while start < config.rounds:
             count = min(CHUNK_ROUNDS, config.rounds - start)
             u = _uniform_block(config.seed, start, count)
-            rec = _kernels.sample_rounds(
-                u, tables.scen_cum, tables.grp_off, tables.grp_len,
-                tables.row_cum, tables.row_a, tables.row_b,
-                tables.row_e1, tables.row_e2, keep_double)
+            rec = _kernels.sample_rounds(u, tables.scen_cum, thresholds, template)
             yield start, rec, tables
             start += count
 
@@ -565,16 +588,18 @@ def eve_mutual_information(config: SessionConfig) -> tuple[float, int, dict]:
 # transcript replay
 
 
-def _parse_transcript(fh, body_len: int) -> tuple[_Tally, str]:
+def _parse_transcript(fh, body_len: int, tag: str) -> tuple[_Tally, str]:
     """Tally the header and rows of a transcript's first `body_len` bytes.
 
     The body is read in fixed-size reads; each read is hashed, its whole
     lines are parsed as one block, and a partial last line is carried over.
-    Returns (tally, sha256 hex digest of the body).
+    Returns (tally, hex digest of the body): sha256 for the '#sha256' tag,
+    16 hex digits of fnv1a64 for version 1's '#fnv1a64'.
     """
     from . import _replay
 
     digest = hashlib.sha256()
+    fnv = _kernels.fnv1a64(b"")  # the FNV offset basis
     tally = _Tally()
     tags: list[str] = []
     keys: dict[bytes, int] = {}
@@ -583,7 +608,10 @@ def _parse_transcript(fh, body_len: int) -> tuple[_Tally, str]:
     header = (TRANSCRIPT_HEADER + "\n").encode("ascii")
     seen_header = False
     for chunk in _replay.body_reads(fh, body_len):
-        digest.update(chunk)
+        if tag == "#sha256":
+            digest.update(chunk)
+        else:
+            fnv = _kernels.fnv1a64(chunk, fnv)
         cut = chunk.rfind(b"\n") + 1
         if not cut:
             carry.append(chunk)
@@ -600,7 +628,7 @@ def _parse_transcript(fh, body_len: int) -> tuple[_Tally, str]:
                          tags, None)
     if not seen_header:
         raise TranscriptError("bad or missing header", line=1)
-    return tally, digest.hexdigest()
+    return tally, (digest.hexdigest() if tag == "#sha256" else f"{fnv:016x}")
 
 
 def replay(config: SessionConfig | None, transcript_path) -> SessionReport:
@@ -616,13 +644,8 @@ def replay(config: SessionConfig | None, transcript_path) -> SessionReport:
 
     with open(transcript_path, "rb") as source, _replay.seekable(source) as fh:
         tag, tok, body_len = _replay.read_trailer(fh)
-        tally, sha256 = _parse_transcript(fh, body_len)
-        if tag == "#sha256":
-            checksum_ok = tok == sha256
-        else:  # version 1: fnv1a64 hashes one buffer, so the body is read whole
-            fh.seek(0)
-            checksum_ok = int(tok, 16) == _kernels.fnv1a64(fh.read(body_len))
+        tally, digest = _parse_transcript(fh, body_len, tag)
     if config is not None and config.rounds != tally.rounds:
         raise TranscriptError(
             f"config expects {config.rounds} rounds, transcript has {tally.rounds}")
-    return tally.report(checksum_ok=checksum_ok)
+    return tally.report(checksum_ok=tok == digest)

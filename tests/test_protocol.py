@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from spdcqkd import _kernels, protocol
+from spdcqkd import _kernels, _replay, protocol
 from spdcqkd.attack import AttackConfig
 from spdcqkd.fock import FockError
 from spdcqkd.optics import DA, HV
@@ -17,6 +17,8 @@ from spdcqkd.protocol import (AttackMixture, ConfigError, InterceptResend,
                               config_to_dict, eve_mutual_information, replay,
                               run_session)
 from spdcqkd.source import SpdcParams
+
+from test_golden import TABLE_EVES, TABLE_SOURCES
 
 EVE_MI_P1 = 0.3983932542605314  # exact I(Alice; eavesdropper) for the full attack
 
@@ -81,6 +83,19 @@ def test_config_from_dict_error_paths():
         config_from_dict({"rounds": True, "seed": 1, "source": {"kind": "singlet"}})
 
 
+@pytest.mark.parametrize("source_name,source", TABLE_SOURCES, ids=[n for n, _ in TABLE_SOURCES])
+@pytest.mark.parametrize("eve_name,eve", TABLE_EVES, ids=[n for n, _ in TABLE_EVES])
+def test_config_from_dict_rejects_what_table_build_rejects(source_name, source, eve_name, eve):
+    config = SessionConfig(rounds=1, seed=0, source=source, eve=eve)
+    try:
+        protocol._build_tables(config)
+    except FockError as exc:
+        with pytest.raises(ConfigError, match=re.escape(str(exc))):
+            config_from_dict(config_to_dict(config))
+    else:
+        assert config_from_dict(config_to_dict(config)) == config
+
+
 # -- per-round uniform stream -----------------------------------------------
 
 
@@ -103,6 +118,12 @@ def test_fnv1a64_known_vectors():
     assert _kernels.fnv1a64(b"") == 0xCBF29CE484222325
     assert _kernels.fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert _kernels.fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+def test_fnv1a64_chains_over_pieces():
+    data = bytes(range(256)) * 3
+    for cut in (0, 1, 500, len(data)):
+        assert _kernels.fnv1a64(data[cut:], _kernels.fnv1a64(data[:cut])) == _kernels.fnv1a64(data)
 
 
 # -- sessions ---------------------------------------------------------------
@@ -437,6 +458,13 @@ def test_replay_verifies_v1_transcript(tmp_path):
     rep = replay(cfg, path)
     assert rep.checksum_ok
     assert rep == live
+
+
+def test_replay_verifies_v1_transcript_over_many_reads(tmp_path, monkeypatch):
+    monkeypatch.setattr(_replay, "READ_BYTES", 997)
+    cfg, path, live = transcript_session(tmp_path)
+    as_v1(path)
+    assert replay(cfg, path) == live
 
 
 def test_replay_flags_edited_v1_transcript(tmp_path):
