@@ -76,7 +76,7 @@ def sample_rounds(u, scen_cum, thresholds, template) -> np.ndarray:
     out = np.empty((n, N_COLS), dtype=np.int8)
     width = thresholds.shape[1]
     thr = thresholds.ravel()
-    draw = np.empty(n)
+    draw = np.empty(n)  # one draw column at a time, contiguous: faster to search
     draw[:] = u[:, 0]
     pos = np.searchsorted(scen_cum, draw, side="right")
     pos *= 2

@@ -389,8 +389,7 @@ class _Tally:
         counts = np.bincount(key, minlength=first * 128).reshape(first, 2, 2, 2, 4, 4)
         per_tag = counts.sum(axis=(1, 2, 3, 4, 5))
         if scen_emission is not None:
-            per_scen, per_tag = per_tag, np.zeros(len(tags), dtype=per_tag.dtype)
-            np.add.at(per_tag, scen_emission, per_scen)
+            per_tag = np.bincount(scen_emission, weights=per_tag, minlength=len(tags))
         for t, c in zip(tags, per_tag):
             if c:
                 self.source_counts[t] = self.source_counts.get(t, 0) + int(c)
