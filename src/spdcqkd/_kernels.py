@@ -26,6 +26,8 @@ import numpy as np
 
 DRAWS_PER_ROUND = 8
 N_COLS = 10
+# Rounds sampled per block.
+SAMPLE_ROWS = 1 << 14
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -43,20 +45,29 @@ def lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1, row_e2,
     decides it: a double-click bit is 0, to be set from its draw slot.
     """
     groups = grp_off.shape[0]
-    width = 1 << (int(grp_len.max()) - 1).bit_length()
+    width = 1 << (max(grp_len.tolist()) - 1).bit_length()
     g = np.repeat(np.arange(groups), grp_len)
     slot = g * width + np.arange(row_cum.shape[0]) - grp_off[g]
     thresholds = np.full(groups * width, np.inf)
     thresholds[slot] = row_cum
-    clicked = (row_a != 0) & (row_b != 0)
-    if not keep_double:
-        clicked &= (row_a != 3) & (row_b != 3)
+    # per group: scenario, Alice basis, Bob basis, whether the bases agree
+    group = np.array([(i // 4, i // 2 % 2, i % 2, i // 2 % 2 == i % 2) for i in range(groups)],
+                     dtype=np.int8)[g]
+    # per kind (NoClick, Bit0, Bit1, Double): Alice's bit, Bob's key bit
+    # (flipped), whether the party clicked under the double-click policy
+    kind = np.array([(-1, -1, 0), (0, 1, 1), (1, 0, 1), (0, 0, keep_double)], dtype=np.int8)
+    a, b = kind[row_a], kind[row_b]
+    rows = np.empty((slot.shape[0], N_COLS), dtype=np.int8)
+    rows[:, :3] = group[:, :3]
+    rows[:, 3] = row_a
+    rows[:, 4] = row_b
+    rows[:, 5] = a[:, 0]
+    rows[:, 6] = b[:, 1]
+    rows[:, 7] = group[:, 3] & a[:, 2] & b[:, 2]
+    rows[:, 8] = row_e1
+    rows[:, 9] = row_e2
     template = np.zeros((groups * width, N_COLS), dtype=np.int8)
-    template[slot] = np.column_stack([
-        g // 4, g // 2 % 2, g % 2, row_a, row_b,
-        np.array([-1, 0, 1, 0])[row_a],  # Alice's bit: Bit0 -> 0, Bit1 -> 1
-        np.array([-1, 1, 0, 0])[row_b],  # Bob's key bit is flipped: Bit0 -> 1
-        clicked & (g // 2 % 2 == g % 2), row_e1, row_e2]).astype(np.int8)
+    template[slot] = rows
     return thresholds.reshape(groups, width), template
 
 
@@ -64,18 +75,29 @@ def sample_rounds(u, scen_cum, thresholds, template) -> np.ndarray:
     """Run one chunk of rounds; returns the (n, N_COLS) int8 record array.
 
     `u` holds each round's uniforms in [0, 1); `thresholds` and `template`
-    come from `lookup_tables`.  The outcome row is found by a branchless
-    binary search over the round's group slots: each step compares
-    u3 >= thresholds[slot], the comparisons `searchsorted(row_cum, u3,
-    side="right")` makes on the group's non-decreasing rows, and u3 < 1
-    never passes a group's last row or its padding.  Every index stays
-    inside the arrays, so the takes use mode="clip", which writes `out=`
-    without a buffered copy.
+    come from `lookup_tables`.  Rounds are sampled in blocks of SAMPLE_ROWS,
+    whose temporaries stay in cache.
     """
     n = u.shape[0]
     out = np.empty((n, N_COLS), dtype=np.int8)
-    width = thresholds.shape[1]
     thr = thresholds.ravel()
+    for lo in range(0, n, SAMPLE_ROWS):
+        _sample_block(u[lo:lo + SAMPLE_ROWS], scen_cum, thr, thresholds.shape[1], template,
+                      out[lo:lo + SAMPLE_ROWS])
+    return out
+
+
+def _sample_block(u, scen_cum, thr, width, template, out) -> None:
+    """Write the records of the rounds `u` into `out`.
+
+    The outcome row is found by a branchless binary search over the round's
+    group slots: each step compares u3 >= thr[slot], the comparisons
+    `searchsorted(row_cum, u3, side="right")` makes on the group's
+    non-decreasing rows, and u3 < 1 never passes a group's last row or its
+    padding.  Every index stays inside the arrays, so the takes use
+    mode="clip", which writes `out=` without a buffered copy.
+    """
+    n = u.shape[0]
     draw = np.empty(n)  # one draw column at a time, contiguous: faster to search
     draw[:] = u[:, 0]
     pos = np.searchsorted(scen_cum, draw, side="right")
@@ -101,7 +123,6 @@ def sample_rounds(u, scen_cum, thresholds, template) -> np.ndarray:
     out[dc, 5] = u[dc, 4] >= 0.5
     dc = np.flatnonzero(out[:, 4] == 3)
     out[dc, 6] = u[dc, 5] < 0.5
-    return out
 
 
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:

@@ -371,28 +371,23 @@ class _Tally:
     def update(self, rec: np.ndarray, tags: list[str], scen_emission: np.ndarray | None):
         """Count a record chunk with one bincount.
 
-        A round's key is its column 0 (the scenario, or the emission when
-        `scen_emission` is None) above 7 bits: Alice basis, sifted, bits
-        differ, Alice kind, Bob kind.
+        A round's key packs its column 0 (the scenario, or the emission
+        when `scen_emission` is None) with its Alice basis, sifted flag,
+        whether its bits differ, Alice kind and Bob kind: 128 bins per
+        column-0 value.
         """
         self.rounds += rec.shape[0]
-        col = np.ascontiguousarray(rec[:, :8].T)  # bit operations run faster on rows
-        low = col[1] << 6
-        low |= col[7] << 5
-        low |= (col[5] != col[6]).view(np.int8) << 4
-        low |= col[3] << 2
-        low |= col[4]
+        col = np.ascontiguousarray(rec[:, :8].T)  # columns as rows: faster to combine
         key = col[0].astype(np.intp)
-        key <<= 7
-        key |= low
+        for c, bins in ((1, 2), (7, 2), (None, 2), (3, 4), (4, 4)):
+            key *= bins
+            key += col[5] != col[6] if c is None else col[c]
         first = len(tags) if scen_emission is None else len(scen_emission)
         counts = np.bincount(key, minlength=first * 128).reshape(first, 2, 2, 2, 4, 4)
-        per_tag = counts.sum(axis=(1, 2, 3, 4, 5))
-        if scen_emission is not None:
-            per_tag = np.bincount(scen_emission, weights=per_tag, minlength=len(tags))
-        for t, c in zip(tags, per_tag):
+        emission = range(first) if scen_emission is None else scen_emission.tolist()
+        for e, c in zip(emission, counts.sum(axis=(1, 2, 3, 4, 5)).tolist()):
             if c:
-                self.source_counts[t] = self.source_counts.get(t, 0) + int(c)
+                self.source_counts[tags[e]] = self.source_counts.get(tags[e], 0) + c
         kinds = counts.sum(axis=(0, 1, 2, 3))  # [Alice kind, Bob kind]
         self.double_clicks += int(kinds[3].sum() + kinds[:, 3].sum())
         self.no_clicks += int(kinds[0].sum() + kinds[:, 0].sum())

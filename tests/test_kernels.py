@@ -109,7 +109,8 @@ def test_sampler_matches_reference(monkeypatch, name, source, eve, policy):
     config = SessionConfig(rounds=1, seed=0, source=source, eve=eve, double_click_policy=policy)
     tables = protocol._build_tables(config)
     seed = sum(map(ord, name))
-    u = np.concatenate([protocol._uniform_block(seed, 0, 10_000), edge_uniforms(tables, seed)])
+    # 40 000 real rounds span several of the sampler's blocks
+    u = np.concatenate([protocol._uniform_block(seed, 0, 40_000), edge_uniforms(tables, seed)])
     config = SessionConfig(rounds=u.shape[0], seed=seed, source=source, eve=eve,
                            double_click_policy=policy)
     want = reference_sample_rounds(u, tables, policy == "assign")
