@@ -379,9 +379,10 @@ class _Tally:
         self.rounds += rec.shape[0]
         col = np.ascontiguousarray(rec[:, :8].T)  # columns as rows: faster to combine
         key = col[0].astype(np.intp)
-        for c, bins in ((1, 2), (7, 2), (None, 2), (3, 4), (4, 4)):
+        differ = col[5] != col[6]
+        for value, bins in ((col[1], 2), (col[7], 2), (differ, 2), (col[3], 4), (col[4], 4)):
             key *= bins
-            key += col[5] != col[6] if c is None else col[c]
+            key += value
         first = len(tags) if scen_emission is None else len(scen_emission)
         counts = np.bincount(key, minlength=first * 128).reshape(first, 2, 2, 2, 4, 4)
         emission = range(first) if scen_emission is None else scen_emission.tolist()
