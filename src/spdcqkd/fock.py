@@ -118,6 +118,12 @@ class StateVector:
     the truncated source state deliberately carries a small norm deficit).
     Amplitudes below prune_tol in magnitude are dropped on construction;
     occupations above mode_cap raise rather than silently truncate.
+
+    The public constructor checks every occupation (slot count, non-negative
+    integer counts, the per-mode cap), since it takes outside input.  States
+    that engine operations build from a valid state go through `_trusted`,
+    which only prunes: an operation that can raise a count checks the cap
+    itself (`create`, `optics.rotate_polarization`).
     """
 
     __slots__ = ("registry", "prune_tol", "mode_cap", "meta", "_amps")
@@ -146,6 +152,23 @@ class StateVector:
             if abs(amp) >= self.prune_tol:
                 amps[tuple(int(n) for n in occ)] = amp
         self._amps = amps
+
+    @classmethod
+    def _trusted(cls, registry: ModeRegistry, amps: dict[tuple[int, ...], complex],
+                 prune_tol: float, mode_cap: int) -> "StateVector":
+        """A state from occupations an engine operation made; no metadata.
+
+        The caller guarantees what `__init__` would check: every key is a
+        tuple of len(registry) ints in [0, mode_cap] and every value a
+        complex.  Only the pruning below prune_tol is applied.
+        """
+        st = cls.__new__(cls)
+        st.registry = registry
+        st.prune_tol = prune_tol
+        st.mode_cap = mode_cap
+        st.meta = {}
+        st._amps = {occ: amp for occ, amp in amps.items() if abs(amp) >= prune_tol}
+        return st
 
     # -- constructors ------------------------------------------------------
 
@@ -192,7 +215,7 @@ class StateVector:
     # -- linear structure ---------------------------------------------------
 
     def _like(self, amps: dict[tuple[int, ...], complex]) -> "StateVector":
-        return StateVector(self.registry, amps, prune_tol=self.prune_tol, mode_cap=self.mode_cap)
+        return StateVector._trusted(self.registry, amps, self.prune_tol, self.mode_cap)
 
     def __mul__(self, scalar: complex) -> "StateVector":
         scalar = complex(scalar)
@@ -209,6 +232,9 @@ class StateVector:
         amps = dict(self._amps)
         for occ, amp in other._amps.items():
             amps[occ] = amps.get(occ, 0j) + amp
+        if other.mode_cap > self.mode_cap:  # other's terms may exceed this cap
+            return StateVector(self.registry, amps, prune_tol=self.prune_tol,
+                               mode_cap=self.mode_cap)
         return self._like(amps)
 
     def __sub__(self, other: "StateVector") -> "StateVector":
@@ -266,8 +292,8 @@ class StateVector:
     def add_mode(self, label: ModeLabel) -> "StateVector":
         """Extend the registry with a new vacuum mode (appended slot)."""
         reg = self.registry.with_mode(label)
-        return StateVector(reg, {occ + (0,): amp for occ, amp in self._amps.items()},
-                           prune_tol=self.prune_tol, mode_cap=self.mode_cap)
+        return StateVector._trusted(reg, {occ + (0,): amp for occ, amp in self._amps.items()},
+                                    self.prune_tol, self.mode_cap)
 
     def embed(self, registry: ModeRegistry) -> "StateVector":
         """Re-express on a larger registry; modes not present here become vacuum."""
@@ -279,7 +305,7 @@ class StateVector:
             for s, n in zip(slots, occ):
                 new[s] = n
             amps[tuple(new)] = amp
-        return StateVector(registry, amps, prune_tol=self.prune_tol, mode_cap=self.mode_cap)
+        return StateVector._trusted(registry, amps, self.prune_tol, self.mode_cap)
 
     def drop_modes(self, indices: Iterable[int]) -> "StateVector":
         """Remove modes that carry one common occupation across every term.
@@ -299,7 +325,7 @@ class StateVector:
         keep = [i for i in range(len(self.registry)) if i not in drop]
         reg = ModeRegistry([self.registry.labels[i] for i in keep])
         amps = {tuple(occ[i] for i in keep): amp for occ, amp in self._amps.items()}
-        return StateVector(reg, amps, prune_tol=self.prune_tol, mode_cap=self.mode_cap)
+        return StateVector._trusted(reg, amps, self.prune_tol, self.mode_cap)
 
     # -- debug dump -----------------------------------------------------------
 

@@ -20,6 +20,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -27,7 +28,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .fock import FockError, ModeLabel, StateVector
+from .fock import FockError, ModeCapError, ModeLabel, StateVector
 
 
 @dataclass(frozen=True)
@@ -88,40 +89,77 @@ def beamsplitter_50_50(state: StateVector, from_mode: ModeLabel,
             new[ti] = k
             key = tuple(new)
             amps[key] = amps.get(key, 0j) + scale * math.sqrt(math.comb(n, k))
-    return StateVector(state.registry, amps, prune_tol=state.prune_tol, mode_cap=state.mode_cap)
+    return StateVector._trusted(state.registry, amps, state.prune_tol, state.mode_cap)
+
+
+# Entries kept by the rotation-weight cache: one per (nh, nv, cos, sin).  The
+# engine uses a few angles on channels of at most mode_cap photons, a few
+# hundred entries; the bound only matters to callers sweeping the angle.
+ROTATION_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=ROTATION_CACHE_SIZE)
+def _rotation_weights(nh: int, nv: int, c: float, s: float
+                      ) -> tuple[float, tuple[tuple[int, int, float], ...]]:
+    """sqrt(nh! nv!) and the terms (m, nh + nv - m, weight) of |nh, nv> rotated.
+
+    Expands (c*x - s*y)^nh (s*x + c*y)^nv, collecting x^m y^(tot-m), in
+    (i, j) order; weights that are exactly zero are left out.
+    """
+    tot = nh + nv
+    terms = []
+    for i in range(nh + 1):
+        wh = math.comb(nh, i) * c ** i * (-s) ** (nh - i)
+        for j in range(nv + 1):
+            w = wh * math.comb(nv, j) * s ** j * c ** (nv - j)
+            if w == 0.0:
+                continue
+            m = i + j
+            terms.append((m, tot - m, w * math.sqrt(math.factorial(m) * math.factorial(tot - m))))
+    return math.sqrt(math.factorial(nh) * math.factorial(nv)), tuple(terms)
 
 
 def rotate_polarization(state: StateVector, party: str, channel: int,
                         theta: float | BasisAngle) -> StateVector:
-    """Re-express one channel's polarization pair in the basis rotated by theta."""
+    """Re-express one channel's polarization pair in the basis rotated by theta.
+
+    Output states skip the constructor's checks except the cap, which this
+    is the one operation besides `create` to raise: a term whose channel
+    holds nh + nv > mode_cap photons puts some of them past the cap in one
+    rotated slot (at every angle but 0), and raises ModeCapError naming the
+    first such slot, as the checking constructor did.  The weights per
+    (nh, nv, angle) come from a bounded cache and are summed in the same
+    order as the per-term formula, so amplitudes are bit-identical to it.
+    """
     if isinstance(theta, BasisAngle):
         theta = theta.theta
     hi, vi = state.registry.channel_modes(party, channel)
     c = math.cos(theta)
     s = math.sin(theta)
+    cap = state.mode_cap
     amps: dict[tuple[int, ...], complex] = {}
     for occ, amp in state.terms():
         nh, nv = occ[hi], occ[vi]
-        tot = nh + nv
-        if tot == 0:
+        if nh + nv == 0:
             amps[occ] = amps.get(occ, 0j) + amp
             continue
-        base = amp / math.sqrt(math.factorial(nh) * math.factorial(nv))
-        # (c*x - s*y)^nh (s*x + c*y)^nv, collecting x^m y^(tot-m)
-        for i in range(nh + 1):
-            wh = math.comb(nh, i) * c ** i * (-s) ** (nh - i)
-            for j in range(nv + 1):
-                w = wh * math.comb(nv, j) * s ** j * c ** (nv - j)
-                if w == 0.0:
-                    continue
-                m = i + j
-                new = list(occ)
-                new[hi] = m
-                new[vi] = tot - m
-                key = tuple(new)
-                weight = w * math.sqrt(math.factorial(m) * math.factorial(tot - m))
-                amps[key] = amps.get(key, 0j) + base * weight
-    return StateVector(state.registry, amps, prune_tol=state.prune_tol, mode_cap=state.mode_cap)
+        norm, weights = _rotation_weights(nh, nv, c, s)
+        new = list(occ)
+        if nh + nv > cap:
+            for m, rest, _ in weights:
+                if m > cap or rest > cap:
+                    new[hi] = m
+                    new[vi] = rest
+                    slot = next(k for k, n in enumerate(new) if n > cap)
+                    raise ModeCapError(f"mode {state.registry.labels[slot]}: occupation "
+                                       f"{new[slot]} exceeds per-mode cap {cap}")
+        base = amp / norm
+        for m, rest, weight in weights:
+            new[hi] = m
+            new[vi] = rest
+            key = tuple(new)
+            amps[key] = amps.get(key, 0j) + base * weight
+    return StateVector._trusted(state.registry, amps, state.prune_tol, cap)
 
 
 def qnd_count(state: StateVector, modes: Iterable[ModeLabel]) -> list[CountBranch]:
@@ -142,8 +180,8 @@ def qnd_count(state: StateVector, modes: Iterable[ModeLabel]) -> list[CountBranc
     for n in sorted(buckets):
         prob = sum((a.real * a.real + a.imag * a.imag) for a in buckets[n].values())
         scale = 1.0 / math.sqrt(prob)
-        post = StateVector(state.registry, {o: a * scale for o, a in buckets[n].items()},
-                           prune_tol=state.prune_tol, mode_cap=state.mode_cap)
+        post = StateVector._trusted(state.registry, {o: a * scale for o, a in buckets[n].items()},
+                                    state.prune_tol, state.mode_cap)
         out.append(CountBranch(n, prob, post))
     return out
 
@@ -189,8 +227,9 @@ def joint_threshold_branches(state: StateVector,
     for kinds in sorted(buckets):
         prob = sum((a.real * a.real + a.imag * a.imag) for a in buckets[kinds].values())
         scale = 1.0 / math.sqrt(prob)
-        post = StateVector(rotated.registry, {o: a * scale for o, a in buckets[kinds].items()},
-                           prune_tol=state.prune_tol, mode_cap=state.mode_cap)
+        post = StateVector._trusted(rotated.registry,
+                                    {o: a * scale for o, a in buckets[kinds].items()},
+                                    state.prune_tol, state.mode_cap)
         out.append(ClickBranch(kinds, prob, post))
     return out
 

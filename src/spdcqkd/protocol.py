@@ -504,13 +504,16 @@ def _simulate(config: SessionConfig):
         tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
         tables.row_e1, tables.row_e2, config.double_click_policy == "assign")
 
+    def sample(start: int, count: int) -> np.ndarray:
+        # the chunk's draws die here, before the next chunk is drawn
+        u = _uniform_block(config.seed, start, count)
+        return _kernels.sample_rounds(u, tables.scen_cum, thresholds, template)
+
     def chunks():
         start = 0
         while start < config.rounds:
             count = min(CHUNK_ROUNDS, config.rounds - start)
-            u = _uniform_block(config.seed, start, count)
-            rec = _kernels.sample_rounds(u, tables.scen_cum, thresholds, template)
-            yield start, rec, tables
+            yield start, sample(start, count), tables
             start += count
 
     return chunks()

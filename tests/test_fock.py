@@ -2,9 +2,13 @@ import math
 
 import pytest
 
+from spdcqkd import protocol
 from spdcqkd.fock import (DEFAULT_MODE_CAP, FockError, ModeCapError, ModeLabel,
                           ModeRegistry, RegistryMismatchError, StateVector,
                           UnknownModeError, attack_registry, source_registry)
+from spdcqkd.protocol import SessionConfig
+
+from test_golden import GOLDEN_TABLES, TABLE_EVES, TABLE_SOURCES, _tables_digest
 
 AH = ModeLabel("A", 0, 0)
 AV = ModeLabel("A", 0, 1)
@@ -217,3 +221,51 @@ def test_states_are_immutable_under_ops():
     s.project(lambda occ: occ[0] == 1)
     s * 3.0
     assert s.dumps() == before
+
+
+def test_sum_with_a_larger_cap_still_checks_this_cap():
+    reg = source_registry()
+    small = StateVector.vacuum(reg)
+    big = StateVector(reg, {(DEFAULT_MODE_CAP + 1, 0, 0, 0): 1.0}, mode_cap=DEFAULT_MODE_CAP + 1)
+    with pytest.raises(ModeCapError, match="A0H"):
+        small + big
+    assert len(big + small) == 2
+
+
+@pytest.mark.parametrize("policy", ["assign", "discard"])
+def test_trusted_states_pass_validation(monkeypatch, policy):
+    """Every state the engine builds unchecked over the golden table grid
+    would pass the public constructor's checks, with the same terms."""
+    trusted = StateVector._trusted.__func__
+    problems: list[str] = []
+    built = []
+
+    def validating(cls, registry, amps, prune_tol, mode_cap):
+        st = trusted(cls, registry, amps, prune_tol, mode_cap)
+        try:
+            ref = StateVector(registry, amps, prune_tol=prune_tol, mode_cap=mode_cap)
+        except FockError as exc:
+            problems.append(f"fails validation: {exc}")
+            return st
+        terms = list(st.terms())
+        if [(occ, repr(amp)) for occ, amp in terms] != [(occ, repr(amp)) for occ, amp in ref.terms()]:
+            problems.append(f"terms differ:\n{st.dumps()}vs\n{ref.dumps()}")
+        if not all(type(amp) is complex and all(type(n) is int for n in occ)
+                   for occ, amp in terms):
+            problems.append(f"non-canonical term types in\n{st.dumps()}")
+        built.append(len(terms))
+        return st
+
+    monkeypatch.setattr(StateVector, "_trusted", classmethod(validating))
+    for source_name, source in TABLE_SOURCES:
+        for eve_name, eve in TABLE_EVES:
+            config = SessionConfig(rounds=100, seed=3, source=source, eve=eve,
+                                   double_click_policy=policy)
+            try:
+                (_, _, tables), = protocol._simulate(config)
+                got = _tables_digest(tables)
+            except FockError as exc:
+                got = type(exc).__name__
+            assert got == GOLDEN_TABLES[f"{source_name}/{eve_name}"]
+    assert problems == []
+    assert len(built) > 5000 and sum(built) > 20_000  # not vacuous

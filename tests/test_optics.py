@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from spdcqkd.fock import FockError, ModeLabel, StateVector, attack_registry, source_registry
+from spdcqkd import optics
+from spdcqkd.fock import (FockError, ModeCapError, ModeLabel, StateVector, attack_registry,
+                          source_registry)
 from spdcqkd.optics import (DA, HV, BasisAngle, OutcomeKind, beamsplitter_50_50,
                             joint_threshold_branches, qnd_count,
                             rotate_polarization, threshold_detect)
+from spdcqkd.source import SpdcParams, spdc_state
 
 AH = ModeLabel("A", 0, 0)
 AV = ModeLabel("A", 0, 1)
@@ -162,6 +165,85 @@ def test_rotation_fixes_singlet():
 def test_rotation_unknown_channel():
     with pytest.raises(FockError):
         rotate_polarization(singlet(), "E1", 0, DA)
+
+
+def reference_rotation(state, party, channel, theta):
+    """The per-term formula the weight cache replaced, built through the
+    validating constructor (which raised on an occupation above the cap)."""
+    if isinstance(theta, BasisAngle):
+        theta = theta.theta
+    hi, vi = state.registry.channel_modes(party, channel)
+    c = math.cos(theta)
+    s = math.sin(theta)
+    amps = {}
+    for occ, amp in state.terms():
+        nh, nv = occ[hi], occ[vi]
+        tot = nh + nv
+        if tot == 0:
+            amps[occ] = amps.get(occ, 0j) + amp
+            continue
+        base = amp / math.sqrt(math.factorial(nh) * math.factorial(nv))
+        for i in range(nh + 1):
+            wh = math.comb(nh, i) * c ** i * (-s) ** (nh - i)
+            for j in range(nv + 1):
+                w = wh * math.comb(nv, j) * s ** j * c ** (nv - j)
+                if w == 0.0:
+                    continue
+                m = i + j
+                new = list(occ)
+                new[hi] = m
+                new[vi] = tot - m
+                key = tuple(new)
+                weight = w * math.sqrt(math.factorial(m) * math.factorial(tot - m))
+                amps[key] = amps.get(key, 0j) + base * weight
+    return StateVector(state.registry, amps, prune_tol=state.prune_tol, mode_cap=state.mode_cap)
+
+
+def test_rotation_past_the_cap_names_the_mode():
+    reg = source_registry()
+    with pytest.raises(ModeCapError, match="mode A0V: occupation 9 exceeds per-mode cap 8"):
+        rotate_polarization(ket(reg, (5, 4, 0, 0)), "A", 0, DA)
+
+
+@pytest.mark.parametrize("theta", [DA, 0.3, -DA.theta, 2.0, 1e-300, HV])
+def test_rotation_cap_error_matches_reference(theta):
+    # a valid term first, then 9 photons in one channel (cap 8); only an
+    # exact identity (theta 0, or weights that underflow to 0) leaves every
+    # slot within the cap
+    reg = source_registry()
+    st = StateVector(reg, {(0, 0, 1, 0): 0.6, (5, 4, 0, 0): 0.8, (0, 0, 0, 1): 0.1})
+
+    def outcome(rotate):
+        try:
+            return list(rotate(st, "A", 0, theta).terms())
+        except ModeCapError as exc:
+            return str(exc)
+
+    assert outcome(rotate_polarization) == outcome(reference_rotation)
+
+
+def test_rotation_of_spdc_state_matches_reference():
+    st = spdc_state(SpdcParams(0.3, n_max=6))
+    got, want = st, st
+    for party, theta in (("A", DA), ("B", DA), ("A", -DA.theta), ("B", 0.3)):
+        got = rotate_polarization(got, party, 0, theta)
+        want = reference_rotation(want, party, 0, theta)
+        assert got.dump_lines() == want.dump_lines()
+        assert [(o, repr(a)) for o, a in got.terms()] == [(o, repr(a)) for o, a in want.terms()]
+    assert len(got) > 100
+
+
+def test_rotation_weight_cache_is_bounded():
+    weights = optics._rotation_weights
+    assert weights.cache_info().maxsize == optics.ROTATION_CACHE_SIZE
+    st = ket(source_registry(), (1, 1, 0, 0))
+    for k in range(optics.ROTATION_CACHE_SIZE + 200):
+        rotate_polarization(st, "A", 0, 1e-3 * (k + 1))
+        assert weights.cache_info().currsize <= optics.ROTATION_CACHE_SIZE
+    hits = weights.cache_info().hits
+    rotate_polarization(st, "A", 0, 1e-3)
+    rotate_polarization(st, "A", 0, 1e-3)
+    assert weights.cache_info().hits == hits + 1
 
 
 # -- QND counting -----------------------------------------------------------
