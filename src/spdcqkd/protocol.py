@@ -17,6 +17,16 @@ stream keyed by the session seed, so rounds can be evaluated in any order
 or chunking with identical results; a session is reproduced bit-for-bit by
 its seed.
 
+A session longer than one chunk (CHUNK_ROUNDS), in a process that may run
+on more than one CPU, gets its uniforms in blocks of DRAW_BLOCK_ROUNDS from
+the daemon drawer thread of `_drawer`, started on first use and shared by
+all sessions: it draws the next block while the calling thread samples the
+current one.  Exactly one block is in flight, so two 1 MB blocks are alive
+where drawing a chunk at a time holds one 4 MB chunk.  Sampling, tally and
+transcript writing stay on the calling thread in chunk order, so the
+records are the same bytes either way.  Shorter sessions draw on the
+calling thread and start no thread.
+
 Transcript files are CSV with header
 round_idx,source_tag,alice_basis,bob_basis,alice_outcome,bob_outcome,sifted_flag,alice_bit,bob_bit
 (bob_bit already flipped to the key convention, '-' marks absent bits) and a
@@ -41,7 +51,9 @@ its own to name its error and line.  The block parser lives in `_replay`.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -56,6 +68,11 @@ from .security import LeakBound, leak_vs_bound
 from .source import SpdcParams, singlet_state, spdc_state
 
 CHUNK_ROUNDS = 1 << 16
+# Rounds per block a session longer than one chunk draws on the drawer thread
+# (1 MB of uniforms), and whether it does: None draws ahead when this process
+# may run on more than one CPU, True or False forces the choice (for tests).
+DRAW_BLOCK_ROUNDS = 1 << 14
+DRAW_AHEAD: bool | None = None
 
 TRANSCRIPT_HEADER = ("round_idx,source_tag,alice_basis,bob_basis,"
                      "alice_outcome,bob_outcome,sifted_flag,alice_bit,bob_bit")
@@ -135,6 +152,8 @@ class SessionConfig:
             raise FockError(f"rounds must be >= 1, got {self.rounds}")
         if self.seed < 0:
             raise FockError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= 1 << 128:  # the seed is the 128-bit Philox key
+            raise FockError(f"seed must be < 2**128, got {self.seed}")
         if self.double_click_policy not in ("assign", "discard"):
             raise FockError(f"unknown double_click_policy {self.double_click_policy!r}")
 
@@ -496,6 +515,17 @@ def _transcript_lines(rec: np.ndarray, start: int, table: np.ndarray,
             for lo in range(0, rec.shape[0], WRITE_ROWS)]
 
 
+def _draws_ahead(rounds: int) -> bool:
+    """Whether a session of `rounds` draws its next block on the drawer thread."""
+    if rounds <= CHUNK_ROUNDS:
+        return False
+    if DRAW_AHEAD is not None:
+        return DRAW_AHEAD
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
 def _simulate(config: SessionConfig):
     """Build the tables now (a FockError raises here); return an iterator of
     (start_round, record-chunk, tables)."""
@@ -503,20 +533,33 @@ def _simulate(config: SessionConfig):
     thresholds, template = _kernels.lookup_tables(
         tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
         tables.row_e1, tables.row_e2, config.double_click_policy == "assign")
+    spans = [(start, min(CHUNK_ROUNDS, config.rounds - start))
+             for start in range(0, config.rounds, CHUNK_ROUNDS)]
 
-    def sample(start: int, count: int) -> np.ndarray:
-        # the chunk's draws die here, before the next chunk is drawn
-        u = _uniform_block(config.seed, start, count)
+    def sample(u: np.ndarray) -> np.ndarray:
         return _kernels.sample_rounds(u, tables.scen_cum, thresholds, template)
 
     def chunks():
-        start = 0
-        while start < config.rounds:
-            count = min(CHUNK_ROUNDS, config.rounds - start)
-            yield start, sample(start, count), tables
-            start += count
+        for start, count in spans:
+            # the chunk's draws die here, before the next chunk is drawn
+            yield start, sample(_uniform_block(config.seed, start, count)), tables
 
-    return chunks()
+    def chunks_drawn_ahead():
+        from . import _drawer  # loaded only by sessions that draw ahead
+
+        blocks = [(config.seed, lo, min(DRAW_BLOCK_ROUNDS, start + count - lo))
+                  for start, count in spans
+                  for lo in range(start, start + count, DRAW_BLOCK_ROUNDS)]
+        draws = _drawer.ahead(_uniform_block, blocks)
+        try:
+            for start, count in spans:
+                per_chunk = -(-count // DRAW_BLOCK_ROUNDS)
+                yield start, np.concatenate(
+                    [sample(u) for u in itertools.islice(draws, per_chunk)]), tables
+        finally:
+            draws.close()
+
+    return chunks_drawn_ahead() if _draws_ahead(config.rounds) else chunks()
 
 
 def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:

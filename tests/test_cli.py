@@ -282,6 +282,26 @@ def test_simulate_rejects_negative_seed(runner, tmp_path):
     assert "--seed" in result.stderr
 
 
+def test_seed_past_the_philox_key_is_usage_error(runner, tmp_path):
+    good = write_config(tmp_path, SINGLET_CFG)
+    transcript = tmp_path / "session.csv"
+    assert runner.invoke(main, ["simulate", "--config", str(good),
+                                "--transcript", str(transcript)]).exit_code == 0
+    cfg = write_config(tmp_path, dict(SINGLET_CFG, seed=2**130), "big-seed.json")
+    for args in (["simulate", "--config", str(cfg)],
+                 ["replay", "--transcript", str(transcript), "--config", str(cfg)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "--config: seed must be < 2**128" in result.stderr
+
+
+def test_seed_override_past_the_philox_key_is_usage_error(runner, tmp_path):
+    cfg = write_config(tmp_path, SINGLET_CFG)
+    result = runner.invoke(main, ["simulate", "--config", str(cfg), "--seed", str(2**128)])
+    assert result.exit_code == 2, result.output
+    assert "--seed: seed must be < 2**128" in result.stderr
+
+
 def test_simulate_text_format(runner, tmp_path):
     cfg = write_config(tmp_path, SINGLET_CFG)
     result = runner.invoke(

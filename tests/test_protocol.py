@@ -35,6 +35,9 @@ def test_config_validation():
         SessionConfig(rounds=0, seed=1, source=SingletSource())
     with pytest.raises(FockError):
         SessionConfig(rounds=10, seed=-1, source=SingletSource())
+    with pytest.raises(FockError, match=r"seed must be < 2\*\*128"):
+        SessionConfig(rounds=10, seed=2**128, source=SingletSource())
+    assert run_session(SessionConfig(rounds=10, seed=2**128 - 1, source=SingletSource())).rounds == 10
     with pytest.raises(FockError):
         SessionConfig(rounds=10, seed=1, source=AttackMixture(1.2))
     with pytest.raises(FockError):
