@@ -71,15 +71,17 @@ def lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1, row_e2,
     return thresholds.reshape(groups, width), template
 
 
-def sample_rounds(u, scen_cum, thresholds, template) -> np.ndarray:
-    """Run one chunk of rounds; returns the (n, N_COLS) int8 record array.
+def sample_rounds(u, scen_cum, thresholds, template, out=None) -> np.ndarray:
+    """Run one chunk of rounds; returns the (n, N_COLS) int8 record array,
+    written into `out` if given.
 
     `u` holds each round's uniforms in [0, 1); `thresholds` and `template`
     come from `lookup_tables`.  Rounds are sampled in blocks of SAMPLE_ROWS,
     whose temporaries stay in cache.
     """
     n = u.shape[0]
-    out = np.empty((n, N_COLS), dtype=np.int8)
+    if out is None:
+        out = np.empty((n, N_COLS), dtype=np.int8)
     thr = thresholds.ravel()
     for lo in range(0, n, SAMPLE_ROWS):
         _sample_block(u[lo:lo + SAMPLE_ROWS], scen_cum, thr, thresholds.shape[1], template,

@@ -18,14 +18,19 @@ or chunking with identical results; a session is reproduced bit-for-bit by
 its seed.
 
 A session longer than one chunk (CHUNK_ROUNDS), in a process that may run
-on more than one CPU, gets its uniforms in blocks of DRAW_BLOCK_ROUNDS from
-the daemon drawer thread of `_drawer`, started on first use and shared by
-all sessions: it draws the next block while the calling thread samples the
-current one.  Exactly one block is in flight, so two 1 MB blocks are alive
-where drawing a chunk at a time holds one 4 MB chunk.  Sampling, tally and
-transcript writing stay on the calling thread in chunk order, so the
-records are the same bytes either way.  Shorter sessions draw on the
-calling thread and start no thread.
+on more than one CPU, gets its uniforms in blocks of DRAW_BLOCK_ROUNDS with
+help from the daemon drawer thread of `_drawer`, started on first use and
+shared by all sessions: the drawer draws pieces of DRAW_PIECE_ROUNDS of the
+next block while the calling thread samples the current one, and the
+calling thread draws the pieces the drawer has not taken when it comes to
+that block.  The drawer runs at idle priority, so it takes only CPU time
+nothing else wants, and a session is never left waiting on a drawer that
+gets none.  Exactly one block is in flight, and the blocks are drawn into
+two 1 MB buffers of the session, where drawing a chunk at a time holds one
+4 MB chunk.  Sampling, tally and transcript writing stay on the calling
+thread in chunk order, and a piece is the same bytes whichever thread
+draws it, so the records are the same either way.  Shorter sessions draw
+on the calling thread and start no thread.
 
 Transcript files are CSV with header
 round_idx,source_tag,alice_basis,bob_basis,alice_outcome,bob_outcome,sifted_flag,alice_bit,bob_bit
@@ -50,10 +55,11 @@ its own to name its error and line.  The block parser lives in `_replay`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -68,10 +74,12 @@ from .security import LeakBound, leak_vs_bound
 from .source import SpdcParams, singlet_state, spdc_state
 
 CHUNK_ROUNDS = 1 << 16
-# Rounds per block a session longer than one chunk draws on the drawer thread
-# (1 MB of uniforms), and whether it does: None draws ahead when this process
-# may run on more than one CPU, True or False forces the choice (for tests).
+# Rounds per block a session longer than one chunk draws ahead (1 MB of
+# uniforms), rounds per piece of a block that either thread may draw, and
+# whether it draws ahead: None does when this process may run on more than
+# one CPU, True or False forces the choice (for tests).
 DRAW_BLOCK_ROUNDS = 1 << 14
+DRAW_PIECE_ROUNDS = 1 << 12
 DRAW_AHEAD: bool | None = None
 
 TRANSCRIPT_HEADER = ("round_idx,source_tag,alice_basis,bob_basis,"
@@ -364,16 +372,32 @@ def _build_tables(config: SessionConfig) -> _Tables:
 # the session itself
 
 
-def _uniform_block(seed: int, start_round: int, count: int) -> np.ndarray:
-    """Rounds [start, start+count) of the session's uniform stream.
+_streams = threading.local()  # per thread: the generator of its last draw
+
+
+def _uniform_block(seed: int, start_round: int, count: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Rounds [start, start+count) of the session's uniform stream, written
+    into `out` (C-contiguous, shape (count, DRAWS_PER_ROUND)) if given.
 
     Round i owns doubles [i*DRAWS_PER_ROUND, (i+1)*DRAWS_PER_ROUND) of the
     Philox(key=seed) stream; Philox counts in ticks of 4 doubles, so any
-    chunking or evaluation order reproduces the same per-round blocks.
+    chunking or evaluation order reproduces the same per-round blocks.  A
+    thread whose last draw ended at or before `start_round` of the same
+    seed advances that generator instead of building a new one.
     """
-    bg = np.random.Philox(key=seed)
-    bg.advance(start_round * (DRAWS_PER_ROUND // 4))
-    return np.random.Generator(bg).random((count, DRAWS_PER_ROUND))
+    last = getattr(_streams, "last", None)  # (seed, end round, generator)
+    _streams.last = None  # until this draw has succeeded
+    if last is not None and last[0] == seed and last[1] <= start_round:
+        generator = last[2]
+        generator.bit_generator.advance((start_round - last[1]) * (DRAWS_PER_ROUND // 4))
+    else:
+        bg = np.random.Philox(key=seed)
+        bg.advance(start_round * (DRAWS_PER_ROUND // 4))
+        generator = np.random.Generator(bg)
+    u = generator.random((count, DRAWS_PER_ROUND), out=out)
+    _streams.last = seed, start_round + count, generator
+    return u
 
 
 @dataclass
@@ -536,8 +560,8 @@ def _simulate(config: SessionConfig):
     spans = [(start, min(CHUNK_ROUNDS, config.rounds - start))
              for start in range(0, config.rounds, CHUNK_ROUNDS)]
 
-    def sample(u: np.ndarray) -> np.ndarray:
-        return _kernels.sample_rounds(u, tables.scen_cum, thresholds, template)
+    def sample(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return _kernels.sample_rounds(u, tables.scen_cum, thresholds, template, out)
 
     def chunks():
         for start, count in spans:
@@ -547,15 +571,27 @@ def _simulate(config: SessionConfig):
     def chunks_drawn_ahead():
         from . import _drawer  # loaded only by sessions that draw ahead
 
-        blocks = [(config.seed, lo, min(DRAW_BLOCK_ROUNDS, start + count - lo))
-                  for start, count in spans
-                  for lo in range(start, start + count, DRAW_BLOCK_ROUNDS)]
-        draws = _drawer.ahead(_uniform_block, blocks)
+        def blocks():
+            # Block j is drawn into buffer j % 2 when block j - 1 is asked
+            # for, by which time block j - 2 in that buffer has been sampled.
+            buffers = np.empty((2, DRAW_BLOCK_ROUNDS, DRAWS_PER_ROUND))
+            spans_of_blocks = ((lo, min(DRAW_BLOCK_ROUNDS, start + count - lo))
+                               for start, count in spans
+                               for lo in range(start, start + count, DRAW_BLOCK_ROUNDS))
+            for j, (lo, n) in enumerate(spans_of_blocks):
+                u = buffers[j % 2, :n]
+                yield u, [functools.partial(_uniform_block, config.seed, lo + i,
+                                            piece.shape[0], piece)
+                          for i in range(0, u.shape[0], DRAW_PIECE_ROUNDS)
+                          for piece in (u[i:i + DRAW_PIECE_ROUNDS],)]
+
+        draws = _drawer.ahead(blocks())
         try:
             for start, count in spans:
-                per_chunk = -(-count // DRAW_BLOCK_ROUNDS)
-                yield start, np.concatenate(
-                    [sample(u) for u in itertools.islice(draws, per_chunk)]), tables
+                rec = np.empty((count, _kernels.N_COLS), dtype=np.int8)
+                for lo in range(0, count, DRAW_BLOCK_ROUNDS):
+                    sample(next(draws), rec[lo:lo + DRAW_BLOCK_ROUNDS])
+                yield start, rec, tables
         finally:
             draws.close()
 

@@ -1,9 +1,10 @@
 """Sessions longer than one chunk draw their next block of uniforms on a thread.
 
-The drawer must not change a byte of the records or transcripts, must hand
-its errors to the session that asked, must leave nothing running or held
-when a session ends early, must survive a fork, and must hold less memory
-than drawing a chunk at a time.
+The drawer must not change a byte of the records or transcripts, must leave
+the pieces it has not taken to the caller, must hand its errors to the
+session that asked, must leave nothing running or held when a session ends
+early, must survive a fork, and must hold less memory than drawing a chunk
+at a time.
 """
 
 import os
@@ -16,13 +17,14 @@ import warnings
 
 import pytest
 
-from spdcqkd import _drawer, protocol
+from spdcqkd import _drawer, _kernels, protocol
 from spdcqkd.attack import AttackConfig
 from spdcqkd.protocol import SessionConfig, SpdcSource, SplitAttack, run_session
 from spdcqkd.source import SpdcParams
 
 PAPER = dict(source=SpdcSource(SpdcParams(0.3)), eve=SplitAttack(AttackConfig(max_attempts=3)))
-# 2500 rounds in chunks of 777 and draw blocks of 100: neither divides the other
+# 2500 rounds in chunks of 777, draw blocks of 100 and pieces of 30: none
+# divides the next
 SMALL = SessionConfig(rounds=2500, seed=31, **PAPER)
 
 
@@ -30,6 +32,7 @@ SMALL = SessionConfig(rounds=2500, seed=31, **PAPER)
 def small_blocks(monkeypatch):
     monkeypatch.setattr(protocol, "CHUNK_ROUNDS", 777)
     monkeypatch.setattr(protocol, "DRAW_BLOCK_ROUNDS", 100)
+    monkeypatch.setattr(protocol, "DRAW_PIECE_ROUNDS", 30)
     monkeypatch.setattr(protocol, "DRAW_AHEAD", True)
 
 
@@ -39,10 +42,10 @@ def recording_draws(monkeypatch, delay=0.0):
     real = protocol._uniform_block
     started, finished = [], [0]
 
-    def draw(seed, start, count):
+    def draw(seed, start, count, out=None):
         started.append((start, count, threading.get_ident()))
         time.sleep(delay)
-        u = real(seed, start, count)
+        u = real(seed, start, count, out)
         finished[0] += 1
         return u
 
@@ -64,17 +67,36 @@ def test_drawn_ahead_records_and_transcript_equal_serial(monkeypatch, tmp_path, 
         report = run_session(config, path)
         out[ahead] = records, path.read_bytes(), report
         main = threading.get_ident()
-        if ahead:  # blocks of 100 within each chunk, drawn off the main thread
-            assert [(s, c) for s, c, _ in started[:9]] == [
-                (0, 100), (100, 100), (200, 100), (300, 100), (400, 100), (500, 100),
-                (600, 100), (700, 77), (777, 100)]
-            assert all(ident != main for _, _, ident in started)
+        if ahead:  # pieces of 30 of blocks of 100 within each chunk, on either thread
+            blocks = [(lo, min(100, end - lo)) for start in range(0, 2500, 777)
+                      for end in (min(start + 777, 2500),) for lo in range(start, end, 100)]
+            assert blocks[6:9] == [(600, 100), (700, 77), (777, 100)]
+            pieces = [(lo + i, min(30, n - i)) for lo, n in blocks for i in range(0, n, 30)]
+            assert pieces[:5] == [(0, 30), (30, 30), (60, 30), (90, 10), (100, 30)]
+            # each piece drawn once by _simulate, once by run_session
+            assert sorted((s, c) for s, c, _ in started) == sorted(pieces * 2)
         else:  # one block per chunk, on the main thread
             assert [(s, c) for s, c, _ in started[:4]] == [
                 (0, 777), (777, 777), (1554, 777), (2331, 169)]
             assert all(ident == main for _, _, ident in started)
     assert [start for start, _ in out[True][0]] == [0, 777, 1554, 2331]
     assert out[True] == out[False]
+
+
+def test_slow_sampling_reads_the_block_it_was_given(monkeypatch, small_blocks):
+    """The next block is drawn while the current one is sampled, into the
+    other of the session's two buffers."""
+    monkeypatch.setattr(protocol, "DRAW_AHEAD", False)
+    want = [(start, rec.tobytes()) for start, rec, _ in protocol._simulate(SMALL)]
+    real = _kernels.sample_rounds
+
+    def slow(u, *args):
+        time.sleep(0.005)  # time for the drawer to fill the block after this one
+        return real(u, *args)
+
+    monkeypatch.setattr(_kernels, "sample_rounds", slow)
+    monkeypatch.setattr(protocol, "DRAW_AHEAD", True)
+    assert [(start, rec.tobytes()) for start, rec, _ in protocol._simulate(SMALL)] == want
 
 
 def test_one_chunk_sessions_draw_on_the_main_thread(monkeypatch):
@@ -84,15 +106,59 @@ def test_one_chunk_sessions_draw_on_the_main_thread(monkeypatch):
     assert started == [(0, protocol.CHUNK_ROUNDS, threading.get_ident())]
 
 
+def test_caller_draws_the_pieces_the_drawer_has_not_taken():
+    main = threading.get_ident()
+    ran = {}
+    blocker_started, second_ran = threading.Event(), threading.Event()
+
+    def blocker():  # keeps the drawer busy until the caller has run the others
+        ran["blocker"] = threading.get_ident()
+        blocker_started.set()
+        assert second_ran.wait(10)
+
+    def piece(name, event=None):
+        ran[name] = threading.get_ident()
+        if event is not None:
+            event.set()
+
+    jobs = [("first", []),
+            ("second", [blocker, lambda: piece("a"), lambda: piece("b", second_ran)])]
+    draws = _drawer.ahead(jobs)
+    assert next(draws) == "first"  # the second job is handed over here
+    assert blocker_started.wait(10)
+    assert next(draws) == "second"
+    assert ran["blocker"] != main and ran["a"] == ran["b"] == main
+    assert next(draws, None) is None
+
+
+def test_error_of_a_piece_on_the_drawer_is_raised_in_the_caller():
+    main = threading.get_ident()
+    raised_on = []
+
+    def failing():
+        raised_on.append(threading.get_ident())
+        raise ValueError("draw failed on the drawer")
+
+    jobs = [("first", []), ("second", [failing])]
+    draws = _drawer.ahead(jobs)
+    assert next(draws) == "first"
+    deadline = time.monotonic() + 10
+    while not raised_on and time.monotonic() < deadline:  # the drawer takes the piece
+        time.sleep(0.001)
+    with pytest.raises(ValueError, match=r"^draw failed on the drawer$"):
+        next(draws)
+    assert raised_on and raised_on[0] != main
+
+
 def test_drawer_error_is_raised_in_the_session(monkeypatch, tmp_path, small_blocks):
     real = protocol._uniform_block
     calls = []
 
-    def flaky(seed, start, count):
+    def flaky(seed, start, count, out=None):
         calls.append(threading.get_ident())
         if len(calls) == 3:
-            raise ValueError("draw failed on the third block")
-        return real(seed, start, count)
+            raise ValueError("draw failed on the third piece")
+        return real(seed, start, count, out)
 
     opened = []
 
@@ -102,9 +168,8 @@ def test_drawer_error_is_raised_in_the_session(monkeypatch, tmp_path, small_bloc
 
     monkeypatch.setattr(protocol, "_uniform_block", flaky)
     monkeypatch.setattr(protocol, "open", recording_open, raising=False)
-    with pytest.raises(ValueError, match=r"^draw failed on the third block$"):
+    with pytest.raises(ValueError, match=r"^draw failed on the third piece$"):
         run_session(SMALL, tmp_path / "failed.csv")
-    assert threading.get_ident() not in calls
     assert len(opened) == 1 and opened[0].closed
 
     monkeypatch.setattr(protocol, "_uniform_block", real)
@@ -114,12 +179,39 @@ def test_drawer_error_is_raised_in_the_session(monkeypatch, tmp_path, small_bloc
     assert run_session(SMALL) == want
 
 
-def test_closing_early_waits_for_the_block_in_flight(monkeypatch, small_blocks):
-    started, finished = recording_draws(monkeypatch, delay=0.05)
+def test_closing_early_drops_the_pieces_not_started(monkeypatch, small_blocks):
+    real = protocol._uniform_block
+    started, finished = [], [0]
+    next_chunk_started = threading.Event()
+
+    def draw(seed, start, count, out=None):
+        started.append(start)
+        if start >= 777:  # a piece of the next chunk's first block
+            next_chunk_started.set()
+            time.sleep(0.2)
+        u = real(seed, start, count, out)
+        finished[0] += 1
+        return u
+
+    monkeypatch.setattr(protocol, "_uniform_block", draw)
     chunks = protocol._simulate(SMALL)
-    next(chunks)  # the chunk's 8 blocks are drawn, and the next chunk's first is asked for
+    next(chunks)  # the chunk's 8 blocks are drawn, and the next chunk's first is handed over
+    assert next_chunk_started.wait(10)
     chunks.close()
-    assert finished[0] == len(started) == 9
+    # all 31 pieces of the first chunk, and fewer than the 4 of the block in flight
+    first = [lo + i for lo in range(0, 777, 100) for i in range(0, min(100, 777 - lo), 30)]
+    assert len(first) == 31 and sorted(started)[:31] == first
+    assert finished[0] == len(started) and 1 <= len(started) - 31 < 4
+
+
+@pytest.mark.skipif(not hasattr(os, "SCHED_IDLE"), reason="needs SCHED_IDLE")
+def test_drawer_runs_at_idle_priority_and_the_caller_does_not(small_blocks):
+    before = os.sched_getscheduler(0)
+    run_session(SMALL)
+    drawer = [t for t in threading.enumerate() if t.name == "spdcqkd-drawer"]
+    assert len(drawer) == 1
+    assert os.sched_getscheduler(drawer[0].native_id) == os.SCHED_IDLE
+    assert os.sched_getscheduler(0) == before != os.SCHED_IDLE
 
 
 def test_sessions_do_not_add_threads(small_blocks):

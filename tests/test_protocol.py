@@ -108,6 +108,27 @@ def test_uniform_blocks_are_chunk_invariant():
     assert np.array_equal(full[5:6], protocol._uniform_block(99, 5, 1))
 
 
+def test_uniform_blocks_do_not_depend_on_the_draws_before():
+    """A thread's generator is advanced forward, rebuilt otherwise; every
+    draw equals one from a fresh generator, in any order, with or without
+    `out`, and after a draw that failed."""
+    def fresh(seed, start, count):
+        bg = np.random.Philox(key=seed)
+        bg.advance(start * protocol.DRAWS_PER_ROUND // 4)
+        return np.random.Generator(bg).random((count, protocol.DRAWS_PER_ROUND))
+
+    order = [(5, 0, 10), (5, 10, 7), (5, 40, 3), (5, 20, 5), (6, 20, 5), (5, 25, 2),
+             (2**127 + 3, 2**40, 4), (2**127 + 3, 2**40 + 4, 4), (5, 0, 1)]
+    for i, (seed, start, count) in enumerate(order):
+        out = np.empty((count, protocol.DRAWS_PER_ROUND)) if i % 2 else None
+        u = protocol._uniform_block(seed, start, count, out)
+        assert out is None or u is out
+        assert np.array_equal(u, fresh(seed, start, count)), (seed, start, count)
+    with pytest.raises(ValueError):
+        protocol._uniform_block(5, 1, 10, np.empty((3, protocol.DRAWS_PER_ROUND)))
+    assert np.array_equal(protocol._uniform_block(5, 11, 4), fresh(5, 11, 4))
+
+
 def test_uniform_blocks_differ_by_seed():
     assert not np.array_equal(protocol._uniform_block(1, 0, 4),
                               protocol._uniform_block(2, 0, 4))
