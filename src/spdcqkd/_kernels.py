@@ -8,9 +8,13 @@ this for a whole chunk of rounds at once with vectorized numpy: one
 outcome rows of each round's (scenario, basis pair) group, and one gather of
 the record from a per-session template (`lookup_tables`).  It makes the same
 float comparisons as a per-group `searchsorted`, so records are unchanged.
+The template holds four rows per outcome row, one per pair of double-click
+draws, so a round's record is exactly one template row, and a session can
+be tallied from how many rounds drew each row.
 
 Draw slots per round: 0 scenario, 1 Alice basis, 2 Bob basis, 3 outcome row,
-4 Alice double-click bit, 5 Bob double-click bit, 6-7 reserved.
+4 Alice double-click bit, 5 Bob double-click bit (4 and 5 pick one of the
+outcome row's four template rows), 6-7 reserved.
 
 Record columns: scenario, alice_basis, bob_basis, alice_kind, bob_kind,
 alice_bit, bob_key_bit, sifted, eve1_bit, eve2_bit (bits are -1 when absent;
@@ -41,8 +45,10 @@ def lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1, row_e2,
     owns slots [g*W, (g+1)*W), W the next power of two >= its longest
     group.  thresholds (float64[groups, W]) holds each group's `row_cum`,
     whose last row is 1.0, and +inf in the padding.  template
-    (int8[groups * W, N_COLS]) holds each row's record as far as the row
-    decides it: a double-click bit is 0, to be set from its draw slot.
+    (int8[groups * W * 4, N_COLS]) holds the whole record of each slot's
+    row once per pair of double-click draws: row 4*slot + 2*a + b, with a
+    and b whether draw slots 4 and 5 are >= 0.5, gives a double click of
+    Alice the bit a and one of Bob the key bit 1 - b.  Padding rows are 0.
     """
     groups = grp_off.shape[0]
     width = 1 << (max(grp_len.tolist()) - 1).bit_length()
@@ -54,30 +60,35 @@ def lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1, row_e2,
     group = np.array([(i // 4, i // 2 % 2, i % 2, i // 2 % 2 == i % 2) for i in range(groups)],
                      dtype=np.int8)[g]
     # per kind (NoClick, Bit0, Bit1, Double): Alice's bit, Bob's key bit
-    # (flipped), whether the party clicked under the double-click policy
+    # (flipped; a double click's are set per draw below), whether the party
+    # clicked under the double-click policy
     kind = np.array([(-1, -1, 0), (0, 1, 1), (1, 0, 1), (0, 0, keep_double)], dtype=np.int8)
     a, b = kind[row_a], kind[row_b]
-    rows = np.empty((slot.shape[0], N_COLS), dtype=np.int8)
-    rows[:, :3] = group[:, :3]
-    rows[:, 3] = row_a
-    rows[:, 4] = row_b
-    rows[:, 5] = a[:, 0]
-    rows[:, 6] = b[:, 1]
-    rows[:, 7] = group[:, 3] & a[:, 2] & b[:, 2]
-    rows[:, 8] = row_e1
-    rows[:, 9] = row_e2
-    template = np.zeros((groups * width, N_COLS), dtype=np.int8)
+    rows = np.empty((slot.shape[0], 4, N_COLS), dtype=np.int8)
+    rows[:, :, :3] = group[:, None, :3]
+    rows[:, :, 3] = row_a[:, None]
+    rows[:, :, 4] = row_b[:, None]
+    rows[:, :, 5] = a[:, None, 0]
+    rows[:, :, 6] = b[:, None, 1]
+    rows[:, :, 7] = (group[:, 3] & a[:, 2] & b[:, 2])[:, None]
+    rows[:, :, 8] = row_e1[:, None]
+    rows[:, :, 9] = row_e2[:, None]
+    rows[row_a == 3, :, 5] = (0, 0, 1, 1)
+    rows[row_b == 3, :, 6] = (1, 0, 1, 0)
+    template = np.zeros((groups * width, 4, N_COLS), dtype=np.int8)
     template[slot] = rows
-    return thresholds.reshape(groups, width), template
+    return thresholds.reshape(groups, width), template.reshape(-1, N_COLS)
 
 
-def sample_rounds(u, scen_cum, thresholds, template, out=None) -> np.ndarray:
+def sample_rounds(u, scen_cum, thresholds, template, out=None, counts=None) -> np.ndarray:
     """Run one chunk of rounds; returns the (n, N_COLS) int8 record array,
     written into `out` if given.
 
     `u` holds each round's uniforms in [0, 1); `thresholds` and `template`
-    come from `lookup_tables`.  Rounds are sampled in blocks of SAMPLE_ROWS,
-    whose temporaries stay in cache.
+    come from `lookup_tables`.  Each round's record is one template row;
+    `counts` (intp[len(template)]), if given, gains how many rounds drew
+    each row.  Rounds are sampled in blocks of SAMPLE_ROWS, whose
+    temporaries stay in cache.
     """
     n = u.shape[0]
     if out is None:
@@ -85,11 +96,11 @@ def sample_rounds(u, scen_cum, thresholds, template, out=None) -> np.ndarray:
     thr = thresholds.ravel()
     for lo in range(0, n, SAMPLE_ROWS):
         _sample_block(u[lo:lo + SAMPLE_ROWS], scen_cum, thr, thresholds.shape[1], template,
-                      out[lo:lo + SAMPLE_ROWS])
+                      out[lo:lo + SAMPLE_ROWS], counts)
     return out
 
 
-def _sample_block(u, scen_cum, thr, width, template, out) -> None:
+def _sample_block(u, scen_cum, thr, width, template, out, counts) -> None:
     """Write the records of the rounds `u` into `out`.
 
     The outcome row is found by a branchless binary search over the round's
@@ -120,11 +131,13 @@ def _sample_block(u, scen_cum, thr, width, template, out) -> None:
         np.multiply(passed, step, out=probe)
         pos += probe
         step //= 2
+    pos *= 2
+    pos += u[:, 4] >= 0.5
+    pos *= 2
+    pos += u[:, 5] >= 0.5
     np.take(template, pos, axis=0, out=out, mode="clip")
-    dc = np.flatnonzero(out[:, 3] == 3)
-    out[dc, 5] = u[dc, 4] >= 0.5
-    dc = np.flatnonzero(out[:, 4] == 3)
-    out[dc, 6] = u[dc, 5] < 0.5
+    if counts is not None:
+        counts += np.bincount(pos, minlength=counts.shape[0])
 
 
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:

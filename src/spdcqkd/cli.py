@@ -52,6 +52,8 @@ def _flat_lines(obj, prefix: str = "") -> list[str]:
         for k in sorted(obj):
             out.extend(_flat_lines(obj[k], f"{prefix}{k}."))
         return out
+    if isinstance(obj, list):  # an interval: its ends on one line
+        return [f"{prefix[:-1]} {' '.join(f'{v:.9g}' for v in obj)}"]
     if isinstance(obj, float):
         return [f"{prefix[:-1]} {obj:.9g}"]
     return [f"{prefix[:-1]} {obj}"]

@@ -52,11 +52,12 @@ class ModeLabel(NamedTuple):
 class ModeRegistry:
     """Ordered, append-only collection of modes; order fixes occupation slots."""
 
-    __slots__ = ("_labels", "_index")
+    __slots__ = ("_labels", "_index", "_channels")
 
     def __init__(self, labels: Iterable[ModeLabel] = ()):
         self._labels = tuple(ModeLabel(*lab) for lab in labels)
         self._index = {lab: i for i, lab in enumerate(self._labels)}
+        self._channels: dict[tuple[str, int], tuple[int, int]] = {}  # channel_modes results
         if len(self._index) != len(self._labels):
             raise FockError("duplicate mode label in registry")
 
@@ -95,9 +96,13 @@ class ModeRegistry:
         return ModeRegistry(self._labels + (label,))
 
     def channel_modes(self, party: str, channel: int = 0) -> tuple[int, int]:
-        """Slot indices (H, V) of one spatial channel."""
-        return (self.index(ModeLabel(party, channel, POL_H)),
-                self.index(ModeLabel(party, channel, POL_V)))
+        """Slot indices (H, V) of one spatial channel, memoised: the labels never change."""
+        slots = self._channels.get((party, channel))
+        if slots is None:
+            slots = (self.index(ModeLabel(party, channel, POL_H)),
+                     self.index(ModeLabel(party, channel, POL_V)))
+            self._channels[party, channel] = slots
+        return slots
 
 
 def source_registry() -> ModeRegistry:

@@ -186,14 +186,29 @@ def qnd_count(state: StateVector, modes: Iterable[ModeLabel]) -> list[CountBranc
     return out
 
 
-def _click_kind(n0: int, n1: int) -> OutcomeKind:
-    if n0 and n1:
-        return OutcomeKind.DOUBLE
-    if n0:
-        return OutcomeKind.BIT0
-    if n1:
-        return OutcomeKind.BIT1
-    return OutcomeKind.NO_CLICK
+_KINDS = tuple(OutcomeKind)  # indexed by value
+
+
+def _click_buckets(state: StateVector, assignments: list[tuple[str, int, BasisAngle]]
+                   ) -> tuple[StateVector, dict[tuple[int, ...], dict[tuple[int, ...], complex]]]:
+    """The state rotated channel by channel, in assignment order, into each
+    channel's basis (HV needs no rotation), and its terms in term order by
+    click pattern: per channel NoClick 0, Bit0 1, Bit1 2, Double 3."""
+    rotated = state
+    for party, channel, basis in assignments:
+        if basis.theta != 0.0:
+            rotated = rotate_polarization(rotated, party, channel, basis)
+    chans = [rotated.registry.channel_modes(party, channel)
+             for party, channel, _ in assignments]
+    buckets: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
+    for occ, amp in rotated.terms():
+        kinds = tuple([(occ[h] > 0) + 2 * (occ[v] > 0) for h, v in chans])
+        buckets.setdefault(kinds, {})[occ] = amp
+    return rotated, buckets
+
+
+def _squared_norm(amps: dict[tuple[int, ...], complex]) -> float:
+    return sum((a.real * a.real + a.imag * a.imag) for a in amps.values())
 
 
 class ClickBranch(NamedTuple):
@@ -213,25 +228,36 @@ def joint_threshold_branches(state: StateVector,
     states stay expressed in the rotated frame with the measured channels'
     photons left in place (they purify the conditional state of the rest).
     """
-    rotated = state
-    for party, channel, basis in assignments:
-        if basis.theta != 0.0:
-            rotated = rotate_polarization(rotated, party, channel, basis)
-    chans = [rotated.registry.channel_modes(party, channel)
-             for party, channel, _ in assignments]
-    buckets: dict[tuple[OutcomeKind, ...], dict[tuple[int, ...], complex]] = {}
-    for occ, amp in rotated.terms():
-        kinds = tuple(_click_kind(occ[h], occ[v]) for h, v in chans)
-        buckets.setdefault(kinds, {})[occ] = amp
+    rotated, buckets = _click_buckets(state, assignments)
     out = []
     for kinds in sorted(buckets):
-        prob = sum((a.real * a.real + a.imag * a.imag) for a in buckets[kinds].values())
+        prob = _squared_norm(buckets[kinds])
         scale = 1.0 / math.sqrt(prob)
         post = StateVector._trusted(rotated.registry,
                                     {o: a * scale for o, a in buckets[kinds].items()},
                                     state.prune_tol, state.mode_cap)
-        out.append(ClickBranch(kinds, prob, post))
+        out.append(ClickBranch(tuple([_KINDS[k] for k in kinds]), prob, post))
     return out
+
+
+class ClickProbability(NamedTuple):
+    kinds: tuple[OutcomeKind, ...]
+    probability: float
+
+
+def joint_click_probabilities(state: StateVector,
+                              assignments: list[tuple[str, int, BasisAngle]]
+                              ) -> list[ClickProbability]:
+    """The click patterns and probabilities of `joint_threshold_branches`,
+    computed the same way, without its post states.
+
+    A channel measured in HV is not rotated: a caller measuring one state
+    under several bases may rotate a channel they share once and measure it
+    here in HV, provided the rotations keep their order.
+    """
+    _, buckets = _click_buckets(state, assignments)
+    return [ClickProbability(tuple([_KINDS[k] for k in kinds]), _squared_norm(buckets[kinds]))
+            for kinds in sorted(buckets)]
 
 
 def threshold_detect(state: StateVector, party: str, channel: int,

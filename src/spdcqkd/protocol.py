@@ -11,7 +11,12 @@ The emitted-state / strategy / outcome tree is finite and tiny, so it is
 enumerated exactly once with the sparse engine into categorical tables, and
 the per-round loop just samples those tables.  The strategy branches come
 from the eavesdropper models in `attack` (split_attack_branches,
-intercept_branches); this module only dispatches to them.  Every round owns
+intercept_branches); this module only dispatches to them.  The outcome rows
+need only click probabilities (`optics.joint_click_probabilities`), not
+post-measurement states.  Each round's record is one row of the sampler's
+template, and the sampler counts how many rounds drew each row, so a live
+session is tallied from those counts, one weighted key per template row;
+replay tallies the records it parses with the same key.  Every round owns
 a fixed block of DRAWS_PER_ROUND uniforms from a counter-based Philox
 stream keyed by the session seed, so rounds can be evaluated in any order
 or chunking with identical results; a session is reproduced bit-for-bit by
@@ -69,7 +74,8 @@ from . import _kernels
 from ._kernels import DRAWS_PER_ROUND
 from .attack import AttackConfig, attack_four_photon, intercept_branches, split_attack_branches
 from .fock import FockError, StateVector, attack_registry
-from .optics import DA, HV, BasisAngle, OutcomeKind, joint_threshold_branches
+from .optics import (DA, HV, BasisAngle, OutcomeKind, joint_click_probabilities,
+                     rotate_polarization)
 from .security import LeakBound, leak_vs_bound
 from .source import SpdcParams, singlet_state, spdc_state
 
@@ -303,18 +309,20 @@ def _eve_branches(state: StateVector, eve: EveStrategy
 _EBIT = {OutcomeKind.NO_CLICK: -1, OutcomeKind.BIT0: 0, OutcomeKind.BIT1: 1}
 
 
-def _outcome_rows(state: StateVector, a_basis: BasisAngle, b_basis: BasisAngle,
+def _outcome_rows(state_a: StateVector, a_basis: BasisAngle, b_basis: BasisAngle,
                   fixed_e1: int) -> list[tuple[int, int, int, int, float]]:
     """Joint detection categorical for one scenario and basis pair.
 
+    `state_a` is the scenario's state with Alice's channel already rotated
+    into `a_basis`, shared by both of Bob's bases; the rest are rotated
+    after it in the order B, E1, E2, which the pinned tables depend on.
     The eavesdropper's stored channels are read in the disclosed basis
     (Alice's); on rounds that do not sift those columns are simply ignored.
     """
-    branches = joint_threshold_branches(
-        state, [("A", 0, a_basis), ("B", 0, b_basis),
-                ("E1", 0, a_basis), ("E2", 0, a_basis)])
+    patterns = joint_click_probabilities(
+        state_a, [("A", 0, HV), ("B", 0, b_basis), ("E1", 0, a_basis), ("E2", 0, a_basis)])
     rows = {}
-    for kinds, prob, _ in branches:
+    for kinds, prob in patterns:
         ka, kb, k1, k2 = kinds
         if k1 not in _EBIT or k2 not in _EBIT:
             raise FockError("eavesdropper channel holds more than one photon")
@@ -342,8 +350,9 @@ def _build_tables(config: SessionConfig) -> _Tables:
     cols: list[list] = [[], [], [], [], []]  # cum, a, b, e1, e2
     for _, _, st, fixed_e1 in scenarios:
         for a_basis in (HV, DA):
+            st_a = st if a_basis is HV else rotate_polarization(st, "A", 0, a_basis)
             for b_basis in (HV, DA):
-                rows = _outcome_rows(st, a_basis, b_basis, fixed_e1)
+                rows = _outcome_rows(st_a, a_basis, b_basis, fixed_e1)
                 grp_off.append(len(cols[0]))
                 grp_len.append(len(rows))
                 acc = 0.0
@@ -400,6 +409,23 @@ def _uniform_block(seed: int, start_round: int, count: int,
     return u
 
 
+def _wilson_interval(hits: int, trials: int) -> list[float]:
+    """[low, high]: the 95% Wilson score interval of the rate hits / trials.
+
+    Unlike the Wald interval it keeps a width when no trial hits (or every
+    one does); with no trials it is [0, 1].
+    """
+    if trials == 0:
+        return [0.0, 1.0]
+    z2 = 1.96 * 1.96
+    p = hits / trials
+    shrink = 1.0 + z2 / trials
+    center = (p + z2 / (2.0 * trials)) / shrink
+    half = math.sqrt(z2 * (p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))) / shrink
+    # the ends are exactly 0 and 1 at no and every hit, where rounding might miss them
+    return [0.0 if hits == 0 else center - half, 1.0 if hits == trials else center + half]
+
+
 @dataclass
 class _Tally:
     rounds: int = 0
@@ -411,15 +437,18 @@ class _Tally:
     basis_sifted: list = field(default_factory=lambda: [0, 0])
     basis_errors: list = field(default_factory=lambda: [0, 0])
 
-    def update(self, rec: np.ndarray, tags: list[str], scen_emission: np.ndarray | None):
+    def update(self, rec: np.ndarray, tags: list[str], scen_emission: np.ndarray | None,
+               weights: np.ndarray | None = None):
         """Count a record chunk with one bincount.
 
         A round's key packs its column 0 (the scenario, or the emission
         when `scen_emission` is None) with its Alice basis, sifted flag,
         whether its bits differ, Alice kind and Bob kind: 128 bins per
-        column-0 value.
+        column-0 value.  With `weights`, record i stands for weights[i]
+        rounds: a live session passes its template rows and how many
+        rounds drew each.
         """
-        self.rounds += rec.shape[0]
+        self.rounds += rec.shape[0] if weights is None else int(weights.sum())
         col = np.ascontiguousarray(rec[:, :8].T)  # columns as rows: faster to combine
         key = col[0].astype(np.intp)
         differ = col[5] != col[6]
@@ -427,7 +456,9 @@ class _Tally:
             key *= bins
             key += value
         first = len(tags) if scen_emission is None else len(scen_emission)
-        counts = np.bincount(key, minlength=first * 128).reshape(first, 2, 2, 2, 4, 4)
+        # float64 weights sum whole counts exactly below 2**53
+        counts = np.bincount(key, weights, minlength=first * 128).astype(np.int64, copy=False)
+        counts = counts.reshape(first, 2, 2, 2, 4, 4)
         emission = range(first) if scen_emission is None else scen_emission.tolist()
         for e, c in zip(emission, counts.sum(axis=(1, 2, 3, 4, 5)).tolist()):
             if c:
@@ -444,7 +475,6 @@ class _Tally:
 
     def report(self, checksum_ok: bool = True) -> "SessionReport":
         qber = self.errors / self.sifted if self.sifted else 0.0
-        ci = (1.96 * math.sqrt(qber * (1.0 - qber) / self.sifted)) if self.sifted else 0.0
         per_basis = {}
         for basis in (0, 1):
             n, e = self.basis_sifted[basis], self.basis_errors[basis]
@@ -452,7 +482,7 @@ class _Tally:
                 "sifted": n, "errors": e, "qber": (e / n if n else 0.0)}
         return SessionReport(
             rounds=self.rounds, sifted_length=self.sifted, error_count=self.errors,
-            qber_hat=qber, qber_ci95=ci,
+            qber_hat=qber, qber_ci95=_wilson_interval(self.errors, self.sifted),
             double_click_count=self.double_clicks, no_click_count=self.no_clicks,
             source_counts=dict(sorted(self.source_counts.items())),
             per_basis=per_basis,
@@ -466,7 +496,7 @@ class SessionReport:
     sifted_length: int
     error_count: int
     qber_hat: float
-    qber_ci95: float
+    qber_ci95: list[float]  # [low, high], Wilson score interval
     double_click_count: int
     no_click_count: int
     source_counts: dict[str, int]
@@ -550,23 +580,34 @@ def _draws_ahead(rounds: int) -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def _simulate(config: SessionConfig):
+def _simulate(config: SessionConfig, tally: _Tally | None = None):
     """Build the tables now (a FockError raises here); return an iterator of
-    (start_round, record-chunk, tables)."""
+    (start_round, record-chunk, tables).
+
+    With `tally`, each chunk is counted into it before it is yielded, from
+    how many of its rounds drew each template row, not from its records.
+    """
     tables = _build_tables(config)
     thresholds, template = _kernels.lookup_tables(
         tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
         tables.row_e1, tables.row_e2, config.double_click_policy == "assign")
+    counts = None if tally is None else np.zeros(template.shape[0], dtype=np.intp)
     spans = [(start, min(CHUNK_ROUNDS, config.rounds - start))
              for start in range(0, config.rounds, CHUNK_ROUNDS)]
 
     def sample(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return _kernels.sample_rounds(u, tables.scen_cum, thresholds, template, out)
+        return _kernels.sample_rounds(u, tables.scen_cum, thresholds, template, out, counts)
+
+    def tallied(start: int, rec: np.ndarray):
+        if tally is not None:
+            tally.update(template, tables.emission_tags, tables.scen_emission, counts)
+            counts[:] = 0
+        return start, rec, tables
 
     def chunks():
         for start, count in spans:
             # the chunk's draws die here, before the next chunk is drawn
-            yield start, sample(_uniform_block(config.seed, start, count)), tables
+            yield tallied(start, sample(_uniform_block(config.seed, start, count)))
 
     def chunks_drawn_ahead():
         from . import _drawer  # loaded only by sessions that draw ahead
@@ -591,7 +632,7 @@ def _simulate(config: SessionConfig):
                 rec = np.empty((count, _kernels.N_COLS), dtype=np.int8)
                 for lo in range(0, count, DRAW_BLOCK_ROUNDS):
                     sample(next(draws), rec[lo:lo + DRAW_BLOCK_ROUNDS])
-                yield start, rec, tables
+                yield tallied(start, rec)
         finally:
             draws.close()
 
@@ -601,7 +642,7 @@ def _simulate(config: SessionConfig):
 def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
     """Run the session; optionally stream a checksummed transcript to disk."""
     tally = _Tally()
-    chunks = _simulate(config)  # before the transcript exists: no file on a table error
+    chunks = _simulate(config, tally)  # before the transcript exists: no file on a table error
     fh = None
     digest = hashlib.sha256()
     try:
@@ -612,7 +653,6 @@ def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
             digest.update(head)
         table = None
         for start, rec, tables in chunks:
-            tally.update(rec, tables.emission_tags, tables.scen_emission)
             if fh is None:
                 continue
             if table is None:

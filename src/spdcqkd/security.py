@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fock import FockError, StateVector
-from .optics import DA, HV, BasisAngle, OutcomeKind, joint_threshold_branches
+from .optics import (DA, HV, BasisAngle, OutcomeKind, joint_click_probabilities,
+                     joint_threshold_branches)
 
 
 def binary_entropy(x: float) -> float:
@@ -64,7 +65,7 @@ def _clicked_joint(state: StateVector, assignments: list[tuple[str, int, BasisAn
     """
     joint = {(a, b): 0.0 for a in (0, 1) for b in (0, 1)}
     mass = 0.0
-    for (ka, kb), prob, _ in joint_threshold_branches(state, assignments):
+    for (ka, kb), prob in joint_click_probabilities(state, assignments):
         if ka not in _CLICKED or kb not in _CLICKED:
             continue
         mass += prob

@@ -6,9 +6,11 @@ from spdcqkd import protocol
 from spdcqkd.fock import (DEFAULT_MODE_CAP, FockError, ModeCapError, ModeLabel,
                           ModeRegistry, RegistryMismatchError, StateVector,
                           UnknownModeError, attack_registry, source_registry)
+from spdcqkd.optics import joint_threshold_branches
 from spdcqkd.protocol import SessionConfig
 
-from test_golden import GOLDEN_TABLES, TABLE_EVES, TABLE_SOURCES, _tables_digest
+from test_golden import (GOLDEN_TABLES, TABLE_EVES, TABLE_SOURCES, _tables_digest,
+                         scenario_measurements)
 
 AH = ModeLabel("A", 0, 0)
 AV = ModeLabel("A", 0, 1)
@@ -56,6 +58,14 @@ def test_channel_modes():
     assert reg.channel_modes("E2", 0) == (6, 7)
     with pytest.raises(UnknownModeError):
         reg.channel_modes("C", 0)
+    # answers are memoised per registry: asked again, and for a second
+    # channel of one party on a larger registry, each keeps its own slots
+    wide = reg.with_mode(ModeLabel("A", 1, 1)).with_mode(ModeLabel("A", 1, 0))
+    for _ in range(2):
+        assert reg.channel_modes("A", 0) == wide.channel_modes("A", 0) == (0, 1)
+        assert wide.channel_modes("A", 1) == (9, 8)
+        with pytest.raises(UnknownModeError):
+            reg.channel_modes("A", 1)
 
 
 def test_create_on_vacuum():
@@ -235,7 +245,8 @@ def test_sum_with_a_larger_cap_still_checks_this_cap():
 @pytest.mark.parametrize("policy", ["assign", "discard"])
 def test_trusted_states_pass_validation(monkeypatch, policy):
     """Every state the engine builds unchecked over the golden table grid
-    would pass the public constructor's checks, with the same terms."""
+    would pass the public constructor's checks, with the same terms: in the
+    table build, and in the post states of each scenario's measurement."""
     trusted = StateVector._trusted.__func__
     problems: list[str] = []
     built = []
@@ -264,6 +275,8 @@ def test_trusted_states_pass_validation(monkeypatch, policy):
             try:
                 (_, _, tables), = protocol._simulate(config)
                 got = _tables_digest(tables)
+                for state, assignments in scenario_measurements(source, eve):
+                    joint_threshold_branches(state, assignments)
             except FockError as exc:
                 got = type(exc).__name__
             assert got == GOLDEN_TABLES[f"{source_name}/{eve_name}"]

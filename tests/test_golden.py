@@ -14,6 +14,7 @@ import pytest
 
 from spdcqkd import protocol
 from spdcqkd.attack import AttackConfig
+from spdcqkd.fock import attack_registry
 from spdcqkd.optics import DA, HV
 from spdcqkd.protocol import (AttackMixture, InterceptResend, SessionConfig,
                               SingletSource, SpdcSource, SplitAttack, run_session)
@@ -127,6 +128,16 @@ GOLDEN_TABLES = {
     "spdc6/intercept-HV": "FockError",
     "spdc6/intercept-DA": "FockError",
 }
+
+
+def scenario_measurements(source, eve):
+    """(state, assignments) for every scenario state of a grid pair and every
+    basis pair: the four channels a session's tables measure, in the order
+    they are rotated.  Raises FockError where the table build does."""
+    return [(state, [("A", 0, a), ("B", 0, b), ("E1", 0, a), ("E2", 0, a)])
+            for _, _, emitted in protocol._emission_branches(source, attack_registry())
+            for _, state, _ in protocol._eve_branches(emitted, eve)
+            for a in (HV, DA) for b in (HV, DA)]
 
 
 def _tables_digest(tables) -> str:

@@ -8,9 +8,12 @@ from spdcqkd import optics
 from spdcqkd.fock import (FockError, ModeCapError, ModeLabel, StateVector, attack_registry,
                           source_registry)
 from spdcqkd.optics import (DA, HV, BasisAngle, OutcomeKind, beamsplitter_50_50,
-                            joint_threshold_branches, qnd_count,
+                            joint_click_probabilities, joint_threshold_branches, qnd_count,
                             rotate_polarization, threshold_detect)
 from spdcqkd.source import SpdcParams, spdc_state
+
+from test_golden import scenario_measurements
+from test_kernels import BUILDABLE
 
 AH = ModeLabel("A", 0, 0)
 AV = ModeLabel("A", 0, 1)
@@ -351,3 +354,19 @@ def test_joint_threshold_branches_probabilities():
         assert b.state.norm() == pytest.approx(1.0)
         assert b.probability == pytest.approx(0.25)
     assert len(branches) == 4
+
+
+@pytest.mark.parametrize("name,source,eve", BUILDABLE, ids=[name for name, _, _ in BUILDABLE])
+def test_click_probabilities_equal_branch_probabilities(name, source, eve):
+    """Bit for bit, for every scenario state and basis pair of the golden
+    grid; also with Alice's channel rotated beforehand, as the table build
+    rotates it once for both of Bob's bases."""
+    for state, assignments in scenario_measurements(source, eve):
+        want = [(b.kinds, b.probability.hex()) for b in joint_threshold_branches(state, assignments)]
+        got = joint_click_probabilities(state, assignments)
+        assert [(c.kinds, c.probability.hex()) for c in got] == want
+        assert all(type(k) is OutcomeKind for c in got for k in c.kinds)
+        a_basis = assignments[0][2]
+        state_a = rotate_polarization(state, "A", 0, a_basis) if a_basis is DA else state
+        pre_rotated = joint_click_probabilities(state_a, [("A", 0, HV)] + assignments[1:])
+        assert [(c.kinds, c.probability.hex()) for c in pre_rotated] == want

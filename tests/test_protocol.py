@@ -264,10 +264,19 @@ def test_double_click_policy_changes_sifting():
 def test_session_qber_hat_has_confidence_interval():
     cfg = SessionConfig(rounds=20000, seed=2, source=AttackMixture(1.0))
     rep = run_session(cfg)
-    q, n = rep.qber_hat, rep.sifted_length
-    assert rep.qber_ci95 == pytest.approx(1.96 * math.sqrt(q * (1 - q) / n))
+    q, n, z = rep.qber_hat, rep.sifted_length, 1.96
+    center = (q + z * z / (2 * n)) / (1 + z * z / n)
+    half = z / (1 + z * z / n) * math.sqrt(q * (1 - q) / n + z * z / (4 * n * n))
+    assert rep.qber_ci95 == pytest.approx([center - half, center + half])
+    assert 0.0 < rep.qber_ci95[0] < q < rep.qber_ci95[1] < 1.0
     assert rep.leak.bound == pytest.approx(
         protocol.leak_vs_bound(min(1.0, 6.0 * q)).bound)
+    # no errors: the interval keeps a width, z^2 / (n + z^2), where Wald's is 0
+    rep = run_session(SessionConfig(rounds=20000, seed=2, source=SingletSource()))
+    n = rep.sifted_length
+    assert rep.error_count == 0 and n > 0
+    assert rep.qber_ci95[0] == 0.0
+    assert rep.qber_ci95[1] == pytest.approx(z * z / (n + z * z))
 
 
 def test_report_to_dict_is_json_serializable():
@@ -332,6 +341,42 @@ def test_tally_matches_reference(config):
         got.update(rec, tags, scen_emission)
         reference_tally_update(want, rec, tags, scen_emission)
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    # weighted: record i stands for weights[i] rounds (zero included)
+    weights = np.random.default_rng(7).integers(0, 5, crafted.shape[0])
+    scen_emission = np.array([1, 0, 0, 1], dtype=np.int8)
+    got.update(crafted, ["attack", "singlet"], scen_emission, weights)
+    reference_tally_update(want, np.repeat(crafted, weights, axis=0), ["attack", "singlet"],
+                           scen_emission)
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+# one chunk; 2500 rounds in chunks of 777, drawn on the calling thread or
+# drawn ahead in blocks of 100 and pieces of 30
+SESSION_SHAPES = {"one-chunk": (20000, None), "chunks-serial": (2500, False),
+                  "chunks-drawn-ahead": (2500, True)}
+
+
+@pytest.mark.parametrize("policy", ["assign", "discard"])
+@pytest.mark.parametrize("shape", SESSION_SHAPES)
+def test_live_tally_from_slot_counts_equals_record_tally(monkeypatch, shape, policy):
+    rounds, draw_ahead = SESSION_SHAPES[shape]
+    if draw_ahead is not None:
+        monkeypatch.setattr(protocol, "CHUNK_ROUNDS", 777)
+        monkeypatch.setattr(protocol, "DRAW_BLOCK_ROUNDS", 100)
+        monkeypatch.setattr(protocol, "DRAW_PIECE_ROUNDS", 30)
+        monkeypatch.setattr(protocol, "DRAW_AHEAD", draw_ahead)
+    config = SessionConfig(rounds=rounds, seed=8, source=SpdcSource(SpdcParams(0.4)),
+                           eve=SplitAttack(AttackConfig(max_attempts=3)),
+                           double_click_policy=policy)
+    live, from_records = protocol._Tally(), protocol._Tally()
+    starts = []
+    for start, rec, tables in protocol._simulate(config, live):
+        starts.append(start)
+        from_records.update(rec, tables.emission_tags, tables.scen_emission)
+        assert dataclasses.asdict(live) == dataclasses.asdict(from_records)
+    assert len(starts) == (1 if draw_ahead is None else 4)
+    assert live.double_clicks > 0 and live.errors > 0
+    assert live.report() == from_records.report() == run_session(config)
 
 
 # -- eavesdropper information -----------------------------------------------

@@ -257,7 +257,7 @@ def test_session_transcript_matches_reference(tmp_path, monkeypatch, tags, scen_
     tables = SimpleNamespace(emission_tags=tags, scen_emission=scen_emission)
     chunks = [(lo, rec[lo:lo + protocol.CHUNK_ROUNDS], tables)
               for lo in range(0, rounds, protocol.CHUNK_ROUNDS)]
-    monkeypatch.setattr(protocol, "_simulate", lambda config: iter(chunks))
+    monkeypatch.setattr(protocol, "_simulate", lambda config, tally: iter(chunks))
     path = tmp_path / "t.csv"
     run_session(SessionConfig(rounds=rounds, seed=0, source=SingletSource()), path)
     body = "\n".join([protocol.TRANSCRIPT_HEADER]
