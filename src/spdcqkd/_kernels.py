@@ -10,7 +10,8 @@ the record from a per-session template (`lookup_tables`).  It makes the same
 float comparisons as a per-group `searchsorted`, so records are unchanged.
 The template holds four rows per outcome row, one per pair of double-click
 draws, so a round's record is exactly one template row, and a session can
-be tallied from how many rounds drew each row.
+be tallied from how many rounds drew each row.  `template_probabilities`
+gives the exact probability of each row, the expectation of those counts.
 
 Draw slots per round: 0 scenario, 1 Alice basis, 2 Bob basis, 3 outcome row,
 4 Alice double-click bit, 5 Bob double-click bit (4 and 5 pick one of the
@@ -78,6 +79,20 @@ def lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1, row_e2,
     template = np.zeros((groups * width, 4, N_COLS), dtype=np.int8)
     template[slot] = rows
     return thresholds.reshape(groups, width), template.reshape(-1, N_COLS)
+
+
+def template_probabilities(scen_cum, thresholds) -> np.ndarray:
+    """float64[len(template)]: the exact probability that a round draws
+    each row of `lookup_tables`' template.
+
+    A row's probability is its scenario's (from `scen_cum`) times 1/4 for
+    the basis pair, times its share of its group's `row_cum` (from
+    `thresholds`), times 1/4 for the pair of double-click draws; the
+    padding rows get 0.
+    """
+    scen = np.diff(scen_cum, prepend=0.0)
+    share = np.diff(np.where(np.isinf(thresholds), 1.0, thresholds), axis=1, prepend=0.0)
+    return np.repeat((share * np.repeat(scen / 16.0, 4)[:, None]).ravel(), 4)
 
 
 def sample_rounds(u, scen_cum, thresholds, template, out=None, counts=None) -> np.ndarray:

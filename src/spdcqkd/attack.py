@@ -23,7 +23,7 @@ with anti-correlated key rounds kept at error rate 1/6.
 
 Intercept-resend measures an (at most one-photon) channel in the
 eavesdropper's basis and resends the observed polarization; its branches
-are enumerated exactly too, and the sampled form draws one of them.
+are enumerated exactly too.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .fock import FockError, ModeLabel, ModeRegistry, StateVector, attack_registry
 from .optics import DA, HV, BasisAngle, beamsplitter_50_50, qnd_count, rotate_polarization
@@ -128,11 +126,6 @@ def attack_four_photon(registry: ModeRegistry | None = None) -> StateVector:
     return st if registry == reg8 else st.embed(registry)
 
 
-class InterceptResult(NamedTuple):
-    bit: int | None  # eavesdropper's measured bit; None if the channel was empty
-    state: StateVector
-
-
 def intercept_branches(state: StateVector, party: str, channel: int,
                        basis: BasisAngle | None) -> list[tuple[float, StateVector, int]]:
     """Every outcome of intercept-resend on one channel: (probability, state, bit).
@@ -161,21 +154,3 @@ def intercept_branches(state: StateVector, party: str, channel: int,
             out.append((w * prob, post, bit))
     return out
 
-
-def intercept_resend(state: StateVector, party: str, channel: int,
-                     eve_basis: BasisAngle, rng: np.random.Generator) -> InterceptResult:
-    """Measure one (at most single-photon) channel in eve_basis and resend.
-
-    Draws one of intercept_branches with one uniform; an empty channel
-    resends nothing (bit None).
-    """
-    branches = intercept_branches(state, party, channel, eve_basis)
-    u = rng.random() * sum(p for p, _, _ in branches)
-    acc = 0.0
-    _, post, bit = branches[-1]
-    for p, st, b in branches:
-        acc += p
-        if u < acc:
-            post, bit = st, b
-            break
-    return InterceptResult(None if bit < 0 else bit, post)

@@ -14,8 +14,7 @@ Conventions fixed here and relied on everywhere else:
   output mode must start in vacuum.
 * Threshold detectors per channel: two detectors (one per polarization slot),
   outcome classes NoClick / Bit0 / Bit1 / DoubleClick on the (any photons in
-  slot 0, any in slot 1) pattern.  Double clicks get a uniformly random
-  assigned bit from the caller's RNG stream.
+  slot 0, any in slot 1) pattern.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 from .fock import FockError, ModeCapError, ModeLabel, StateVector
 
@@ -51,12 +48,6 @@ class OutcomeKind(IntEnum):
     BIT0 = 1
     BIT1 = 2
     DOUBLE = 3
-
-
-@dataclass(frozen=True)
-class DetectionOutcome:
-    kind: OutcomeKind
-    bit: int | None  # 0/1; assigned at random for DOUBLE, None for NO_CLICK
 
 
 class CountBranch(NamedTuple):
@@ -259,37 +250,3 @@ def joint_click_probabilities(state: StateVector,
     return [ClickProbability(tuple([_KINDS[k] for k in kinds]), _squared_norm(buckets[kinds]))
             for kinds in sorted(buckets)]
 
-
-def threshold_detect(state: StateVector, party: str, channel: int,
-                     basis: BasisAngle, rng: np.random.Generator
-                     ) -> tuple[DetectionOutcome, StateVector]:
-    """Threshold-detect one channel in the given basis.
-
-    Samples the click class with Born probabilities (one uniform draw), then,
-    only for a double click, draws the assigned bit (second uniform draw).
-    The returned post state is renormalized, re-expressed in the lab frame,
-    and keeps the absorbed photons in the measured channel's slots.
-    """
-    branches = joint_threshold_branches(state, [(party, channel, basis)])
-    total = sum(b.probability for b in branches)
-    if total <= 0.0:
-        raise FockError("cannot detect on a zero state")
-    u = rng.random() * total
-    acc = 0.0
-    picked = branches[-1]
-    for b in branches:
-        acc += b.probability
-        if u < acc:
-            picked = b
-            break
-    kind = picked.kinds[0]
-    if kind == OutcomeKind.DOUBLE:
-        bit = 0 if rng.random() < 0.5 else 1
-    elif kind == OutcomeKind.NO_CLICK:
-        bit = None
-    else:
-        bit = 0 if kind == OutcomeKind.BIT0 else 1
-    post = picked.state
-    if basis.theta != 0.0:
-        post = rotate_polarization(post, party, channel, -basis.theta)
-    return DetectionOutcome(kind, bit), post

@@ -180,6 +180,10 @@ class ConfigError(ValueError):
     pass
 
 
+# the intercept bases a config dict can name
+_BASIS_NAME = {None: "random", HV: "HV", DA: "DA"}
+
+
 def config_to_dict(config: SessionConfig) -> dict:
     if isinstance(config.source, SingletSource):
         source = {"kind": "singlet"}
@@ -194,8 +198,10 @@ def config_to_dict(config: SessionConfig) -> dict:
         eve = {"kind": "split", "max_attempts": config.eve.config.max_attempts}
     else:
         basis = config.eve.basis
-        eve = {"kind": "intercept",
-               "basis": "random" if basis is None else ("HV" if basis.theta == 0.0 else "DA")}
+        if basis not in _BASIS_NAME:
+            raise ConfigError(f"eve.basis at angle {basis.theta} has no dict form; "
+                              "only HV, DA and random do")
+        eve = {"kind": "intercept", "basis": _BASIS_NAME[basis]}
     return {"rounds": config.rounds, "seed": config.seed, "source": source,
             "eve": eve, "double_click_policy": config.double_click_policy}
 
@@ -668,37 +674,35 @@ def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
     return tally.report()
 
 
-def eve_mutual_information(config: SessionConfig) -> tuple[float, int, dict]:
-    """Empirical I(Alice bit; eavesdropper record) over sifted rounds, in bits.
+def eve_mutual_information(config: SessionConfig) -> float:
+    """Exact I(Alice bit; eavesdropper record) over sifted rounds, in bits.
 
     The eavesdropper's record is the pair of tap-channel threshold outcomes
     read in the disclosed basis (split attack) or her intercept bit
     (intercept-resend); rounds where she holds nothing count as a fixed
-    'empty' symbol.  Returns (mi_bits, sifted_rounds, joint counts).
+    'empty' symbol.  The joint distribution is the session template's
+    sifted rows, each weighted by the exact probability that a round draws
+    it, so the sift and double-click rules are the sampler's own; no round
+    is drawn, and `rounds` and `seed` do not matter.
     """
-    counts: dict[tuple[int, int, int], int] = {}
-    for _, rec, _ in _simulate(config):
-        sif = rec[:, 7] == 1
-        sub = rec[sif]
-        enc = ((sub[:, 5].astype(np.int64) * 3 + (sub[:, 8] + 1)) * 3
-               + (sub[:, 9] + 1))
-        for code, n in zip(*np.unique(enc, return_counts=True)):
-            code = int(code)
-            key = (code // 9, code % 9 // 3 - 1, code % 3 - 1)
-            counts[key] = counts.get(key, 0) + int(n)
-    total = sum(counts.values())
-    if total == 0:
-        return 0.0, 0, counts
-    pa: dict[int, float] = {}
-    pe: dict[tuple[int, int], float] = {}
-    for (a, e1, e2), n in counts.items():
-        pa[a] = pa.get(a, 0.0) + n / total
-        pe[(e1, e2)] = pe.get((e1, e2), 0.0) + n / total
-    mi = 0.0
-    for (a, e1, e2), n in counts.items():
-        p = n / total
-        mi += p * math.log2(p / (pa[a] * pe[(e1, e2)]))
-    return mi, total, counts
+    tables = _build_tables(config)
+    thresholds, template = _kernels.lookup_tables(
+        tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
+        tables.row_e1, tables.row_e2, config.double_click_policy == "assign")
+    prob = _kernels.template_probabilities(tables.scen_cum, thresholds)
+    sifted = template[:, 7] == 1
+    rows = template[sifted].astype(np.intp)
+    # joint[alice bit, 3 * (e1 + 1) + (e2 + 1)]
+    joint = np.bincount(rows[:, 5] * 9 + (rows[:, 8] + 1) * 3 + rows[:, 9] + 1,
+                        prob[sifted], minlength=18).reshape(2, 9)
+    pa = joint.sum(axis=1, keepdims=True)
+    pe = joint.sum(axis=0, keepdims=True)
+    total = pa.sum()
+    if total == 0.0:
+        return 0.0  # nothing sifts, e.g. a source that emits vacuum only
+    held = joint > 0
+    # unnormalised sums: a record independent of the bit gives log2(1) = 0 exactly
+    return float(np.sum(joint[held] * np.log2(joint[held] * total / (pa * pe)[held])) / total)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
-from spdcqkd.attack import (AttackConfig, attack_four_photon, intercept_resend,
+from spdcqkd.attack import (AttackConfig, attack_four_photon, intercept_branches,
                             split_attack_branches, split_channel)
 from spdcqkd.fock import FockError, StateVector, attack_registry, source_registry
 from spdcqkd.optics import DA, HV
@@ -113,37 +112,47 @@ def test_attack_config_validation():
         AttackConfig(max_attempts=0)
 
 
-def test_intercept_resend_collapses_partner():
-    st = singlet_state()
-    bits = set()
-    for seed in range(12):
-        res = intercept_resend(st, "A", 0, HV, np.random.default_rng(seed))
-        bits.add(res.bit)
+def test_intercept_branches_collapse_partner():
+    branches = intercept_branches(singlet_state(), "A", 0, HV)
+    assert sorted(bit for _, _, bit in branches) == [0, 1]
+    for prob, post, bit in branches:
+        assert prob == pytest.approx(0.5)
         # partner photon is anti-correlated with the measured bit
-        idx = 2 + (1 - res.bit)
-        prob, _ = res.state.project(lambda occ, i=idx: occ[i] == 1)
-        assert prob == pytest.approx(1.0)
-    assert bits == {0, 1}
+        idx = 2 + (1 - bit)
+        p_partner, _ = post.project(lambda occ, i=idx: occ[i] == 1)
+        assert p_partner == pytest.approx(1.0)
 
 
-def test_intercept_resend_wrong_basis_decoheres():
+def test_intercept_branches_wrong_basis_decoheres():
     # Eve reads D/A; the resent photon is a D/A eigenstate, so Alice's H/V
     # outcome no longer pins down Bob's
-    st = singlet_state()
-    res = intercept_resend(st, "A", 0, DA, np.random.default_rng(5))
-    prob_h, _ = res.state.project(lambda occ: occ[0] == 1)
-    prob_v, _ = res.state.project(lambda occ: occ[1] == 1)
-    assert prob_h == pytest.approx(0.5, abs=1e-12)
-    assert prob_v == pytest.approx(0.5, abs=1e-12)
+    branches = intercept_branches(singlet_state(), "A", 0, DA)
+    assert len(branches) == 2
+    for _, post, _ in branches:
+        prob_h, _ = post.project(lambda occ: occ[0] == 1)
+        prob_v, _ = post.project(lambda occ: occ[1] == 1)
+        assert prob_h == pytest.approx(0.5, abs=1e-12)
+        assert prob_v == pytest.approx(0.5, abs=1e-12)
 
 
-def test_intercept_resend_empty_channel():
+def test_intercept_branches_empty_channel():
     st = StateVector.vacuum(source_registry())
-    res = intercept_resend(st, "A", 0, HV, np.random.default_rng(0))
-    assert res.bit is None
+    branches = intercept_branches(st, "A", 0, HV)
+    assert [(prob, bit) for prob, _, bit in branches] == [(1.0, -1)]
+    assert_states_close(branches[0][1], st)
 
 
-def test_intercept_resend_rejects_multiphoton_channel():
+def test_intercept_branches_reject_multiphoton_channel():
     st = StateVector(source_registry(), {(2, 0, 0, 2): 1.0})
     with pytest.raises(FockError):
-        intercept_resend(st, "A", 0, HV, np.random.default_rng(0))
+        intercept_branches(st, "A", 0, HV)
+
+
+@pytest.mark.parametrize("basis", [None, HV, DA], ids=["random", "HV", "DA"])
+def test_intercept_branch_probabilities_sum_to_squared_norm(basis):
+    # a one-photon channel in superposition with vacuum, not normalized
+    reg = source_registry()
+    st = singlet_state(reg) * 0.6 + StateVector(reg, {(0, 0, 1, 0): 0.3j})
+    branches = intercept_branches(st, "A", 0, basis)
+    assert sum(prob for prob, _, _ in branches) == pytest.approx(st.norm_sq(), rel=1e-12)
+    assert {bit for _, _, bit in branches} == {-1, 0, 1}

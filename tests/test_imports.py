@@ -3,7 +3,8 @@
 Each module under `src/` and `tests/` is parsed, not imported.  A name
 counts as used when it appears anywhere in the module's syntax tree,
 annotations included.  `from __future__` imports and the names a package
-re-exports through `__all__` are exempt.
+re-exports through `__all__` are exempt.  The package's `__all__` must
+list exactly the names its `__init__` imports.
 """
 
 import ast
@@ -56,3 +57,15 @@ def test_check_finds_an_unused_import():
            "__all__ = ['d']\n"
            "def f(x: b) -> None:\n    return os.sep\n")
     assert unused_imports(src) == ["line 3: math"]
+
+
+def test_package_exports_exactly_its_imports():
+    """`__all__` lists every name `__init__` imports, no other, and each
+    resolves: an export of a deleted name fails here, not at import time."""
+    import spdcqkd
+
+    tree = ast.parse((ROOT / "src" / "spdcqkd" / "__init__.py").read_text())
+    assert sorted(spdcqkd.__all__) == sorted(_imported(tree))
+    assert len(set(spdcqkd.__all__)) == len(spdcqkd.__all__)
+    for name in spdcqkd.__all__:
+        assert hasattr(spdcqkd, name), name

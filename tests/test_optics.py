@@ -9,7 +9,7 @@ from spdcqkd.fock import (FockError, ModeCapError, ModeLabel, StateVector, attac
                           source_registry)
 from spdcqkd.optics import (DA, HV, BasisAngle, OutcomeKind, beamsplitter_50_50,
                             joint_click_probabilities, joint_threshold_branches, qnd_count,
-                            rotate_polarization, threshold_detect)
+                            rotate_polarization)
 from spdcqkd.source import SpdcParams, spdc_state
 
 from test_golden import scenario_measurements
@@ -295,55 +295,8 @@ def test_qnd_count_requires_modes():
 # -- threshold detection ----------------------------------------------------
 
 
-def test_threshold_detect_singlet_anticorrelation():
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        a, post = threshold_detect(singlet(), "A", 0, HV, rng)
-        b, _ = threshold_detect(post, "B", 0, HV, rng)
-        assert a.kind in (OutcomeKind.BIT0, OutcomeKind.BIT1)
-        assert b.bit == 1 - a.bit
-
-
-def test_threshold_detect_two_photons_one_detector():
-    rng = np.random.default_rng(0)
-    out, _ = threshold_detect(ket(source_registry(), (2, 0, 0, 0)), "A", 0, HV, rng)
-    assert out.kind == OutcomeKind.BIT0
-    assert out.bit == 0
-
-
-def test_threshold_detect_vacuum_never_clicks():
-    rng = np.random.default_rng(0)
-    out, _ = threshold_detect(StateVector.vacuum(source_registry()), "A", 0, HV, rng)
-    assert out.kind == OutcomeKind.NO_CLICK
-    assert out.bit is None
-
-
-def test_threshold_detect_double_click_assigns_random_bit():
-    reg = source_registry()
-    st = ket(reg, (1, 1, 0, 0))
-    seen = set()
-    for seed in range(20):
-        out, _ = threshold_detect(st, "A", 0, HV, np.random.default_rng(seed))
-        assert out.kind == OutcomeKind.DOUBLE
-        seen.add(out.bit)
-    assert seen == {0, 1}
-
-
-def test_threshold_detect_global_phase_invariance():
-    st = singlet()
-    phased = st * cmath.exp(0.7j)
-    for seed in range(8):
-        o1, _ = threshold_detect(st, "A", 0, DA, np.random.default_rng(seed))
-        o2, _ = threshold_detect(phased, "A", 0, DA, np.random.default_rng(seed))
-        assert (o1.kind, o1.bit) == (o2.kind, o2.bit)
-
-
-def test_threshold_detect_post_state_is_conditional():
-    rng = np.random.default_rng(1)
-    out, post = threshold_detect(singlet(), "A", 0, HV, rng)
-    # B holds the opposite polarization with certainty
-    prob, _ = post.project(lambda occ: occ[2 + (1 - out.bit)] == 1)
-    assert prob == pytest.approx(1.0)
+def kinds_and_probabilities(state, assignments):
+    return [(b.kinds, b.probability) for b in joint_threshold_branches(state, assignments)]
 
 
 def test_joint_threshold_branches_probabilities():
@@ -354,6 +307,37 @@ def test_joint_threshold_branches_probabilities():
         assert b.state.norm() == pytest.approx(1.0)
         assert b.probability == pytest.approx(0.25)
     assert len(branches) == 4
+
+    # the singlet anticorrelates in a shared basis, and Alice's click leaves
+    # Bob's photon in the opposite polarization with certainty
+    got = kinds_and_probabilities(st, [("A", 0, HV), ("B", 0, HV)])
+    assert [kinds for kinds, _ in got] == [(OutcomeKind.BIT0, OutcomeKind.BIT1),
+                                           (OutcomeKind.BIT1, OutcomeKind.BIT0)]
+    assert [p for _, p in got] == pytest.approx([0.5, 0.5])
+    for b in joint_threshold_branches(st, [("A", 0, HV)]):
+        bit = 0 if b.kinds == (OutcomeKind.BIT0,) else 1
+        prob, _ = b.state.project(lambda occ: occ[2 + (1 - bit)] == 1)
+        assert prob == pytest.approx(1.0)
+
+    # two photons on one detector click it alone; vacuum never clicks; one
+    # photon on each detector is a double click
+    reg = source_registry()
+    assert kinds_and_probabilities(ket(reg, (2, 0, 0, 0)), [("A", 0, HV)]) == [
+        ((OutcomeKind.BIT0,), pytest.approx(1.0))]
+    assert kinds_and_probabilities(StateVector.vacuum(reg), [("A", 0, HV)]) == [
+        ((OutcomeKind.NO_CLICK,), 1.0)]
+    assert kinds_and_probabilities(ket(reg, (1, 1, 0, 0)), [("A", 0, HV)]) == [
+        ((OutcomeKind.DOUBLE,), pytest.approx(1.0))]
+
+    # a global phase leaves the probabilities alone: bit for bit when it is
+    # exact in floating point, to rounding otherwise
+    want = kinds_and_probabilities(st, [("A", 0, DA)])
+    for phase in (1j, -1.0):
+        got = kinds_and_probabilities(st * phase, [("A", 0, DA)])
+        assert [(kinds, p.hex()) for kinds, p in got] == [(kinds, p.hex()) for kinds, p in want]
+    got = kinds_and_probabilities(st * cmath.exp(0.7j), [("A", 0, DA)])
+    assert [kinds for kinds, _ in got] == [kinds for kinds, _ in want]
+    assert [p for _, p in got] == pytest.approx([p for _, p in want], rel=1e-15)
 
 
 @pytest.mark.parametrize("name,source,eve", BUILDABLE, ids=[name for name, _, _ in BUILDABLE])

@@ -10,7 +10,7 @@ import pytest
 from spdcqkd import _kernels, _replay, protocol
 from spdcqkd.attack import AttackConfig
 from spdcqkd.fock import FockError
-from spdcqkd.optics import DA, HV
+from spdcqkd.optics import DA, HV, BasisAngle
 from spdcqkd.protocol import (AttackMixture, ConfigError, InterceptResend,
                               SessionConfig, SingletSource, SpdcSource,
                               SplitAttack, TranscriptError, config_from_dict,
@@ -57,6 +57,15 @@ def test_config_dict_roundtrip():
     ]
     for cfg in configs:
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_config_to_dict_rejects_a_basis_it_cannot_name():
+    cfg = SessionConfig(rounds=5, seed=2, source=SingletSource(),
+                        eve=InterceptResend(BasisAngle(0.3)))
+    with pytest.raises(ConfigError, match="eve.basis at angle 0.3"):
+        config_to_dict(cfg)
+    same_as_da = dataclasses.replace(cfg, eve=InterceptResend(BasisAngle(math.pi / 4)))
+    assert config_to_dict(same_as_da)["eve"] == {"kind": "intercept", "basis": "DA"}
 
 
 @pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
@@ -235,8 +244,7 @@ def test_split_attack_on_spdc_source():
     assert rep.sifted_length > 0
     assert rep.error_count > 0  # two-pair emissions leak and err at rate 1/6
     assert rep.no_click_count > 0  # vacuum emissions never click
-    mi, n, _ = eve_mutual_information(cfg)
-    assert mi > 0.0
+    assert eve_mutual_information(cfg) > 0.0
 
 
 def test_split_attack_failure_branch_changes_tables():
@@ -382,21 +390,102 @@ def test_live_tally_from_slot_counts_equals_record_tally(monkeypatch, shape, pol
 # -- eavesdropper information -----------------------------------------------
 
 
-def test_eve_mutual_information_full_attack():
-    cfg = SessionConfig(rounds=100000, seed=5, source=AttackMixture(1.0))
-    mi, n, _ = eve_mutual_information(cfg)
-    assert n > 40000
-    # statistical agreement with the exact value, and under the Holevo bound
-    assert abs(mi - EVE_MI_P1) < 0.01
-    assert mi < 0.4689955935892812 + 0.01
+class SlotCounts:
+    """Takes a tally's place in `_simulate` and keeps what it is given: the
+    template and how many rounds drew each of its rows."""
+
+    template = counts = None
+
+    def update(self, template, tags, scen_emission, weights):
+        self.template = template
+        self.counts = weights.copy() if self.counts is None else self.counts + weights
+
+
+@pytest.mark.parametrize("policy", ["assign", "discard"])
+def test_drawn_template_rows_match_exact_probabilities(policy):
+    """Monte Carlo against the exact chain row by row: on the paper scenario,
+    every template row's count is within z = 6 of its exact probability,
+    and a row of probability 0 is never drawn."""
+    config = SessionConfig(rounds=200000, seed=21, source=SpdcSource(SpdcParams(0.3)),
+                           eve=SplitAttack(AttackConfig(max_attempts=3)),
+                           double_click_policy=policy)
+    slots = SlotCounts()
+    for _, _, tables in protocol._simulate(config, slots):
+        pass
+    thresholds, template = _kernels.lookup_tables(
+        tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
+        tables.row_e1, tables.row_e2, policy == "assign")
+    assert np.array_equal(slots.template, template)
+    prob = _kernels.template_probabilities(tables.scen_cum, thresholds)
+    assert prob.shape == slots.counts.shape
+    assert prob.sum() == pytest.approx(1.0, abs=1e-12)
+    assert slots.counts.sum() == config.rounds
+    assert not slots.counts[prob == 0.0].any()
+    expected = config.rounds * prob
+    tested = expected >= 25
+    assert tested.sum() > 100
+    z = (slots.counts[tested] - expected[tested]) / np.sqrt(expected[tested] * (1.0 - prob[tested]))
+    assert np.abs(z).max() < 6.0
+
+
+def test_eve_mutual_information_full_attack(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the exact information draws no rounds")
+
+    monkeypatch.setattr(protocol, "_uniform_block", no_draws)
+    monkeypatch.setattr(_kernels, "sample_rounds", no_draws)
+    for rounds, seed in ((1, 0), (100000, 5)):
+        mi = eve_mutual_information(SessionConfig(rounds=rounds, seed=seed,
+                                                  source=AttackMixture(1.0)))
+        assert type(mi) is float
+        assert abs(mi - EVE_MI_P1) < 1e-12
+    assert EVE_MI_P1 < 0.4689955935892812  # under the Holevo bound
+
+
+def reference_eve_information(config):
+    """I(Alice bit; E1, E2) over sifted rounds from the outcome rows of
+    `_build_tables`, with the sift and double-click rules written out."""
+    tables = protocol._build_tables(config)
+    scen = np.diff(tables.scen_cum, prepend=0.0)
+    joint = {}
+    for g, (off, n) in enumerate(zip(tables.grp_off.tolist(), tables.grp_len.tolist())):
+        if g // 2 % 2 != g % 2:
+            continue  # the bases differ
+        cum = [0.0] + tables.row_cum[off:off + n].tolist()
+        for r in range(n):
+            a, b = int(tables.row_a[off + r]), int(tables.row_b[off + r])
+            if 0 in (a, b) or (config.double_click_policy == "discard" and 3 in (a, b)):
+                continue
+            p = scen[g // 4] / 4 * (cum[r + 1] - cum[r])
+            for bit, w in ((0, 0.5), (1, 0.5)) if a == 3 else ((a - 1, 1.0),):
+                key = (bit, int(tables.row_e1[off + r]), int(tables.row_e2[off + r]))
+                joint[key] = joint.get(key, 0.0) + p * w
+    total = sum(joint.values())
+    pa, pe = {}, {}
+    for (a, e1, e2), p in joint.items():
+        pa[a] = pa.get(a, 0.0) + p / total
+        pe[e1, e2] = pe.get((e1, e2), 0.0) + p / total
+    return sum(p / total * math.log2(p / total / (pa[a] * pe[e1, e2]))
+               for (a, e1, e2), p in joint.items() if p > 0.0)
+
+
+@pytest.mark.parametrize("policy", ["assign", "discard"])
+def test_eve_mutual_information_matches_reference(policy):
+    configs = [(SpdcSource(SpdcParams(0.3)), SplitAttack(AttackConfig(max_attempts=3))),
+               (SpdcSource(SpdcParams(0.5, n_max=3)), SplitAttack(AttackConfig(max_attempts=1))),
+               (AttackMixture(0.4), InterceptResend()),
+               (SingletSource(), InterceptResend(HV))]
+    for source, eve in configs:
+        config = SessionConfig(rounds=1, seed=0, source=source, eve=eve,
+                               double_click_policy=policy)
+        assert eve_mutual_information(config) == pytest.approx(
+            reference_eve_information(config), rel=1e-12, abs=1e-15)
 
 
 def test_eve_mutual_information_no_eavesdropper():
-    cfg = SessionConfig(rounds=5000, seed=5, source=SingletSource())
-    mi, n, counts = eve_mutual_information(cfg)
-    assert mi == 0.0
-    assert n > 0
-    assert all(e1 == -1 and e2 == -1 for _, e1, e2 in counts)
+    # SPDC at tanh_xi 0 emits vacuum only: nothing sifts
+    for source in (SingletSource(), SpdcSource(SpdcParams(0.3)), SpdcSource(SpdcParams(0.0))):
+        assert eve_mutual_information(SessionConfig(rounds=5000, seed=5, source=source)) == 0.0
 
 
 # -- transcript and replay --------------------------------------------------
