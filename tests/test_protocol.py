@@ -439,7 +439,7 @@ def test_eve_mutual_information_full_attack(monkeypatch):
                                                   source=AttackMixture(1.0)))
         assert type(mi) is float
         assert abs(mi - EVE_MI_P1) < 1e-12
-    assert EVE_MI_P1 < 0.4689955935892812  # under the Holevo bound
+        assert mi < 0.4689955935892812  # under the Holevo bound
 
 
 def reference_eve_information(config):
