@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spdcqkd import optics
+from spdcqkd import _kernels, optics
 from spdcqkd.fock import (FockError, ModeCapError, ModeLabel, StateVector, attack_registry,
                           source_registry)
 from spdcqkd.optics import (DA, HV, BasisAngle, OutcomeKind, beamsplitter_50_50,
@@ -308,29 +308,45 @@ def test_joint_threshold_branches_probabilities():
         assert b.probability == pytest.approx(0.25)
     assert len(branches) == 4
 
-    # the singlet anticorrelates in a shared basis, and Alice's click leaves
-    # Bob's photon in the opposite polarization with certainty
-    got = kinds_and_probabilities(st, [("A", 0, HV), ("B", 0, HV)])
+
+def test_threshold_detect_singlet_anticorrelation():
+    got = kinds_and_probabilities(singlet(), [("A", 0, HV), ("B", 0, HV)])
     assert [kinds for kinds, _ in got] == [(OutcomeKind.BIT0, OutcomeKind.BIT1),
                                            (OutcomeKind.BIT1, OutcomeKind.BIT0)]
     assert [p for _, p in got] == pytest.approx([0.5, 0.5])
-    for b in joint_threshold_branches(st, [("A", 0, HV)]):
-        bit = 0 if b.kinds == (OutcomeKind.BIT0,) else 1
-        prob, _ = b.state.project(lambda occ: occ[2 + (1 - bit)] == 1)
-        assert prob == pytest.approx(1.0)
 
-    # two photons on one detector click it alone; vacuum never clicks; one
-    # photon on each detector is a double click
-    reg = source_registry()
-    assert kinds_and_probabilities(ket(reg, (2, 0, 0, 0)), [("A", 0, HV)]) == [
+
+def test_threshold_detect_two_photons_one_detector():
+    st = ket(source_registry(), (2, 0, 0, 0))
+    assert kinds_and_probabilities(st, [("A", 0, HV)]) == [
         ((OutcomeKind.BIT0,), pytest.approx(1.0))]
-    assert kinds_and_probabilities(StateVector.vacuum(reg), [("A", 0, HV)]) == [
-        ((OutcomeKind.NO_CLICK,), 1.0)]
-    assert kinds_and_probabilities(ket(reg, (1, 1, 0, 0)), [("A", 0, HV)]) == [
-        ((OutcomeKind.DOUBLE,), pytest.approx(1.0))]
 
-    # a global phase leaves the probabilities alone: bit for bit when it is
-    # exact in floating point, to rounding otherwise
+
+def test_threshold_detect_vacuum_never_clicks():
+    st = StateVector.vacuum(source_registry())
+    assert kinds_and_probabilities(st, [("A", 0, HV)]) == [((OutcomeKind.NO_CLICK,), 1.0)]
+
+
+def test_threshold_detect_double_click_assigns_random_bit():
+    st = ket(source_registry(), (1, 1, 0, 0))
+    assert kinds_and_probabilities(st, [("A", 0, HV)]) == [
+        ((OutcomeKind.DOUBLE,), pytest.approx(1.0))]
+    # the session template gives Alice's double click each bit on two of
+    # its four equally likely draw pairs
+    thresholds, template = _kernels.lookup_tables(
+        np.arange(4), np.ones(4, dtype=np.intp), np.ones(4), np.full(4, 3, dtype=np.int8),
+        np.ones(4, dtype=np.int8), np.full(4, -1, dtype=np.int8),
+        np.full(4, -1, dtype=np.int8), True)
+    probs = _kernels.template_probabilities(np.ones(1), thresholds)
+    assert template[:, 3].tolist() == [3] * 16
+    assert template[:, 5].tolist() == [0, 0, 1, 1] * 4
+    assert probs.tolist() == [1 / 16] * 16
+
+
+def test_threshold_detect_global_phase_invariance():
+    # bit for bit when the phase is exact in floating point, to rounding
+    # otherwise
+    st = singlet()
     want = kinds_and_probabilities(st, [("A", 0, DA)])
     for phase in (1j, -1.0):
         got = kinds_and_probabilities(st * phase, [("A", 0, DA)])
@@ -338,6 +354,15 @@ def test_joint_threshold_branches_probabilities():
     got = kinds_and_probabilities(st * cmath.exp(0.7j), [("A", 0, DA)])
     assert [kinds for kinds, _ in got] == [kinds for kinds, _ in want]
     assert [p for _, p in got] == pytest.approx([p for _, p in want], rel=1e-15)
+
+
+def test_threshold_detect_post_state_is_conditional():
+    # each of Alice's clicks leaves Bob's photon in the opposite polarization
+    branches = joint_threshold_branches(singlet(), [("A", 0, HV)])
+    assert [b.kinds for b in branches] == [(OutcomeKind.BIT0,), (OutcomeKind.BIT1,)]
+    for bit, b in enumerate(branches):
+        prob, _ = b.state.project(lambda occ: occ[2 + (1 - bit)] == 1)
+        assert prob == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("name,source,eve", BUILDABLE, ids=[name for name, _, _ in BUILDABLE])
