@@ -2,9 +2,10 @@
 
 `read_trailer` reads a transcript's checksum line from the end of the file;
 `body_reads` streams the bytes before it; `parse_rows` checks every field
-of a block of whole lines at once with numpy and returns their records.  The
-first row a block check rejects goes to `check_row`, which names its error
-and line as a row-by-row parser would.
+of a block of whole lines at once with numpy and returns their row codes,
+the codes `protocol` writes and tallies, not records.  The first row a
+block check rejects goes to `check_row`, which names its error and line as
+a row-by-row parser would.
 
 `protocol` imports this module on first use, so a process that replays no
 transcript neither compiles nor loads it.
@@ -19,8 +20,7 @@ import tempfile
 
 import numpy as np
 
-from ._kernels import N_COLS
-from .protocol import _TAIL, _TAIL_FIELDS, TranscriptError
+from .protocol import _CODES, _TAIL, _TAIL_FIELDS, TranscriptError
 
 # Bytes per read of the transcript body, and bytes read to find the checksum
 # line (the longest valid one is 72).
@@ -133,7 +133,7 @@ def token_lookups() -> list[np.ndarray]:
 
 def parse_rows(block: bytes, first: int, tags: list[str], keys: dict[bytes, int],
                 lookups: list[np.ndarray]) -> np.ndarray:
-    """Records of the rows in `block`, whole lines from round `first` on.
+    """int32 row codes of the rows in `block`, whole lines from round `first` on.
 
     Every field of every row is checked at once; the first row that fails
     goes to check_row for its error.  Source tags first seen here are
@@ -167,19 +167,22 @@ def parse_rows(block: bytes, first: int, tags: list[str], keys: dict[bytes, int]
 
     # the tail: a comma and a known token per field
     tail = ends - _TAIL
-    rec = np.empty((m, N_COLS), dtype=np.int8)
-    rec[:, 8:] = -1
+    code = np.zeros(m, dtype=np.int32)
+    indices = []
     pos = 1
-    for (col, tokens, first_value), lookup in zip(_TAIL_FIELDS, lookups):
+    for (_, tokens, _), lookup in zip(_TAIL_FIELDS, lookups):
         ok &= a[pos - 1:][tail] == 44
-        code = a[pos:][tail]
+        token = a[pos:][tail]
         if len(tokens[0]) == 2:
-            code = (code.astype(np.uint16) << 8) | a[pos + 1:][tail]
-        index = lookup[code]
+            token = (token.astype(np.uint16) << 8) | a[pos + 1:][tail]
+        index = lookup[token]
         ok &= index >= 0
-        rec[:, col] = index + first_value
+        code *= len(tokens)
+        code += index
+        indices.append(index)
         pos += len(tokens[0]) + 1
-    ok &= (rec[:, 7] == 0) | ((rec[:, 5] >= 0) & (rec[:, 6] >= 0))  # sifted: both bits
+    sifted, alice_bit, bob_bit = indices[4:]  # a bit field's token 0 is '-'
+    ok &= (sifted == 0) | ((alice_bit > 0) & (bob_bit > 0))  # sifted: both bits
     commas = a[:ends[-1] if m else 0] == 44
     if np.count_nonzero(commas) != 8 * m:  # some tag holds a comma
         ok &= np.add.reduceat(commas, starts, dtype=np.int64) == 8
@@ -221,5 +224,4 @@ def parse_rows(block: bytes, first: int, tags: list[str], keys: dict[bytes, int]
         check_row(block[line_bounds[0][bad]:line_bounds[1][bad]], first + bad, tags)
         raise RuntimeError(f"line {first + bad + 2}: rejected by the block parser "
                            "but not by the row check")
-    rec[:, 0] = tag_id
-    return rec
+    return tag_id.astype(np.int32) * _CODES + code

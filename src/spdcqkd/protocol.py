@@ -14,13 +14,13 @@ from the eavesdropper models in `attack` (split_attack_branches,
 intercept_branches); this module only dispatches to them.  The outcome rows
 need only click probabilities (`optics.joint_click_probabilities`), not
 post-measurement states.  Each round's record is one row of the sampler's
-template, and the sampler counts how many rounds drew each row, so a live
-session is tallied from those counts, one weighted key per template row;
-replay tallies the records it parses with the same key.  Every round owns
-a fixed block of DRAWS_PER_ROUND uniforms from a counter-based Philox
-stream keyed by the session seed, so rounds can be evaluated in any order
-or chunking with identical results; a session is reproduced bit-for-bit by
-its seed.
+template, and the sampler counts how many rounds drew each row.  Rounds
+are tallied by row code (the source tag and each fixed-width field's
+transcript token): a live session counts its template's codes, weighted by
+those counts, and replay the codes it parses.  Every round owns a fixed
+block of DRAWS_PER_ROUND uniforms from a counter-based Philox stream keyed
+by the session seed, so rounds can be evaluated in any order or chunking
+with identical results; a session is reproduced bit-for-bit by its seed.
 
 A session longer than one chunk (CHUNK_ROUNDS), in a process that may run
 on more than one CPU, gets its uniforms in blocks of DRAW_BLOCK_ROUNDS with
@@ -81,12 +81,9 @@ from .source import SpdcParams, singlet_state, spdc_state
 
 CHUNK_ROUNDS = 1 << 16
 # Rounds per block a session longer than one chunk draws ahead (1 MB of
-# uniforms), rounds per piece of a block that either thread may draw, and
-# whether it draws ahead: None does when this process may run on more than
-# one CPU, True or False forces the choice (for tests).
+# uniforms), and rounds per piece of a block that either thread may draw.
 DRAW_BLOCK_ROUNDS = 1 << 14
 DRAW_PIECE_ROUNDS = 1 << 12
-DRAW_AHEAD: bool | None = None
 
 TRANSCRIPT_HEADER = ("round_idx,source_tag,alice_basis,bob_basis,"
                      "alice_outcome,bob_outcome,sifted_flag,alice_bit,bob_bit")
@@ -97,10 +94,14 @@ _BIT_TOKEN = {-1: "-", 0: "0", 1: "1"}
 # bob_basis, alice_outcome, bob_outcome, sifted_flag, alice_bit, bob_bit),
 # each a comma and one of its tokens: 18 bytes, e.g. ",HV,DA,b0,b1,1,0,1".
 # Per field: its record column, its tokens, and the value of the first token.
+# A row's code is its tag index, then its token index per field, in
+# row-major order: _CODES codes per tag.
 _BITS = tuple(_BIT_TOKEN.values())
 _TAIL_FIELDS = ((1, _BASIS_TOKEN, 0), (2, _BASIS_TOKEN, 0), (3, _KIND_TOKEN, 0),
                 (4, _KIND_TOKEN, 0), (7, ("0", "1"), 0), (5, _BITS, -1), (6, _BITS, -1))
 _TAIL = sum(1 + len(tokens[0]) for _, tokens, _ in _TAIL_FIELDS)
+_TAIL_SHAPE = tuple(len(tokens) for _, tokens, _ in _TAIL_FIELDS)
+_CODES = math.prod(_TAIL_SHAPE)
 
 # Rows formatted per transcript block.
 WRITE_ROWS = 8192
@@ -434,63 +435,42 @@ def _wilson_interval(hits: int, trials: int) -> list[float]:
 
 @dataclass
 class _Tally:
+    """Rounds counted by row code: counts[code] for the codes of `tags`."""
+
+    tags: list[str] = field(default_factory=list)
     rounds: int = 0
-    sifted: int = 0
-    errors: int = 0
-    double_clicks: int = 0
-    no_clicks: int = 0
-    source_counts: dict = field(default_factory=dict)
-    basis_sifted: list = field(default_factory=lambda: [0, 0])
-    basis_errors: list = field(default_factory=lambda: [0, 0])
+    counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
-    def update(self, rec: np.ndarray, tags: list[str], scen_emission: np.ndarray | None,
-               weights: np.ndarray | None = None):
-        """Count a record chunk with one bincount.
-
-        A round's key packs its column 0 (the scenario, or the emission
-        when `scen_emission` is None) with its Alice basis, sifted flag,
-        whether its bits differ, Alice kind and Bob kind: 128 bins per
-        column-0 value.  With `weights`, record i stands for weights[i]
-        rounds: a live session passes its template rows and how many
-        rounds drew each.
-        """
-        self.rounds += rec.shape[0] if weights is None else int(weights.sum())
-        col = np.ascontiguousarray(rec[:, :8].T)  # columns as rows: faster to combine
-        key = col[0].astype(np.intp)
-        differ = col[5] != col[6]
-        for value, bins in ((col[1], 2), (col[7], 2), (differ, 2), (col[3], 4), (col[4], 4)):
-            key *= bins
-            key += value
-        first = len(tags) if scen_emission is None else len(scen_emission)
+    def update(self, codes: np.ndarray, weights: np.ndarray | None = None):
+        """Count row codes with one bincount; with `weights`, code i stands
+        for weights[i] rounds (a live session's template rows)."""
+        self.rounds += codes.size if weights is None else int(weights.sum())
         # float64 weights sum whole counts exactly below 2**53
-        counts = np.bincount(key, weights, minlength=first * 128).astype(np.int64, copy=False)
-        counts = counts.reshape(first, 2, 2, 2, 4, 4)
-        emission = range(first) if scen_emission is None else scen_emission.tolist()
-        for e, c in zip(emission, counts.sum(axis=(1, 2, 3, 4, 5)).tolist()):
-            if c:
-                self.source_counts[tags[e]] = self.source_counts.get(tags[e], 0) + c
-        kinds = counts.sum(axis=(0, 1, 2, 3))  # [Alice kind, Bob kind]
-        self.double_clicks += int(kinds[3].sum() + kinds[:, 3].sum())
-        self.no_clicks += int(kinds[0].sum() + kinds[:, 0].sum())
-        sifted = counts[:, :, 1].sum(axis=(0, 3, 4))  # [Alice basis, bits differ]
-        for basis in (0, 1):
-            self.basis_sifted[basis] += int(sifted[basis].sum())
-            self.basis_errors[basis] += int(sifted[basis, 1])
-        self.sifted += int(sifted.sum())
-        self.errors += int(sifted[:, 1].sum())
+        counts = np.bincount(codes, weights, minlength=len(self.tags) * _CODES).astype(
+            np.int64, copy=False)
+        counts[:self.counts.size] += self.counts  # each tag met since then adds _CODES
+        self.counts = counts
 
     def report(self, checksum_ok: bool = True) -> "SessionReport":
-        qber = self.errors / self.sifted if self.sifted else 0.0
-        per_basis = {}
-        for basis in (0, 1):
-            n, e = self.basis_sifted[basis], self.basis_errors[basis]
-            per_basis[_BASIS_TOKEN[basis]] = {
-                "sifted": n, "errors": e, "qber": (e / n if n else 0.0)}
+        # [tag, Alice basis, Bob basis, Alice kind, Bob kind, sifted, Alice bit, Bob bit]
+        counts = self.counts.reshape((len(self.tags),) + _TAIL_SHAPE)
+        per_tag = counts.sum(axis=(1, 2, 3, 4, 5, 6, 7)).tolist()
+        kinds = counts.sum(axis=(0, 1, 2, 5, 6, 7))  # [Alice kind, Bob kind]
+        ends = (kinds.sum(axis=1) + kinds.sum(axis=0)).tolist()  # per kind, both parties
+        # sifted rounds: per Alice basis, the 3 x 3 grid of bit tokens, flat
+        bits = counts[..., 1, :, :].sum(axis=(0, 2, 3, 4)).reshape(2, 9).tolist()
+        sifted = [sum(grid) for grid in bits]
+        # an error is a pair of differing bit tokens: off the diagonal, every 4th cell
+        errors = [sum(grid) - sum(grid[::4]) for grid in bits]
+        per_basis = {_BASIS_TOKEN[basis]: {"sifted": n, "errors": e, "qber": (e / n if n else 0.0)}
+                     for basis, (n, e) in enumerate(zip(sifted, errors))}
+        n, e = sum(sifted), sum(errors)
+        qber = e / n if n else 0.0
         return SessionReport(
-            rounds=self.rounds, sifted_length=self.sifted, error_count=self.errors,
-            qber_hat=qber, qber_ci95=_wilson_interval(self.errors, self.sifted),
-            double_click_count=self.double_clicks, no_click_count=self.no_clicks,
-            source_counts=dict(sorted(self.source_counts.items())),
+            rounds=self.rounds, sifted_length=n, error_count=e,
+            qber_hat=qber, qber_ci95=_wilson_interval(e, n),
+            double_click_count=ends[3], no_click_count=ends[0],
+            source_counts=dict(sorted((tag, c) for tag, c in zip(self.tags, per_tag) if c)),
             per_basis=per_basis,
             leak=leak_vs_bound(min(1.0, 6.0 * qber)),
             checksum_ok=checksum_ok)
@@ -517,19 +497,31 @@ class SessionReport:
         return d
 
 
+def _row_codes(rec: np.ndarray, scen_emission: np.ndarray) -> np.ndarray:
+    """int32 row code of each record; column 0 holds the scenario, and
+    `scen_emission` maps it to its tag index."""
+    col = np.ascontiguousarray(rec[:, :8].T)  # columns as rows: faster to combine
+    code = scen_emission[col[0]].astype(np.int32)
+    shift = 0  # a token's index is its value less the field's first value
+    for c, tokens, first in _TAIL_FIELDS:
+        code *= len(tokens)
+        code += col[c]
+        shift = shift * len(tokens) + first
+    code -= shift
+    return code
+
+
 def _suffix_table(tags: list[str]) -> np.ndarray:
     """Row text after the round index for every row code: uint8[codes, width].
 
-    A row's code is its tag and its _TAIL_FIELDS token indices in
-    row-major order; rows are NUL-padded to the widest.
+    Rows are NUL-padded to the widest.
     """
-    shape = tuple(len(tokens) for _, tokens, _ in _TAIL_FIELDS)
-    tail = np.full(shape + (_TAIL + 1,), ord(","), dtype=np.uint8)
+    tail = np.full(_TAIL_SHAPE + (_TAIL + 1,), ord(","), dtype=np.uint8)
     pos = 1
     for axis, (_, tokens, _) in enumerate(_TAIL_FIELDS):
         width = len(tokens[0])
         tok = np.frombuffer("".join(tokens).encode("ascii"), dtype=np.uint8)
-        tok = tok.reshape((1,) * axis + (len(tokens),) + (1,) * (len(shape) - 1 - axis) + (width,))
+        tok = tok.reshape((len(tokens),) + (1,) * (len(_TAIL_SHAPE) - 1 - axis) + (width,))
         tail[..., pos:pos + width] = tok
         pos += width + 1
     tail[..., -1] = ord("\n")
@@ -550,10 +542,7 @@ def _transcript_block(rec: np.ndarray, start: int, table: np.ndarray,
     NUL-padded matrix; NUL is in no tag or token, so the text is the
     matrix's nonzero bytes.
     """
-    code = scen_emission[rec[:, 0]].astype(np.int32)
-    for col, tokens, first in _TAIL_FIELDS:
-        code *= len(tokens)
-        code += rec[:, col] - first
+    code = _row_codes(rec, scen_emission)
     n = rec.shape[0]
     width = len(str(start + n - 1))
     row = np.empty((n, width + table.shape[1]), dtype=np.uint8)
@@ -579,25 +568,33 @@ def _draws_ahead(rounds: int) -> bool:
     """Whether a session of `rounds` draws its next block on the drawer thread."""
     if rounds <= CHUNK_ROUNDS:
         return False
-    if DRAW_AHEAD is not None:
-        return DRAW_AHEAD
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
     return (os.cpu_count() or 1) > 1
+
+
+def _session_template(config: SessionConfig) -> tuple[_Tables, np.ndarray, np.ndarray]:
+    """The session's tables, and the sampler's thresholds and template."""
+    tables = _build_tables(config)
+    thresholds, template = _kernels.lookup_tables(
+        tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
+        tables.row_e1, tables.row_e2, config.double_click_policy == "assign")
+    return tables, thresholds, template
 
 
 def _simulate(config: SessionConfig, tally: _Tally | None = None):
     """Build the tables now (a FockError raises here); return an iterator of
     (start_round, record-chunk, tables).
 
-    With `tally`, each chunk is counted into it before it is yielded, from
-    how many of its rounds drew each template row, not from its records.
+    With `tally`, which takes the tables' tags, each chunk is counted into
+    it before it is yielded: the template's row codes, weighted by how many
+    of its rounds drew each template row, not its records.
     """
-    tables = _build_tables(config)
-    thresholds, template = _kernels.lookup_tables(
-        tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
-        tables.row_e1, tables.row_e2, config.double_click_policy == "assign")
+    tables, thresholds, template = _session_template(config)
     counts = None if tally is None else np.zeros(template.shape[0], dtype=np.intp)
+    if tally is not None:
+        tally.tags = tables.emission_tags
+        codes = _row_codes(template, tables.scen_emission)
     spans = [(start, min(CHUNK_ROUNDS, config.rounds - start))
              for start in range(0, config.rounds, CHUNK_ROUNDS)]
 
@@ -606,7 +603,7 @@ def _simulate(config: SessionConfig, tally: _Tally | None = None):
 
     def tallied(start: int, rec: np.ndarray):
         if tally is not None:
-            tally.update(template, tables.emission_tags, tables.scen_emission, counts)
+            tally.update(codes, counts)
             counts[:] = 0
         return start, rec, tables
 
@@ -685,10 +682,7 @@ def eve_mutual_information(config: SessionConfig) -> float:
     it, so the sift and double-click rules are the sampler's own; no round
     is drawn, and `rounds` and `seed` do not matter.
     """
-    tables = _build_tables(config)
-    thresholds, template = _kernels.lookup_tables(
-        tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
-        tables.row_e1, tables.row_e2, config.double_click_policy == "assign")
+    tables, thresholds, template = _session_template(config)
     prob = _kernels.template_probabilities(tables.scen_cum, thresholds)
     sifted = template[:, 7] == 1
     rows = template[sifted].astype(np.intp)
@@ -722,7 +716,6 @@ def _parse_transcript(fh, body_len: int, tag: str) -> tuple[_Tally, str]:
     digest = hashlib.sha256()
     fnv = _kernels.fnv1a64(b"")  # the FNV offset basis
     tally = _Tally()
-    tags: list[str] = []
     keys: dict[bytes, int] = {}
     lookups = _replay.token_lookups()
     carry: list[bytes] = []
@@ -745,8 +738,7 @@ def _parse_transcript(fh, body_len: int, tag: str) -> tuple[_Tally, str]:
             seen_header = True
             block = block[len(header):]
         if block:
-            tally.update(_replay.parse_rows(block, tally.rounds, tags, keys, lookups),
-                         tags, None)
+            tally.update(_replay.parse_rows(block, tally.rounds, tally.tags, keys, lookups))
     if not seen_header:
         raise TranscriptError("bad or missing header", line=1)
     return tally, (digest.hexdigest() if tag == "#sha256" else f"{fnv:016x}")

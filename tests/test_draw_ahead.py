@@ -28,12 +28,17 @@ PAPER = dict(source=SpdcSource(SpdcParams(0.3)), eve=SplitAttack(AttackConfig(ma
 SMALL = SessionConfig(rounds=2500, seed=31, **PAPER)
 
 
+def draw_ahead(monkeypatch, ahead):
+    """Make every session draw ahead, or none."""
+    monkeypatch.setattr(protocol, "_draws_ahead", lambda rounds: ahead)
+
+
 @pytest.fixture()
 def small_blocks(monkeypatch):
     monkeypatch.setattr(protocol, "CHUNK_ROUNDS", 777)
     monkeypatch.setattr(protocol, "DRAW_BLOCK_ROUNDS", 100)
     monkeypatch.setattr(protocol, "DRAW_PIECE_ROUNDS", 30)
-    monkeypatch.setattr(protocol, "DRAW_AHEAD", True)
+    draw_ahead(monkeypatch, True)
 
 
 def recording_draws(monkeypatch, delay=0.0):
@@ -60,7 +65,7 @@ def test_drawn_ahead_records_and_transcript_equal_serial(monkeypatch, tmp_path, 
     started, _ = recording_draws(monkeypatch)
     out = {}
     for ahead in (False, True):
-        monkeypatch.setattr(protocol, "DRAW_AHEAD", ahead)
+        draw_ahead(monkeypatch, ahead)
         started.clear()
         records = [(start, rec.tobytes()) for start, rec, _ in protocol._simulate(config)]
         path = tmp_path / f"ahead-{ahead}.csv"
@@ -86,7 +91,7 @@ def test_drawn_ahead_records_and_transcript_equal_serial(monkeypatch, tmp_path, 
 def test_slow_sampling_reads_the_block_it_was_given(monkeypatch, small_blocks):
     """The next block is drawn while the current one is sampled, into the
     other of the session's two buffers."""
-    monkeypatch.setattr(protocol, "DRAW_AHEAD", False)
+    draw_ahead(monkeypatch, False)
     want = [(start, rec.tobytes()) for start, rec, _ in protocol._simulate(SMALL)]
     real = _kernels.sample_rounds
 
@@ -95,12 +100,13 @@ def test_slow_sampling_reads_the_block_it_was_given(monkeypatch, small_blocks):
         return real(u, *args)
 
     monkeypatch.setattr(_kernels, "sample_rounds", slow)
-    monkeypatch.setattr(protocol, "DRAW_AHEAD", True)
+    draw_ahead(monkeypatch, True)
     assert [(start, rec.tobytes()) for start, rec, _ in protocol._simulate(SMALL)] == want
 
 
 def test_one_chunk_sessions_draw_on_the_main_thread(monkeypatch):
-    monkeypatch.setattr(protocol, "DRAW_AHEAD", True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert protocol._draws_ahead(protocol.CHUNK_ROUNDS + 1)
     started, _ = recording_draws(monkeypatch)
     run_session(SessionConfig(rounds=protocol.CHUNK_ROUNDS, seed=3, **PAPER))
     assert started == [(0, protocol.CHUNK_ROUNDS, threading.get_ident())]
@@ -173,9 +179,9 @@ def test_drawer_error_is_raised_in_the_session(monkeypatch, tmp_path, small_bloc
     assert len(opened) == 1 and opened[0].closed
 
     monkeypatch.setattr(protocol, "_uniform_block", real)
-    monkeypatch.setattr(protocol, "DRAW_AHEAD", False)
+    draw_ahead(monkeypatch, False)
     want = run_session(SMALL)
-    monkeypatch.setattr(protocol, "DRAW_AHEAD", True)
+    draw_ahead(monkeypatch, True)
     assert run_session(SMALL) == want
 
 
@@ -224,9 +230,9 @@ def test_sessions_do_not_add_threads(small_blocks):
 
 def test_concurrent_sessions_share_the_drawer(monkeypatch, small_blocks):
     configs = [SessionConfig(rounds=2500, seed=seed, **PAPER) for seed in range(6)]
-    monkeypatch.setattr(protocol, "DRAW_AHEAD", False)
+    draw_ahead(monkeypatch, False)
     want = [run_session(c) for c in configs]
-    monkeypatch.setattr(protocol, "DRAW_AHEAD", True)
+    draw_ahead(monkeypatch, True)
     got = [None] * len(configs)
 
     def work(i):
@@ -278,7 +284,7 @@ def test_drawing_ahead_holds_no_more_memory(monkeypatch):
     config = SessionConfig(rounds=4 * protocol.CHUNK_ROUNDS, seed=8, **PAPER)
     peaks = {}
     for ahead in (False, True):
-        monkeypatch.setattr(protocol, "DRAW_AHEAD", ahead)
+        draw_ahead(monkeypatch, ahead)
         want = run_session(config)  # starts the drawer outside the measurement
         tracemalloc.start()
         rep = run_session(config)

@@ -4,10 +4,15 @@ Each module under `src/` and `tests/` is parsed, not imported.  A name
 counts as used when it appears anywhere in the module's syntax tree,
 annotations included.  `from __future__` imports and the names a package
 re-exports through `__all__` are exempt.  The package's `__all__` must
-list exactly the names its `__init__` imports.
+list exactly the names its `__init__` imports, and a short session loads
+neither the drawer nor the replay parser.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +73,26 @@ def test_package_exports_exactly_its_imports():
     assert sorted(spdcqkd.__all__) == sorted(_imported(tree))
     for name in spdcqkd.__all__:
         assert hasattr(spdcqkd, name), name
+
+
+def test_short_simulate_loads_no_drawer_and_no_replay(tmp_path):
+    """A one-chunk `simulate` in a fresh interpreter imports neither module
+    it loads on first use, so a cold start does not compile them."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rounds": 2000, "seed": 1, "source": {"kind": "singlet"}}))
+    script = ("import sys\n"
+              "from spdcqkd.cli import main\n"
+              "try:\n"
+              "    main(['simulate', '--config', sys.argv[1]])\n"
+              "except SystemExit as exc:\n"
+              "    assert not exc.code, exc.code\n"
+              "print(sorted(name for name in sys.modules if name.startswith('spdcqkd.')),"
+              " file=sys.stderr)\n")
+    result = subprocess.run([sys.executable, "-c", script, str(config)],
+                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["results"]["rounds"] == 2000
+    loaded = ast.literal_eval(result.stderr.strip().splitlines()[-1])
+    assert "spdcqkd.protocol" in loaded
+    assert "spdcqkd._drawer" not in loaded and "spdcqkd._replay" not in loaded

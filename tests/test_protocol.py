@@ -298,8 +298,35 @@ def test_report_to_dict_is_json_serializable():
 # -- tally --------------------------------------------------------------------
 
 
+@dataclasses.dataclass
+class ReferenceTally:
+    """The session counts as separate running counters."""
+
+    rounds: int = 0
+    sifted: int = 0
+    errors: int = 0
+    double_clicks: int = 0
+    no_clicks: int = 0
+    source_counts: dict = dataclasses.field(default_factory=dict)
+    basis_sifted: list = dataclasses.field(default_factory=lambda: [0, 0])
+    basis_errors: list = dataclasses.field(default_factory=lambda: [0, 0])
+
+    def report(self, checksum_ok=True):
+        qber = self.errors / self.sifted if self.sifted else 0.0
+        per_basis = {}
+        for basis, name in enumerate(("HV", "DA")):
+            n, e = self.basis_sifted[basis], self.basis_errors[basis]
+            per_basis[name] = {"sifted": n, "errors": e, "qber": (e / n if n else 0.0)}
+        return protocol.SessionReport(
+            rounds=self.rounds, sifted_length=self.sifted, error_count=self.errors,
+            qber_hat=qber, qber_ci95=protocol._wilson_interval(self.errors, self.sifted),
+            double_click_count=self.double_clicks, no_click_count=self.no_clicks,
+            source_counts=dict(sorted(self.source_counts.items())), per_basis=per_basis,
+            leak=protocol.leak_vs_bound(min(1.0, 6.0 * qber)), checksum_ok=checksum_ok)
+
+
 def reference_tally_update(tally, rec, tags, scen_emission):
-    """`_Tally.update` as one masked count per field."""
+    """`_Tally.update` as one masked count per field of a ReferenceTally."""
     tally.rounds += rec.shape[0]
     sif = rec[:, 7] == 1
     err = sif & (rec[:, 5] != rec[:, 6])
@@ -307,8 +334,7 @@ def reference_tally_update(tally, rec, tags, scen_emission):
     tally.errors += int(err.sum())
     tally.double_clicks += int((rec[:, 3] == 3).sum()) + int((rec[:, 4] == 3).sum())
     tally.no_clicks += int((rec[:, 3] == 0).sum()) + int((rec[:, 4] == 0).sum())
-    emis = rec[:, 0] if scen_emission is None else scen_emission[rec[:, 0]]
-    counts = np.bincount(emis, minlength=len(tags))
+    counts = np.bincount(scen_emission[rec[:, 0]], minlength=len(tags))
     for t, c in zip(tags, counts):
         if c:
             tally.source_counts[t] = tally.source_counts.get(t, 0) + int(c)
@@ -337,25 +363,36 @@ def every_tallied_field():
 def test_tally_matches_reference(config):
     chunks = []
     for _, rec, tables in protocol._simulate(config):
-        chunks.append((rec, tables.emission_tags, tables.scen_emission))
-        as_read = rec.copy()  # replay's records hold the emission, not the scenario
+        as_read = rec.copy()  # as a replay reads it: column 0 holds the emission
         as_read[:, 0] = tables.scen_emission[rec[:, 0]]
-        chunks.append((as_read, tables.emission_tags, None))
+        chunks += [(rec, tables.scen_emission),
+                   (as_read, np.arange(len(tables.emission_tags)))]
     crafted = every_tallied_field()
-    chunks += [(crafted, ["attack", "singlet"], np.array([1, 0, 0, 1], dtype=np.int8)),
-               (crafted, ["a", "b", "c", "d"], None)]
-    got, want = protocol._Tally(), protocol._Tally()
-    for rec, tags, scen_emission in chunks:
-        got.update(rec, tags, scen_emission)
-        reference_tally_update(want, rec, tags, scen_emission)
-        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    scen_emission = np.array([1, 0, 0, 1], dtype=np.int8)
+    for tags, tag_chunks in ((tables.emission_tags, chunks),
+                             (["attack", "singlet"], [(crafted, scen_emission)]),
+                             (["a", "b", "c", "d"], [(crafted, np.arange(4))])):
+        got, want = protocol._Tally(tags), ReferenceTally()
+        for rec, emission in tag_chunks:
+            got.update(protocol._row_codes(rec, emission))
+            reference_tally_update(want, rec, tags, emission)
+            assert got.report() == want.report()
+    # tags met as a replay reads them: the counts grow by one tag's codes each
+    tags = ["a", "b", "c", "d"]
+    got, want = protocol._Tally(), ReferenceTally()
+    for half in np.split(crafted, 2):  # scenarios 0 and 1, then 2 and 3
+        got.tags.extend(tags[len(got.tags):int(half[:, 0].max()) + 1])
+        got.update(protocol._row_codes(half, np.arange(4)))
+        reference_tally_update(want, half, tags, np.arange(4))
+        assert got.counts.size == len(got.tags) * protocol._CODES
+        assert got.report() == want.report()
     # weighted: record i stands for weights[i] rounds (zero included)
     weights = np.random.default_rng(7).integers(0, 5, crafted.shape[0])
-    scen_emission = np.array([1, 0, 0, 1], dtype=np.int8)
-    got.update(crafted, ["attack", "singlet"], scen_emission, weights)
+    got, want = protocol._Tally(["attack", "singlet"]), ReferenceTally()
+    got.update(protocol._row_codes(crafted, scen_emission), weights)
     reference_tally_update(want, np.repeat(crafted, weights, axis=0), ["attack", "singlet"],
                            scen_emission)
-    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    assert got.report() == want.report()
 
 
 # one chunk; 2500 rounds in chunks of 777, drawn on the calling thread or
@@ -372,19 +409,22 @@ def test_live_tally_from_slot_counts_equals_record_tally(monkeypatch, shape, pol
         monkeypatch.setattr(protocol, "CHUNK_ROUNDS", 777)
         monkeypatch.setattr(protocol, "DRAW_BLOCK_ROUNDS", 100)
         monkeypatch.setattr(protocol, "DRAW_PIECE_ROUNDS", 30)
-        monkeypatch.setattr(protocol, "DRAW_AHEAD", draw_ahead)
+        monkeypatch.setattr(protocol, "_draws_ahead", lambda rounds: draw_ahead)
     config = SessionConfig(rounds=rounds, seed=8, source=SpdcSource(SpdcParams(0.4)),
                            eve=SplitAttack(AttackConfig(max_attempts=3)),
                            double_click_policy=policy)
-    live, from_records = protocol._Tally(), protocol._Tally()
+    live, from_records, want = protocol._Tally(), protocol._Tally(), ReferenceTally()
     starts = []
     for start, rec, tables in protocol._simulate(config, live):
         starts.append(start)
-        from_records.update(rec, tables.emission_tags, tables.scen_emission)
-        assert dataclasses.asdict(live) == dataclasses.asdict(from_records)
+        from_records.tags = tables.emission_tags
+        from_records.update(protocol._row_codes(rec, tables.scen_emission))
+        reference_tally_update(want, rec, tables.emission_tags, tables.scen_emission)
+        assert live.report() == from_records.report() == want.report()
     assert len(starts) == (1 if draw_ahead is None else 4)
-    assert live.double_clicks > 0 and live.errors > 0
-    assert live.report() == from_records.report() == run_session(config)
+    report = live.report()
+    assert report.double_click_count > 0 and report.error_count > 0
+    assert report == run_session(config)
 
 
 # -- eavesdropper information -----------------------------------------------
@@ -392,12 +432,12 @@ def test_live_tally_from_slot_counts_equals_record_tally(monkeypatch, shape, pol
 
 class SlotCounts:
     """Takes a tally's place in `_simulate` and keeps what it is given: the
-    template and how many rounds drew each of its rows."""
+    template's row codes and how many rounds drew each template row."""
 
-    template = counts = None
+    codes = counts = None
 
-    def update(self, template, tags, scen_emission, weights):
-        self.template = template
+    def update(self, codes, weights):
+        self.codes = codes
         self.counts = weights.copy() if self.counts is None else self.counts + weights
 
 
@@ -415,7 +455,8 @@ def test_drawn_template_rows_match_exact_probabilities(policy):
     thresholds, template = _kernels.lookup_tables(
         tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
         tables.row_e1, tables.row_e2, policy == "assign")
-    assert np.array_equal(slots.template, template)
+    assert np.array_equal(slots.codes, protocol._row_codes(template, tables.scen_emission))
+    assert slots.tags is tables.emission_tags
     prob = _kernels.template_probabilities(tables.scen_cum, thresholds)
     assert prob.shape == slots.counts.shape
     assert prob.sum() == pytest.approx(1.0, abs=1e-12)

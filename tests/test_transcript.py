@@ -7,6 +7,7 @@ the exact `TranscriptError` text, line number included.
 
 import hashlib
 import itertools
+import json
 import os
 import threading
 import tracemalloc
@@ -15,11 +16,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from spdcqkd import _kernels, _replay, protocol
+from spdcqkd.cli import main
 from spdcqkd.protocol import (AttackMixture, SessionConfig, SingletSource, SpdcSource,
                               TranscriptError, replay, run_session)
 from spdcqkd.source import SpdcParams
+
+from test_protocol import ReferenceTally, reference_tally_update
 
 
 def write_transcript(tmp_path, rounds=3000, seed=17, source=AttackMixture(0.7)):
@@ -217,9 +222,8 @@ def reference_replay(config, path):
     if config is not None and config.rounds != rec.shape[0]:
         raise TranscriptError(
             f"config expects {config.rounds} rounds, transcript has {rec.shape[0]}")
-    tally = protocol._Tally()
-    if rec.shape[0]:
-        tally.update(rec, tags, None)
+    tally = ReferenceTally()
+    reference_tally_update(tally, rec, tags, np.arange(len(tags)))
     return tally.report(checksum_ok=checksum_ok)
 
 
@@ -245,6 +249,31 @@ def test_block_writer_matches_reference(tags, scen_emission, start):
     blob = protocol._transcript_block(rec, start, protocol._suffix_table(tags), scen_emission)
     assert blob.decode("ascii").split("\n")[:-1] == reference_lines(rec, start, tags,
                                                                      scen_emission)
+
+
+@pytest.mark.parametrize("start", [0, 99995])
+def test_writer_and_reader_agree_on_the_row_code(start):
+    # three tags, every code of each: what the writer writes for a code, the
+    # parser reads back as that code, except a sifted row missing a bit
+    tags = ["singlet", "attack", "spdc"]
+    scen_emission = np.arange(3, dtype=np.int8)
+    rec = every_code(scen_emission)
+    codes = protocol._row_codes(rec, scen_emission)
+    assert np.array_equal(np.sort(codes), np.arange(3 * protocol._CODES))
+    table = protocol._suffix_table(tags)
+    lookups = _replay.token_lookups()
+    missing_bit = (rec[:, 7] == 1) & ((rec[:, 5] < 0) | (rec[:, 6] < 0))
+    blob = protocol._transcript_block(rec[~missing_bit], start, table, scen_emission)
+    read_tags = []
+    got = _replay.parse_rows(blob, start, read_tags, {}, lookups)
+    assert got.dtype == np.int32 and got.ndim == 1
+    assert np.array_equal(got, codes[~missing_bit]) and read_tags == tags
+    assert missing_bit.sum() == 3 * 2 * 2 * 4 * 4 * 5
+    for row in rec[missing_bit]:
+        blob = protocol._transcript_block(row[None], start, table, scen_emission)
+        with pytest.raises(TranscriptError) as err:
+            _replay.parse_rows(blob, start, [], {}, lookups)
+        assert str(err.value) == f"line {start + 2}: sifted round missing a key bit"
 
 
 @pytest.mark.parametrize("tags,scen_emission", TAG_TABLES, ids=["one-tag", "two-tag"])
@@ -273,6 +302,23 @@ def test_replay_of_long_session_gives_live_counts(tmp_path, source):
     rep = replay(cfg, path)
     assert rep == live
     assert rep == reference_replay(cfg, path)
+
+
+def test_header_only_transcript_replays_to_a_zero_report(tmp_path):
+    head = (protocol.TRANSCRIPT_HEADER + "\n").encode("ascii")
+    path = tmp_path / "t.csv"
+    path.write_bytes(head + b"#sha256=%s\n" % hashlib.sha256(head).hexdigest().encode())
+    rep = replay(None, path)
+    assert rep.rounds == 0 and rep.source_counts == {}
+    assert rep.per_basis == {b: {"sifted": 0, "errors": 0, "qber": 0.0} for b in ("HV", "DA")}
+    assert rep.qber_ci95 == [0.0, 1.0] and rep.checksum_ok is True
+    assert rep == reference_replay(None, path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rounds": 1, "seed": 0, "source": {"kind": "singlet"}}))
+    result = CliRunner().invoke(main, ["replay", "--transcript", str(path),
+                                       "--config", str(config)])
+    assert result.exit_code == 2
+    assert "config expects 1 rounds, transcript has 0" in result.stderr
 
 
 def outcome(replay_fn, path):
