@@ -4,6 +4,9 @@ threshold detection, the rare four-photon double-pair component, the
 photon-number-splitting attack it enables, the resulting error-rate and
 information-leak bounds, and a reproducible Monte Carlo protocol runner."""
 
+# set before the submodules are imported: `protocol` writes it into transcripts
+__version__ = "0.1.0"
+
 from .attack import (AttackConfig, SplitResult, attack_four_photon, intercept_branches,
                      split_attack_branches, split_channel)
 from .fock import (DEFAULT_MODE_CAP, DEFAULT_PRUNE_TOL, FockError, ModeCapError,
@@ -23,8 +26,6 @@ from .security import (CorrelationReport, EveBranch, LeakBound, QberReport,
 from .source import (SpdcParams, four_photon_component, pair_statistics,
                      singlet_state, spdc_state, spdc_state_recursive,
                      squared_norm_truncated, truncation_tail)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AttackConfig", "AttackMixture", "BasisAngle", "ConfigError",

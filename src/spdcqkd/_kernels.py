@@ -1,16 +1,18 @@
 """Per-round sampling for Monte Carlo sessions, and the legacy transcript hash.
 
 Every round consumes a fixed block of DRAWS_PER_ROUND uniforms from the
-counter-based master stream (slot layout below), picks a pre-enumerated
-scenario and outcome row, and writes one int8 record.  `sample_rounds` does
-this for a whole chunk of rounds at once with vectorized numpy: one
-`searchsorted` over the scenarios, then a fixed-width binary search over the
-outcome rows of each round's (scenario, basis pair) group, and one gather of
-the record from a per-session template (`lookup_tables`).  It makes the same
-float comparisons as a per-group `searchsorted`, so records are unchanged.
-The template holds four rows per outcome row, one per pair of double-click
-draws, so a round's record is exactly one template row, and a session can
-be tallied from how many rounds drew each row.  `template_probabilities`
+counter-based master stream (slot layout below) and picks a pre-enumerated
+scenario and outcome row.  `sample_rounds` does this for a whole chunk of
+rounds at once with vectorized numpy: one `searchsorted` over the
+scenarios, then a fixed-width binary search over the outcome rows of each
+round's (scenario, basis pair) group.  It makes the same float comparisons
+as a per-group `searchsorted`, so the rounds drawn are unchanged.  The
+per-session template (`lookup_tables`) holds four rows per outcome row, one
+per pair of double-click draws, so a round is exactly one template row:
+the sampler returns that row's index (uint16), and the round's record is
+`template[index]`.  A session tallies from how many rounds drew each row,
+and a version-3 transcript stores each round's row code, `codes[index]`
+for the template's codes; neither builds records.  `template_probabilities`
 gives the exact probability of each row, the expectation of those counts.
 
 Draw slots per round: 0 scenario, 1 Alice basis, 2 Bob basis, 3 outcome row,
@@ -21,8 +23,17 @@ Record columns: scenario, alice_basis, bob_basis, alice_kind, bob_kind,
 alice_bit, bob_key_bit, sifted, eve1_bit, eve2_bit (bits are -1 when absent;
 kinds encode NoClick/Bit0/Bit1/Double as 0..3).
 
-`fnv1a64` is the checksum of version-1 transcripts (trailer '#fnv1a64=');
-replay still verifies those files with it.
+Transcript format 3 (written by `protocol.run_session`, read by `_replay`)
+is these codes: a text header of the magic line 'spdcqkd-transcript 3' and
+one JSON object holding the session's canonical config (rounds and seed
+included), the tool version, the emission tags in code order and the code
+width (2 bytes); then one little-endian uint16 row code per round, the
+round index implicit; then the raw sha256 digest of every byte before it.
+Replay checks the header's config against the caller's field by field and
+rejects codes out of range for the tags or sifted without both key bits.
+Version 2, one CSV row per round, is the text form `spdcqkd transcript
+--text` prints.  `fnv1a64` is the checksum of version-1 transcripts
+(trailer '#fnv1a64='); replay still verifies those files with it.
 """
 
 from __future__ import annotations
@@ -33,6 +44,8 @@ DRAWS_PER_ROUND = 8
 N_COLS = 10
 # Rounds sampled per block.
 SAMPLE_ROWS = 1 << 14
+# Template rows a uint16 round index can address.
+MAX_TEMPLATE_ROWS = 1 << 16
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -95,34 +108,34 @@ def template_probabilities(scen_cum, thresholds) -> np.ndarray:
     return np.repeat((share * np.repeat(scen / 16.0, 4)[:, None]).ravel(), 4)
 
 
-def sample_rounds(u, scen_cum, thresholds, template, out=None, counts=None) -> np.ndarray:
-    """Run one chunk of rounds; returns the (n, N_COLS) int8 record array,
-    written into `out` if given.
+def sample_rounds(u, scen_cum, thresholds, out=None, counts=None) -> np.ndarray:
+    """Run one chunk of rounds; returns each round's template index
+    (uint16[n]), written into `out` if given.
 
-    `u` holds each round's uniforms in [0, 1); `thresholds` and `template`
-    come from `lookup_tables`.  Each round's record is one template row;
+    `u` holds each round's uniforms in [0, 1); `thresholds` comes from
+    `lookup_tables`, whose template has at most MAX_TEMPLATE_ROWS rows.
     `counts` (intp[len(template)]), if given, gains how many rounds drew
     each row.  Rounds are sampled in blocks of SAMPLE_ROWS, whose
     temporaries stay in cache.
     """
     n = u.shape[0]
     if out is None:
-        out = np.empty((n, N_COLS), dtype=np.int8)
+        out = np.empty(n, dtype=np.uint16)
     thr = thresholds.ravel()
     for lo in range(0, n, SAMPLE_ROWS):
-        _sample_block(u[lo:lo + SAMPLE_ROWS], scen_cum, thr, thresholds.shape[1], template,
+        _sample_block(u[lo:lo + SAMPLE_ROWS], scen_cum, thr, thresholds.shape[1],
                       out[lo:lo + SAMPLE_ROWS], counts)
     return out
 
 
-def _sample_block(u, scen_cum, thr, width, template, out, counts) -> None:
-    """Write the records of the rounds `u` into `out`.
+def _sample_block(u, scen_cum, thr, width, out, counts) -> None:
+    """Write the template indices of the rounds `u` into `out`.
 
     The outcome row is found by a branchless binary search over the round's
     group slots: each step compares u3 >= thr[slot], the comparisons
     `searchsorted(row_cum, u3, side="right")` makes on the group's
     non-decreasing rows, and u3 < 1 never passes a group's last row or its
-    padding.  Every index stays inside the arrays, so the takes use
+    padding.  Every index stays inside the arrays, so the take uses
     mode="clip", which writes `out=` without a buffered copy.
     """
     n = u.shape[0]
@@ -150,7 +163,7 @@ def _sample_block(u, scen_cum, thr, width, template, out, counts) -> None:
     pos += u[:, 4] >= 0.5
     pos *= 2
     pos += u[:, 5] >= 0.5
-    np.take(template, pos, axis=0, out=out, mode="clip")
+    out[:] = pos
     if counts is not None:
         counts += np.bincount(pos, minlength=counts.shape[0])
 

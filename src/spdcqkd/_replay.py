@@ -1,31 +1,53 @@
-"""The block parser behind `protocol.replay`.
+"""The transcript readers behind `protocol.replay`, and the text form.
 
-`read_trailer` reads a transcript's checksum line from the end of the file;
-`body_reads` streams the bytes before it; `parse_rows` checks every field
-of a block of whole lines at once with numpy and returns their row codes,
-the codes `protocol` writes and tallies, not records.  The first row a
-block check rejects goes to `check_row`, which names its error and line as
-a row-by-row parser would.
+Version 3: `read_header` reads and checks the two header lines, and the
+body's length against the header's round count; `check_config` compares
+the header's config with the caller's; `code_reads` streams the body's row
+codes, hashing every read and counting its codes with one bincount, and
+rejects a code out of range or a sifted code missing a key bit through a
+validity mask over those counts.  `read_counts` adds them up and checks
+the trailing digest.  `write_text` prints a version-3 file as the version-2
+CSV of the same rounds.
 
-`protocol` imports this module on first use, so a process that replays no
-transcript neither compiles nor loads it.
+CSV (versions 1 and 2): `read_trailer` reads a transcript's checksum line
+from the end of the file; `body_reads` streams the bytes before it;
+`parse_rows` checks every field of a block of whole lines at once with
+numpy and returns their row codes, the codes `protocol` tallies, not
+records.  The first row a block check rejects goes to `check_row`, which
+names its error and line as a row-by-row parser would.
+
+`protocol` imports this module on first use, so a process that replays or
+converts no transcript neither compiles nor loads it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
 import os
 import shutil
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import _CODES, _TAIL, _TAIL_FIELDS, TranscriptError
+from .protocol import (_CODES, _TAIL, _TAIL_FIELDS, _TAIL_SHAPE, CODE_DTYPE, DIGEST_BYTES,
+                       TRANSCRIPT_HEADER, TRANSCRIPT_MAGIC, ConfigError, SessionConfig,
+                       TranscriptError, _suffix_table, _transcript_lines, config_from_dict,
+                       config_to_dict)
 
 # Bytes per read of the transcript body, and bytes read to find the checksum
 # line (the longest valid one is 72).
 READ_BYTES = 1 << 18
 TRAILER_BYTES = 128
+
+# Version 3: its first line, MAGIC_PREFIX, a space and the version; the
+# longest header line read; the most tags whose codes fit CODE_DTYPE.
+MAGIC_PREFIX, _, VERSION = TRANSCRIPT_MAGIC.encode("ascii").partition(b" ")
+HEADER_LINE_BYTES = 1 << 16
+MAX_TAGS = (1 << 8 * CODE_DTYPE.itemsize) // _CODES
+_HEADER_FIELDS = ["code_bytes", "config", "tags", "tool_version"]
 
 
 def seekable(fh):
@@ -42,9 +64,10 @@ def seekable(fh):
     return spool
 
 
-def body_reads(fh, length: int):
-    """The file's first `length` bytes, in reads of at most READ_BYTES."""
-    fh.seek(0)
+def body_reads(fh, length: int, start: int = 0):
+    """`length` bytes of the file from offset `start`, in reads of at most
+    READ_BYTES."""
+    fh.seek(start)
     while length > 0:
         chunk = fh.read(min(READ_BYTES, length))
         if not chunk:
@@ -225,3 +248,170 @@ def parse_rows(block: bytes, first: int, tags: list[str], keys: dict[bytes, int]
         raise RuntimeError(f"line {first + bad + 2}: rejected by the block parser "
                            "but not by the row check")
     return tag_id.astype(np.int32) * _CODES + code
+
+
+# -- version 3 ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Header:
+    """A checked version-3 header, and where the body after it lies."""
+
+    raw: bytes  # the two header lines, as read
+    config: SessionConfig
+    config_dict: dict  # `config_to_dict(config)`
+    tool_version: str
+    tags: list[str]
+    body_bytes: int  # from the end of the header to the digest
+
+
+def _bad_header(message: str) -> TranscriptError:
+    return TranscriptError(f"bad version-3 header: {message}")
+
+
+def read_header(fh) -> Header | None:
+    """The version-3 header at the start of the file, or None if the first
+    line does not begin with MAGIC_PREFIX and a space (a CSV transcript).
+
+    Raises TranscriptError for another version, a header that is not the
+    JSON object `protocol._transcript_head` writes, or a body that is not
+    one whole row code per round the header's config names.
+    """
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    magic = fh.readline(HEADER_LINE_BYTES)
+    if not magic.startswith(MAGIC_PREFIX + b" "):
+        return None
+    version = magic[len(MAGIC_PREFIX) + 1:].rstrip(b"\n")
+    if version != VERSION:
+        raise TranscriptError("unsupported transcript version "
+                              f"{version[:20].decode('ascii', errors='replace')!r}")
+    line = fh.readline(HEADER_LINE_BYTES) if magic.endswith(b"\n") else b""
+    if not line.endswith(b"\n"):
+        raise _bad_header(f"no JSON line of at most {HEADER_LINE_BYTES} bytes")
+    try:
+        meta = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise _bad_header(f"not JSON: {exc}") from None
+    if not isinstance(meta, dict) or sorted(meta) != _HEADER_FIELDS:
+        raise _bad_header(f"expected an object with the fields {', '.join(_HEADER_FIELDS)}")
+    width, tags, tool_version = meta["code_bytes"], meta["tags"], meta["tool_version"]
+    if type(width) is not int or width != CODE_DTYPE.itemsize:
+        raise TranscriptError(f"unsupported row code width {width!r}")
+    if (not isinstance(tags, list) or not 1 <= len(tags) <= MAX_TAGS
+            or not all(isinstance(t, str) and t and t.isascii() and t.isprintable()
+                       and "," not in t for t in tags)
+            or len(set(tags)) != len(tags)):
+        raise _bad_header(f"tags must be 1 to {MAX_TAGS} distinct printable ASCII "
+                          "strings without commas")
+    if not isinstance(tool_version, str):
+        raise _bad_header("tool_version must be a string")
+    try:
+        config = config_from_dict(meta["config"])
+    except ConfigError as exc:
+        raise _bad_header(f"config: {exc}") from None
+    raw = magic + line
+    body = size - len(raw) - DIGEST_BYTES
+    if body < 0:
+        raise TranscriptError("transcript ends before its digest")
+    if body % CODE_DTYPE.itemsize:
+        raise TranscriptError(f"odd body length {body}: not whole row codes")
+    if body // CODE_DTYPE.itemsize != config.rounds:
+        raise TranscriptError(f"header names {config.rounds} rounds, "
+                              f"body holds {body // CODE_DTYPE.itemsize}")
+    return Header(raw, config, config_to_dict(config), tool_version, tags, body)
+
+
+def _fields(d: dict, prefix: str = ""):
+    """(dotted name, value) of every leaf of a config dict, in its order."""
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _fields(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def check_config(config: SessionConfig | None, head: Header) -> None:
+    """Raise a TranscriptError naming the first field in which `config`
+    differs from the header's; nothing if it is None or equal."""
+    if config is None or config == head.config:
+        return
+    try:
+        want = dict(_fields(config_to_dict(config)))
+    except ConfigError as exc:
+        raise TranscriptError(f"config differs from the transcript's: {exc}") from None
+    have = dict(_fields(head.config_dict))
+    name = next((k for k in [*want, *have] if want.get(k) != have.get(k)), "config")
+    raise TranscriptError(f"config differs from the transcript's in {name}: "
+                          f"{want.get(name)!r} here, {have.get(name)!r} in the transcript")
+
+
+def _valid_codes(tags: int) -> np.ndarray:
+    """bool[tags * _CODES]: whether a row code is one a round can have; a
+    sifted row with a '-' bit cannot."""
+    valid = np.ones(_TAIL_SHAPE, dtype=bool)
+    valid[..., 1, 0, :] = False  # [..., sifted flag, Alice bit, Bob bit]; bit token 0 is '-'
+    valid[..., 1, :, 0] = False
+    return np.tile(valid.ravel(), tags)
+
+
+def code_reads(fh, head: Header, digest):
+    """(first round, codes, counts) per read of the body: its row codes
+    (CODE_DTYPE) and how many rounds have each code of the header's tags.
+
+    Every byte read is fed to `digest`.  A code out of range or a sifted
+    code missing a key bit raises a TranscriptError naming its round.
+    """
+    valid = _valid_codes(len(head.tags))
+    first, carry = 0, b""
+    for chunk in body_reads(fh, head.body_bytes, len(head.raw)):
+        digest.update(chunk)
+        if carry:  # a read of odd length left half a code
+            chunk = carry + chunk
+        whole = len(chunk) - len(chunk) % CODE_DTYPE.itemsize
+        carry = chunk[whole:]
+        codes = np.frombuffer(chunk, dtype=CODE_DTYPE, count=whole // CODE_DTYPE.itemsize)
+        counts = np.bincount(codes, minlength=valid.size)
+        if counts.size > valid.size or counts[~valid].any():
+            ok = np.zeros(counts.size, dtype=bool)
+            ok[:valid.size] = valid
+            i = int(np.argmin(ok[codes]))
+            if codes[i] >= valid.size:
+                raise TranscriptError(f"round {first + i}: row code {codes[i]} is out of "
+                                      f"range for {len(head.tags)} tag(s)")
+            raise TranscriptError(f"round {first + i}: sifted round missing a key bit")
+        yield first, codes, counts
+        first += codes.size
+
+
+def read_counts(fh, head: Header) -> tuple[np.ndarray, bool]:
+    """(rounds per row code, whether the trailing digest matches) of a
+    version-3 body."""
+    digest = hashlib.sha256(head.raw)
+    total = np.zeros(len(head.tags) * _CODES, dtype=np.int64)
+    for _, _, counts in code_reads(fh, head, digest):
+        total += counts
+    fh.seek(len(head.raw) + head.body_bytes)
+    return total, fh.read(DIGEST_BYTES) == digest.digest()
+
+
+def write_text(fh, out) -> None:
+    """Write the version-3 transcript `fh` to `out` as version-2 CSV bytes,
+    after checking all of it; a digest mismatch is a TranscriptError."""
+    head = read_header(fh)
+    if head is None:
+        raise TranscriptError("not a version-3 transcript")
+    if not read_counts(fh, head)[1]:
+        raise TranscriptError("checksum mismatch: not converted")
+    table = _suffix_table(head.tags)
+    digest = hashlib.sha256()
+
+    def emit(blob: bytes) -> None:
+        out.write(blob)
+        digest.update(blob)
+
+    emit((TRANSCRIPT_HEADER + "\n").encode("ascii"))
+    for first, codes, _ in code_reads(fh, head, hashlib.sha256()):
+        for blob in _transcript_lines(codes, first, table):
+            emit(blob)
+    out.write(f"#sha256={digest.hexdigest()}\n".encode("ascii"))

@@ -21,7 +21,8 @@ from .attack import attack_four_photon
 from .fock import FockError, StateVector
 from .optics import HV
 from .protocol import (ConfigError, SessionConfig, TranscriptError,
-                       config_from_dict, config_to_dict, replay, run_session)
+                       config_from_dict, config_to_dict, replay_with_header, run_session,
+                       transcript_text)
 from .security import (binary_entropy, eve_conditional_states, holevo_binary,
                        leak_vs_bound, qber_from_state)
 from .source import SpdcParams, pair_statistics, spdc_state, truncation_tail
@@ -232,7 +233,8 @@ def _load_config(config_path: str, seed: int | None) -> SessionConfig:
 @click.option("--config", "config_path", required=True,
               help="JSON session configuration.")
 @click.option("--transcript", "transcript_path", default=None,
-              help="Write a checksummed per-round transcript here.")
+              help="Write a checksummed version-3 transcript here: the config, "
+                   "then one 2-byte row code per round.")
 @click.option("--seed", type=int, default=None,
               help="Override the config's seed.")
 @_format_option
@@ -258,15 +260,17 @@ def cmd_simulate(config_path, transcript_path, seed, fmt):
 
 @main.command("replay")
 @click.option("--transcript", "transcript_path", required=True,
-              help="Transcript produced by simulate.")
+              help="Transcript produced by simulate (version 3), or a CSV one.")
 @click.option("--config", "config_path", default=None,
-              help="Optional config to cross-check the round count.")
+              help="Optional config the transcript must match: every field of a "
+                   "version-3 header, the round count of a CSV transcript.")
 @_format_option
 def cmd_replay(transcript_path, config_path, fmt):
-    """Recompute a session report from its transcript."""
+    """Recompute a session report from its transcript.  A version-3
+    transcript's config and tool version are echoed in the parameters."""
     config = _load_config(config_path, None) if config_path else None
     try:
-        report = replay(config, transcript_path)
+        report, header = replay_with_header(config, transcript_path)
     except OSError as exc:
         click.echo(f"error: cannot read {transcript_path}: {exc}", err=True)
         sys.exit(3)
@@ -279,7 +283,24 @@ def cmd_replay(transcript_path, config_path, fmt):
     def text():
         yield from _flat_lines(results)
 
-    _emit("replay", {"transcript": transcript_path}, results, fmt, text)
+    _emit("replay", {"transcript": transcript_path, **(header or {})}, results, fmt, text)
+
+
+@main.command("transcript")
+@click.option("--in", "in_path", required=True, help="Version-3 transcript.")
+@click.option("--text", is_flag=True, required=True,
+              help="Print it as the version-2 CSV of the same rounds, with its "
+                   "own '#sha256=' trailer.")
+def cmd_transcript(in_path, text):
+    """Print a version-3 transcript in a readable form.  The file is checked
+    whole first; a corrupt one is refused."""
+    try:
+        transcript_text(in_path, click.get_binary_stream("stdout"))
+    except OSError as exc:
+        click.echo(f"error: cannot convert {in_path}: {exc}", err=True)
+        sys.exit(3)
+    except TranscriptError as exc:
+        raise click.UsageError(f"--in: {exc}")
 
 
 if __name__ == "__main__":

@@ -13,14 +13,15 @@ the per-round loop just samples those tables.  The strategy branches come
 from the eavesdropper models in `attack` (split_attack_branches,
 intercept_branches); this module only dispatches to them.  The outcome rows
 need only click probabilities (`optics.joint_click_probabilities`), not
-post-measurement states.  Each round's record is one row of the sampler's
-template, and the sampler counts how many rounds drew each row.  Rounds
-are tallied by row code (the source tag and each fixed-width field's
-transcript token): a live session counts its template's codes, weighted by
-those counts, and replay the codes it parses.  Every round owns a fixed
-block of DRAWS_PER_ROUND uniforms from a counter-based Philox stream keyed
-by the session seed, so rounds can be evaluated in any order or chunking
-with identical results; a session is reproduced bit-for-bit by its seed.
+post-measurement states.  Each round is one row of the sampler's template:
+the sampler returns the row's index, and counts how many rounds drew each
+row.  Rounds are tallied by row code (the source tag and each fixed-width
+field's transcript token): a live session counts its template's codes,
+weighted by those counts, and replay the codes it reads.  Every round owns a
+fixed block of DRAWS_PER_ROUND uniforms from a counter-based Philox stream
+keyed by the session seed, so rounds can be evaluated in any order or
+chunking with identical results; a session is reproduced bit-for-bit by its
+seed.
 
 A session longer than one chunk (CHUNK_ROUNDS), in a process that may run
 on more than one CPU, gets its uniforms in blocks of DRAW_BLOCK_ROUNDS with
@@ -34,34 +35,54 @@ gets none.  Exactly one block is in flight, and the blocks are drawn into
 two 1 MB buffers of the session, where drawing a chunk at a time holds one
 4 MB chunk.  Sampling, tally and transcript writing stay on the calling
 thread in chunk order, and a piece is the same bytes whichever thread
-draws it, so the records are the same either way.  Shorter sessions draw
+draws it, so the rounds are the same either way.  Shorter sessions draw
 on the calling thread and start no thread.
 
-Transcript files are CSV with header
+A session writes transcript format 3, bound to its run:
+- a text header of two lines: the magic line TRANSCRIPT_MAGIC
+  ('spdcqkd-transcript 3'), then one JSON object (sorted keys, no spaces)
+  with the canonical `config_to_dict` of the session (its rounds and seed
+  included) under "config", the writer's "tool_version", the emission
+  "tags" in code order, and "code_bytes", the width of a row code (2);
+- one little-endian uint16 row code per round, in round order (the round
+  index is implicit): `codes[index]` for the template's row codes, one
+  take per chunk;
+- the raw 32-byte sha256 digest of every byte before it.
+A config the header cannot name (an intercept basis at an arbitrary angle)
+is refused before the file is opened.  replay() checks the header's config
+against the caller's field by field, names the first that differs, and
+checks every code: out of range for the header's tags, or a sifted round
+missing a key bit, is a TranscriptError.  A digest mismatch is reported via
+checksum_ok=False.  The reader lives in `_replay`; it streams the body in
+fixed-size reads, hashes each and counts its codes with one bincount, so
+memory does not grow with the file.
+
+The CSV of version 2 is the same rounds as text, one row per round, with
+header
 round_idx,source_tag,alice_basis,bob_basis,alice_outcome,bob_outcome,sifted_flag,alice_bit,bob_bit
 (bob_bit already flipped to the key convention, '-' marks absent bits) and a
-trailing checksum line '#sha256=<hex>' over all preceding bytes.  The
-trailer's tag is the format version: version-1 files end in a 64-bit FNV-1a
-line '#fnv1a64=<hex>' instead, and replay still verifies them.  replay()
-rebuilds the full report from a transcript alone and flags checksum
-mismatches.
+trailing checksum line '#sha256=<hex>' over all preceding bytes; version-1
+files end in a 64-bit FNV-1a line '#fnv1a64=<hex>' instead.  Sessions no
+longer write it: `transcript_text` (`spdcqkd transcript --text`) prints a
+version-3 file as version-2 bytes, and replay() still reads and verifies
+both CSV versions, telling them from version 3 by the first line.
 
-Both directions work on blocks of rows with numpy, never a Python string
-per row.  The writer builds, once per session, the text after the round
-index of every possible row (it depends only on the source tag and the
-seven fixed-width fields), and assembles each block of WRITE_ROWS rows from
-index digits and that table.  replay() reads the checksum line from the
-file's tail first (a pipe is spooled to a temporary file), then streams the
-body in fixed-size reads: each read is hashed, and its whole lines are
-checked field by field for all rows at once and tallied, so memory does not
-grow with the file.  The first row a block check rejects is re-checked on
-its own to name its error and line.  The block parser lives in `_replay`.
+Both CSV directions work on blocks of rows with numpy, never a Python
+string per row.  The text form builds, once, the text after the round index
+of every row code (`_suffix_table`), and assembles each block of WRITE_ROWS
+rows from index digits and that table.  The CSV reader reads the checksum
+line from the file's tail first (a pipe is spooled to a temporary file),
+then streams the body in fixed-size reads: each read is hashed, and its
+whole lines are checked field by field for all rows at once and tallied.
+The first row a block check rejects is re-checked on its own to name its
+error and line.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import math
 import os
 import threading
@@ -70,7 +91,7 @@ from typing import Union
 
 import numpy as np
 
-from . import _kernels
+from . import __version__, _kernels
 from ._kernels import DRAWS_PER_ROUND
 from .attack import AttackConfig, attack_four_photon, intercept_branches, split_attack_branches
 from .fock import FockError, StateVector, attack_registry
@@ -105,6 +126,12 @@ _CODES = math.prod(_TAIL_SHAPE)
 
 # Rows formatted per transcript block.
 WRITE_ROWS = 8192
+
+# The first line of a version-3 transcript, the dtype of its row codes, and
+# the bytes of its trailing digest.
+TRANSCRIPT_MAGIC = "spdcqkd-transcript 3"
+CODE_DTYPE = np.dtype("<u2")
+DIGEST_BYTES = 32
 
 
 class TranscriptError(ValueError):
@@ -534,19 +561,17 @@ def _suffix_table(tags: list[str]) -> np.ndarray:
     return out.reshape(-1, out.shape[2])
 
 
-def _transcript_block(rec: np.ndarray, start: int, table: np.ndarray,
-                      scen_emission: np.ndarray) -> bytes:
-    """Transcript rows of a record block whose first round is `start`.
+def _transcript_block(codes: np.ndarray, start: int, table: np.ndarray) -> bytes:
+    """CSV rows of a block of row codes whose first round is `start`.
 
     Each row is its index digits and its code's suffix-table row, in one
     NUL-padded matrix; NUL is in no tag or token, so the text is the
     matrix's nonzero bytes.
     """
-    code = _row_codes(rec, scen_emission)
-    n = rec.shape[0]
+    n = codes.shape[0]
     width = len(str(start + n - 1))
     row = np.empty((n, width + table.shape[1]), dtype=np.uint8)
-    row[:, width:] = np.take(table, code, axis=0)
+    row[:, width:] = np.take(table, codes, axis=0)
     q = np.arange(start, start + n, dtype=np.uint64)
     for k in range(width - 1, -1, -1):  # index digits, right-aligned
         rest = q // 10
@@ -557,11 +582,10 @@ def _transcript_block(rec: np.ndarray, start: int, table: np.ndarray,
     return row[row != 0].tobytes()
 
 
-def _transcript_lines(rec: np.ndarray, start: int, table: np.ndarray,
-                      scen_emission: np.ndarray) -> list[bytes]:
-    """Transcript rows of a record chunk, in blocks of at most WRITE_ROWS rows."""
-    return [_transcript_block(rec[lo:lo + WRITE_ROWS], start + lo, table, scen_emission)
-            for lo in range(0, rec.shape[0], WRITE_ROWS)]
+def _transcript_lines(codes: np.ndarray, start: int, table: np.ndarray) -> list[bytes]:
+    """CSV rows of a run of row codes, in blocks of at most WRITE_ROWS rows."""
+    return [_transcript_block(codes[lo:lo + WRITE_ROWS], start + lo, table)
+            for lo in range(0, codes.shape[0], WRITE_ROWS)]
 
 
 def _draws_ahead(rounds: int) -> bool:
@@ -573,39 +597,59 @@ def _draws_ahead(rounds: int) -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def _session_template(config: SessionConfig) -> tuple[_Tables, np.ndarray, np.ndarray]:
-    """The session's tables, and the sampler's thresholds and template."""
+@dataclass(frozen=True, eq=False)
+class _Template:
+    """A session's tables and the sampler's lookup arrays (`lookup_tables`).
+
+    A round that draws template index i has the record rows[i] and the row
+    code codes[i], which a version-3 transcript stores.
+    """
+
+    tables: _Tables
+    thresholds: np.ndarray
+    rows: np.ndarray   # int8[T, N_COLS]
+    codes: np.ndarray  # CODE_DTYPE[T]
+
+
+def _session_template(config: SessionConfig) -> _Template:
+    """Build the session's template; a FockError if a uint16 round index
+    cannot address it."""
     tables = _build_tables(config)
-    thresholds, template = _kernels.lookup_tables(
+    thresholds, rows = _kernels.lookup_tables(
         tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
         tables.row_e1, tables.row_e2, config.double_click_policy == "assign")
-    return tables, thresholds, template
+    if rows.shape[0] > _kernels.MAX_TEMPLATE_ROWS:
+        raise FockError(f"the sampling template has {rows.shape[0]} rows; a round index "
+                        f"addresses at most {_kernels.MAX_TEMPLATE_ROWS}")
+    codes = _row_codes(rows, tables.scen_emission).astype(CODE_DTYPE)
+    return _Template(tables, thresholds, rows, codes)
 
 
 def _simulate(config: SessionConfig, tally: _Tally | None = None):
-    """Build the tables now (a FockError raises here); return an iterator of
-    (start_round, record-chunk, tables).
+    """Build the tables now (a FockError raises here); return the session's
+    template and an iterator of (start_round, index-chunk): each round's
+    template index, uint16.
 
     With `tally`, which takes the tables' tags, each chunk is counted into
     it before it is yielded: the template's row codes, weighted by how many
-    of its rounds drew each template row, not its records.
+    of its rounds drew each template row.
     """
-    tables, thresholds, template = _session_template(config)
-    counts = None if tally is None else np.zeros(template.shape[0], dtype=np.intp)
+    template = _session_template(config)
+    scen_cum = template.tables.scen_cum
+    counts = None if tally is None else np.zeros(template.rows.shape[0], dtype=np.intp)
     if tally is not None:
-        tally.tags = tables.emission_tags
-        codes = _row_codes(template, tables.scen_emission)
+        tally.tags = template.tables.emission_tags
     spans = [(start, min(CHUNK_ROUNDS, config.rounds - start))
              for start in range(0, config.rounds, CHUNK_ROUNDS)]
 
     def sample(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return _kernels.sample_rounds(u, tables.scen_cum, thresholds, template, out, counts)
+        return _kernels.sample_rounds(u, scen_cum, template.thresholds, out, counts)
 
-    def tallied(start: int, rec: np.ndarray):
+    def tallied(start: int, idx: np.ndarray):
         if tally is not None:
-            tally.update(codes, counts)
+            tally.update(template.codes, counts)
             counts[:] = 0
-        return start, rec, tables
+        return start, idx
 
     def chunks():
         for start, count in spans:
@@ -632,42 +676,47 @@ def _simulate(config: SessionConfig, tally: _Tally | None = None):
         draws = _drawer.ahead(blocks())
         try:
             for start, count in spans:
-                rec = np.empty((count, _kernels.N_COLS), dtype=np.int8)
+                idx = np.empty(count, dtype=np.uint16)
                 for lo in range(0, count, DRAW_BLOCK_ROUNDS):
-                    sample(next(draws), rec[lo:lo + DRAW_BLOCK_ROUNDS])
-                yield tallied(start, rec)
+                    sample(next(draws), idx[lo:lo + DRAW_BLOCK_ROUNDS])
+                yield tallied(start, idx)
         finally:
             draws.close()
 
-    return chunks_drawn_ahead() if _draws_ahead(config.rounds) else chunks()
+    return template, (chunks_drawn_ahead() if _draws_ahead(config.rounds) else chunks())
+
+
+def _transcript_head(config: SessionConfig, tags: list[str]) -> bytes:
+    """The two header lines of a version-3 transcript; a ConfigError if the
+    config has no dict form."""
+    meta = {"code_bytes": CODE_DTYPE.itemsize, "config": config_to_dict(config),
+            "tags": tags, "tool_version": __version__}
+    return f"{TRANSCRIPT_MAGIC}\n{json.dumps(meta, sort_keys=True, separators=(',', ':'))}\n".encode(
+        "ascii")
 
 
 def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
-    """Run the session; optionally stream a checksummed transcript to disk."""
+    """Run the session; optionally stream a version-3 transcript to disk.
+
+    The tables are built and the header made before the file is opened, so
+    a table error (FockError) or a config the header cannot name
+    (ConfigError) leaves no file behind.
+    """
     tally = _Tally()
-    chunks = _simulate(config, tally)  # before the transcript exists: no file on a table error
-    fh = None
-    digest = hashlib.sha256()
-    try:
-        if transcript_path is not None:
-            fh = open(transcript_path, "wb")
-            head = (TRANSCRIPT_HEADER + "\n").encode("ascii")
-            fh.write(head)
-            digest.update(head)
-        table = None
-        for start, rec, tables in chunks:
-            if fh is None:
-                continue
-            if table is None:
-                table = _suffix_table(tables.emission_tags)
-            for blob in _transcript_lines(rec, start, table, tables.scen_emission):
-                fh.write(blob)
-                digest.update(blob)
-        if fh is not None:
-            fh.write(f"#sha256={digest.hexdigest()}\n".encode("ascii"))
-    finally:
-        if fh is not None:
-            fh.close()
+    template, chunks = _simulate(config, tally)
+    if transcript_path is None:
+        for _ in chunks:
+            pass
+        return tally.report()
+    head = _transcript_head(config, template.tables.emission_tags)
+    digest = hashlib.sha256(head)
+    with open(transcript_path, "wb") as fh:
+        fh.write(head)
+        for _, idx in chunks:
+            blob = template.codes[idx]
+            fh.write(blob)
+            digest.update(blob)
+        fh.write(digest.digest())
     return tally.report()
 
 
@@ -682,10 +731,10 @@ def eve_mutual_information(config: SessionConfig) -> float:
     it, so the sift and double-click rules are the sampler's own; no round
     is drawn, and `rounds` and `seed` do not matter.
     """
-    tables, thresholds, template = _session_template(config)
-    prob = _kernels.template_probabilities(tables.scen_cum, thresholds)
-    sifted = template[:, 7] == 1
-    rows = template[sifted].astype(np.intp)
+    template = _session_template(config)
+    prob = _kernels.template_probabilities(template.tables.scen_cum, template.thresholds)
+    sifted = template.rows[:, 7] == 1
+    rows = template.rows[sifted].astype(np.intp)
     # joint[alice bit, 3 * (e1 + 1) + (e2 + 1)]
     joint = np.bincount(rows[:, 5] * 9 + (rows[:, 8] + 1) * 3 + rows[:, 9] + 1,
                         prob[sifted], minlength=18).reshape(2, 9)
@@ -704,7 +753,7 @@ def eve_mutual_information(config: SessionConfig) -> float:
 
 
 def _parse_transcript(fh, body_len: int, tag: str) -> tuple[_Tally, str]:
-    """Tally the header and rows of a transcript's first `body_len` bytes.
+    """Tally the header and rows of a CSV transcript's first `body_len` bytes.
 
     The body is read in fixed-size reads; each read is hashed, its whole
     lines are parsed as one block, and a partial last line is carried over.
@@ -749,16 +798,47 @@ def replay(config: SessionConfig | None, transcript_path) -> SessionReport:
 
     A matching live report is reproduced exactly; a failed checksum is
     reported via checksum_ok=False (the tallies still reflect the file's
-    contents).  config, when given, is only cross-checked against the
-    transcript's round count.  The file is read in blocks, so memory does
-    not grow with its length.
+    contents).  The format version is read from the first line.  config,
+    when given, must equal a version-3 header's config in every field (a
+    TranscriptError names the first that differs); the CSV versions name no
+    config, so only their round count is checked against it.  The file is
+    read in blocks, so memory does not grow with its length.
     """
+    return replay_with_header(config, transcript_path)[0]
+
+
+def replay_with_header(config: SessionConfig | None, transcript_path
+                       ) -> tuple[SessionReport, dict | None]:
+    """`replay`, and what a version-3 header says of its run: {"config":
+    its config as `config_to_dict` gives it, "tool_version": the writer's
+    version}; None for a CSV transcript."""
     from . import _replay  # loaded on first use: a process that never replays skips it
 
     with open(transcript_path, "rb") as source, _replay.seekable(source) as fh:
+        head = _replay.read_header(fh)
+        if head is not None:
+            _replay.check_config(config, head)
+            counts, checksum_ok = _replay.read_counts(fh, head)
+            tally = _Tally(head.tags, head.config.rounds, counts)
+            return (tally.report(checksum_ok=checksum_ok),
+                    {"config": head.config_dict, "tool_version": head.tool_version})
         tag, tok, body_len = _replay.read_trailer(fh)
         tally, digest = _parse_transcript(fh, body_len, tag)
     if config is not None and config.rounds != tally.rounds:
         raise TranscriptError(
             f"config expects {config.rounds} rounds, transcript has {tally.rounds}")
-    return tally.report(checksum_ok=tok == digest)
+    return tally.report(checksum_ok=tok == digest), None
+
+
+def transcript_text(transcript_path, out) -> None:
+    """Write a version-3 transcript to the binary stream `out` as the
+    version-2 CSV of the same rounds, its '#sha256=' trailer included.
+
+    The file is checked whole first, as replay checks it, and a digest
+    mismatch is a TranscriptError: a corrupt file never gets a CSV with a
+    valid checksum.
+    """
+    from . import _replay
+
+    with open(transcript_path, "rb") as source, _replay.seekable(source) as fh:
+        _replay.write_text(fh, out)

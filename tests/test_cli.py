@@ -315,23 +315,88 @@ def test_simulate_text_format(runner, tmp_path):
 # -- replay -------------------------------------------------------------------
 
 
+def simulate_text(runner, tmp_path, cfg, name="t.csv"):
+    """Simulate with a version-3 transcript, and return the path of its CSV
+    text form made by `transcript --text`."""
+    v3 = tmp_path / "t.v3"
+    assert runner.invoke(main, ["simulate", "--config", str(cfg),
+                                "--transcript", str(v3)]).exit_code == 0
+    result = runner.invoke(main, ["transcript", "--in", str(v3), "--text"])
+    assert result.exit_code == 0, result.stderr
+    path = tmp_path / name
+    path.write_bytes(result.stdout_bytes)
+    return path
+
+
 def test_replay_matches_simulate(runner, tmp_path):
     cfg = write_config(tmp_path, {"rounds": 1200, "seed": 6,
                                   "source": {"kind": "attack_mixture", "p": 1.0}})
-    transcript = tmp_path / "t.csv"
+    transcript = tmp_path / "t.v3"
     _, live = invoke_json(runner, ["simulate", "--config", str(cfg),
                                    "--transcript", str(transcript)])
-    _, replayed = invoke_json(runner, ["replay", "--transcript", str(transcript),
-                                       "--config", str(cfg)])
-    assert replayed["results"] == live["results"]
-    assert replayed["results"]["checksum_ok"] is True
+    text = simulate_text(runner, tmp_path, cfg)
+    for path in (transcript, text):
+        _, replayed = invoke_json(runner, ["replay", "--transcript", str(path),
+                                           "--config", str(cfg)])
+        assert replayed["results"] == live["results"]
+        assert replayed["results"]["checksum_ok"] is True
+
+
+def test_replay_reports_the_header_it_read(runner, tmp_path):
+    doc = {"rounds": 1200, "seed": 6, "source": {"kind": "spdc", "tanh_xi": 0.25},
+           "eve": {"kind": "split", "max_attempts": 2}}
+    cfg = write_config(tmp_path, doc)
+    text = simulate_text(runner, tmp_path, cfg)
+    _, replayed = invoke_json(runner, ["replay", "--transcript", str(tmp_path / "t.v3")])
+    assert replayed["parameters"] == {
+        "transcript": str(tmp_path / "t.v3"), "tool_version": __version__,
+        "config": {"rounds": 1200, "seed": 6, "double_click_policy": "assign",
+                   "source": {"kind": "spdc", "tanh_xi": 0.25, "phi": 0.0, "n_max": 4},
+                   "eve": {"kind": "split", "max_attempts": 2}}}
+    _, replayed = invoke_json(runner, ["replay", "--transcript", str(text)])
+    assert replayed["parameters"] == {"transcript": str(text)}  # CSV names no config
+
+
+@pytest.mark.parametrize("field,value,name", [
+    ("seed", 7, "seed"), ("rounds", 1201, "rounds"),
+    ("source", {"kind": "spdc", "tanh_xi": 0.3}, "source.tanh_xi"),
+    ("source", {"kind": "singlet"}, "source.kind"),
+    ("eve", {"kind": "split", "max_attempts": 3}, "eve.max_attempts"),
+    ("double_click_policy", "discard", "double_click_policy"),
+])
+def test_replay_names_the_first_config_field_that_differs(runner, tmp_path, field, value, name):
+    doc = {"rounds": 1200, "seed": 6, "source": {"kind": "spdc", "tanh_xi": 0.25},
+           "eve": {"kind": "split", "max_attempts": 2}}
+    cfg = write_config(tmp_path, doc)
+    transcript = tmp_path / "t.v3"
+    invoke_json(runner, ["simulate", "--config", str(cfg), "--transcript", str(transcript)])
+    other = write_config(tmp_path, dict(doc, **{field: value}), "other.json")
+    result = runner.invoke(main, ["replay", "--transcript", str(transcript),
+                                  "--config", str(other)])
+    assert result.exit_code == 2
+    assert f"config differs from the transcript's in {name}:" in result.stderr
+
+
+def test_transcript_text_refuses_what_it_cannot_convert(runner, tmp_path):
+    cfg = write_config(tmp_path, SINGLET_CFG)
+    text = simulate_text(runner, tmp_path, cfg)
+    v3 = tmp_path / "t.v3"
+    data = v3.read_bytes()
+    v3.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))  # a digest bit flipped
+    for path, message in ((text, "not a version-3 transcript"),
+                          (v3, "checksum mismatch: not converted")):
+        result = runner.invoke(main, ["transcript", "--in", str(path), "--text"])
+        assert result.exit_code == 2
+        assert f"--in: {message}" in result.stderr
+        assert result.stdout_bytes == b""
+    result = runner.invoke(main, ["transcript", "--in", str(tmp_path / "absent.v3"), "--text"])
+    assert result.exit_code == 3
+    assert "cannot convert" in result.stderr
 
 
 def test_replay_corrupt_transcript_is_usage_error(runner, tmp_path):
     cfg = write_config(tmp_path, SINGLET_CFG)
-    transcript = tmp_path / "t.csv"
-    runner.invoke(main, ["simulate", "--config", str(cfg),
-                         "--transcript", str(transcript)])
+    transcript = simulate_text(runner, tmp_path, cfg)
     lines = transcript.read_text().splitlines()
     lines[3] = "2,singlet,HV"
     transcript.write_text("\n".join(lines) + "\n")
@@ -342,9 +407,7 @@ def test_replay_corrupt_transcript_is_usage_error(runner, tmp_path):
 
 def test_replay_warns_on_checksum_mismatch(runner, tmp_path):
     cfg = write_config(tmp_path, SINGLET_CFG)
-    transcript = tmp_path / "t.csv"
-    runner.invoke(main, ["simulate", "--config", str(cfg),
-                         "--transcript", str(transcript)])
+    transcript = simulate_text(runner, tmp_path, cfg)
     lines = transcript.read_text().splitlines()
     for i, ln in enumerate(lines[1:-1], start=1):
         f = ln.split(",")

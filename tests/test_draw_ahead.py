@@ -1,6 +1,7 @@
 """Sessions longer than one chunk draw their next block of uniforms on a thread.
 
-The drawer must not change a byte of the records or transcripts, must leave
+The drawer must not change a byte of the sampled template indices or the
+transcripts, must leave
 the pieces it has not taken to the caller, must hand its errors to the
 session that asked, must leave nothing running or held when a session ends
 early, must survive a fork, and must hold less memory than drawing a chunk
@@ -41,6 +42,11 @@ def small_blocks(monkeypatch):
     draw_ahead(monkeypatch, True)
 
 
+def drawn(config):
+    """(start, index bytes) of every chunk `_simulate` yields for `config`."""
+    return [(start, idx.tobytes()) for start, idx in protocol._simulate(config)[1]]
+
+
 def recording_draws(monkeypatch, delay=0.0):
     """Wrap `_uniform_block`; returns the list of (start, count, thread id) it
     started, and the number it finished, as a one-element list."""
@@ -67,8 +73,8 @@ def test_drawn_ahead_records_and_transcript_equal_serial(monkeypatch, tmp_path, 
     for ahead in (False, True):
         draw_ahead(monkeypatch, ahead)
         started.clear()
-        records = [(start, rec.tobytes()) for start, rec, _ in protocol._simulate(config)]
-        path = tmp_path / f"ahead-{ahead}.csv"
+        records = drawn(config)
+        path = tmp_path / f"ahead-{ahead}.v3"
         report = run_session(config, path)
         out[ahead] = records, path.read_bytes(), report
         main = threading.get_ident()
@@ -92,7 +98,7 @@ def test_slow_sampling_reads_the_block_it_was_given(monkeypatch, small_blocks):
     """The next block is drawn while the current one is sampled, into the
     other of the session's two buffers."""
     draw_ahead(monkeypatch, False)
-    want = [(start, rec.tobytes()) for start, rec, _ in protocol._simulate(SMALL)]
+    want = drawn(SMALL)
     real = _kernels.sample_rounds
 
     def slow(u, *args):
@@ -101,7 +107,7 @@ def test_slow_sampling_reads_the_block_it_was_given(monkeypatch, small_blocks):
 
     monkeypatch.setattr(_kernels, "sample_rounds", slow)
     draw_ahead(monkeypatch, True)
-    assert [(start, rec.tobytes()) for start, rec, _ in protocol._simulate(SMALL)] == want
+    assert drawn(SMALL) == want
 
 
 def test_one_chunk_sessions_draw_on_the_main_thread(monkeypatch):
@@ -175,7 +181,7 @@ def test_drawer_error_is_raised_in_the_session(monkeypatch, tmp_path, small_bloc
     monkeypatch.setattr(protocol, "_uniform_block", flaky)
     monkeypatch.setattr(protocol, "open", recording_open, raising=False)
     with pytest.raises(ValueError, match=r"^draw failed on the third piece$"):
-        run_session(SMALL, tmp_path / "failed.csv")
+        run_session(SMALL, tmp_path / "failed.v3")
     assert len(opened) == 1 and opened[0].closed
 
     monkeypatch.setattr(protocol, "_uniform_block", real)
@@ -200,7 +206,7 @@ def test_closing_early_drops_the_pieces_not_started(monkeypatch, small_blocks):
         return u
 
     monkeypatch.setattr(protocol, "_uniform_block", draw)
-    chunks = protocol._simulate(SMALL)
+    _, chunks = protocol._simulate(SMALL)
     next(chunks)  # the chunk's 8 blocks are drawn, and the next chunk's first is handed over
     assert next_chunk_started.wait(10)
     chunks.close()

@@ -1,14 +1,17 @@
 """Golden sessions: `(config, seed)` reproduces the same per-round records.
 
-Each pin is the sha256 of the int8 record bytes `_simulate` yields for one
-session, chunk after chunk, or of a transcript's bytes.  A change to the
-sampler, the uniform stream, the sampling tables or the transcript
-formatting that moves a single byte fails here.  The sampling tables are
-also pinned on their own, over a grid of every source and eavesdropper kind.
+Each pin is the sha256 of the int8 record bytes of one session, chunk after
+chunk (`template.rows` at the indices `_simulate` yields), or of a
+transcript's bytes: the version-3 file a session writes, and its version-2
+text form.  A change to the sampler, the uniform stream, the sampling
+tables or the transcript formats that moves a single byte fails here.  The
+sampling tables are also pinned on their own, over a grid of every source
+and eavesdropper kind.
 """
 
 import dataclasses
 import hashlib
+import io
 
 import pytest
 
@@ -17,7 +20,8 @@ from spdcqkd.attack import AttackConfig
 from spdcqkd.fock import attack_registry
 from spdcqkd.optics import DA, HV
 from spdcqkd.protocol import (AttackMixture, InterceptResend, SessionConfig,
-                              SingletSource, SpdcSource, SplitAttack, run_session)
+                              SingletSource, SpdcSource, SplitAttack, replay, run_session,
+                              transcript_text)
 from spdcqkd.source import SpdcParams
 
 GOLDEN_RECORDS = [
@@ -35,28 +39,64 @@ GOLDEN_RECORDS = [
      "c0509f4ae6083dff67b0f4a1299f43f6a71f07344ab99184d4f5ccbc1b872686"),
 ]
 
-# sha256 of the transcript of 3000 rounds, seed 17, AttackMixture(0.7),
-# over every byte before the trailing checksum line
+GOLDEN_IDS = ["spdc-split", "mixture", "singlet-intercept", "spdc-discard"]
+
+# The session of 3000 rounds, seed 17, AttackMixture(0.7): sha256 of its
+# version-2 CSV transcript over every byte before the trailing checksum line,
+# now the text form of its version-3 file; and sha256 of that file over every
+# byte before its 32-byte digest (the header names tool version 0.1.0)
+GOLDEN_SESSION = SessionConfig(rounds=3000, seed=17, source=AttackMixture(0.7))
 GOLDEN_TRANSCRIPT_BODY = "b397a52e2bfc055b93d4676774e64a9391462066e4dd940a4cace64ab04ea77d"
+GOLDEN_TRANSCRIPT_V3 = "7f65494c4cb3491db5d240d042a2e0dadda9c1641e812b6b3d1198c9bfa63c84"
 
 
-@pytest.mark.parametrize("config,digest", GOLDEN_RECORDS,
-                         ids=["spdc-split", "mixture", "singlet-intercept", "spdc-discard"])
+def records(config):
+    """The int8 records of a session, chunk by chunk: its template's rows at
+    the indices the sampler drew."""
+    template, chunks = protocol._simulate(config)
+    for _, idx in chunks:
+        yield template.rows[idx]
+
+
+@pytest.mark.parametrize("config,digest", GOLDEN_RECORDS, ids=GOLDEN_IDS)
 def test_golden_records(config, digest):
     h = hashlib.sha256()
-    for _, rec, _ in protocol._simulate(config):
+    for rec in records(config):
         h.update(rec.tobytes())
     assert h.hexdigest() == digest
 
 
+def text_form(path):
+    """The bytes `spdcqkd transcript --text` prints for a version-3 file."""
+    out = io.BytesIO()
+    transcript_text(path, out)
+    return out.getvalue()
+
+
 def test_golden_transcript(tmp_path):
-    path = tmp_path / "session.csv"
-    run_session(SessionConfig(rounds=3000, seed=17, source=AttackMixture(0.7)),
-                transcript_path=path)
+    path = tmp_path / "session.v3"
+    run_session(GOLDEN_SESSION, transcript_path=path)
     data = path.read_bytes()
-    body = data[:data.rstrip(b"\n").rfind(b"\n") + 1]
+    assert hashlib.sha256(data[:-32]).hexdigest() == GOLDEN_TRANSCRIPT_V3
+    assert data[-32:] == bytes.fromhex(GOLDEN_TRANSCRIPT_V3)
+    text = text_form(path)
+    body = text[:text.rstrip(b"\n").rfind(b"\n") + 1]
     assert hashlib.sha256(body).hexdigest() == GOLDEN_TRANSCRIPT_BODY
-    assert data[len(body):] == f"#sha256={GOLDEN_TRANSCRIPT_BODY}\n".encode("ascii")
+    assert text[len(body):] == f"#sha256={GOLDEN_TRANSCRIPT_BODY}\n".encode("ascii")
+
+
+@pytest.mark.parametrize("config,ahead", [(config, None) for config, _ in GOLDEN_RECORDS] + [
+    (dataclasses.replace(GOLDEN_RECORDS[0][0], rounds=3 * protocol.CHUNK_ROUNDS + 5, seed=19),
+     True)], ids=GOLDEN_IDS + ["spdc-split-drawn-ahead"])
+def test_live_v3_and_text_replays_agree(tmp_path, monkeypatch, config, ahead):
+    if ahead is not None:
+        monkeypatch.setattr(protocol, "_draws_ahead", lambda rounds: ahead)
+    v3, csv = tmp_path / "session.v3", tmp_path / "session.csv"
+    live = run_session(config, transcript_path=v3)
+    csv.write_bytes(text_form(v3))
+    assert replay(config, v3) == live
+    assert replay(config, csv) == live
+    assert live.checksum_ok and live.rounds == config.rounds
 
 
 # Table grid: every source kind (SPDC truncated at 1..6 pairs) against every

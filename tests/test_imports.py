@@ -76,23 +76,28 @@ def test_package_exports_exactly_its_imports():
 
 
 def test_short_simulate_loads_no_drawer_and_no_replay(tmp_path):
-    """A one-chunk `simulate` in a fresh interpreter imports neither module
-    it loads on first use, so a cold start does not compile them."""
+    """A one-chunk `simulate`, with or without a transcript, in a fresh
+    interpreter imports neither module it loads on first use, so a cold
+    start compiles neither the drawer nor the transcript reader and text
+    converter."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"rounds": 2000, "seed": 1, "source": {"kind": "singlet"}}))
+    transcript = tmp_path / "run.v3"
     script = ("import sys\n"
               "from spdcqkd.cli import main\n"
               "try:\n"
-              "    main(['simulate', '--config', sys.argv[1]])\n"
+              "    main(['simulate', '--config', *sys.argv[1:]])\n"
               "except SystemExit as exc:\n"
               "    assert not exc.code, exc.code\n"
               "print(sorted(name for name in sys.modules if name.startswith('spdcqkd.')),"
               " file=sys.stderr)\n")
-    result = subprocess.run([sys.executable, "-c", script, str(config)],
-                            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["results"]["rounds"] == 2000
-    loaded = ast.literal_eval(result.stderr.strip().splitlines()[-1])
-    assert "spdcqkd.protocol" in loaded
-    assert "spdcqkd._drawer" not in loaded and "spdcqkd._replay" not in loaded
+    for args in ([str(config)], [str(config), "--transcript", str(transcript)]):
+        result = subprocess.run([sys.executable, "-c", script, *args],
+                                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["results"]["rounds"] == 2000
+        loaded = ast.literal_eval(result.stderr.strip().splitlines()[-1])
+        assert "spdcqkd.protocol" in loaded
+        assert "spdcqkd._drawer" not in loaded and "spdcqkd._replay" not in loaded
+    assert transcript.read_bytes().startswith(b"spdcqkd-transcript 3\n")

@@ -2,8 +2,9 @@
 
 `reference_sample_rounds` is that sampler, kept here as the reference.  For
 every buildable table of the golden grid and both double-click policies, the
-records a session samples must be byte-equal to it: on real Philox chunks,
-and on uniforms placed exactly on every scenario and outcome-row boundary.
+records a session samples (its template's rows at the indices the sampler
+returns) must be byte-equal to it: on real Philox chunks, and on uniforms
+placed exactly on every scenario and outcome-row boundary.
 """
 
 import numpy as np
@@ -97,10 +98,12 @@ def edge_uniforms(tables, seed):
 
 
 def session_records(monkeypatch, config, u):
-    """The records `_simulate` yields for `config` when its uniform stream is `u`."""
+    """The records of the rounds `_simulate` draws for `config` when its
+    uniform stream is `u`: its template's rows at the drawn indices."""
     monkeypatch.setattr(protocol, "_uniform_block",
                         lambda seed, start, count: u[start:start + count])
-    return np.concatenate([rec for _, rec, _ in protocol._simulate(config)])
+    template, chunks = protocol._simulate(config)
+    return np.concatenate([template.rows[idx] for _, idx in chunks])
 
 
 @pytest.mark.parametrize("policy", ["assign", "discard"])

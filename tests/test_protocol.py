@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -18,7 +19,7 @@ from spdcqkd.protocol import (AttackMixture, ConfigError, InterceptResend,
                               run_session)
 from spdcqkd.source import SpdcParams
 
-from test_golden import TABLE_EVES, TABLE_SOURCES
+from test_golden import TABLE_EVES, TABLE_SOURCES, text_form
 
 EVE_MI_P1 = 0.3983932542605314  # exact I(Alice; eavesdropper) for the full attack
 
@@ -66,6 +67,17 @@ def test_config_to_dict_rejects_a_basis_it_cannot_name():
         config_to_dict(cfg)
     same_as_da = dataclasses.replace(cfg, eve=InterceptResend(BasisAngle(math.pi / 4)))
     assert config_to_dict(same_as_da)["eve"] == {"kind": "intercept", "basis": "DA"}
+
+
+def test_session_refuses_a_transcript_whose_header_cannot_name_its_config(tmp_path):
+    # the session itself runs; only a transcript, bound to its config, cannot be written
+    cfg = SessionConfig(rounds=5, seed=2, source=SingletSource(),
+                        eve=InterceptResend(BasisAngle(0.3)))
+    assert run_session(cfg).rounds == 5
+    path = tmp_path / "t.v3"
+    with pytest.raises(ConfigError, match="eve.basis at angle 0.3"):
+        run_session(cfg, transcript_path=path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("mode", ["analytic", "monte_carlo"])
@@ -362,7 +374,10 @@ def every_tallied_field():
 ], ids=["mixture-split", "spdc-discard"])
 def test_tally_matches_reference(config):
     chunks = []
-    for _, rec, tables in protocol._simulate(config):
+    template, drawn = protocol._simulate(config)
+    tables = template.tables
+    for _, idx in drawn:
+        rec = template.rows[idx]
         as_read = rec.copy()  # as a replay reads it: column 0 holds the emission
         as_read[:, 0] = tables.scen_emission[rec[:, 0]]
         chunks += [(rec, tables.scen_emission),
@@ -415,7 +430,10 @@ def test_live_tally_from_slot_counts_equals_record_tally(monkeypatch, shape, pol
                            double_click_policy=policy)
     live, from_records, want = protocol._Tally(), protocol._Tally(), ReferenceTally()
     starts = []
-    for start, rec, tables in protocol._simulate(config, live):
+    template, drawn = protocol._simulate(config, live)
+    tables = template.tables
+    for start, idx in drawn:
+        rec = template.rows[idx]
         starts.append(start)
         from_records.tags = tables.emission_tags
         from_records.update(protocol._row_codes(rec, tables.scen_emission))
@@ -450,8 +468,10 @@ def test_drawn_template_rows_match_exact_probabilities(policy):
                            eve=SplitAttack(AttackConfig(max_attempts=3)),
                            double_click_policy=policy)
     slots = SlotCounts()
-    for _, _, tables in protocol._simulate(config, slots):
+    session, drawn = protocol._simulate(config, slots)
+    for _ in drawn:
         pass
+    tables = session.tables
     thresholds, template = _kernels.lookup_tables(
         tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
         tables.row_e1, tables.row_e2, policy == "assign")
@@ -533,11 +553,14 @@ def test_eve_mutual_information_no_eavesdropper():
 
 
 def transcript_session(tmp_path, **overrides):
+    """(config, path of the CSV text form of its version-3 transcript, live report)."""
     kw = dict(rounds=3000, seed=17, source=AttackMixture(0.7))
     kw.update(overrides)
     cfg = SessionConfig(**kw)
+    v3 = tmp_path / "session.v3"
+    report = run_session(cfg, transcript_path=v3)
     path = tmp_path / "session.csv"
-    report = run_session(cfg, transcript_path=path)
+    path.write_bytes(text_form(v3))
     return cfg, path, report
 
 
@@ -556,10 +579,32 @@ def test_transcript_layout(tmp_path):
     assert first[6] in ("0", "1")
 
 
+def test_v3_transcript_layout(tmp_path):
+    cfg, path, _ = transcript_session(tmp_path)
+    data = (tmp_path / "session.v3").read_bytes()
+    magic, meta, rest = data.split(b"\n", 2)
+    assert magic == b"spdcqkd-transcript 3"
+    assert json.loads(meta) == {"config": config_to_dict(cfg), "tool_version": "0.1.0",
+                                "tags": ["attack", "singlet"], "code_bytes": 2}
+    assert meta == json.dumps(json.loads(meta), sort_keys=True, separators=(",", ":")).encode()
+    assert len(rest) == 2 * 3000 + 32
+    assert rest[-32:] == hashlib.sha256(data[:-32]).digest()
+    # the codes are the row codes of the rounds the CSV text form lists
+    codes = np.frombuffer(rest[:-32], dtype="<u2")
+    template, chunks = protocol._simulate(cfg)
+    want = np.concatenate([protocol._row_codes(template.rows[idx], template.tables.scen_emission)
+                           for _, idx in chunks])
+    assert np.array_equal(codes, want)
+    text = path.read_text().splitlines()[1:-1]
+    assert [row.split(",", 2)[1] for row in text] == [("attack", "singlet")[c // protocol._CODES]
+                                                     for c in codes]
+
+
 def test_replay_reproduces_live_report(tmp_path):
     cfg, path, live = transcript_session(tmp_path)
-    assert replay(cfg, path) == live
-    assert replay(None, path) == live  # config is optional
+    for transcript in (tmp_path / "session.v3", path):
+        assert replay(cfg, transcript) == live
+        assert replay(None, transcript) == live  # config is optional
 
 
 def test_replay_flags_edited_outcome(tmp_path):
@@ -629,6 +674,28 @@ def test_replay_checks_config_round_count(tmp_path):
     other = SessionConfig(rounds=5, seed=17, source=AttackMixture(0.7))
     with pytest.raises(TranscriptError, match="rounds"):
         replay(other, path)
+    with pytest.raises(TranscriptError, match="^config differs from the transcript's in rounds: "
+                                              "5 here, 3000 in the transcript$"):
+        replay(other, tmp_path / "session.v3")
+
+
+def test_replay_checks_every_config_field_of_a_v3_header(tmp_path):
+    cfg, path, live = transcript_session(tmp_path)
+    v3 = tmp_path / "session.v3"
+    # a CSV transcript names no config: only its round count is checked
+    assert replay(dataclasses.replace(cfg, seed=18), path) == live
+    for other, name in [(dataclasses.replace(cfg, seed=18), "seed"),
+                        (dataclasses.replace(cfg, source=AttackMixture(0.6)), "source.p"),
+                        (dataclasses.replace(cfg, source=SingletSource()), "source.kind"),
+                        (dataclasses.replace(cfg, eve=InterceptResend(HV)), "eve.kind"),
+                        (dataclasses.replace(cfg, double_click_policy="discard"),
+                         "double_click_policy")]:
+        with pytest.raises(TranscriptError, match=f"^config differs from the transcript's in "
+                                                  f"{re.escape(name)}: "):
+            replay(other, v3)
+    unnamed = dataclasses.replace(cfg, eve=InterceptResend(BasisAngle(0.3)))
+    with pytest.raises(TranscriptError, match="eve.basis at angle 0.3 has no dict form"):
+        replay(unnamed, v3)
 
 
 def test_session_with_spdc_source_writes_replayable_transcript(tmp_path):

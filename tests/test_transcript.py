@@ -1,10 +1,13 @@
 """Transcripts: exact rejection errors, and the block writer and parser
 against the row-by-row code they replaced.
 
-Each rejection case edits a transcript written by `run_session` and asserts
-the exact `TranscriptError` text, line number included.
+Each CSV rejection case edits the version-2 text form (`transcript --text`)
+of a transcript written by `run_session` and asserts the exact
+`TranscriptError` text, line number included.  Each version-3 case edits
+the file `run_session` writes.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -12,7 +15,6 @@ import os
 import threading
 import tracemalloc
 import zlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,13 +26,22 @@ from spdcqkd.protocol import (AttackMixture, SessionConfig, SingletSource, SpdcS
                               TranscriptError, replay, run_session)
 from spdcqkd.source import SpdcParams
 
+from test_golden import text_form
 from test_protocol import ReferenceTally, reference_tally_update
 
 
-def write_transcript(tmp_path, rounds=3000, seed=17, source=AttackMixture(0.7)):
+def write_v3(tmp_path, rounds=3000, seed=17, source=AttackMixture(0.7)):
     cfg = SessionConfig(rounds=rounds, seed=seed, source=source)
-    path = tmp_path / "session.csv"
+    path = tmp_path / "session.v3"
     live = run_session(cfg, transcript_path=path)
+    return cfg, path, live
+
+
+def write_transcript(tmp_path, rounds=3000, seed=17, source=AttackMixture(0.7)):
+    """A session's version-3 transcript turned into its CSV text form."""
+    cfg, v3, live = write_v3(tmp_path, rounds, seed, source)
+    path = tmp_path / "session.csv"
+    path.write_bytes(text_form(v3))
     return cfg, path, live
 
 
@@ -246,7 +257,8 @@ def every_code(scen_emission):
 @pytest.mark.parametrize("tags,scen_emission", TAG_TABLES, ids=["one-tag", "two-tag"])
 def test_block_writer_matches_reference(tags, scen_emission, start):
     rec = every_code(scen_emission)
-    blob = protocol._transcript_block(rec, start, protocol._suffix_table(tags), scen_emission)
+    blob = protocol._transcript_block(protocol._row_codes(rec, scen_emission), start,
+                                      protocol._suffix_table(tags))
     assert blob.decode("ascii").split("\n")[:-1] == reference_lines(rec, start, tags,
                                                                      scen_emission)
 
@@ -263,36 +275,42 @@ def test_writer_and_reader_agree_on_the_row_code(start):
     table = protocol._suffix_table(tags)
     lookups = _replay.token_lookups()
     missing_bit = (rec[:, 7] == 1) & ((rec[:, 5] < 0) | (rec[:, 6] < 0))
-    blob = protocol._transcript_block(rec[~missing_bit], start, table, scen_emission)
+    blob = protocol._transcript_block(codes[~missing_bit], start, table)
     read_tags = []
     got = _replay.parse_rows(blob, start, read_tags, {}, lookups)
     assert got.dtype == np.int32 and got.ndim == 1
     assert np.array_equal(got, codes[~missing_bit]) and read_tags == tags
     assert missing_bit.sum() == 3 * 2 * 2 * 4 * 4 * 5
-    for row in rec[missing_bit]:
-        blob = protocol._transcript_block(row[None], start, table, scen_emission)
+    for code in codes[missing_bit]:
+        blob = protocol._transcript_block(code[None], start, table)
         with pytest.raises(TranscriptError) as err:
             _replay.parse_rows(blob, start, [], {}, lookups)
         assert str(err.value) == f"line {start + 2}: sifted round missing a key bit"
 
 
+def v3_bytes(config, tags, codes):
+    """A version-3 transcript of `codes` as `run_session` would write it."""
+    data = protocol._transcript_head(config, tags) + codes.astype("<u2").tobytes()
+    return data + hashlib.sha256(data).digest()
+
+
 @pytest.mark.parametrize("tags,scen_emission", TAG_TABLES, ids=["one-tag", "two-tag"])
 def test_session_transcript_matches_reference(tmp_path, monkeypatch, tags, scen_emission):
-    # every code, repeated past 10**5 rounds: crosses powers of ten, writer
-    # blocks and sampling chunks
+    # every code a round can have, repeated past 10**5 rounds, read in odd-sized
+    # pieces: the text form crosses powers of ten, writer blocks, and reads
+    # that end inside a code
+    monkeypatch.setattr(_replay, "READ_BYTES", 9999)
     codes = every_code(scen_emission)
+    codes = codes[~((codes[:, 7] == 1) & ((codes[:, 5] < 0) | (codes[:, 6] < 0)))]
     rounds = 100_003
     rec = codes[np.arange(rounds) % codes.shape[0]]
-    tables = SimpleNamespace(emission_tags=tags, scen_emission=scen_emission)
-    chunks = [(lo, rec[lo:lo + protocol.CHUNK_ROUNDS], tables)
-              for lo in range(0, rounds, protocol.CHUNK_ROUNDS)]
-    monkeypatch.setattr(protocol, "_simulate", lambda config, tally: iter(chunks))
-    path = tmp_path / "t.csv"
-    run_session(SessionConfig(rounds=rounds, seed=0, source=SingletSource()), path)
+    path = tmp_path / "t.v3"
+    path.write_bytes(v3_bytes(SessionConfig(rounds=rounds, seed=0, source=SingletSource()),
+                              tags, protocol._row_codes(rec, scen_emission)))
     body = "\n".join([protocol.TRANSCRIPT_HEADER]
                      + reference_lines(rec, 0, tags, scen_emission)) + "\n"
     digest = hashlib.sha256(body.encode("ascii")).hexdigest()
-    assert path.read_text() == body + f"#sha256={digest}\n"
+    assert text_form(path).decode("ascii") == body + f"#sha256={digest}\n"
 
 
 @pytest.mark.parametrize("source", [SpdcSource(SpdcParams(0.3)), AttackMixture(0.5)],
@@ -353,23 +371,27 @@ def test_replay_agrees_with_reference_on_corrupted_files(tmp_path, monkeypatch, 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_replay_reads_a_pipe(tmp_path):
-    cfg, path, live = write_transcript(tmp_path)
-    fifo = tmp_path / "pipe"
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
-    writer.start()
-    try:
-        assert replay(cfg, fifo) == live
-    finally:
-        writer.join(timeout=30)
-    assert not writer.is_alive()
+    cfg, path, live = write_transcript(tmp_path)  # the CSV text form of session.v3
+    for data in (path.read_bytes(), (tmp_path / "session.v3").read_bytes()):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            assert replay(cfg, fifo) == live
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        fifo.unlink()
 
 
-def replay_peaks(tmp_path, rewrite=lambda path: None):
-    """tracemalloc peaks of replay at 2·10⁴ and 2·10⁵ rounds."""
+def replay_peaks(tmp_path, rewrite=lambda path: None, rounds=(20_000, 200_000),
+                 write=write_transcript):
+    """tracemalloc peaks of replay of the CSV transcripts (by default) of two
+    sessions, at 2·10⁴ and 2·10⁵ rounds."""
     peaks = []
-    for rounds in (20_000, 200_000):
-        _, path, live = write_transcript(tmp_path, rounds=rounds, seed=9)
+    for n in rounds:
+        _, path, live = write(tmp_path, rounds=n, seed=9)
         rewrite(path)
         tracemalloc.start()
         rep = replay(None, path)
@@ -381,6 +403,14 @@ def replay_peaks(tmp_path, rewrite=lambda path: None):
 
 def test_replay_memory_does_not_grow_with_the_file(tmp_path):
     peaks = replay_peaks(tmp_path)
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_v3_replay_memory_does_not_grow_with_the_file(tmp_path):
+    # 2 bytes per round: both bodies span more than one read of READ_BYTES
+    rounds = (200_000, 2_000_000)
+    assert 2 * rounds[0] > _replay.READ_BYTES
+    peaks = replay_peaks(tmp_path, rounds=rounds, write=write_v3)
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
@@ -398,3 +428,139 @@ def test_v1_replay_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
 
     peaks = replay_peaks(tmp_path, as_v1)
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+# -- version 3 ----------------------------------------------------------------
+
+
+def test_v3_digest_mismatch_is_reported_not_raised(tmp_path):
+    cfg, path, live = write_v3(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))  # in the digest
+    rep = replay(cfg, path)
+    assert not rep.checksum_ok and rep == dataclasses.replace(live, checksum_ok=False)
+    # a round's code replaced by another valid one: counted as read
+    codes = np.frombuffer(data[-32 - 2 * cfg.rounds:-32], dtype="<u2").copy()
+    codes[0] = codes[1] if codes[1] != codes[0] else codes[2]
+    path.write_bytes(data[:-32 - 2 * cfg.rounds] + codes.tobytes() + data[-32:])
+    rep = replay(cfg, path)
+    assert not rep.checksum_ok and rep.rounds == live.rounds
+
+
+def sifted_code_missing_a_bit(alice_bit=0, bob_bit=1) -> int:
+    # [Alice basis, Bob basis, Alice kind, Bob kind, sifted, Alice bit, Bob bit];
+    # bit token 0 is '-'
+    return int(np.ravel_multi_index((0, 0, 1, 1, 1, alice_bit, bob_bit), protocol._TAIL_SHAPE))
+
+
+def with_code(data, rounds, i, code):
+    """`data` with round i's code replaced, the digest left as it was."""
+    body = len(data) - 32 - 2 * rounds
+    return data[:body + 2 * i] + int(code).to_bytes(2, "little") + data[body + 2 * i + 2:]
+
+
+def with_meta(data, **fields):
+    """`data` with fields of its JSON header line replaced."""
+    magic, meta, rest = data.split(b"\n", 2)
+    meta = json.dumps({**json.loads(meta), **fields}, sort_keys=True, separators=(",", ":"))
+    return b"\n".join([magic, meta.encode("ascii"), rest])
+
+
+V3_REJECTIONS = {
+    "version-4": (lambda d, n: d.replace(b"spdcqkd-transcript 3", b"spdcqkd-transcript 4", 1),
+                  "unsupported transcript version '4'"),
+    "bad-version-token": (lambda d, n: d.replace(b"transcript 3\n", b"transcript 3x\n", 1),
+                          "unsupported transcript version '3x'"),
+    "magic-only": (lambda d, n: b"spdcqkd-transcript 3",
+                   "bad version-3 header: no JSON line of at most 65536 bytes"),
+    "bad-json": (lambda d, n: d.replace(b'{"code_bytes"', b'{code_bytes"', 1),
+                 "bad version-3 header: not JSON: Expecting property name enclosed in "
+                 "double quotes: line 1 column 2 (char 1)"),
+    "nested-json": (lambda d, n: d.split(b"\n")[0] + b"\n" + b"[" * 50_000 + b"\n",
+                    "bad version-3 header: not JSON: maximum recursion depth exceeded…"),
+    "missing-field": (lambda d, n: with_meta(d, tool_version=None).replace(
+        b',"tool_version":null', b""),
+        "bad version-3 header: expected an object with the fields "
+        "code_bytes, config, tags, tool_version"),
+    "code-width-4": (lambda d, n: with_meta(d, code_bytes=4),
+                     "unsupported row code width 4"),
+    "tag-with-comma": (lambda d, n: with_meta(d, tags=["att,ack", "singlet"]),
+                       "bad version-3 header: tags must be 1 to 56 distinct printable ASCII "
+                       "strings without commas"),
+    "bad-config": (lambda d, n: with_meta(d, config={"rounds": n, "seed": -1,
+                                                     "source": {"kind": "singlet"}}),
+                   "bad version-3 header: config: seed must be >= 0, got -1"),
+    "odd-body": (lambda d, n: d[:-40] + d[-39:], "odd body length 5999: not whole row codes"),
+    "short-body": (lambda d, n: d[:-40] + d[-38:], "header names 3000 rounds, body holds 2999"),
+    "no-digest": (lambda d, n: d[:len(d) - 32 - 2 * n + 10],
+                  "transcript ends before its digest"),
+    "code-out-of-range": (lambda d, n: with_code(d, n, 7, 2 * protocol._CODES),
+                          "round 7: row code 2304 is out of range for 2 tag(s)"),
+    "largest-code": (lambda d, n: with_code(d, n, n - 1, 0xFFFF),
+                     "round 2999: row code 65535 is out of range for 2 tag(s)"),
+    "sifted-missing-bit": (lambda d, n: with_code(with_code(d, n, 2500, 0xFFFF), n, 9,
+                                                  sifted_code_missing_a_bit()),
+                           "round 9: sifted round missing a key bit"),
+    "sifted-missing-bob-bit": (lambda d, n: with_code(d, n, 11, sifted_code_missing_a_bit(2, 0)
+                                                      + protocol._CODES),
+                               "round 11: sifted round missing a key bit"),
+}
+
+
+@pytest.mark.parametrize("name", V3_REJECTIONS)
+def test_corrupt_v3_transcript_is_rejected(tmp_path, name):
+    edit, message = V3_REJECTIONS[name]
+    cfg, path, _ = write_v3(tmp_path)
+    path.write_bytes(edit(path.read_bytes(), cfg.rounds))
+    with pytest.raises(TranscriptError) as err:
+        replay(None, path)
+    if message.endswith("…"):  # the rest is the JSON decoder's own text
+        assert str(err.value).startswith(message[:-1])
+    else:
+        assert str(err.value) == message
+    assert err.value.line is None
+    result = CliRunner().invoke(main, ["replay", "--transcript", str(path)])
+    assert result.exit_code == 2
+    assert f"--transcript: {message.rstrip('…')}" in result.stderr
+
+
+def test_v3_file_with_a_misspelt_magic_is_read_as_csv(tmp_path):
+    # only a first line starting 'spdcqkd-transcript ' is version 3; any other
+    # goes to the CSV reader, which finds no checksum line after the binary body
+    _, path, _ = write_v3(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"spdcqkd-transcript", b"spdcqkd-transkript", 1))
+    with pytest.raises(TranscriptError, match=r"^line \d+: missing trailing checksum line$"):
+        replay(None, path)
+
+
+@pytest.mark.parametrize("read_bytes", [97, 1000, _replay.READ_BYTES])
+def test_corrupted_v3_files_end_in_a_report_or_a_named_error(tmp_path, monkeypatch, read_bytes):
+    # a transcript with one byte replaced, deleted or inserted: replay returns
+    # a report whose checksum_ok says whether the digest still matches, or
+    # raises a TranscriptError; both happen
+    monkeypatch.setattr(_replay, "READ_BYTES", read_bytes)
+    _, path, live = write_v3(tmp_path, rounds=60, seed=5)
+    data = path.read_bytes()
+    rng = np.random.default_rng(read_bytes)
+    reports = errors = 0
+    for _ in range(300):
+        pos = int(rng.integers(len(data)))
+        byte = int(rng.integers(256)).to_bytes(1, "big")
+        edit = int(rng.integers(3))
+        if edit == 0:
+            mutated = data[:pos] + byte + data[pos + 1:]
+        elif edit == 1:
+            mutated = data[:pos] + data[pos + 1:]
+        else:
+            mutated = data[:pos] + byte + data[pos:]
+        path.write_bytes(mutated)
+        try:
+            rep = replay(None, path)
+        except TranscriptError:
+            errors += 1
+            continue
+        reports += 1
+        assert mutated.startswith(b"spdcqkd-transcript 3\n"), (pos, edit, byte)
+        assert rep.checksum_ok == (hashlib.sha256(mutated[:-32]).digest() == mutated[-32:])
+        assert rep.checksum_ok == (mutated == data) and rep.rounds == live.rounds
+    assert reports > 10 and errors > 10, (reports, errors)
