@@ -1,4 +1,4 @@
-"""Per-round sampling for Monte Carlo sessions, and the legacy transcript hash.
+"""Per-round sampling for Monte Carlo sessions.
 
 Every round consumes a fixed block of DRAWS_PER_ROUND uniforms from the
 counter-based master stream (slot layout below) and picks a pre-enumerated
@@ -22,18 +22,6 @@ outcome row's four template rows), 6-7 reserved.
 Record columns: scenario, alice_basis, bob_basis, alice_kind, bob_kind,
 alice_bit, bob_key_bit, sifted, eve1_bit, eve2_bit (bits are -1 when absent;
 kinds encode NoClick/Bit0/Bit1/Double as 0..3).
-
-Transcript format 3 (written by `protocol.run_session`, read by `_replay`)
-is these codes: a text header of the magic line 'spdcqkd-transcript 3' and
-one JSON object holding the session's canonical config (rounds and seed
-included), the tool version, the emission tags in code order and the code
-width (2 bytes); then one little-endian uint16 row code per round, the
-round index implicit; then the raw sha256 digest of every byte before it.
-Replay checks the header's config against the caller's field by field and
-rejects codes out of range for the tags or sifted without both key bits.
-Version 2, one CSV row per round, is the text form `spdcqkd transcript
---text` prints.  `fnv1a64` is the checksum of version-1 transcripts
-(trailer '#fnv1a64='); replay still verifies those files with it.
 """
 
 from __future__ import annotations
@@ -168,6 +156,7 @@ def _sample_block(u, scen_cum, thr, width, out, counts) -> None:
         counts += np.bincount(pos, minlength=counts.shape[0])
 
 
+# No caller; ROADMAP item 6 retargets the benchmark test that deletes it, then removes it.
 def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
     """64-bit FNV-1a hash of a byte string.
 

@@ -9,8 +9,8 @@ validity mask over those counts.  `read_counts` adds them up and checks
 the trailing digest.  `write_text` prints a version-3 file as the version-2
 CSV of the same rounds.
 
-CSV (versions 1 and 2): `read_trailer` reads a transcript's checksum line
-from the end of the file; `body_reads` streams the bytes before it;
+CSV (version 2): `read_trailer` reads a transcript's '#sha256=' line from
+the end of the file; `body_reads` streams the bytes before it;
 `parse_rows` checks every field of a block of whole lines at once with
 numpy and returns their row codes, the codes `protocol` tallies, not
 records.  The first row a block check rejects goes to `check_row`, which
@@ -90,14 +90,13 @@ def line_start(fh, end: int) -> int:
     return 0
 
 
-def read_trailer(fh) -> tuple[str, str, int]:
-    """(tag, digest, offset) of the checksum line that ends the file.
+def read_trailer(fh) -> tuple[str, int]:
+    """(lowercase hex digest, offset) of the '#sha256=' line that ends the file.
 
-    The tag is the format version: '#sha256=' today, '#fnv1a64=' in
-    version-1 files, each followed by its digest in lowercase hex.  The
-    line is read from the file's tail, so a bad trailer is reported before
-    any row error.  A line longer than TRAILER_BYTES is read only that far,
-    which cannot change its verdict: the longest checksum line is 72 bytes.
+    The line is read from the file's tail, so a bad trailer, or version 1's
+    '#fnv1a64=', is reported before any row error.  A line longer than
+    TRAILER_BYTES is read only that far, which cannot change its verdict:
+    a valid line is 72 bytes.
     """
     size = fh.seek(0, os.SEEK_END)
     if size == 0:
@@ -108,13 +107,14 @@ def read_trailer(fh) -> tuple[str, str, int]:
     fh.seek(start)
     trailer = fh.read(min(end - start, TRAILER_BYTES)).decode("ascii", errors="replace")
     tag, _, tok = trailer.partition("=")
-    digits = {"#sha256": 64, "#fnv1a64": 16}.get(tag)
-    if digits is None:
+    if tag == "#fnv1a64":
+        message = "unsupported transcript version 1 ('#fnv1a64' checksum)"
+    elif tag != "#sha256":
         message = "missing trailing checksum line"
-    elif len(tok) != digits or not set(tok) <= set("0123456789abcdef"):
+    elif len(tok) != 64 or not set(tok) <= set("0123456789abcdef"):
         message = "malformed checksum line"
     else:
-        return tag, tok, start
+        return tok, start
     lineno = 1 + sum(chunk.count(b"\n") for chunk in body_reads(fh, start))
     raise TranscriptError(message, line=lineno)
 

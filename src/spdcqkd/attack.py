@@ -43,6 +43,10 @@ class AttackConfig:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise FockError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        try:
+            float(self.max_attempts)  # the exponent of the give-up probability
+        except OverflowError:
+            raise FockError("max_attempts is too large for a float") from None
 
 
 class SplitResult(NamedTuple):

@@ -215,7 +215,7 @@ def _load_config(config_path: str, seed: int | None) -> SessionConfig:
         sys.exit(3)
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable bytes or nesting too deep
         raise click.UsageError(f"--config: invalid JSON: {exc}")
     try:
         config = config_from_dict(doc)
@@ -260,7 +260,7 @@ def cmd_simulate(config_path, transcript_path, seed, fmt):
 
 @main.command("replay")
 @click.option("--transcript", "transcript_path", required=True,
-              help="Transcript produced by simulate (version 3), or a CSV one.")
+              help="Transcript produced by simulate (version 3), or a version-2 CSV one.")
 @click.option("--config", "config_path", default=None,
               help="Optional config the transcript must match: every field of a "
                    "version-3 header, the round count of a CSV transcript.")

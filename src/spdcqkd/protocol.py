@@ -61,11 +61,11 @@ The CSV of version 2 is the same rounds as text, one row per round, with
 header
 round_idx,source_tag,alice_basis,bob_basis,alice_outcome,bob_outcome,sifted_flag,alice_bit,bob_bit
 (bob_bit already flipped to the key convention, '-' marks absent bits) and a
-trailing checksum line '#sha256=<hex>' over all preceding bytes; version-1
-files end in a 64-bit FNV-1a line '#fnv1a64=<hex>' instead.  Sessions no
-longer write it: `transcript_text` (`spdcqkd transcript --text`) prints a
-version-3 file as version-2 bytes, and replay() still reads and verifies
-both CSV versions, telling them from version 3 by the first line.
+trailing checksum line '#sha256=<hex>' over all preceding bytes.  Sessions
+no longer write it: `transcript_text` (`spdcqkd transcript --text`) prints
+a version-3 file as version-2 bytes, and replay() still reads and verifies
+it, telling it from version 3 by the first line.  Version 1, a CSV ending
+in '#fnv1a64=<hex>', is refused as an unsupported version.
 
 Both CSV directions work on blocks of rows with numpy, never a Python
 string per row.  The text form builds, once, the text after the round index
@@ -80,11 +80,13 @@ error and line.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import math
 import os
+import stat
 import threading
 from dataclasses import dataclass, field
 from typing import Union
@@ -639,8 +641,11 @@ def _simulate(config: SessionConfig, tally: _Tally | None = None):
     counts = None if tally is None else np.zeros(template.rows.shape[0], dtype=np.intp)
     if tally is not None:
         tally.tags = template.tables.emission_tags
-    spans = [(start, min(CHUNK_ROUNDS, config.rounds - start))
-             for start in range(0, config.rounds, CHUNK_ROUNDS)]
+    starts = range(0, config.rounds, CHUNK_ROUNDS)  # a range, not a list growing with rounds
+
+    def spans():
+        """(start, count) of each chunk, made as it is reached."""
+        return ((start, min(starts.step, config.rounds - start)) for start in starts)
 
     def sample(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return _kernels.sample_rounds(u, scen_cum, template.thresholds, out, counts)
@@ -652,7 +657,7 @@ def _simulate(config: SessionConfig, tally: _Tally | None = None):
         return start, idx
 
     def chunks():
-        for start, count in spans:
+        for start, count in spans():
             # the chunk's draws die here, before the next chunk is drawn
             yield tallied(start, sample(_uniform_block(config.seed, start, count)))
 
@@ -664,7 +669,7 @@ def _simulate(config: SessionConfig, tally: _Tally | None = None):
             # for, by which time block j - 2 in that buffer has been sampled.
             buffers = np.empty((2, DRAW_BLOCK_ROUNDS, DRAWS_PER_ROUND))
             spans_of_blocks = ((lo, min(DRAW_BLOCK_ROUNDS, start + count - lo))
-                               for start, count in spans
+                               for start, count in spans()
                                for lo in range(start, start + count, DRAW_BLOCK_ROUNDS))
             for j, (lo, n) in enumerate(spans_of_blocks):
                 u = buffers[j % 2, :n]
@@ -675,7 +680,7 @@ def _simulate(config: SessionConfig, tally: _Tally | None = None):
 
         draws = _drawer.ahead(blocks())
         try:
-            for start, count in spans:
+            for start, count in spans():
                 idx = np.empty(count, dtype=np.uint16)
                 for lo in range(0, count, DRAW_BLOCK_ROUNDS):
                     sample(next(draws), idx[lo:lo + DRAW_BLOCK_ROUNDS])
@@ -698,9 +703,12 @@ def _transcript_head(config: SessionConfig, tags: list[str]) -> bytes:
 def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
     """Run the session; optionally stream a version-3 transcript to disk.
 
-    The tables are built and the header made before the file is opened, so
-    a table error (FockError) or a config the header cannot name
-    (ConfigError) leaves no file behind.
+    A failed session leaves no file behind.  The tables are built and the
+    header made before the file is opened, so a table error (FockError) or
+    a config the header cannot name (ConfigError) opens none; an error
+    after that (a draw, sampling, the disk) closes and removes the partial
+    file, unless the path is not a regular file (a FIFO, a device, or a
+    symlink such as /dev/stdout), which is left in place.
     """
     tally = _Tally()
     template, chunks = _simulate(config, tally)
@@ -710,13 +718,22 @@ def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
         return tally.report()
     head = _transcript_head(config, template.tables.emission_tags)
     digest = hashlib.sha256(head)
-    with open(transcript_path, "wb") as fh:
+    fh = open(transcript_path, "wb")
+    try:
         fh.write(head)
         for _, idx in chunks:
             blob = template.codes[idx]
             fh.write(blob)
             digest.update(blob)
         fh.write(digest.digest())
+        fh.close()
+    except BaseException:
+        with contextlib.suppress(OSError):  # flushing what the first error left
+            fh.close()
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(transcript_path).st_mode):
+                os.unlink(transcript_path)
+        raise
     return tally.report()
 
 
@@ -752,18 +769,16 @@ def eve_mutual_information(config: SessionConfig) -> float:
 # transcript replay
 
 
-def _parse_transcript(fh, body_len: int, tag: str) -> tuple[_Tally, str]:
+def _parse_transcript(fh, body_len: int) -> tuple[_Tally, str]:
     """Tally the header and rows of a CSV transcript's first `body_len` bytes.
 
     The body is read in fixed-size reads; each read is hashed, its whole
     lines are parsed as one block, and a partial last line is carried over.
-    Returns (tally, hex digest of the body): sha256 for the '#sha256' tag,
-    16 hex digits of fnv1a64 for version 1's '#fnv1a64'.
+    Returns (tally, sha256 hex digest of the body).
     """
     from . import _replay
 
     digest = hashlib.sha256()
-    fnv = _kernels.fnv1a64(b"")  # the FNV offset basis
     tally = _Tally()
     keys: dict[bytes, int] = {}
     lookups = _replay.token_lookups()
@@ -771,10 +786,7 @@ def _parse_transcript(fh, body_len: int, tag: str) -> tuple[_Tally, str]:
     header = (TRANSCRIPT_HEADER + "\n").encode("ascii")
     seen_header = False
     for chunk in _replay.body_reads(fh, body_len):
-        if tag == "#sha256":
-            digest.update(chunk)
-        else:
-            fnv = _kernels.fnv1a64(chunk, fnv)
+        digest.update(chunk)
         cut = chunk.rfind(b"\n") + 1
         if not cut:
             carry.append(chunk)
@@ -790,7 +802,7 @@ def _parse_transcript(fh, body_len: int, tag: str) -> tuple[_Tally, str]:
             tally.update(_replay.parse_rows(block, tally.rounds, tally.tags, keys, lookups))
     if not seen_header:
         raise TranscriptError("bad or missing header", line=1)
-    return tally, (digest.hexdigest() if tag == "#sha256" else f"{fnv:016x}")
+    return tally, digest.hexdigest()
 
 
 def replay(config: SessionConfig | None, transcript_path) -> SessionReport:
@@ -798,10 +810,11 @@ def replay(config: SessionConfig | None, transcript_path) -> SessionReport:
 
     A matching live report is reproduced exactly; a failed checksum is
     reported via checksum_ok=False (the tallies still reflect the file's
-    contents).  The format version is read from the first line.  config,
+    contents).  Version 3 is told by its first line; a CSV must be version
+    2, and version 1 (a '#fnv1a64' trailer) is a TranscriptError.  config,
     when given, must equal a version-3 header's config in every field (a
-    TranscriptError names the first that differs); the CSV versions name no
-    config, so only their round count is checked against it.  The file is
+    TranscriptError names the first that differs); a version-2 CSV names no
+    config, so only its round count is checked against it.  The file is
     read in blocks, so memory does not grow with its length.
     """
     return replay_with_header(config, transcript_path)[0]
@@ -822,8 +835,8 @@ def replay_with_header(config: SessionConfig | None, transcript_path
             tally = _Tally(head.tags, head.config.rounds, counts)
             return (tally.report(checksum_ok=checksum_ok),
                     {"config": head.config_dict, "tool_version": head.tool_version})
-        tag, tok, body_len = _replay.read_trailer(fh)
-        tally, digest = _parse_transcript(fh, body_len, tag)
+        tok, body_len = _replay.read_trailer(fh)
+        tally, digest = _parse_transcript(fh, body_len)
     if config is not None and config.rounds != tally.rounds:
         raise TranscriptError(
             f"config expects {config.rounds} rounds, transcript has {tally.rounds}")

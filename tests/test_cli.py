@@ -217,12 +217,24 @@ def test_simulate_reports_config_field_errors(runner, tmp_path):
     assert "source.tanh_xi" in result.stderr
 
 
-def test_simulate_rejects_malformed_json(runner, tmp_path):
+HUGE_ATTEMPTS = ('{"rounds": 10, "seed": 1, "source": {"kind": "spdc", "tanh_xi": 0.3}, '
+                 '"eve": {"kind": "split", "max_attempts": 1%s}}' % ("0" * 400)).encode()
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["replay", "--transcript", "absent.v3"]],
+                         ids=["simulate", "replay"])
+@pytest.mark.parametrize("raw, message", [
+    (b"{not json", "invalid JSON"),
+    (b"\xff\xfe\x7b", "invalid JSON"),  # a UTF-16 byte-order mark, then an odd byte
+    (b"[" * 10 ** 5, "invalid JSON"),  # nested deeper than the decoder recurses
+    (HUGE_ATTEMPTS, "max_attempts is too large for a float"),
+], ids=["not-json", "undecodable", "too-deep", "huge-max-attempts"])
+def test_simulate_rejects_malformed_json(runner, tmp_path, command, raw, message):
     cfg = tmp_path / "broken.json"
-    cfg.write_text("{not json")
-    result = runner.invoke(main, ["simulate", "--config", str(cfg)])
-    assert result.exit_code == 2
-    assert "invalid JSON" in result.stderr
+    cfg.write_bytes(raw)
+    result = runner.invoke(main, [*command, "--config", str(cfg)])
+    assert result.exit_code == 2, result.exception
+    assert f"--config: {message}" in result.stderr
 
 
 def test_simulate_missing_config_file(runner, tmp_path):

@@ -5,7 +5,8 @@ transcripts, must leave
 the pieces it has not taken to the caller, must hand its errors to the
 session that asked, must leave nothing running or held when a session ends
 early, must survive a fork, and must hold less memory than drawing a chunk
-at a time.
+at a time; a session's memory before its first draw must not grow with
+its rounds.
 """
 
 import os
@@ -183,6 +184,7 @@ def test_drawer_error_is_raised_in_the_session(monkeypatch, tmp_path, small_bloc
     with pytest.raises(ValueError, match=r"^draw failed on the third piece$"):
         run_session(SMALL, tmp_path / "failed.v3")
     assert len(opened) == 1 and opened[0].closed
+    assert not (tmp_path / "failed.v3").exists()
 
     monkeypatch.setattr(protocol, "_uniform_block", real)
     draw_ahead(monkeypatch, False)
@@ -298,3 +300,19 @@ def test_drawing_ahead_holds_no_more_memory(monkeypatch):
         tracemalloc.stop()
         assert rep == want
     assert peaks[True] <= peaks[False], peaks
+
+
+@pytest.mark.parametrize("ahead", [False, True])
+def test_session_holds_nothing_per_chunk_before_its_first_draw(monkeypatch, ahead):
+    # a list of the 10⁵ chunks' spans held about 9.5 MB
+    draw_ahead(monkeypatch, ahead)
+    config = SessionConfig(rounds=protocol.CHUNK_ROUNDS * 10 ** 5, seed=8, **PAPER)
+    protocol._simulate(config)  # fills the table caches outside the measurement
+    tracemalloc.start()
+    try:
+        _, chunks = protocol._simulate(config)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size < 1 << 20, size
+    chunks.close()

@@ -1,15 +1,21 @@
 import dataclasses
+import errno
 import hashlib
 import itertools
 import json
 import math
+import os
 import re
+import stat
+import threading
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from spdcqkd import _kernels, _replay, protocol
+from spdcqkd import _kernels, protocol
 from spdcqkd.attack import AttackConfig
+from spdcqkd.cli import main
 from spdcqkd.fock import FockError
 from spdcqkd.optics import DA, HV, BasisAngle
 from spdcqkd.protocol import (AttackMixture, ConfigError, InterceptResend,
@@ -707,7 +713,56 @@ def test_session_with_spdc_source_writes_replayable_transcript(tmp_path):
     assert live.no_click_count > 0
 
 
+def run_failing_session(monkeypatch, path):
+    """A serial 3000-round singlet session, in chunks of 1000 rounds, whose
+    second sampling call fails as a full disk would."""
+    real = _kernels.sample_rounds
+    calls = []
+
+    def full_disk(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(*args)
+
+    monkeypatch.setattr(protocol, "CHUNK_ROUNDS", 1000)
+    monkeypatch.setattr(protocol, "_draws_ahead", lambda rounds: False)
+    monkeypatch.setattr(_kernels, "sample_rounds", full_disk)
+    with pytest.raises(OSError, match="No space left on device"):
+        run_session(SessionConfig(rounds=3000, seed=17, source=SingletSource()), path)
+    assert len(calls) == 2
+
+
+def test_failed_session_leaves_no_transcript(monkeypatch, tmp_path):
+    path = tmp_path / "failed.v3"
+    run_failing_session(monkeypatch, path)
+    assert not path.exists()
+
+
+def test_failed_session_leaves_a_symlink_in_place(monkeypatch, tmp_path):
+    link = tmp_path / "link.v3"
+    link.symlink_to(tmp_path / "target.v3")
+    run_failing_session(monkeypatch, link)
+    assert link.is_symlink()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_failed_session_leaves_a_fifo_in_place(monkeypatch, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=fifo.read_bytes, daemon=True)
+    reader.start()
+    try:
+        run_failing_session(monkeypatch, fifo)
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
 # -- version-1 transcripts (trailing '#fnv1a64=' line) -------------------------
+
+V1_ERROR = "unsupported transcript version 1 ('#fnv1a64' checksum)"
 
 
 def as_v1(path):
@@ -718,39 +773,27 @@ def as_v1(path):
     return body
 
 
-def test_replay_verifies_v1_transcript(tmp_path):
-    cfg, path, live = transcript_session(tmp_path)
-    as_v1(path)
-    rep = replay(cfg, path)
-    assert rep.checksum_ok
-    assert rep == live
-
-
-def test_replay_verifies_v1_transcript_over_many_reads(tmp_path, monkeypatch):
-    monkeypatch.setattr(_replay, "READ_BYTES", 997)
-    cfg, path, live = transcript_session(tmp_path)
-    as_v1(path)
-    assert replay(cfg, path) == live
-
-
-def test_replay_flags_edited_v1_transcript(tmp_path):
+def test_replay_rejects_v1_transcript(tmp_path):
     cfg, path, _ = transcript_session(tmp_path)
     body = as_v1(path)
-    lines = path.read_text().splitlines()
-    first = lines[1].split(",")
-    first[2] = "DA" if first[2] == "HV" else "HV"
-    lines[1] = ",".join(first)
-    path.write_text("\n".join(lines) + "\n")
-    assert path.read_bytes()[:len(body)] != body
-    assert not replay(cfg, path).checksum_ok
+    trailer_line = body.count(b"\n") + 1
+    with pytest.raises(TranscriptError) as err:
+        replay(cfg, path)
+    assert str(err.value) == f"line {trailer_line}: {V1_ERROR}"
+    assert err.value.line == trailer_line
+    result = CliRunner().invoke(main, ["replay", "--transcript", str(path)])
+    assert result.exit_code == 2
+    assert f"--transcript: line {trailer_line}: {V1_ERROR}" in result.stderr
 
 
 @pytest.mark.parametrize("trailer", ["#fnv1a64=0451096dfad15bzz", "#fnv1a64=451096dfad15b9e",
                                      "#fnv1a64=", "#sha256=" + "g" * 64])
 def test_replay_rejects_malformed_checksum(tmp_path, trailer):
+    # any '#fnv1a64' trailer is version 1, whatever its digest
+    message = V1_ERROR if trailer.startswith("#fnv1a64") else "malformed checksum line"
     _, path, _ = transcript_session(tmp_path)
     lines = path.read_text().splitlines()
     lines[-1] = trailer
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TranscriptError, match=f"line {len(lines)}: malformed checksum"):
+    with pytest.raises(TranscriptError, match=f"^line {len(lines)}: {re.escape(message)}$"):
         replay(None, path)

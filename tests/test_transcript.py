@@ -14,7 +14,6 @@ import json
 import os
 import threading
 import tracemalloc
-import zlib
 
 import numpy as np
 import pytest
@@ -193,15 +192,14 @@ def reference_replay(config, path):
     trailer = lines.pop()
     body = data[:data.rfind(b"\n#") + 1]
     tag, _, tok = trailer.partition("=")
-    digits = {"#sha256": 64, "#fnv1a64": 16}.get(tag)
-    if digits is None:
+    if tag == "#fnv1a64":
+        raise TranscriptError("unsupported transcript version 1 ('#fnv1a64' checksum)",
+                              line=len(lines) + 1)
+    if tag != "#sha256":
         raise TranscriptError("missing trailing checksum line", line=len(lines) + 1)
-    if len(tok) != digits or not set(tok) <= set("0123456789abcdef"):
+    if len(tok) != 64 or not set(tok) <= set("0123456789abcdef"):
         raise TranscriptError("malformed checksum line", line=len(lines) + 1)
-    if tag == "#sha256":
-        checksum_ok = tok == hashlib.sha256(body).hexdigest()
-    else:
-        checksum_ok = int(tok, 16) == _kernels.fnv1a64(body)
+    checksum_ok = tok == hashlib.sha256(body).hexdigest()
     if not lines or lines[0] != protocol.TRANSCRIPT_HEADER:
         raise TranscriptError("bad or missing header", line=1)
     basis_idx = {t: i for i, t in enumerate(_BASIS)}
@@ -411,22 +409,6 @@ def test_v3_replay_memory_does_not_grow_with_the_file(tmp_path):
     rounds = (200_000, 2_000_000)
     assert 2 * rounds[0] > _replay.READ_BYTES
     peaks = replay_peaks(tmp_path, rounds=rounds, write=write_v3)
-    assert peaks[1] < 1.5 * peaks[0], peaks
-
-
-def test_v1_replay_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
-    # Under tracemalloc the pure-Python FNV-1a takes about 15 s over the larger
-    # file, so a chained CRC-32 stands in for it: the test measures what replay
-    # holds, and the checksum still verifies only if replay chains the hash
-    # over its reads.  The real hash's chaining is tested in test_protocol.
-    monkeypatch.setattr(_kernels, "fnv1a64", lambda data, h=0: zlib.crc32(data, h))
-
-    def as_v1(path):
-        data = path.read_bytes()
-        body = data[:data.rfind(b"#sha256=")]
-        path.write_bytes(body + b"#fnv1a64=%016x\n" % _kernels.fnv1a64(body))
-
-    peaks = replay_peaks(tmp_path, as_v1)
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
