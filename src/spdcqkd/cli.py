@@ -96,7 +96,7 @@ def cmd_spdc_state(tanh_xi, phi, nmax, fmt):
     try:
         params = SpdcParams(tanh_xi=tanh_xi, phi=phi, n_max=nmax)
     except FockError as exc:
-        raise click.UsageError(f"--tanh-xi/--nmax: {exc}")
+        raise click.UsageError(f"--tanh-xi/--phi/--nmax: {exc}")
     state = spdc_state(params)
     results = {"terms": _state_terms(state),
                "squared_norm": state.norm_sq(),

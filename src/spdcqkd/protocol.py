@@ -23,6 +23,17 @@ keyed by the session seed, so rounds can be evaluated in any order or
 chunking with identical results; a session is reproduced bit-for-bit by its
 seed.
 
+The template depends on the physics alone (the source, the eavesdropper and
+the double-click policy), never on `rounds` or `seed`, so a process keeps
+the templates of the TEMPLATE_CACHE_SIZE physics configs it used last, in a
+least-recently-used cache keyed by the config with `rounds` and `seed` set
+to fixed values.  Sessions and `eve_mutual_information` take their template
+from that cache only; a build that raises is not cached.  Many seeds of one
+config in one process build it once; a one-shot `spdcqkd simulate`, or a
+process that never repeats a config, gains nothing from it.
+The cached tables, lookup arrays and row codes are read-only and the tags a
+tuple, so no session can change what the next one samples.
+
 A session longer than one chunk (CHUNK_ROUNDS), in a process that may run
 on more than one CPU, gets its uniforms in blocks of DRAW_BLOCK_ROUNDS with
 help from the daemon drawer thread of `_drawer`, started on first use and
@@ -88,7 +99,7 @@ import math
 import os
 import stat
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Union
 
 import numpy as np
@@ -103,6 +114,8 @@ from .security import LeakBound, leak_vs_bound
 from .source import SpdcParams, singlet_state, spdc_state
 
 CHUNK_ROUNDS = 1 << 16
+# Physics configs whose session template a process keeps.
+TEMPLATE_CACHE_SIZE = 8
 # Rounds per block a session longer than one chunk draws ahead (1 MB of
 # uniforms), and rounds per piece of a block that either thread may draw.
 DRAW_BLOCK_ROUNDS = 1 << 14
@@ -252,6 +265,16 @@ def _optional(d: dict, key: str, types, path: str, default):
     return v
 
 
+def _real(d: dict, key: str, path: str, default: float | None = None) -> float:
+    """A number field as a float; required if there is no default."""
+    v = (_require(d, key, (int, float), path) if default is None
+         else _optional(d, key, (int, float), path, default))
+    try:
+        return float(v)
+    except OverflowError:  # an integer past the largest float
+        raise ConfigError(f"field {path}{key} is too large for a float") from None
+
+
 def config_from_dict(d: dict) -> SessionConfig:
     if not isinstance(d, dict):
         raise ConfigError("session config must be a JSON object")
@@ -263,12 +286,15 @@ def config_from_dict(d: dict) -> SessionConfig:
         if kind == "singlet":
             source: Source = SingletSource()
         elif kind == "spdc":
-            source = SpdcSource(SpdcParams(
-                tanh_xi=float(_require(src, "tanh_xi", (int, float), "source.")),
-                phi=float(_optional(src, "phi", (int, float), "source.", 0.0)),
-                n_max=_optional(src, "n_max", int, "source.", 4)))
+            try:
+                params = SpdcParams(tanh_xi=_real(src, "tanh_xi", "source."),
+                                    phi=_real(src, "phi", "source.", 0.0),
+                                    n_max=_optional(src, "n_max", int, "source.", 4))
+            except FockError as exc:  # its message starts with the field's name
+                raise ConfigError(f"source.{exc}") from exc
+            source = SpdcSource(params)
         elif kind == "attack_mixture":
-            source = AttackMixture(float(_require(src, "p", (int, float), "source.")))
+            source = AttackMixture(_real(src, "p", "source."))
         else:
             raise ConfigError(f"unknown source.kind {kind!r}")
         eve_d = _require(d, "eve", dict, "") if "eve" in d else {"kind": "none"}
@@ -303,9 +329,20 @@ def config_from_dict(d: dict) -> SessionConfig:
 # exact enumeration into sampling tables
 
 
-@dataclass
+def _read_only(obj) -> None:
+    """Make every numpy array field of the dataclass `obj` read-only."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+
+
+@dataclass(frozen=True)
 class _Tables:
-    emission_tags: list[str]
+    """The enumerated tables of one physics config; read-only, as the
+    template cache shares them between sessions."""
+
+    emission_tags: tuple[str, ...]
     scen_emission: np.ndarray  # int8[S]
     scen_cum: np.ndarray       # float64[S]
     grp_off: np.ndarray        # int64[S*4]
@@ -315,6 +352,9 @@ class _Tables:
     row_b: np.ndarray
     row_e1: np.ndarray
     row_e2: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self)
 
 
 def _emission_branches(source: Source, registry) -> list[tuple[str, float, StateVector]]:
@@ -372,7 +412,7 @@ def _outcome_rows(state_a: StateVector, a_basis: BasisAngle, b_basis: BasisAngle
 def _build_tables(config: SessionConfig) -> _Tables:
     registry = attack_registry()
     emissions = _emission_branches(config.source, registry)
-    tags = [tag for tag, _, _ in emissions]
+    tags = tuple(tag for tag, _, _ in emissions)
     scenarios = []  # (emission idx, probability, state, fixed_e1)
     for ei, (_, e_prob, e_state) in enumerate(emissions):
         for b_prob, b_state, fixed_e1 in _eve_branches(e_state, config.eve):
@@ -466,7 +506,7 @@ def _wilson_interval(hits: int, trials: int) -> list[float]:
 class _Tally:
     """Rounds counted by row code: counts[code] for the codes of `tags`."""
 
-    tags: list[str] = field(default_factory=list)
+    tags: list[str] | tuple[str, ...] = field(default_factory=list)
     rounds: int = 0
     counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
@@ -604,7 +644,8 @@ class _Template:
     """A session's tables and the sampler's lookup arrays (`lookup_tables`).
 
     A round that draws template index i has the record rows[i] and the row
-    code codes[i], which a version-3 transcript stores.
+    code codes[i], which a version-3 transcript stores.  Read-only, as the
+    template cache shares it between sessions.
     """
 
     tables: _Tables
@@ -612,9 +653,19 @@ class _Template:
     rows: np.ndarray   # int8[T, N_COLS]
     codes: np.ndarray  # CODE_DTYPE[T]
 
+    def __post_init__(self):
+        _read_only(self)
+
 
 def _session_template(config: SessionConfig) -> _Template:
-    """Build the session's template; a FockError if a uint16 round index
+    """The template of the config's physics, from the cache of the last
+    TEMPLATE_CACHE_SIZE configs used; a FockError if it cannot be built."""
+    return _physics_template(replace(config, rounds=1, seed=0))
+
+
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _physics_template(config: SessionConfig) -> _Template:
+    """Build the template of a config; a FockError if a uint16 round index
     cannot address it."""
     tables = _build_tables(config)
     thresholds, rows = _kernels.lookup_tables(
@@ -628,9 +679,9 @@ def _session_template(config: SessionConfig) -> _Template:
 
 
 def _simulate(config: SessionConfig, tally: _Tally | None = None):
-    """Build the tables now (a FockError raises here); return the session's
-    template and an iterator of (start_round, index-chunk): each round's
-    template index, uint16.
+    """Get the template now (a FockError raises here); return it and an
+    iterator of (start_round, index-chunk): each round's template index,
+    uint16.
 
     With `tally`, which takes the tables' tags, each chunk is counted into
     it before it is yielded: the template's row codes, weighted by how many
@@ -691,7 +742,7 @@ def _simulate(config: SessionConfig, tally: _Tally | None = None):
     return template, (chunks_drawn_ahead() if _draws_ahead(config.rounds) else chunks())
 
 
-def _transcript_head(config: SessionConfig, tags: list[str]) -> bytes:
+def _transcript_head(config: SessionConfig, tags: tuple[str, ...]) -> bytes:
     """The two header lines of a version-3 transcript; a ConfigError if the
     config has no dict form."""
     meta = {"code_bytes": CODE_DTYPE.itemsize, "config": config_to_dict(config),
@@ -746,7 +797,8 @@ def eve_mutual_information(config: SessionConfig) -> float:
     'empty' symbol.  The joint distribution is the session template's
     sifted rows, each weighted by the exact probability that a round draws
     it, so the sift and double-click rules are the sampler's own; no round
-    is drawn, and `rounds` and `seed` do not matter.
+    is drawn, and `rounds` and `seed` do not matter.  The template comes
+    from the cache that sessions use.
     """
     template = _session_template(config)
     prob = _kernels.template_probabilities(template.tables.scen_cum, template.thresholds)

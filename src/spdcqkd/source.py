@@ -20,9 +20,22 @@ from dataclasses import dataclass
 from .fock import FockError, ModeRegistry, StateVector, source_registry
 
 
+# The largest pair cutoff n_max.  Session tables grow steeply with it, most
+# of all near tanh_xi 1, where no sector is pruned: under a split attack (3
+# attempts) a build took 0.06 s at n_max 16, 0.2-0.3 s at 24, 0.55-0.7 s at
+# 32 for tanh_xi from 0.9 to 0.999999, and at tanh_xi 0.99 3.0 s at 40 and
+# 66 s at 80 (one CPU of a shared Intel Xeon host, Python 3.11).
+N_MAX_CAP = 32
+
+
 @dataclass(frozen=True)
 class SpdcParams:
-    """Interaction strength via tanh|xi| in [0, 1), pump phase phi, pair cutoff n_max."""
+    """Interaction strength via tanh|xi| in [0, 1), pump phase phi, pair
+    cutoff n_max in [0, N_MAX_CAP].
+
+    phi must be finite with every sector phase phi * n, n <= n_max, finite.
+    Each error message starts with the name of the field it rejects.
+    """
 
     tanh_xi: float
     phi: float = 0.0
@@ -31,8 +44,10 @@ class SpdcParams:
     def __post_init__(self):
         if not 0.0 <= self.tanh_xi < 1.0:
             raise FockError(f"tanh_xi must be in [0, 1), got {self.tanh_xi}")
-        if self.n_max < 0:
-            raise FockError(f"n_max must be >= 0, got {self.n_max}")
+        if not 0 <= self.n_max <= N_MAX_CAP:
+            raise FockError(f"n_max must be in [0, {N_MAX_CAP}], got {self.n_max}")
+        if not (math.isfinite(self.phi) and math.isfinite(self.phi * self.n_max)):
+            raise FockError(f"phi must be finite, with phi * n_max finite, got {self.phi}")
 
 
 def truncation_tail(params: SpdcParams) -> float:

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from spdcqkd import __version__
 from spdcqkd.cli import main
+from spdcqkd.source import N_MAX_CAP
 
 
 @pytest.fixture()
@@ -312,6 +313,44 @@ def test_seed_override_past_the_philox_key_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["simulate", "--config", str(cfg), "--seed", str(2**128)])
     assert result.exit_code == 2, result.output
     assert "--seed: seed must be < 2**128" in result.stderr
+
+
+def test_n_max_past_the_cap_is_usage_error(runner, tmp_path):
+    transcript = tmp_path / "session.v3"
+    at_cap = write_config(tmp_path, {"rounds": 10, "seed": 1, "source": {
+        "kind": "spdc", "tanh_xi": 0.3, "n_max": N_MAX_CAP}})
+    assert runner.invoke(main, ["simulate", "--config", str(at_cap),
+                                "--transcript", str(transcript)]).exit_code == 0
+    assert runner.invoke(main, ["replay", "--transcript", str(transcript),
+                                "--config", str(at_cap)]).exit_code == 0
+    past = write_config(tmp_path, {"rounds": 10, "seed": 1, "source": {
+        "kind": "spdc", "tanh_xi": 0.3, "n_max": N_MAX_CAP + 1}}, "past.json")
+    for args in (["simulate", "--config", str(past)],
+                 ["replay", "--transcript", str(transcript), "--config", str(past)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert (f"--config: source.n_max must be in [0, {N_MAX_CAP}], got {N_MAX_CAP + 1}"
+                in result.stderr)
+
+
+@pytest.mark.parametrize("phi", ["1e308", "-1e308", "NaN", "Infinity"])
+def test_phi_without_a_computable_phase_is_usage_error(runner, tmp_path, phi):
+    # written as JSON text: json.loads reads NaN and Infinity as floats
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"rounds": 10, "seed": 1, "source": '
+                   f'{{"kind": "spdc", "tanh_xi": 0.3, "phi": {phi}}}}}')
+    result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert "--config: source.phi must be finite, with phi * n_max finite" in result.stderr
+
+
+@pytest.mark.parametrize("field", ["tanh_xi", "phi"])
+def test_number_past_the_largest_float_is_usage_error(runner, tmp_path, field):
+    source = {"kind": "spdc", "tanh_xi": 0.3, field: 10 ** 400}
+    cfg = write_config(tmp_path, {"rounds": 10, "seed": 1, "source": source})
+    result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert f"field source.{field} is too large for a float" in result.stderr
 
 
 def test_simulate_text_format(runner, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from spdcqkd.fock import FockError, ModeLabel, attack_registry
 from spdcqkd.optics import DA, rotate_polarization
-from spdcqkd.source import (SpdcParams, four_photon_component, pair_statistics,
+from spdcqkd.source import (N_MAX_CAP, SpdcParams, four_photon_component, pair_statistics,
                             singlet_state, spdc_state, spdc_state_recursive,
                             squared_norm_truncated, truncation_tail)
 
@@ -30,6 +30,22 @@ def test_params_validation():
         SpdcParams(tanh_xi=-0.2)
     with pytest.raises(FockError):
         SpdcParams(tanh_xi=0.1, n_max=-1)
+
+
+def test_params_bound_n_max():
+    assert len(spdc_state(SpdcParams(0.3, n_max=N_MAX_CAP))) > 0
+    message = rf"^n_max must be in \[0, {N_MAX_CAP}\], got {N_MAX_CAP + 1}$"
+    with pytest.raises(FockError, match=message):
+        SpdcParams(0.3, n_max=N_MAX_CAP + 1)
+
+
+def test_params_require_computable_phases():
+    # phi * n for n <= n_max must be finite: 1e308 is, at n_max 1 only
+    st = spdc_state(SpdcParams(0.3, phi=1e308, n_max=1))
+    assert st.amplitude((0, 1, 1, 0)) == pytest.approx(0.91 * 0.3 * cmath.exp(1e308j))
+    for phi, n_max in ((1e308, 2), (-1e308, 2), (math.nan, 0), (math.inf, 0), (-math.inf, 4)):
+        with pytest.raises(FockError, match="^phi must be finite"):
+            SpdcParams(0.3, phi=phi, n_max=n_max)
 
 
 def test_vacuum_limit():
