@@ -2,7 +2,7 @@
 
 Every round consumes a fixed block of DRAWS_PER_ROUND uniforms from the
 counter-based master stream (slot layout below) and picks a pre-enumerated
-scenario and outcome row.  `sample_rounds` does this for a whole chunk of
+scenario and outcome row.  `sample_rounds` does this for one block of
 rounds at once with vectorized numpy: one `searchsorted` over the
 scenarios, then a fixed-width binary search over the outcome rows of each
 round's (scenario, basis pair) group.  It makes the same float comparisons
@@ -30,8 +30,6 @@ import numpy as np
 
 DRAWS_PER_ROUND = 8
 N_COLS = 10
-# Rounds sampled per block.
-SAMPLE_ROWS = 1 << 14
 # Template rows a uint16 round index can address.
 MAX_TEMPLATE_ROWS = 1 << 16
 
@@ -96,35 +94,20 @@ def template_probabilities(scen_cum, thresholds) -> np.ndarray:
     return np.repeat((share * np.repeat(scen / 16.0, 4)[:, None]).ravel(), 4)
 
 
-def sample_rounds(u, scen_cum, thresholds, out=None, counts=None) -> np.ndarray:
-    """Run one chunk of rounds; returns each round's template index
-    (uint16[n]), written into `out` if given.
+def sample_rounds(u, scen_cum, thresholds, counts) -> np.ndarray:
+    """Run one block of rounds; returns each round's template index
+    (uint16[n]) and adds to `counts` (intp[len(template)]) how many rounds
+    drew each row.
 
     `u` holds each round's uniforms in [0, 1); `thresholds` comes from
     `lookup_tables`, whose template has at most MAX_TEMPLATE_ROWS rows.
-    `counts` (intp[len(template)]), if given, gains how many rounds drew
-    each row.  Rounds are sampled in blocks of SAMPLE_ROWS, whose
-    temporaries stay in cache.
-    """
-    n = u.shape[0]
-    if out is None:
-        out = np.empty(n, dtype=np.uint16)
-    thr = thresholds.ravel()
-    for lo in range(0, n, SAMPLE_ROWS):
-        _sample_block(u[lo:lo + SAMPLE_ROWS], scen_cum, thr, thresholds.shape[1],
-                      out[lo:lo + SAMPLE_ROWS], counts)
-    return out
-
-
-def _sample_block(u, scen_cum, thr, width, out, counts) -> None:
-    """Write the template indices of the rounds `u` into `out`.
-
     The outcome row is found by a branchless binary search over the round's
     group slots: each step compares u3 >= thr[slot], the comparisons
     `searchsorted(row_cum, u3, side="right")` makes on the group's
     non-decreasing rows, and u3 < 1 never passes a group's last row or its
     padding.  Every index stays inside the arrays, so the take uses
-    mode="clip", which writes `out=` without a buffered copy.
+    mode="clip", which writes `out=` without a buffered copy.  A block of
+    `protocol.CHUNK_ROUNDS` keeps these temporaries in cache.
     """
     n = u.shape[0]
     draw = np.empty(n)  # one draw column at a time, contiguous: faster to search
@@ -134,11 +117,13 @@ def _sample_block(u, scen_cum, thr, width, out, counts) -> None:
     pos += u[:, 1] >= 0.5
     pos *= 2
     pos += u[:, 2] >= 0.5
+    width = thresholds.shape[1]
     pos *= width
     draw[:] = u[:, 3]
     probe = np.empty_like(pos)
     cut = np.empty(n)
     passed = np.empty(n, dtype=bool)
+    thr = thresholds.ravel()
     step = width // 2
     while step:
         np.add(pos, step - 1, out=probe)
@@ -151,9 +136,8 @@ def _sample_block(u, scen_cum, thr, width, out, counts) -> None:
     pos += u[:, 4] >= 0.5
     pos *= 2
     pos += u[:, 5] >= 0.5
-    out[:] = pos
-    if counts is not None:
-        counts += np.bincount(pos, minlength=counts.shape[0])
+    counts += np.bincount(pos, minlength=counts.shape[0])
+    return pos.astype(np.uint16)
 
 
 # No caller; ROADMAP item 6 retargets the benchmark test that deletes it, then removes it.

@@ -1,13 +1,15 @@
 """The transcript readers behind `protocol.replay`, and the text form.
 
-Version 3: `read_header` reads and checks the two header lines, and the
-body's length against the header's round count; `check_config` compares
-the header's config with the caller's; `code_reads` streams the body's row
-codes, hashing every read and counting its codes with one bincount, and
-rejects a code out of range or a sifted code missing a key bit through a
-validity mask over those counts.  `read_counts` adds them up and checks
-the trailing digest.  `write_text` prints a version-3 file as the version-2
-CSV of the same rounds.
+Version 3: `read_header` reads and checks the two header lines, the
+body's length against the header's round count, and the header's tags
+against those of its config's cached template (`drawable_codes`);
+`check_config` compares the header's config with the caller's;
+`code_reads` streams the body's row codes, hashing every read and counting
+its codes with one bincount, and rejects a code that template draws with
+probability 0 (out of range, a sifted code missing a key bit, or any
+other) through a mask over those counts.  `read_counts` adds them up and
+checks the trailing digest.  `write_text` prints a version-3 file as the
+version-2 CSV of the same rounds.
 
 CSV (version 2): `read_trailer` reads a transcript's '#sha256=' line from
 the end of the file; `body_reads` streams the bytes before it;
@@ -32,10 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import template_probabilities
+from .fock import FockError
 from .protocol import (_CODES, _TAIL, _TAIL_FIELDS, _TAIL_SHAPE, CODE_DTYPE, DIGEST_BYTES,
                        TRANSCRIPT_HEADER, TRANSCRIPT_MAGIC, ConfigError, SessionConfig,
-                       TranscriptError, _suffix_table, _transcript_lines, config_from_dict,
-                       config_to_dict)
+                       TranscriptError, _session_template, _suffix_table, _transcript_lines,
+                       config_from_dict, config_to_dict)
 
 # Bytes per read of the transcript body, and bytes read to find the checksum
 # line (the longest valid one is 72).
@@ -263,10 +267,29 @@ class Header:
     tool_version: str
     tags: list[str]
     body_bytes: int  # from the end of the header to the digest
+    drawable: np.ndarray  # `drawable_codes(config, tags)`
 
 
 def _bad_header(message: str) -> TranscriptError:
     return TranscriptError(f"bad version-3 header: {message}")
+
+
+def drawable_codes(config: SessionConfig, tags: list[str]) -> np.ndarray:
+    """bool[len(tags) * _CODES]: whether a round of the config can have
+    each row code, from its cached template.
+
+    Raises TranscriptError if the template cannot be built or `tags` are
+    not its emission tags.
+    """
+    try:
+        template = _session_template(config)
+    except FockError as exc:
+        raise _bad_header(f"config: {exc}") from None
+    if tuple(tags) != template.tables.emission_tags:
+        raise _bad_header(f"tags {tags} are not the config's emission tags "
+                          f"{list(template.tables.emission_tags)}")
+    prob = template_probabilities(template.tables.scen_cum, template.thresholds)
+    return np.bincount(template.codes[prob > 0], minlength=len(tags) * _CODES) > 0
 
 
 def read_header(fh) -> Header | None:
@@ -274,8 +297,9 @@ def read_header(fh) -> Header | None:
     line does not begin with MAGIC_PREFIX and a space (a CSV transcript).
 
     Raises TranscriptError for another version, a header that is not the
-    JSON object `protocol._transcript_head` writes, or a body that is not
-    one whole row code per round the header's config names.
+    JSON object `protocol._transcript_head` writes, a body that is not
+    one whole row code per round the header's config names, or tags that
+    are not the emission tags of that config.
     """
     size = fh.seek(0, os.SEEK_END)
     fh.seek(0)
@@ -319,7 +343,8 @@ def read_header(fh) -> Header | None:
     if body // CODE_DTYPE.itemsize != config.rounds:
         raise TranscriptError(f"header names {config.rounds} rounds, "
                               f"body holds {body // CODE_DTYPE.itemsize}")
-    return Header(raw, config, config_to_dict(config), tool_version, tags, body)
+    return Header(raw, config, config_to_dict(config), tool_version, tags, body,
+                  drawable_codes(config, tags))
 
 
 def _fields(d: dict, prefix: str = ""):
@@ -346,23 +371,15 @@ def check_config(config: SessionConfig | None, head: Header) -> None:
                           f"{want.get(name)!r} here, {have.get(name)!r} in the transcript")
 
 
-def _valid_codes(tags: int) -> np.ndarray:
-    """bool[tags * _CODES]: whether a row code is one a round can have; a
-    sifted row with a '-' bit cannot."""
-    valid = np.ones(_TAIL_SHAPE, dtype=bool)
-    valid[..., 1, 0, :] = False  # [..., sifted flag, Alice bit, Bob bit]; bit token 0 is '-'
-    valid[..., 1, :, 0] = False
-    return np.tile(valid.ravel(), tags)
-
-
 def code_reads(fh, head: Header, digest):
     """(first round, codes, counts) per read of the body: its row codes
     (CODE_DTYPE) and how many rounds have each code of the header's tags.
 
-    Every byte read is fed to `digest`.  A code out of range or a sifted
-    code missing a key bit raises a TranscriptError naming its round.
+    Every byte read is fed to `digest`.  A code out of range, a sifted
+    code missing a key bit, or a code the header's config draws with
+    probability 0 raises a TranscriptError naming its round.
     """
-    valid = _valid_codes(len(head.tags))
+    valid = head.drawable
     first, carry = 0, b""
     for chunk in body_reads(fh, head.body_bytes, len(head.raw)):
         digest.update(chunk)
@@ -376,10 +393,15 @@ def code_reads(fh, head: Header, digest):
             ok = np.zeros(counts.size, dtype=bool)
             ok[:valid.size] = valid
             i = int(np.argmin(ok[codes]))
-            if codes[i] >= valid.size:
-                raise TranscriptError(f"round {first + i}: row code {codes[i]} is out of "
+            code = int(codes[i])
+            if code >= valid.size:
+                raise TranscriptError(f"round {first + i}: row code {code} is out of "
                                       f"range for {len(head.tags)} tag(s)")
-            raise TranscriptError(f"round {first + i}: sifted round missing a key bit")
+            *_, sifted, alice_bit, bob_bit = np.unravel_index(code % _CODES, _TAIL_SHAPE)
+            if sifted and not (alice_bit and bob_bit):  # a bit field's token 0 is '-'
+                raise TranscriptError(f"round {first + i}: sifted round missing a key bit")
+            raise TranscriptError(f"round {first + i}: row code {code} has probability 0 "
+                                  "under the header's config")
         yield first, codes, counts
         first += codes.size
 

@@ -27,6 +27,9 @@ from .security import (binary_entropy, eve_conditional_states, holevo_binary,
                        leak_vs_bound, qber_from_state)
 from .source import SpdcParams, pair_statistics, spdc_state, truncation_tail
 
+# The most rows `sweep --steps` asks for: each takes about 10 µs.
+MAX_SWEEP_STEPS = 10 ** 6
+
 
 def _sig9(x: float) -> float:
     return float(f"{x:.9g}")
@@ -178,7 +181,8 @@ def cmd_attack_report(fmt):
 @main.command("sweep")
 @click.option("--p-min", type=float, default=0.0, show_default=True)
 @click.option("--p-max", type=float, default=1.0, show_default=True)
-@click.option("--steps", type=int, default=11, show_default=True)
+@click.option("--steps", type=int, default=11, show_default=True,
+              help=f"Rows, from 1 to {MAX_SWEEP_STEPS}.")
 @click.option("--out", "out_path", default="-", show_default=True,
               help="CSV destination ('-' for stdout).")
 def cmd_sweep(p_min, p_max, steps, out_path):
@@ -187,8 +191,8 @@ def cmd_sweep(p_min, p_max, steps, out_path):
         raise click.UsageError(
             f"--p-min/--p-max: need 0 <= p-min <= p-max <= 1, "
             f"got {p_min} and {p_max}")
-    if steps < 1:
-        raise click.UsageError(f"--steps: must be >= 1, got {steps}")
+    if not 1 <= steps <= MAX_SWEEP_STEPS:
+        raise click.UsageError(f"--steps: must be from 1 to {MAX_SWEEP_STEPS}, got {steps}")
     rows = ["p,qber,eve_info,bound,margin"]
     for p in np.linspace(p_min, p_max, steps):
         lb = leak_vs_bound(p)

@@ -34,20 +34,20 @@ process that never repeats a config, gains nothing from it.
 The cached tables, lookup arrays and row codes are read-only and the tags a
 tuple, so no session can change what the next one samples.
 
-A session longer than one chunk (CHUNK_ROUNDS), in a process that may run
-on more than one CPU, gets its uniforms in blocks of DRAW_BLOCK_ROUNDS with
+A session is one loop over blocks of CHUNK_ROUNDS rounds (1 MB of
+uniforms), each drawn in pieces of DRAW_PIECE_ROUNDS, then sampled and
+written on the calling thread; sampling adds to the session's per-row
+counts, which the report decodes once.  A session longer than
+DRAW_AHEAD_ROUNDS, in a process that may run on more than one CPU, gets
 help from the daemon drawer thread of `_drawer`, started on first use and
-shared by all sessions: the drawer draws pieces of DRAW_PIECE_ROUNDS of the
-next block while the calling thread samples the current one, and the
-calling thread draws the pieces the drawer has not taken when it comes to
-that block.  The drawer runs at idle priority, so it takes only CPU time
-nothing else wants, and a session is never left waiting on a drawer that
-gets none.  Exactly one block is in flight, and the blocks are drawn into
-two 1 MB buffers of the session, where drawing a chunk at a time holds one
-4 MB chunk.  Sampling, tally and transcript writing stay on the calling
-thread in chunk order, and a piece is the same bytes whichever thread
-draws it, so the rounds are the same either way.  Shorter sessions draw
-on the calling thread and start no thread.
+shared by all sessions: the drawer draws the pieces of the next block,
+into the other of the session's two buffers, while the calling thread
+samples the current one, which draws the pieces the drawer has not taken
+when it comes to that block.  The drawer runs at idle priority, so it
+takes only CPU time nothing else wants, and a session is never left
+waiting on a drawer that gets none.  Shorter sessions draw every piece on
+the calling thread into one buffer and start no thread.  A piece is the
+same bytes whichever thread draws it, so the rounds are the same either way.
 
 A session writes transcript format 3, bound to its run:
 - a text header of two lines: the magic line TRANSCRIPT_MAGIC
@@ -57,16 +57,17 @@ A session writes transcript format 3, bound to its run:
   "tags" in code order, and "code_bytes", the width of a row code (2);
 - one little-endian uint16 row code per round, in round order (the round
   index is implicit): `codes[index]` for the template's row codes, one
-  take per chunk;
+  take per block;
 - the raw 32-byte sha256 digest of every byte before it.
 A config the header cannot name (an intercept basis at an arbitrary angle)
 is refused before the file is opened.  replay() checks the header's config
 against the caller's field by field, names the first that differs, and
-checks every code: out of range for the header's tags, or a sifted round
-missing a key bit, is a TranscriptError.  A digest mismatch is reported via
-checksum_ok=False.  The reader lives in `_replay`; it streams the body in
-fixed-size reads, hashes each and counts its codes with one bincount, so
-memory does not grow with the file.
+checks its tags and every code against the cached template of its config:
+other tags, or a code the template draws with probability 0 (such as one
+out of range or a sifted round missing a key bit), is a TranscriptError.
+A digest mismatch is reported via checksum_ok=False.  The reader lives in
+`_replay`; it streams the body in fixed-size reads, hashes each and counts
+its codes with one bincount, so memory does not grow with the file.
 
 The CSV of version 2 is the same rounds as text, one row per round, with
 header
@@ -113,13 +114,14 @@ from .optics import (DA, HV, BasisAngle, OutcomeKind, joint_click_probabilities,
 from .security import LeakBound, leak_vs_bound
 from .source import SpdcParams, singlet_state, spdc_state
 
-CHUNK_ROUNDS = 1 << 16
+# Rounds per block a session draws, samples and writes (1 MB of uniforms),
+# and rounds per piece of a block that either thread may draw.
+CHUNK_ROUNDS = 1 << 14
+DRAW_PIECE_ROUNDS = 1 << 12
+# Sessions longer than this draw ahead on the drawer thread.
+DRAW_AHEAD_ROUNDS = 1 << 16
 # Physics configs whose session template a process keeps.
 TEMPLATE_CACHE_SIZE = 8
-# Rounds per block a session longer than one chunk draws ahead (1 MB of
-# uniforms), and rounds per piece of a block that either thread may draw.
-DRAW_BLOCK_ROUNDS = 1 << 14
-DRAW_PIECE_ROUNDS = 1 << 12
 
 TRANSCRIPT_HEADER = ("round_idx,source_tag,alice_basis,bob_basis,"
                      "alice_outcome,bob_outcome,sifted_flag,alice_bit,bob_bit")
@@ -632,7 +634,7 @@ def _transcript_lines(codes: np.ndarray, start: int, table: np.ndarray) -> list[
 
 def _draws_ahead(rounds: int) -> bool:
     """Whether a session of `rounds` draws its next block on the drawer thread."""
-    if rounds <= CHUNK_ROUNDS:
+    if rounds <= DRAW_AHEAD_ROUNDS:
         return False
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
@@ -678,68 +680,48 @@ def _physics_template(config: SessionConfig) -> _Template:
     return _Template(tables, thresholds, rows, codes)
 
 
-def _simulate(config: SessionConfig, tally: _Tally | None = None):
-    """Get the template now (a FockError raises here); return it and an
-    iterator of (start_round, index-chunk): each round's template index,
-    uint16.
+def _simulate(config: SessionConfig):
+    """Get the template now (a FockError raises here); return it, the
+    per-row counts, and an iterator of (start_round, indices): each block's
+    template index per round, uint16.
 
-    With `tally`, which takes the tables' tags, each chunk is counted into
-    it before it is yielded: the template's row codes, weighted by how many
-    of its rounds drew each template row.
+    Sampling a block adds to the counts (intp[len(template)]) how many of
+    its rounds drew each template row: the session's, once all are drawn.
     """
     template = _session_template(config)
-    scen_cum = template.tables.scen_cum
-    counts = None if tally is None else np.zeros(template.rows.shape[0], dtype=np.intp)
-    if tally is not None:
-        tally.tags = template.tables.emission_tags
-    starts = range(0, config.rounds, CHUNK_ROUNDS)  # a range, not a list growing with rounds
+    counts = np.zeros(template.rows.shape[0], dtype=np.intp)
+    ahead = _draws_ahead(config.rounds)
 
-    def spans():
-        """(start, count) of each chunk, made as it is reached."""
-        return ((start, min(starts.step, config.rounds - start)) for start in starts)
+    def jobs():
+        """((start, draws), pieces) per block: the pieces fill its draws."""
+        # Drawing ahead, block j is drawn into buffer j % 2 when block j - 1 is
+        # asked for, by which time block j - 2 in that buffer has been sampled.
+        buffers = np.empty((1 + ahead, min(CHUNK_ROUNDS, config.rounds), DRAWS_PER_ROUND))
+        for j, start in enumerate(range(0, config.rounds, CHUNK_ROUNDS)):
+            u = buffers[j % len(buffers), :min(CHUNK_ROUNDS, config.rounds - start)]
+            yield (start, u), [functools.partial(_uniform_block, config.seed, start + i,
+                                                 piece.shape[0], piece)
+                               for i in range(0, u.shape[0], DRAW_PIECE_ROUNDS)
+                               for piece in (u[i:i + DRAW_PIECE_ROUNDS],)]
 
-    def sample(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return _kernels.sample_rounds(u, scen_cum, template.thresholds, out, counts)
+    def drawn_here():
+        for block, pieces in jobs():
+            for piece in pieces:
+                piece()
+            yield block
 
-    def tallied(start: int, idx: np.ndarray):
-        if tally is not None:
-            tally.update(template.codes, counts)
-            counts[:] = 0
-        return start, idx
-
-    def chunks():
-        for start, count in spans():
-            # the chunk's draws die here, before the next chunk is drawn
-            yield tallied(start, sample(_uniform_block(config.seed, start, count)))
-
-    def chunks_drawn_ahead():
-        from . import _drawer  # loaded only by sessions that draw ahead
-
-        def blocks():
-            # Block j is drawn into buffer j % 2 when block j - 1 is asked
-            # for, by which time block j - 2 in that buffer has been sampled.
-            buffers = np.empty((2, DRAW_BLOCK_ROUNDS, DRAWS_PER_ROUND))
-            spans_of_blocks = ((lo, min(DRAW_BLOCK_ROUNDS, start + count - lo))
-                               for start, count in spans()
-                               for lo in range(start, start + count, DRAW_BLOCK_ROUNDS))
-            for j, (lo, n) in enumerate(spans_of_blocks):
-                u = buffers[j % 2, :n]
-                yield u, [functools.partial(_uniform_block, config.seed, lo + i,
-                                            piece.shape[0], piece)
-                          for i in range(0, u.shape[0], DRAW_PIECE_ROUNDS)
-                          for piece in (u[i:i + DRAW_PIECE_ROUNDS],)]
-
-        draws = _drawer.ahead(blocks())
+    def blocks():
+        if ahead:
+            from . import _drawer  # loaded only by sessions that draw ahead
+        drawn = _drawer.ahead(jobs()) if ahead else drawn_here()
         try:
-            for start, count in spans():
-                idx = np.empty(count, dtype=np.uint16)
-                for lo in range(0, count, DRAW_BLOCK_ROUNDS):
-                    sample(next(draws), idx[lo:lo + DRAW_BLOCK_ROUNDS])
-                yield tallied(start, idx)
+            for start, u in drawn:
+                yield start, _kernels.sample_rounds(u, template.tables.scen_cum,
+                                                    template.thresholds, counts)
         finally:
-            draws.close()
+            drawn.close()
 
-    return template, (chunks_drawn_ahead() if _draws_ahead(config.rounds) else chunks())
+    return template, counts, blocks()
 
 
 def _transcript_head(config: SessionConfig, tags: tuple[str, ...]) -> bytes:
@@ -761,30 +743,31 @@ def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
     file, unless the path is not a regular file (a FIFO, a device, or a
     symlink such as /dev/stdout), which is left in place.
     """
-    tally = _Tally()
-    template, chunks = _simulate(config, tally)
+    template, counts, blocks = _simulate(config)
     if transcript_path is None:
-        for _ in chunks:
+        for _ in blocks:
             pass
-        return tally.report()
-    head = _transcript_head(config, template.tables.emission_tags)
-    digest = hashlib.sha256(head)
-    fh = open(transcript_path, "wb")
-    try:
-        fh.write(head)
-        for _, idx in chunks:
-            blob = template.codes[idx]
-            fh.write(blob)
-            digest.update(blob)
-        fh.write(digest.digest())
-        fh.close()
-    except BaseException:
-        with contextlib.suppress(OSError):  # flushing what the first error left
+    else:
+        head = _transcript_head(config, template.tables.emission_tags)
+        digest = hashlib.sha256(head)
+        fh = open(transcript_path, "wb")
+        try:
+            fh.write(head)
+            for _, idx in blocks:
+                blob = template.codes[idx]
+                fh.write(blob)
+                digest.update(blob)
+            fh.write(digest.digest())
             fh.close()
-        with contextlib.suppress(OSError):
-            if stat.S_ISREG(os.lstat(transcript_path).st_mode):
-                os.unlink(transcript_path)
-        raise
+        except BaseException:
+            with contextlib.suppress(OSError):  # flushing what the first error left
+                fh.close()
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(transcript_path).st_mode):
+                    os.unlink(transcript_path)
+            raise
+    tally = _Tally(template.tables.emission_tags)
+    tally.update(template.codes, counts)
     return tally.report()
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from spdcqkd import __version__
+from spdcqkd import __version__, cli
 from spdcqkd.cli import main
 from spdcqkd.source import N_MAX_CAP
 
@@ -161,6 +161,18 @@ def test_sweep_rejects_bad_range(runner):
     assert runner.invoke(main, ["sweep", "--p-min", "0.5", "--p-max", "0.2"]).exit_code == 2
     assert runner.invoke(main, ["sweep", "--p-max", "1.5"]).exit_code == 2
     assert runner.invoke(main, ["sweep", "--steps", "0"]).exit_code == 2
+
+
+def test_sweep_steps_are_capped(runner, monkeypatch):
+    for steps in (cli.MAX_SWEEP_STEPS + 1, 10 ** 13):
+        result = runner.invoke(main, ["sweep", "--steps", str(steps)])
+        assert result.exit_code == 2
+        assert f"--steps: must be from 1 to 1000000, got {steps}" in result.stderr
+    # at the cap and past it, with a cap small enough to run
+    monkeypatch.setattr(cli, "MAX_SWEEP_STEPS", 5)
+    result = runner.invoke(main, ["sweep", "--steps", "5"])
+    assert result.exit_code == 0 and len(result.stdout.splitlines()) == 6
+    assert runner.invoke(main, ["sweep", "--steps", "6"]).exit_code == 2
 
 
 def test_sweep_unwritable_destination(runner, tmp_path):

@@ -1,14 +1,14 @@
-"""Sessions longer than one chunk draw their next block of uniforms on a thread.
+"""Sessions longer than DRAW_AHEAD_ROUNDS draw their next block of uniforms on a thread.
 
 The drawer must not change a byte of the sampled template indices or the
-transcripts, must leave
-the pieces it has not taken to the caller, must hand its errors to the
-session that asked, must leave nothing running or held when a session ends
-early, must survive a fork, and must hold less memory than drawing a chunk
-at a time; a session's memory before its first draw must not grow with
-its rounds.
+transcripts, must leave the pieces it has not taken to the caller, must
+hand its errors to the session that asked, must leave nothing running or
+held when a session ends early, and must survive a fork.  A session holds
+one block buffer drawing on the calling thread and two drawing ahead, and
+its memory before its first draw must not grow with its rounds.
 """
 
+import dataclasses
 import os
 import signal
 import sys
@@ -21,13 +21,14 @@ import pytest
 
 from spdcqkd import _drawer, _kernels, protocol
 from spdcqkd.attack import AttackConfig
-from spdcqkd.protocol import SessionConfig, SpdcSource, SplitAttack, run_session
+from spdcqkd.protocol import SessionConfig, SpdcSource, SplitAttack, replay, run_session
 from spdcqkd.source import SpdcParams
 
 PAPER = dict(source=SpdcSource(SpdcParams(0.3)), eve=SplitAttack(AttackConfig(max_attempts=3)))
-# 2500 rounds in chunks of 777, draw blocks of 100 and pieces of 30: none
-# divides the next
-SMALL = SessionConfig(rounds=2500, seed=31, **PAPER)
+# 2550 rounds in blocks of 100 and pieces of 30: none divides the next
+SMALL = SessionConfig(rounds=2550, seed=31, **PAPER)
+SMALL_BLOCKS = [(lo, min(100, 2550 - lo)) for lo in range(0, 2550, 100)]
+SMALL_PIECES = [(lo + i, min(30, n - i)) for lo, n in SMALL_BLOCKS for i in range(0, n, 30)]
 
 
 def draw_ahead(monkeypatch, ahead):
@@ -37,15 +38,14 @@ def draw_ahead(monkeypatch, ahead):
 
 @pytest.fixture()
 def small_blocks(monkeypatch):
-    monkeypatch.setattr(protocol, "CHUNK_ROUNDS", 777)
-    monkeypatch.setattr(protocol, "DRAW_BLOCK_ROUNDS", 100)
+    monkeypatch.setattr(protocol, "CHUNK_ROUNDS", 100)
     monkeypatch.setattr(protocol, "DRAW_PIECE_ROUNDS", 30)
     draw_ahead(monkeypatch, True)
 
 
 def drawn(config):
-    """(start, index bytes) of every chunk `_simulate` yields for `config`."""
-    return [(start, idx.tobytes()) for start, idx in protocol._simulate(config)[1]]
+    """(start, index bytes) of every block `_simulate` yields for `config`."""
+    return [(start, idx.tobytes()) for start, idx in protocol._simulate(config)[2]]
 
 
 def recording_draws(monkeypatch, delay=0.0):
@@ -68,9 +68,12 @@ def recording_draws(monkeypatch, delay=0.0):
 @pytest.mark.parametrize("policy", ["assign", "discard"])
 def test_drawn_ahead_records_and_transcript_equal_serial(monkeypatch, tmp_path, small_blocks,
                                                           policy):
-    config = SessionConfig(rounds=2500, seed=31, double_click_policy=policy, **PAPER)
+    config = dataclasses.replace(SMALL, double_click_policy=policy)
     started, _ = recording_draws(monkeypatch)
     out = {}
+    assert SMALL_BLOCKS[-2:] == [(2400, 100), (2500, 50)]
+    assert SMALL_PIECES[:5] == [(0, 30), (30, 30), (60, 30), (90, 10), (100, 30)]
+    assert SMALL_PIECES[-2:] == [(2500, 30), (2530, 20)]
     for ahead in (False, True):
         draw_ahead(monkeypatch, ahead)
         started.clear()
@@ -78,20 +81,31 @@ def test_drawn_ahead_records_and_transcript_equal_serial(monkeypatch, tmp_path, 
         path = tmp_path / f"ahead-{ahead}.v3"
         report = run_session(config, path)
         out[ahead] = records, path.read_bytes(), report
-        main = threading.get_ident()
-        if ahead:  # pieces of 30 of blocks of 100 within each chunk, on either thread
-            blocks = [(lo, min(100, end - lo)) for start in range(0, 2500, 777)
-                      for end in (min(start + 777, 2500),) for lo in range(start, end, 100)]
-            assert blocks[6:9] == [(600, 100), (700, 77), (777, 100)]
-            pieces = [(lo + i, min(30, n - i)) for lo, n in blocks for i in range(0, n, 30)]
-            assert pieces[:5] == [(0, 30), (30, 30), (60, 30), (90, 10), (100, 30)]
-            # each piece drawn once by _simulate, once by run_session
-            assert sorted((s, c) for s, c, _ in started) == sorted(pieces * 2)
-        else:  # one block per chunk, on the main thread
-            assert [(s, c) for s, c, _ in started[:4]] == [
-                (0, 777), (777, 777), (1554, 777), (2331, 169)]
-            assert all(ident == main for _, _, ident in started)
-    assert [start for start, _ in out[True][0]] == [0, 777, 1554, 2331]
+        # the same pieces either way, each drawn once by _simulate, once by
+        # run_session; in order on the main thread, or on either thread
+        assert sorted((s, c) for s, c, _ in started) == sorted(SMALL_PIECES * 2)
+        if not ahead:
+            assert [(s, c) for s, c, _ in started] == SMALL_PIECES * 2
+            assert {ident for _, _, ident in started} == {threading.get_ident()}
+    assert [start for start, _ in out[True][0]] == [lo for lo, _ in SMALL_BLOCKS]
+    assert out[True] == out[False]
+
+
+@pytest.mark.parametrize("rounds", [
+    protocol.CHUNK_ROUNDS - 1, protocol.CHUNK_ROUNDS, protocol.CHUNK_ROUNDS + 1,
+    protocol.DRAW_AHEAD_ROUNDS, protocol.DRAW_AHEAD_ROUNDS + 1])
+def test_serial_drawn_ahead_and_replay_agree_at_the_block_edges(monkeypatch, tmp_path, rounds):
+    config = SessionConfig(rounds=rounds, seed=rounds, double_click_policy="discard", **PAPER)
+    out = {}
+    for ahead in (False, True):
+        draw_ahead(monkeypatch, ahead)
+        path = tmp_path / f"ahead-{ahead}.v3"
+        report = run_session(config, path)
+        assert replay(config, path) == report
+        blocks = drawn(config)
+        assert [start for start, _ in blocks] == list(range(0, rounds, protocol.CHUNK_ROUNDS))
+        assert sum(len(idx) for _, idx in blocks) == 2 * rounds
+        out[ahead] = blocks, path.read_bytes(), report
     assert out[True] == out[False]
 
 
@@ -111,12 +125,16 @@ def test_slow_sampling_reads_the_block_it_was_given(monkeypatch, small_blocks):
     assert drawn(SMALL) == want
 
 
-def test_one_chunk_sessions_draw_on_the_main_thread(monkeypatch):
+def test_sessions_up_to_the_threshold_draw_on_the_main_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert protocol._draws_ahead(protocol.CHUNK_ROUNDS + 1)
+    threshold = protocol.DRAW_AHEAD_ROUNDS
+    assert protocol._draws_ahead(threshold + 1) and not protocol._draws_ahead(threshold)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not protocol._draws_ahead(threshold + 1)
     started, _ = recording_draws(monkeypatch)
-    run_session(SessionConfig(rounds=protocol.CHUNK_ROUNDS, seed=3, **PAPER))
-    assert started == [(0, protocol.CHUNK_ROUNDS, threading.get_ident())]
+    run_session(SessionConfig(rounds=threshold, seed=3, **PAPER))
+    piece = protocol.DRAW_PIECE_ROUNDS
+    assert started == [(lo, piece, threading.get_ident()) for lo in range(0, threshold, piece)]
 
 
 def test_caller_draws_the_pieces_the_drawer_has_not_taken():
@@ -196,26 +214,25 @@ def test_drawer_error_is_raised_in_the_session(monkeypatch, tmp_path, small_bloc
 def test_closing_early_drops_the_pieces_not_started(monkeypatch, small_blocks):
     real = protocol._uniform_block
     started, finished = [], [0]
-    next_chunk_started = threading.Event()
+    next_block_started = threading.Event()
 
     def draw(seed, start, count, out=None):
         started.append(start)
-        if start >= 777:  # a piece of the next chunk's first block
-            next_chunk_started.set()
+        if start >= 100:  # a piece of the next block
+            next_block_started.set()
             time.sleep(0.2)
         u = real(seed, start, count, out)
         finished[0] += 1
         return u
 
     monkeypatch.setattr(protocol, "_uniform_block", draw)
-    _, chunks = protocol._simulate(SMALL)
-    next(chunks)  # the chunk's 8 blocks are drawn, and the next chunk's first is handed over
-    assert next_chunk_started.wait(10)
-    chunks.close()
-    # all 31 pieces of the first chunk, and fewer than the 4 of the block in flight
-    first = [lo + i for lo in range(0, 777, 100) for i in range(0, min(100, 777 - lo), 30)]
-    assert len(first) == 31 and sorted(started)[:31] == first
-    assert finished[0] == len(started) and 1 <= len(started) - 31 < 4
+    _, _, blocks = protocol._simulate(SMALL)
+    next(blocks)  # the first block is drawn, and the next one is handed over
+    assert next_block_started.wait(10)
+    blocks.close()
+    # all 4 pieces of the first block, and fewer than the 4 of the block in flight
+    assert sorted(started)[:4] == [0, 30, 60, 90]
+    assert finished[0] == len(started) and 1 <= len(started) - 4 < 4
 
 
 @pytest.mark.skipif(not hasattr(os, "SCHED_IDLE"), reason="needs SCHED_IDLE")
@@ -232,12 +249,12 @@ def test_sessions_do_not_add_threads(small_blocks):
     run_session(SMALL)
     before = threading.active_count()
     for seed in range(20):
-        run_session(SessionConfig(rounds=2500, seed=seed, **PAPER))
+        run_session(dataclasses.replace(SMALL, seed=seed))
     assert threading.active_count() == before
 
 
 def test_concurrent_sessions_share_the_drawer(monkeypatch, small_blocks):
-    configs = [SessionConfig(rounds=2500, seed=seed, **PAPER) for seed in range(6)]
+    configs = [dataclasses.replace(SMALL, seed=seed) for seed in range(6)]
     draw_ahead(monkeypatch, False)
     want = [run_session(c) for c in configs]
     draw_ahead(monkeypatch, True)
@@ -287,9 +304,12 @@ def test_forked_child_runs_a_drawn_ahead_session(small_blocks):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-def test_drawing_ahead_holds_no_more_memory(monkeypatch):
-    """Two 1 MB blocks in flight, where the serial path holds one 4 MB chunk."""
-    config = SessionConfig(rounds=4 * protocol.CHUNK_ROUNDS, seed=8, **PAPER)
+def test_sessions_hold_one_or_two_block_buffers(monkeypatch):
+    """One 1 MB block buffer drawing on the calling thread, two drawing
+    ahead; either way less than the 4 MB a 65 536-round chunk of draws took."""
+    config = SessionConfig(rounds=16 * protocol.CHUNK_ROUNDS, seed=8, **PAPER)
+    block = protocol.CHUNK_ROUNDS * protocol.DRAWS_PER_ROUND * 8
+    assert block == 1 << 20
     peaks = {}
     for ahead in (False, True):
         draw_ahead(monkeypatch, ahead)
@@ -299,20 +319,23 @@ def test_drawing_ahead_holds_no_more_memory(monkeypatch):
         peaks[ahead] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert rep == want
-    assert peaks[True] <= peaks[False], peaks
+    # besides its buffers a session holds one block's sampling temporaries, under 1 MB
+    assert block < peaks[False] < 2 * block, peaks
+    assert 2 * block < peaks[True] < 3 * block < 4 << 20, peaks
 
 
 @pytest.mark.parametrize("ahead", [False, True])
 def test_session_holds_nothing_per_chunk_before_its_first_draw(monkeypatch, ahead):
-    # a list of the 10⁵ chunks' spans held about 9.5 MB
+    # a list of 10⁵ chunks' spans held about 9.5 MB; the block buffers are
+    # made at the first draw
     draw_ahead(monkeypatch, ahead)
     config = SessionConfig(rounds=protocol.CHUNK_ROUNDS * 10 ** 5, seed=8, **PAPER)
     protocol._simulate(config)  # fills the table caches outside the measurement
     tracemalloc.start()
     try:
-        _, chunks = protocol._simulate(config)
+        _, _, blocks = protocol._simulate(config)
         size = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert size < 1 << 20, size
-    chunks.close()
+    blocks.close()

@@ -273,8 +273,8 @@ def test_trusted_states_pass_validation(monkeypatch, policy):
             config = SessionConfig(rounds=100, seed=3, source=source, eve=eve,
                                    double_click_policy=policy)
             try:
-                template, chunks = protocol._simulate(config)
-                (_, _), = chunks  # one chunk of 100 rounds
+                template, _, blocks = protocol._simulate(config)
+                (_, _), = blocks  # one block of 100 rounds
                 got = _tables_digest(template.tables)
                 for state, assignments in scenario_measurements(source, eve):
                     joint_threshold_branches(state, assignments)

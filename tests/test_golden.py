@@ -1,7 +1,7 @@
 """Golden sessions: `(config, seed)` reproduces the same per-round records.
 
-Each pin is the sha256 of the int8 record bytes of one session, chunk after
-chunk (`template.rows` at the indices `_simulate` yields), or of a
+Each pin is the sha256 of the int8 record bytes of one session, block after
+block (`template.rows` at the indices `_simulate` yields), or of a
 transcript's bytes: the version-3 file a session writes, and its version-2
 text form.  A change to the sampler, the uniform stream, the sampling
 tables or the transcript formats that moves a single byte fails here.  The
@@ -25,7 +25,7 @@ from spdcqkd.protocol import (AttackMixture, InterceptResend, SessionConfig,
 from spdcqkd.source import SpdcParams
 
 GOLDEN_RECORDS = [
-    # 70000 rounds span two chunks of CHUNK_ROUNDS
+    # 70000 rounds span five blocks of CHUNK_ROUNDS, past DRAW_AHEAD_ROUNDS
     (SessionConfig(rounds=70000, seed=11, source=SpdcSource(SpdcParams(0.3)),
                    eve=SplitAttack(AttackConfig(max_attempts=3))),
      "7f27700617abf4a483fad7799744dda0d9c55ee94761013fb455f362082db512"),
@@ -51,10 +51,10 @@ GOLDEN_TRANSCRIPT_V3 = "7f65494c4cb3491db5d240d042a2e0dadda9c1641e812b6b3d1198c9
 
 
 def records(config):
-    """The int8 records of a session, chunk by chunk: its template's rows at
+    """The int8 records of a session, block by block: its template's rows at
     the indices the sampler drew."""
-    template, chunks = protocol._simulate(config)
-    for _, idx in chunks:
+    template, _, blocks = protocol._simulate(config)
+    for _, idx in blocks:
         yield template.rows[idx]
 
 

@@ -1,16 +1,20 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every constant is read.
 
 Each module under `src/` and `tests/` is parsed, not imported.  A name
 counts as used when it appears anywhere in the module's syntax tree,
 annotations included.  `from __future__` imports and the names a package
-re-exports through `__all__` are exempt.  The package's `__all__` must
-list exactly the names its `__init__` imports, and a short session loads
-neither the drawer nor the replay parser.
+re-exports through `__all__` are exempt.  Every UPPER_CASE constant a
+module under `src/` assigns at its top level must be read somewhere under
+`src/`, by name or as an attribute: tests alone do not keep one alive.
+The package's `__all__` must list exactly the names its `__init__`
+imports, and a short session loads neither the drawer nor the replay
+parser.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +22,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").rglob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -64,6 +69,39 @@ def test_check_finds_an_unused_import():
     assert unused_imports(src) == ["line 3: math"]
 
 
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """'module: NAME' for each top-level UPPER_CASE constant of the modules
+    `sources` (name -> source) that none of them reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name.id):
+                        defined.append((module, name.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{module}: {name}" for module, name in defined if name not in read]
+
+
+def test_every_source_constant_is_read():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
+    assert unread_constants(sources) == []
+
+
+def test_check_finds_an_unread_constant():
+    sources = {"a.py": "LIMIT = 1\n_STEP, WIDTH = 2, 3\nDONE: int = 0\nlower = LIMIT\n"
+                       "def f():\n    OTHER = 4\n    return OTHER\n",
+               "b.py": "from a import DONE\nimport a\nprint(a.WIDTH)\nDONE = 5\n"}
+    assert unread_constants(sources) == ["a.py: _STEP", "a.py: DONE", "b.py: DONE"]
+
+
 def test_package_exports_exactly_its_imports():
     """`__all__` lists every name `__init__` imports, no other, and each
     resolves: an export of a deleted name fails here, not at import time."""
@@ -76,7 +114,7 @@ def test_package_exports_exactly_its_imports():
 
 
 def test_short_simulate_loads_no_drawer_and_no_replay(tmp_path):
-    """A one-chunk `simulate`, with or without a transcript, in a fresh
+    """A short `simulate`, with or without a transcript, in a fresh
     interpreter imports neither module it loads on first use, so a cold
     start compiles neither the drawer nor the transcript reader and text
     converter."""

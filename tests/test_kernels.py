@@ -3,7 +3,7 @@
 `reference_sample_rounds` is that sampler, kept here as the reference.  For
 every buildable table of the golden grid and both double-click policies, the
 records a session samples (its template's rows at the indices the sampler
-returns) must be byte-equal to it: on real Philox chunks, and on uniforms
+returns) must be byte-equal to it: on real Philox draws, and on uniforms
 placed exactly on every scenario and outcome-row boundary.
 """
 
@@ -100,10 +100,13 @@ def edge_uniforms(tables, seed):
 def session_records(monkeypatch, config, u):
     """The records of the rounds `_simulate` draws for `config` when its
     uniform stream is `u`: its template's rows at the drawn indices."""
-    monkeypatch.setattr(protocol, "_uniform_block",
-                        lambda seed, start, count: u[start:start + count])
-    template, chunks = protocol._simulate(config)
-    return np.concatenate([template.rows[idx] for _, idx in chunks])
+    def draws(seed, start, count, out):
+        out[:] = u[start:start + count]
+        return out
+
+    monkeypatch.setattr(protocol, "_uniform_block", draws)
+    template, _, blocks = protocol._simulate(config)
+    return np.concatenate([template.rows[idx] for _, idx in blocks])
 
 
 @pytest.mark.parametrize("policy", ["assign", "discard"])
@@ -114,6 +117,7 @@ def test_sampler_matches_reference(monkeypatch, name, source, eve, policy):
     seed = sum(map(ord, name))
     # 40 000 real rounds span several of the sampler's blocks
     u = np.concatenate([protocol._uniform_block(seed, 0, 40_000), edge_uniforms(tables, seed)])
+    reserved = protocol._uniform_block(seed + 1, 0, u.shape[0])[:, 6:]
     config = SessionConfig(rounds=u.shape[0], seed=seed, source=source, eve=eve,
                            double_click_policy=policy)
     want = reference_sample_rounds(u, tables, policy == "assign")
@@ -122,5 +126,5 @@ def test_sampler_matches_reference(monkeypatch, name, source, eve, policy):
     assert got.tobytes() == want.tobytes()
 
     # draw slots 6-7 are reserved: no record depends on them
-    u[:, 6:] = protocol._uniform_block(seed + 1, 0, u.shape[0])[:, 6:]
+    u[:, 6:] = reserved
     assert session_records(monkeypatch, config, u).tobytes() == want.tobytes()

@@ -380,7 +380,7 @@ def every_tallied_field():
 ], ids=["mixture-split", "spdc-discard"])
 def test_tally_matches_reference(config):
     chunks = []
-    template, drawn = protocol._simulate(config)
+    template, _, drawn = protocol._simulate(config)
     tables = template.tables
     for _, idx in drawn:
         rec = template.rows[idx]
@@ -416,10 +416,10 @@ def test_tally_matches_reference(config):
     assert got.report() == want.report()
 
 
-# one chunk; 2500 rounds in chunks of 777, drawn on the calling thread or
-# drawn ahead in blocks of 100 and pieces of 30
-SESSION_SHAPES = {"one-chunk": (20000, None), "chunks-serial": (2500, False),
-                  "chunks-drawn-ahead": (2500, True)}
+# one block; 2550 rounds in blocks of 100 and pieces of 30, drawn on the
+# calling thread or drawn ahead
+SESSION_SHAPES = {"one-chunk": (protocol.CHUNK_ROUNDS, None), "chunks-serial": (2550, False),
+                  "chunks-drawn-ahead": (2550, True)}
 
 
 @pytest.mark.parametrize("policy", ["assign", "discard"])
@@ -427,42 +427,31 @@ SESSION_SHAPES = {"one-chunk": (20000, None), "chunks-serial": (2500, False),
 def test_live_tally_from_slot_counts_equals_record_tally(monkeypatch, shape, policy):
     rounds, draw_ahead = SESSION_SHAPES[shape]
     if draw_ahead is not None:
-        monkeypatch.setattr(protocol, "CHUNK_ROUNDS", 777)
-        monkeypatch.setattr(protocol, "DRAW_BLOCK_ROUNDS", 100)
+        monkeypatch.setattr(protocol, "CHUNK_ROUNDS", 100)
         monkeypatch.setattr(protocol, "DRAW_PIECE_ROUNDS", 30)
         monkeypatch.setattr(protocol, "_draws_ahead", lambda rounds: draw_ahead)
     config = SessionConfig(rounds=rounds, seed=8, source=SpdcSource(SpdcParams(0.4)),
                            eve=SplitAttack(AttackConfig(max_attempts=3)),
                            double_click_policy=policy)
-    live, from_records, want = protocol._Tally(), protocol._Tally(), ReferenceTally()
-    starts = []
-    template, drawn = protocol._simulate(config, live)
+    template, counts, drawn = protocol._simulate(config)
     tables = template.tables
+    from_records, want = protocol._Tally(tables.emission_tags), ReferenceTally()
+    starts = []
     for start, idx in drawn:
         rec = template.rows[idx]
         starts.append(start)
-        from_records.tags = tables.emission_tags
         from_records.update(protocol._row_codes(rec, tables.scen_emission))
         reference_tally_update(want, rec, tables.emission_tags, tables.scen_emission)
-        assert live.report() == from_records.report() == want.report()
-    assert len(starts) == (1 if draw_ahead is None else 4)
+    assert len(starts) == (1 if draw_ahead is None else 26)
+    live = protocol._Tally(tables.emission_tags)
+    live.update(template.codes, counts)
+    assert live.report() == from_records.report() == want.report()
     report = live.report()
     assert report.double_click_count > 0 and report.error_count > 0
     assert report == run_session(config)
 
 
 # -- eavesdropper information -----------------------------------------------
-
-
-class SlotCounts:
-    """Takes a tally's place in `_simulate` and keeps what it is given: the
-    template's row codes and how many rounds drew each template row."""
-
-    codes = counts = None
-
-    def update(self, codes, weights):
-        self.codes = codes
-        self.counts = weights.copy() if self.counts is None else self.counts + weights
 
 
 @pytest.mark.parametrize("policy", ["assign", "discard"])
@@ -473,25 +462,23 @@ def test_drawn_template_rows_match_exact_probabilities(policy):
     config = SessionConfig(rounds=200000, seed=21, source=SpdcSource(SpdcParams(0.3)),
                            eve=SplitAttack(AttackConfig(max_attempts=3)),
                            double_click_policy=policy)
-    slots = SlotCounts()
-    session, drawn = protocol._simulate(config, slots)
+    session, counts, drawn = protocol._simulate(config)
     for _ in drawn:
         pass
     tables = session.tables
     thresholds, template = _kernels.lookup_tables(
         tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
         tables.row_e1, tables.row_e2, policy == "assign")
-    assert np.array_equal(slots.codes, protocol._row_codes(template, tables.scen_emission))
-    assert slots.tags is tables.emission_tags
+    assert np.array_equal(session.codes, protocol._row_codes(template, tables.scen_emission))
     prob = _kernels.template_probabilities(tables.scen_cum, thresholds)
-    assert prob.shape == slots.counts.shape
+    assert prob.shape == counts.shape
     assert prob.sum() == pytest.approx(1.0, abs=1e-12)
-    assert slots.counts.sum() == config.rounds
-    assert not slots.counts[prob == 0.0].any()
+    assert counts.sum() == config.rounds
+    assert not counts[prob == 0.0].any()
     expected = config.rounds * prob
     tested = expected >= 25
     assert tested.sum() > 100
-    z = (slots.counts[tested] - expected[tested]) / np.sqrt(expected[tested] * (1.0 - prob[tested]))
+    z = (counts[tested] - expected[tested]) / np.sqrt(expected[tested] * (1.0 - prob[tested]))
     assert np.abs(z).max() < 6.0
 
 
@@ -597,9 +584,9 @@ def test_v3_transcript_layout(tmp_path):
     assert rest[-32:] == hashlib.sha256(data[:-32]).digest()
     # the codes are the row codes of the rounds the CSV text form lists
     codes = np.frombuffer(rest[:-32], dtype="<u2")
-    template, chunks = protocol._simulate(cfg)
+    template, _, blocks = protocol._simulate(cfg)
     want = np.concatenate([protocol._row_codes(template.rows[idx], template.tables.scen_emission)
-                           for _, idx in chunks])
+                           for _, idx in blocks])
     assert np.array_equal(codes, want)
     text = path.read_text().splitlines()[1:-1]
     assert [row.split(",", 2)[1] for row in text] == [("attack", "singlet")[c // protocol._CODES]
@@ -714,7 +701,7 @@ def test_session_with_spdc_source_writes_replayable_transcript(tmp_path):
 
 
 def run_failing_session(monkeypatch, path):
-    """A serial 3000-round singlet session, in chunks of 1000 rounds, whose
+    """A serial 3000-round singlet session, in blocks of 1000 rounds, whose
     second sampling call fails as a full disk would."""
     real = _kernels.sample_rounds
     calls = []

@@ -19,7 +19,8 @@ from spdcqkd.attack import AttackConfig
 from spdcqkd.fock import FockError
 from spdcqkd.optics import DA, HV, BasisAngle
 from spdcqkd.protocol import (AttackMixture, InterceptResend, SessionConfig, SingletSource,
-                              SpdcSource, SplitAttack, eve_mutual_information, run_session)
+                              SpdcSource, SplitAttack, eve_mutual_information, replay,
+                              run_session)
 from spdcqkd.source import SpdcParams
 
 from test_golden import (GOLDEN_RECORDS, GOLDEN_SESSION, GOLDEN_TABLES, GOLDEN_TRANSCRIPT_V3,
@@ -97,7 +98,7 @@ def test_negative_zero_builds_the_same_tables(make):
             == _tables_digest(protocol._build_tables(pos)))
 
 
-def test_cached_arrays_are_read_only():
+def test_cached_arrays_are_read_only(monkeypatch):
     template = protocol._session_template(PAPER)
     arrays = [getattr(template.tables, f.name) for f in dataclasses.fields(template.tables)
               if f.name != "emission_tags"]
@@ -109,9 +110,20 @@ def test_cached_arrays_are_read_only():
     assert template.tables.emission_tags == ("spdc",)
     with pytest.raises(dataclasses.FrozenInstanceError):
         template.tables.scen_cum = np.zeros(1)
-    tally = protocol._Tally()
-    protocol._simulate(PAPER, tally)
-    assert tally.tags is template.tables.emission_tags
+    tallied = []
+    report = protocol._Tally.report
+    monkeypatch.setattr(protocol._Tally, "report",
+                        lambda self, *args: tallied.append(self.tags) or report(self, *args))
+    run_session(PAPER)
+    assert len(tallied) == 1 and tallied[0] is template.tables.emission_tags
+
+
+def test_replay_takes_its_header_template_from_the_cache(tmp_path, builds):
+    # replay checks every code against the template of the header's config
+    path = tmp_path / "run.v3"
+    live = run_session(PAPER, path)
+    assert replay(PAPER, path) == replay(None, path) == live
+    assert len(builds) == 1
 
 
 def test_failed_build_is_not_cached(builds):

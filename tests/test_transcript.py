@@ -21,6 +21,7 @@ from click.testing import CliRunner
 
 from spdcqkd import _kernels, _replay, protocol
 from spdcqkd.cli import main
+from spdcqkd.fock import FockError
 from spdcqkd.protocol import (AttackMixture, SessionConfig, SingletSource, SpdcSource,
                               TranscriptError, replay, run_session)
 from spdcqkd.source import SpdcParams
@@ -298,6 +299,9 @@ def test_session_transcript_matches_reference(tmp_path, monkeypatch, tags, scen_
     # pieces: the text form crosses powers of ten, writer blocks, and reads
     # that end inside a code
     monkeypatch.setattr(_replay, "READ_BYTES", 9999)
+    # no config draws every code: the header's config is taken to allow them all
+    monkeypatch.setattr(_replay, "drawable_codes",
+                        lambda config, tags: np.ones(len(tags) * protocol._CODES, dtype=bool))
     codes = every_code(scen_emission)
     codes = codes[~((codes[:, 7] == 1) & ((codes[:, 5] < 0) | (codes[:, 6] < 0)))]
     rounds = 100_003
@@ -435,6 +439,13 @@ def sifted_code_missing_a_bit(alice_bit=0, bob_bit=1) -> int:
     return int(np.ravel_multi_index((0, 0, 1, 1, 1, alice_bit, bob_bit), protocol._TAIL_SHAPE))
 
 
+def double_click_code(tag=0) -> int:
+    # both parties double-click in HV, not sifted: no round of a singlet or an
+    # attack mixture has it
+    return int(np.ravel_multi_index((0, 0, 3, 3, 0, 0, 0), protocol._TAIL_SHAPE)
+               + tag * protocol._CODES)
+
+
 def with_code(data, rounds, i, code):
     """`data` with round i's code replaced, the digest left as it was."""
     body = len(data) - 32 - 2 * rounds
@@ -486,6 +497,12 @@ V3_REJECTIONS = {
     "sifted-missing-bob-bit": (lambda d, n: with_code(d, n, 11, sifted_code_missing_a_bit(2, 0)
                                                       + protocol._CODES),
                                "round 11: sifted round missing a key bit"),
+    "code-of-probability-0": (lambda d, n: with_code(d, n, 5, double_click_code(1)),
+                              "round 5: row code 1422 has probability 0 under the header's "
+                              "config"),
+    "tags-in-another-order": (lambda d, n: with_meta(d, tags=["singlet", "attack"]),
+                              "bad version-3 header: tags ['singlet', 'attack'] are not the "
+                              "config's emission tags ['attack', 'singlet']"),
 }
 
 
@@ -504,6 +521,44 @@ def test_corrupt_v3_transcript_is_rejected(tmp_path, name):
     result = CliRunner().invoke(main, ["replay", "--transcript", str(path)])
     assert result.exit_code == 2
     assert f"--transcript: {message.rstrip('…')}" in result.stderr
+
+
+@pytest.mark.parametrize("tags,code,message", [
+    (["singlet"], double_click_code(), "round 0: row code 270 has probability 0 under the "
+                                       "header's config"),
+    (["attack"], 0, "bad version-3 header: tags ['attack'] are not the config's emission "
+                    "tags ['singlet']"),
+], ids=["double-click", "foreign-tag"])
+def test_v3_file_its_config_cannot_produce_is_rejected(tmp_path, tags, code, message):
+    # a valid digest: only the template of the header's config tells
+    config = SessionConfig(rounds=3, seed=0, source=SingletSource())
+    path = tmp_path / "crafted.v3"
+    path.write_bytes(v3_bytes(config, tags, np.full(3, code)))
+    for cfg in (None, config):
+        with pytest.raises(TranscriptError) as err:
+            replay(cfg, path)
+        assert str(err.value) == message
+    with pytest.raises(TranscriptError) as err:
+        text_form(path)
+    assert str(err.value) == message
+    for args in (["replay", "--transcript", str(path)],
+                 ["transcript", "--in", str(path), "--text"]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert message in result.stderr
+
+
+def test_v3_header_whose_template_cannot_be_built_is_rejected(tmp_path, monkeypatch):
+    # every config a header can name builds today; a build error is still named
+    def unbuildable(config):
+        raise FockError("no template")
+
+    _, path, _ = write_v3(tmp_path)
+    monkeypatch.setattr(_replay, "_session_template", unbuildable)
+    with pytest.raises(TranscriptError, match=r"^bad version-3 header: config: no template$"):
+        replay(None, path)
+    result = CliRunner().invoke(main, ["replay", "--transcript", str(path)])
+    assert result.exit_code == 2 and "config: no template" in result.stderr
 
 
 def test_v3_file_with_a_misspelt_magic_is_read_as_csv(tmp_path):
