@@ -3,17 +3,22 @@
 Every round consumes a fixed block of DRAWS_PER_ROUND uniforms from the
 counter-based master stream (slot layout below) and picks a pre-enumerated
 scenario and outcome row.  `sample_rounds` does this for one block of
-rounds at once with vectorized numpy: one `searchsorted` over the
-scenarios, then a fixed-width binary search over the outcome rows of each
-round's (scenario, basis pair) group.  It makes the same float comparisons
-as a per-group `searchsorted`, so the rounds drawn are unchanged.  The
-per-session template (`lookup_tables`) holds four rows per outcome row, one
-per pair of double-click draws, so a round is exactly one template row:
-the sampler returns that row's index (uint16), and the round's record is
-`template[index]`.  A session tallies from how many rounds drew each row,
-and a version-3 transcript stores each round's row code, `codes[index]`
-for the template's codes; neither builds records.  `template_probabilities`
-gives the exact probability of each row, the expectation of those counts.
+rounds at once with vectorized numpy, through two guide tables (the
+cutpoint method of Chen & Asau, 1974; Devroye, Non-Uniform Random Variate
+Generation, III.2.4) built once per template by `guide_tables`: a draw's
+cell of [0, 1) names its scenario, or its outcome row within the round's
+(scenario, basis pair) group, with one indexed load.  The few draws whose
+cell holds a threshold take the exact search instead (a `searchsorted` over
+the scenarios, a fixed-width binary search over the group's rows), so every
+round draws what a per-group `searchsorted` would, and the rounds drawn are
+unchanged.  The per-session template (`lookup_tables`) holds four rows per
+outcome row, one per pair of double-click draws, so a round is exactly one
+template row: the sampler returns that row's index (uint16), and the
+round's record is `template[index]`.  A session tallies from how many
+rounds drew each row, and a version-3 transcript stores each round's row
+code, `codes[index]` for the template's codes; neither builds records.
+`template_probabilities` gives the exact probability of each row, the
+expectation of those counts.
 
 Draw slots per round: 0 scenario, 1 Alice basis, 2 Bob basis, 3 outcome row,
 4 Alice double-click bit, 5 Bob double-click bit (4 and 5 pick one of the
@@ -32,6 +37,11 @@ DRAWS_PER_ROUND = 8
 N_COLS = 10
 # Template rows a uint16 round index can address.
 MAX_TEMPLATE_ROWS = 1 << 16
+# Guide cells: the scenario guide cuts [0, 1) into SCENARIO_CELLS equal
+# cells, the outcome guide into CELLS_PER_SLOT cells per slot of a group's
+# width.  Both counts are powers of two, so u * cells and c / cells are exact.
+SCENARIO_CELLS = 1 << 12
+CELLS_PER_SLOT = 16
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -49,6 +59,7 @@ def lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1, row_e2,
     row once per pair of double-click draws: row 4*slot + 2*a + b, with a
     and b whether draw slots 4 and 5 are >= 0.5, gives a double click of
     Alice the bit a and one of Bob the key bit 1 - b.  Padding rows are 0.
+    `guide_tables` builds the sampler's guides from the thresholds.
     """
     groups = grp_off.shape[0]
     width = 1 << (max(grp_len.tolist()) - 1).bit_length()
@@ -94,36 +105,61 @@ def template_probabilities(scen_cum, thresholds) -> np.ndarray:
     return np.repeat((share * np.repeat(scen / 16.0, 4)[:, None]).ravel(), 4)
 
 
-def sample_rounds(u, scen_cum, thresholds, counts) -> np.ndarray:
-    """Run one block of rounds; returns each round's template index
-    (uint16[n]) and adds to `counts` (intp[len(template)]) how many rounds
-    drew each row.
+def _guide(thresholds, cells: int, scale: int) -> np.ndarray:
+    """int32[rows * cells]: the guide of each row of `thresholds` (float64[rows,
+    W], non-decreasing, +inf padding) over `cells` equal cells of [0, 1).
 
-    `u` holds each round's uniforms in [0, 1); `thresholds` comes from
-    `lookup_tables`, whose template has at most MAX_TEMPLATE_ROWS rows.
-    The outcome row is found by a branchless binary search over the round's
-    group slots: each step compares u3 >= thr[slot], the comparisons
-    `searchsorted(row_cum, u3, side="right")` makes on the group's
-    non-decreasing rows, and u3 < 1 never passes a group's last row or its
-    padding.  Every index stays inside the arrays, so the take uses
-    mode="clip", which writes `out=` without a buffered copy.  A block of
-    `protocol.CHUNK_ROUNDS` keeps these temporaries in cache.
+    Cell c of row r holds `scale` times (r * W plus the number of the row's
+    thresholds <= c / cells), which for a draw in the cell is its slot as
+    `searchsorted(side="right")` gives it; a cell with a threshold strictly
+    inside holds -1.  The entries of a row are runs: the count k fills the
+    cells from the k-th threshold's ceil(t * cells) up to the next one's.
     """
-    n = u.shape[0]
-    draw = np.empty(n)  # one draw column at a time, contiguous: faster to search
-    draw[:] = u[:, 0]
-    pos = np.searchsorted(scen_cum, draw, side="right")
-    pos *= 2
-    pos += u[:, 1] >= 0.5
-    pos *= 2
-    pos += u[:, 2] >= 0.5
+    rows, width = thresholds.shape
+    scaled = thresholds * cells
+    edges = np.zeros((rows, width + 2))
+    edges[:, -1] = cells
+    np.ceil(scaled, out=edges[:, 1:-1])
+    np.minimum(edges, cells, out=edges)
+    runs = np.diff(edges, axis=1).astype(np.intp).ravel()
+    slot = np.arange(rows * (width + 1), dtype=np.int32)
+    slot -= np.repeat(np.arange(rows, dtype=np.int32), width + 1)
+    slot *= np.int32(scale)
+    guide = np.repeat(slot, runs)
+    cell = np.floor(scaled)
+    inside = np.flatnonzero((cell != scaled) & (cell < cells))
+    guide[inside // width * cells + cell.ravel()[inside].astype(np.intp)] = -1
+    return guide
+
+
+def guide_tables(scen_cum, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler's guides for `lookup_tables`' thresholds:
+    (scenario guide, outcome guide), both int32.
+
+    The scenario guide has SCENARIO_CELLS cells; each holds the index of
+    the first outcome-guide cell of its scenario's groups (s * 4 * K, K =
+    CELLS_PER_SLOT * W cells per group), for the scenario s a draw in it
+    picks.  The outcome guide has K cells per group; each holds the group
+    slot a draw in it picks.  A cell whose draws do not all pick one entry
+    holds -1.
+    """
+    cells = CELLS_PER_SLOT * thresholds.shape[1]
+    return (_guide(scen_cum[None, :], SCENARIO_CELLS, 4 * cells),
+            _guide(thresholds, cells, 1))
+
+
+def _search_slots(draw, pos, thresholds) -> np.ndarray:
+    """Each draw's slot in the group whose first slot is `pos`: a branchless
+    binary search of log2(W) steps, each comparing draw >= thr[slot], the
+    comparisons `searchsorted(row_cum, draw, side="right")` makes on the
+    group's non-decreasing rows.  A draw < 1 never passes a group's last
+    row or its padding, so every probe stays inside the group and the take
+    can use mode="clip", which writes `out=` without a buffered copy."""
     width = thresholds.shape[1]
-    pos *= width
-    draw[:] = u[:, 3]
-    probe = np.empty_like(pos)
-    cut = np.empty(n)
-    passed = np.empty(n, dtype=bool)
     thr = thresholds.ravel()
+    probe = np.empty_like(pos)
+    cut = np.empty(draw.shape[0])
+    passed = np.empty(draw.shape[0], dtype=bool)
     step = width // 2
     while step:
         np.add(pos, step - 1, out=probe)
@@ -132,10 +168,43 @@ def sample_rounds(u, scen_cum, thresholds, counts) -> np.ndarray:
         np.multiply(passed, step, out=probe)
         pos += probe
         step //= 2
-    pos *= 2
-    pos += u[:, 4] >= 0.5
-    pos *= 2
-    pos += u[:, 5] >= 0.5
+    return pos
+
+
+def sample_rounds(u, scen_cum, thresholds, scen_guide, group_guide, counts) -> np.ndarray:
+    """Run one block of rounds; returns each round's template index
+    (uint16[n]) and adds to `counts` (intp[len(template)]) how many rounds
+    drew each row.
+
+    `u` holds each round's uniforms in [0, 1); `thresholds` comes from
+    `lookup_tables`, whose template has at most MAX_TEMPLATE_ROWS rows, and
+    the guides from `guide_tables`.  A draw's cell, floor(u * cells), is
+    exact, and the guide's entry for it is the scenario, then the outcome
+    row, the exact search would find.  Only draws in a cell that holds -1
+    are searched: the scenario draw with `searchsorted`, the outcome draw
+    with `_search_slots`.  The basis and double-click bits come from one
+    u >= 0.5 pass over the block.  A block of `protocol.CHUNK_ROUNDS` keeps
+    these temporaries in cache.
+    """
+    cells = CELLS_PER_SLOT * thresholds.shape[1]
+    half = (u >= 0.5).view(np.uint8)
+    x = u[:, 0] * SCENARIO_CELLS
+    cell = np.take(scen_guide, x.astype(np.intp))
+    split = np.flatnonzero(cell < 0)
+    if split.size:
+        cell[split] = np.searchsorted(scen_cum, u[split, 0], side="right") * (4 * cells)
+    cell += half[:, 1] * np.int32(2 * cells)
+    cell += half[:, 2] * np.int32(cells)
+    np.multiply(u[:, 3], cells, out=x)
+    cell += x.astype(np.int32)
+    pos = np.take(group_guide, cell)
+    split = np.flatnonzero(pos < 0)
+    if split.size:
+        pos[split] = _search_slots(u[split, 3], cell[split] // cells * thresholds.shape[1],
+                                   thresholds)
+    pos *= 4
+    pos += half[:, 4] * np.int32(2)
+    pos += half[:, 5]
     counts += np.bincount(pos, minlength=counts.shape[0])
     return pos.astype(np.uint16)
 

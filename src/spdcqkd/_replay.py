@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import template_probabilities
 from .fock import FockError
 from .protocol import (_CODES, _TAIL, _TAIL_FIELDS, _TAIL_SHAPE, CODE_DTYPE, DIGEST_BYTES,
                        TRANSCRIPT_HEADER, TRANSCRIPT_MAGIC, ConfigError, SessionConfig,
@@ -276,7 +275,7 @@ def _bad_header(message: str) -> TranscriptError:
 
 def drawable_codes(config: SessionConfig, tags: list[str]) -> np.ndarray:
     """bool[len(tags) * _CODES]: whether a round of the config can have
-    each row code, from its cached template.
+    each row code, kept with its cached template (`_Template.drawable`).
 
     Raises TranscriptError if the template cannot be built or `tags` are
     not its emission tags.
@@ -288,8 +287,7 @@ def drawable_codes(config: SessionConfig, tags: list[str]) -> np.ndarray:
     if tuple(tags) != template.tables.emission_tags:
         raise _bad_header(f"tags {tags} are not the config's emission tags "
                           f"{list(template.tables.emission_tags)}")
-    prob = template_probabilities(template.tables.scen_cum, template.thresholds)
-    return np.bincount(template.codes[prob > 0], minlength=len(tags) * _CODES) > 0
+    return template.drawable
 
 
 def read_header(fh) -> Header | None:

@@ -31,8 +31,10 @@ to fixed values.  Sessions and `eve_mutual_information` take their template
 from that cache only; a build that raises is not cached.  Many seeds of one
 config in one process build it once; a one-shot `spdcqkd simulate`, or a
 process that never repeats a config, gains nothing from it.
-The cached tables, lookup arrays and row codes are read-only and the tags a
-tuple, so no session can change what the next one samples.
+The cached tables, lookup arrays, guides and row codes are read-only and
+the tags a tuple, so no session can change what the next one samples; so
+are the row probabilities and the mask of drawable row codes, which a
+template computes the first time replay or `eve_mutual_information` asks.
 
 A session is one loop over blocks of CHUNK_ROUNDS rounds (1 MB of
 uniforms), each drawn in pieces of DRAW_PIECE_ROUNDS, then sampled and
@@ -643,7 +645,8 @@ def _draws_ahead(rounds: int) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class _Template:
-    """A session's tables and the sampler's lookup arrays (`lookup_tables`).
+    """A session's tables and the sampler's lookup arrays (`lookup_tables`,
+    `guide_tables`).
 
     A round that draws template index i has the record rows[i] and the row
     code codes[i], which a version-3 transcript stores.  Read-only, as the
@@ -654,9 +657,28 @@ class _Template:
     thresholds: np.ndarray
     rows: np.ndarray   # int8[T, N_COLS]
     codes: np.ndarray  # CODE_DTYPE[T]
+    scen_guide: np.ndarray   # int32[SCENARIO_CELLS]
+    group_guide: np.ndarray  # int32[groups * CELLS_PER_SLOT * W]
 
     def __post_init__(self):
         _read_only(self)
+
+    @functools.cached_property
+    def probabilities(self) -> np.ndarray:
+        """float64[T]: the exact probability that a round draws each row
+        (`template_probabilities`), computed on first use."""
+        prob = _kernels.template_probabilities(self.tables.scen_cum, self.thresholds)
+        prob.flags.writeable = False
+        return prob
+
+    @functools.cached_property
+    def drawable(self) -> np.ndarray:
+        """bool[len(tags) * _CODES]: whether a round can have each row code,
+        i.e. some row of that code has a probability above 0."""
+        mask = np.bincount(self.codes[self.probabilities > 0],
+                           minlength=len(self.tables.emission_tags) * _CODES) > 0
+        mask.flags.writeable = False
+        return mask
 
 
 def _session_template(config: SessionConfig) -> _Template:
@@ -677,7 +699,8 @@ def _physics_template(config: SessionConfig) -> _Template:
         raise FockError(f"the sampling template has {rows.shape[0]} rows; a round index "
                         f"addresses at most {_kernels.MAX_TEMPLATE_ROWS}")
     codes = _row_codes(rows, tables.scen_emission).astype(CODE_DTYPE)
-    return _Template(tables, thresholds, rows, codes)
+    return _Template(tables, thresholds, rows, codes,
+                     *_kernels.guide_tables(tables.scen_cum, thresholds))
 
 
 def _simulate(config: SessionConfig):
@@ -716,8 +739,9 @@ def _simulate(config: SessionConfig):
         drawn = _drawer.ahead(jobs()) if ahead else drawn_here()
         try:
             for start, u in drawn:
-                yield start, _kernels.sample_rounds(u, template.tables.scen_cum,
-                                                    template.thresholds, counts)
+                yield start, _kernels.sample_rounds(
+                    u, template.tables.scen_cum, template.thresholds, template.scen_guide,
+                    template.group_guide, counts)
         finally:
             drawn.close()
 
@@ -784,7 +808,7 @@ def eve_mutual_information(config: SessionConfig) -> float:
     from the cache that sessions use.
     """
     template = _session_template(config)
-    prob = _kernels.template_probabilities(template.tables.scen_cum, template.thresholds)
+    prob = template.probabilities
     sifted = template.rows[:, 7] == 1
     rows = template.rows[sifted].astype(np.intp)
     # joint[alice bit, 3 * (e1 + 1) + (e2 + 1)]

@@ -4,8 +4,9 @@ A template depends on the physics config alone: the source, the
 eavesdropper and the double-click policy.  Sessions of any seed and round
 count, and `eve_mutual_information`, share one build per config; configs
 that differ in any physics field get their own; cached arrays are
-read-only; and cold and warm caches give the same records, tables and
-transcript bytes.
+read-only; and cold and warm caches give the same records, tables,
+sampler guides and transcript bytes.  The exact row probabilities and the
+drawable-code mask are kept with the template on first use.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from spdcqkd import protocol
+from spdcqkd import _kernels, _replay, protocol
 from spdcqkd.attack import AttackConfig
 from spdcqkd.fock import FockError
 from spdcqkd.optics import DA, HV, BasisAngle
@@ -102,7 +103,8 @@ def test_cached_arrays_are_read_only(monkeypatch):
     template = protocol._session_template(PAPER)
     arrays = [getattr(template.tables, f.name) for f in dataclasses.fields(template.tables)
               if f.name != "emission_tags"]
-    arrays += [template.thresholds, template.rows, template.codes]
+    arrays += [template.thresholds, template.rows, template.codes, template.scen_guide,
+               template.group_guide]
     for a in arrays:
         assert isinstance(a, np.ndarray)
         with pytest.raises(ValueError, match="read-only"):
@@ -183,3 +185,58 @@ def test_golden_transcript_cold_and_warm(tmp_path, builds):
         assert path.read_bytes()[-32:] == bytes.fromhex(GOLDEN_TRANSCRIPT_V3)
     assert (tmp_path / "cold.v3").read_bytes() == (tmp_path / "warm.v3").read_bytes()
     assert len(builds) == 1
+
+
+def _guides_digest(template) -> str:
+    h = hashlib.sha256()
+    for guide in (template.scen_guide, template.group_guide):
+        h.update(f"{guide.dtype}{guide.shape}".encode())
+        h.update(guide.tobytes())
+    return h.hexdigest()
+
+
+def test_guides_are_the_same_cold_and_warm(builds):
+    template = protocol._session_template(PAPER)
+    cold = _guides_digest(template)
+    warm = protocol._session_template(dataclasses.replace(PAPER, seed=2, rounds=7))
+    assert warm is template and _guides_digest(warm) == cold
+    protocol._physics_template.cache_clear()
+    rebuilt = protocol._session_template(PAPER)
+    assert rebuilt is not template and _guides_digest(rebuilt) == cold
+    assert len(builds) == 2
+    want = _kernels.guide_tables(template.tables.scen_cum, template.thresholds)
+    assert [g.tobytes() for g in want] == [template.scen_guide.tobytes(),
+                                           template.group_guide.tobytes()]
+
+
+def test_guides_of_the_largest_template_fit_in_a_megabyte():
+    # the largest template timed when source.n_max was capped (n_max 32,
+    # tanh_xi 0.99, 20 attempts): 144 (scenario, basis pair) groups of width 16
+    config = SessionConfig(rounds=1, seed=0, source=SpdcSource(SpdcParams(0.99, n_max=32)),
+                           eve=SplitAttack(AttackConfig(max_attempts=20)))
+    template = protocol._session_template(config)
+    assert template.thresholds.shape == (144, 16)
+    assert template.scen_guide.nbytes + template.group_guide.nbytes <= 1 << 20
+
+
+def test_probabilities_are_computed_once_per_template(tmp_path, monkeypatch, builds):
+    calls = []
+    probabilities = _kernels.template_probabilities
+
+    def counting(*args):
+        calls.append(args)
+        return probabilities(*args)
+
+    monkeypatch.setattr(_kernels, "template_probabilities", counting)
+    # a reader that imported the function by name would call it from there
+    monkeypatch.setattr(_replay, "template_probabilities", counting, raising=False)
+    path = tmp_path / "run.v3"
+    live = run_session(PAPER, path)
+    assert calls == []  # a session samples without them
+    assert replay(PAPER, path) == replay(None, path) == live
+    eve_mutual_information(dataclasses.replace(PAPER, seed=3))
+    assert len(calls) == 1 and len(builds) == 1
+    template = protocol._session_template(PAPER)
+    for cached in (template.probabilities, template.drawable):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = cached[0]
