@@ -62,32 +62,34 @@ def lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1, row_e2,
     `guide_tables` builds the sampler's guides from the thresholds.
     """
     groups = grp_off.shape[0]
-    width = 1 << (max(grp_len.tolist()) - 1).bit_length()
+    width = 1 << (int(grp_len.max()) - 1).bit_length()
     g = np.repeat(np.arange(groups), grp_len)
-    slot = g * width + np.arange(row_cum.shape[0]) - grp_off[g]
+    slot = g * width
+    slot += np.arange(row_cum.shape[0])
+    slot -= grp_off[g]
     thresholds = np.full(groups * width, np.inf)
     thresholds[slot] = row_cum
-    # per group: scenario, Alice basis, Bob basis, whether the bases agree
-    group = np.array([(i // 4, i // 2 % 2, i % 2, i // 2 % 2 == i % 2) for i in range(groups)],
-                     dtype=np.int8)[g]
     # per kind (NoClick, Bit0, Bit1, Double): Alice's bit, Bob's key bit
     # (flipped; a double click's are set per draw below), whether the party
     # clicked under the double-click policy
     kind = np.array([(-1, -1, 0), (0, 1, 1), (1, 0, 1), (0, 0, keep_double)], dtype=np.int8)
     a, b = kind[row_a], kind[row_b]
-    rows = np.empty((slot.shape[0], 4, N_COLS), dtype=np.int8)
-    rows[:, :, :3] = group[:, None, :3]
-    rows[:, :, 3] = row_a[:, None]
-    rows[:, :, 4] = row_b[:, None]
-    rows[:, :, 5] = a[:, None, 0]
-    rows[:, :, 6] = b[:, None, 1]
-    rows[:, :, 7] = (group[:, 3] & a[:, 2] & b[:, 2])[:, None]
-    rows[:, :, 8] = row_e1[:, None]
-    rows[:, :, 9] = row_e2[:, None]
-    rows[row_a == 3, :, 5] = (0, 0, 1, 1)
-    rows[row_b == 3, :, 6] = (1, 0, 1, 0)
+    # each row's record: its group's scenario and bases, then its outcome
+    rec = np.empty((slot.shape[0], N_COLS), dtype=np.int8)
+    rec[:, 0] = g // 4
+    rec[:, 1] = g // 2 % 2
+    rec[:, 2] = g % 2
+    rec[:, 3] = row_a
+    rec[:, 4] = row_b
+    rec[:, 5] = a[:, 0]
+    rec[:, 6] = b[:, 1]
+    rec[:, 7] = (rec[:, 1] == rec[:, 2]) & a[:, 2] & b[:, 2]
+    rec[:, 8] = row_e1
+    rec[:, 9] = row_e2
     template = np.zeros((groups * width, 4, N_COLS), dtype=np.int8)
-    template[slot] = rows
+    template[slot] = rec[:, None, :]
+    template[slot[row_a == 3], :, 5] = (0, 0, 1, 1)
+    template[slot[row_b == 3], :, 6] = (1, 0, 1, 0)
     return thresholds.reshape(groups, width), template.reshape(-1, N_COLS)
 
 

@@ -24,6 +24,25 @@ POL_H = 0
 POL_V = 1
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """((x0 + x1) + x2) + ...: floats added left to right, one rounding per
+    addition.  This is what sum() did before Python 3.12 made it a
+    compensated sum; the engine adds its probabilities and norms with this,
+    so they have the same bits on every interpreter."""
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
+
+
+def squared_norm(amps: Iterable[complex]) -> float:
+    """left_sum of |a|^2 over the amplitudes, in their order."""
+    acc = 0.0
+    for a in amps:
+        acc += a.real * a.real + a.imag * a.imag
+    return acc
+
+
 class FockError(ValueError):
     pass
 
@@ -197,7 +216,7 @@ class StateVector:
         return self._amps.get(tuple(occ), 0j)
 
     def norm_sq(self) -> float:
-        return sum((a.real * a.real + a.imag * a.imag) for a in self._amps.values())
+        return squared_norm(self._amps.values())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
@@ -288,7 +307,7 @@ class StateVector:
         of self).  A vanishing component returns (0.0, zero state).
         """
         kept = {occ: amp for occ, amp in self._amps.items() if predicate(occ)}
-        prob = sum((a.real * a.real + a.imag * a.imag) for a in kept.values())
+        prob = squared_norm(kept.values())
         if prob <= 0.0:
             return 0.0, self._like({})
         scale = 1.0 / math.sqrt(prob)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
-from .fock import FockError, ModeCapError, ModeLabel, StateVector
+from .fock import FockError, ModeCapError, ModeLabel, StateVector, squared_norm
 
 
 @dataclass(frozen=True)
@@ -110,18 +110,9 @@ def _rotation_weights(nh: int, nv: int, c: float, s: float
     return math.sqrt(math.factorial(nh) * math.factorial(nv)), tuple(terms)
 
 
-def rotate_polarization(state: StateVector, party: str, channel: int,
-                        theta: float | BasisAngle) -> StateVector:
-    """Re-express one channel's polarization pair in the basis rotated by theta.
-
-    Output states skip the constructor's checks except the cap, which this
-    is the one operation besides `create` to raise: a term whose channel
-    holds nh + nv > mode_cap photons puts some of them past the cap in one
-    rotated slot (at every angle but 0), and raises ModeCapError naming the
-    first such slot, as the checking constructor did.  The weights per
-    (nh, nv, angle) come from a bounded cache and are summed in the same
-    order as the per-term formula, so amplitudes are bit-identical to it.
-    """
+def _rotated_amplitudes(state: StateVector, party: str, channel: int,
+                        theta: float | BasisAngle) -> dict[tuple[int, ...], complex]:
+    """The amplitudes of `rotate_polarization` before pruning."""
     if isinstance(theta, BasisAngle):
         theta = theta.theta
     hi, vi = state.registry.channel_modes(party, channel)
@@ -129,10 +120,11 @@ def rotate_polarization(state: StateVector, party: str, channel: int,
     s = math.sin(theta)
     cap = state.mode_cap
     amps: dict[tuple[int, ...], complex] = {}
+    get = amps.get
     for occ, amp in state.terms():
         nh, nv = occ[hi], occ[vi]
         if nh + nv == 0:
-            amps[occ] = amps.get(occ, 0j) + amp
+            amps[occ] = get(occ, 0j) + amp
             continue
         norm, weights = _rotation_weights(nh, nv, c, s)
         new = list(occ)
@@ -149,8 +141,24 @@ def rotate_polarization(state: StateVector, party: str, channel: int,
             new[hi] = m
             new[vi] = rest
             key = tuple(new)
-            amps[key] = amps.get(key, 0j) + base * weight
-    return StateVector._trusted(state.registry, amps, state.prune_tol, cap)
+            amps[key] = get(key, 0j) + base * weight
+    return amps
+
+
+def rotate_polarization(state: StateVector, party: str, channel: int,
+                        theta: float | BasisAngle) -> StateVector:
+    """Re-express one channel's polarization pair in the basis rotated by theta.
+
+    Output states skip the constructor's checks except the cap, which this
+    is the one operation besides `create` to raise: a term whose channel
+    holds nh + nv > mode_cap photons puts some of them past the cap in one
+    rotated slot (at every angle but 0), and raises ModeCapError naming the
+    first such slot, as the checking constructor did.  The weights per
+    (nh, nv, angle) come from a bounded cache and are summed in the same
+    order as the per-term formula, so amplitudes are bit-identical to it.
+    """
+    return StateVector._trusted(state.registry, _rotated_amplitudes(state, party, channel, theta),
+                                state.prune_tol, state.mode_cap)
 
 
 def qnd_count(state: StateVector, modes: Iterable[ModeLabel]) -> list[CountBranch]:
@@ -169,7 +177,7 @@ def qnd_count(state: StateVector, modes: Iterable[ModeLabel]) -> list[CountBranc
         buckets.setdefault(n, {})[occ] = amp
     out = []
     for n in sorted(buckets):
-        prob = sum((a.real * a.real + a.imag * a.imag) for a in buckets[n].values())
+        prob = squared_norm(buckets[n].values())
         scale = 1.0 / math.sqrt(prob)
         post = StateVector._trusted(state.registry, {o: a * scale for o, a in buckets[n].items()},
                                     state.prune_tol, state.mode_cap)
@@ -198,10 +206,6 @@ def _click_buckets(state: StateVector, assignments: list[tuple[str, int, BasisAn
     return rotated, buckets
 
 
-def _squared_norm(amps: dict[tuple[int, ...], complex]) -> float:
-    return sum((a.real * a.real + a.imag * a.imag) for a in amps.values())
-
-
 class ClickBranch(NamedTuple):
     kinds: tuple[OutcomeKind, ...]
     probability: float
@@ -222,7 +226,7 @@ def joint_threshold_branches(state: StateVector,
     rotated, buckets = _click_buckets(state, assignments)
     out = []
     for kinds in sorted(buckets):
-        prob = _squared_norm(buckets[kinds])
+        prob = squared_norm(buckets[kinds].values())
         scale = 1.0 / math.sqrt(prob)
         post = StateVector._trusted(rotated.registry,
                                     {o: a * scale for o, a in buckets[kinds].items()},
@@ -231,22 +235,43 @@ def joint_threshold_branches(state: StateVector,
     return out
 
 
-class ClickProbability(NamedTuple):
-    kinds: tuple[OutcomeKind, ...]
-    probability: float
+def click_kinds(pattern: int, channels: int) -> tuple[OutcomeKind, ...]:
+    """The kinds of a `joint_click_probabilities` pattern over `channels`."""
+    return tuple(_KINDS[pattern >> 2 * (channels - 1 - i) & 3] for i in range(channels))
 
 
 def joint_click_probabilities(state: StateVector,
                               assignments: list[tuple[str, int, BasisAngle]]
-                              ) -> list[ClickProbability]:
+                              ) -> list[tuple[int, float]]:
     """The click patterns and probabilities of `joint_threshold_branches`,
-    computed the same way, without its post states.
+    bit for bit, without its post states: (pattern, probability) sorted by
+    pattern, where the pattern packs the channels' kinds in base 4, the
+    first channel's most significant (`click_kinds` unpacks it), so it sorts
+    as the kinds do.
 
-    A channel measured in HV is not rotated: a caller measuring one state
-    under several bases may rotate a channel they share once and measure it
-    here in HV, provided the rotations keep their order.
+    The channels are rotated as `joint_threshold_branches` rotates them,
+    the last one without building its state: one pass over its amplitudes
+    prunes each as the state would and adds its squared magnitude to its
+    pattern's sum, in term order.  An empty channel is not rotated: its
+    rotation only adds 0j to each amplitude, which changes no magnitude.
+    Nor is a channel measured in HV: a caller measuring one state under
+    several bases may rotate a channel they share once and measure it here
+    in HV, provided the rotations keep their order.
     """
-    _, buckets = _click_buckets(state, assignments)
-    return [ClickProbability(tuple([_KINDS[k] for k in kinds]), _squared_norm(buckets[kinds]))
-            for kinds in sorted(buckets)]
-
+    chans = [state.registry.channel_modes(party, channel) for party, channel, _ in assignments]
+    rotations = [(party, channel, basis)
+                 for (party, channel, basis), (h, v) in zip(assignments, chans)
+                 if basis.theta != 0.0 and any(occ[h] or occ[v] for occ, _ in state.terms())]
+    for party, channel, basis in rotations[:-1]:
+        state = rotate_polarization(state, party, channel, basis)
+    terms = _rotated_amplitudes(state, *rotations[-1]).items() if rotations else state.terms()
+    tol = state.prune_tol
+    probs: dict[int, float] = {}
+    get = probs.get
+    for occ, amp in terms:
+        if abs(amp) >= tol:
+            pattern = 0
+            for h, v in chans:
+                pattern = 4 * pattern + (occ[h] > 0) + 2 * (occ[v] > 0)
+            probs[pattern] = get(pattern, 0.0) + (amp.real * amp.real + amp.imag * amp.imag)
+    return sorted(probs.items())

@@ -110,9 +110,8 @@ import numpy as np
 from . import __version__, _kernels
 from ._kernels import DRAWS_PER_ROUND
 from .attack import AttackConfig, attack_four_photon, intercept_branches, split_attack_branches
-from .fock import FockError, StateVector, attack_registry
-from .optics import (DA, HV, BasisAngle, OutcomeKind, joint_click_probabilities,
-                     rotate_polarization)
+from .fock import FockError, StateVector, attack_registry, left_sum
+from .optics import DA, HV, BasisAngle, joint_click_probabilities, rotate_polarization
 from .security import LeakBound, leak_vs_bound
 from .source import SpdcParams, singlet_state, spdc_state
 
@@ -386,31 +385,31 @@ def _eve_branches(state: StateVector, eve: EveStrategy
     return intercept_branches(state, "A", 0, eve.basis)
 
 
-_EBIT = {OutcomeKind.NO_CLICK: -1, OutcomeKind.BIT0: 0, OutcomeKind.BIT1: 1}
-
-
 def _outcome_rows(state_a: StateVector, a_basis: BasisAngle, b_basis: BasisAngle,
-                  fixed_e1: int) -> list[tuple[int, int, int, int, float]]:
-    """Joint detection categorical for one scenario and basis pair.
+                  fixed_e1: int) -> list[tuple[tuple[int, int, int, int], float]]:
+    """Joint detection categorical for one scenario and basis pair:
+    ((Alice kind, Bob kind, E1 bit, E2 bit), probability) rows in key order.
 
     `state_a` is the scenario's state with Alice's channel already rotated
     into `a_basis`, shared by both of Bob's bases; the rest are rotated
     after it in the order B, E1, E2, which the pinned tables depend on.
     The eavesdropper's stored channels are read in the disclosed basis
     (Alice's); on rounds that do not sift those columns are simply ignored.
+    A kind k < 3 (OutcomeKind) of an eavesdropper channel is the bit k - 1,
+    -1 for no click; a double click there has no bit and raises.
     """
     patterns = joint_click_probabilities(
         state_a, [("A", 0, HV), ("B", 0, b_basis), ("E1", 0, a_basis), ("E2", 0, a_basis)])
-    rows = {}
-    for kinds, prob in patterns:
-        ka, kb, k1, k2 = kinds
-        if k1 not in _EBIT or k2 not in _EBIT:
-            raise FockError("eavesdropper channel holds more than one photon")
-        e1 = fixed_e1 if fixed_e1 >= 0 else _EBIT[k1]
-        key = (int(ka), int(kb), e1, _EBIT[k2])
+    rows: dict[tuple[int, int, int, int], float] = {}
+    for pattern, prob in patterns:
+        k1 = pattern >> 2 & 3
+        k2 = pattern & 3
+        if k1 == 3 or k2 == 3:
+            raise FockError("an eavesdropper channel has a double click, which gives no bit")
+        key = (pattern >> 6, pattern >> 4 & 3, fixed_e1 if fixed_e1 >= 0 else k1 - 1, k2 - 1)
         rows[key] = rows.get(key, 0.0) + prob
-    total = sum(rows.values())
-    return [(a, b, e1, e2, p / total) for (a, b, e1, e2), p in sorted(rows.items())]
+    total = left_sum(rows.values())
+    return [(key, p / total) for key, p in sorted(rows.items())]
 
 
 def _build_tables(config: SessionConfig) -> _Tables:
@@ -426,34 +425,31 @@ def _build_tables(config: SessionConfig) -> _Tables:
         raise FockError(f"scenario probabilities sum to {scen_probs.sum()}")
     scen_cum = np.cumsum(scen_probs)
     scen_cum[-1] = 1.0
-    grp_off, grp_len = [], []
-    cols: list[list] = [[], [], [], [], []]  # cum, a, b, e1, e2
+    lengths = []
+    cum: list[float] = []
+    keys: list[tuple[int, int, int, int]] = []
     for _, _, st, fixed_e1 in scenarios:
         for a_basis in (HV, DA):
             st_a = st if a_basis is HV else rotate_polarization(st, "A", 0, a_basis)
             for b_basis in (HV, DA):
                 rows = _outcome_rows(st_a, a_basis, b_basis, fixed_e1)
-                grp_off.append(len(cols[0]))
-                grp_len.append(len(rows))
+                lengths.append(len(rows))
                 acc = 0.0
-                for i, (a, b, e1, e2, p) in enumerate(rows):
+                for key, p in rows:
                     acc += p
-                    cols[0].append(1.0 if i == len(rows) - 1 else acc)
-                    cols[1].append(a)
-                    cols[2].append(b)
-                    cols[3].append(e1)
-                    cols[4].append(e2)
+                    cum.append(acc)
+                    keys.append(key)
+                cum[-1] = 1.0
+    grp_len = np.array(lengths, dtype=np.int64)
+    row_a, row_b, row_e1, row_e2 = np.array(keys, dtype=np.int8).T.copy()
     return _Tables(
         emission_tags=tags,
         scen_emission=np.array([ei for ei, _, _, _ in scenarios], dtype=np.int8),
         scen_cum=scen_cum,
-        grp_off=np.array(grp_off, dtype=np.int64),
-        grp_len=np.array(grp_len, dtype=np.int64),
-        row_cum=np.array(cols[0], dtype=np.float64),
-        row_a=np.array(cols[1], dtype=np.int8),
-        row_b=np.array(cols[2], dtype=np.int8),
-        row_e1=np.array(cols[3], dtype=np.int8),
-        row_e2=np.array(cols[4], dtype=np.int8),
+        grp_off=np.cumsum(grp_len) - grp_len,
+        grp_len=grp_len,
+        row_cum=np.array(cum, dtype=np.float64),
+        row_a=row_a, row_b=row_b, row_e1=row_e1, row_e2=row_e2,
     )
 
 

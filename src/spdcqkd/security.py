@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fock import FockError, StateVector
-from .optics import (DA, HV, BasisAngle, OutcomeKind, joint_click_probabilities,
+from .fock import FockError, StateVector, left_sum
+from .optics import (DA, HV, BasisAngle, OutcomeKind, click_kinds, joint_click_probabilities,
                      joint_threshold_branches)
 
 
@@ -65,7 +65,8 @@ def _clicked_joint(state: StateVector, assignments: list[tuple[str, int, BasisAn
     """
     joint = {(a, b): 0.0 for a in (0, 1) for b in (0, 1)}
     mass = 0.0
-    for (ka, kb), prob in joint_click_probabilities(state, assignments):
+    for pattern, prob in joint_click_probabilities(state, assignments):
+        ka, kb = click_kinds(pattern, 2)
         if ka not in _CLICKED or kb not in _CLICKED:
             continue
         mass += prob
@@ -126,7 +127,7 @@ def eve_conditional_states(state: StateVector, alice_basis: BasisAngle,
                 buckets.setdefault((a, b), []).append((prob * wa * wb, eve))
     out: dict[tuple[int, int], EveBranch] = {}
     for key, pieces in sorted(buckets.items()):
-        prob = sum(p for p, _ in pieces)
+        prob = left_sum(p for p, _ in pieces)
         first = pieces[0][1]
         for _, other in pieces[1:]:
             if abs(abs(first.inner(other)) - 1.0) > 1e-9:

@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .fock import FockError, ModeRegistry, StateVector, source_registry
+from .fock import FockError, ModeRegistry, StateVector, left_sum, source_registry
 
 
 # The largest pair cutoff n_max.  Session tables grow steeply with it, most
@@ -65,7 +65,7 @@ def squared_norm_truncated(params: SpdcParams) -> float:
     """C0^2 * sum_{n<=n_max} (n+1) tanh^(2n)|xi|, the truncated state's norm^2."""
     x = params.tanh_xi ** 2
     c0sq = (1.0 - x) ** 2
-    return c0sq * sum((n + 1) * x ** n for n in range(params.n_max + 1))
+    return c0sq * left_sum((n + 1) * x ** n for n in range(params.n_max + 1))
 
 
 def pair_statistics(params: SpdcParams) -> list[tuple[int, float]]:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from spdcqkd import _kernels, optics
-from spdcqkd.fock import (FockError, ModeCapError, ModeLabel, StateVector, attack_registry,
-                          source_registry)
-from spdcqkd.optics import (DA, HV, BasisAngle, OutcomeKind, beamsplitter_50_50,
+from spdcqkd.fock import (FockError, ModeCapError, ModeLabel, ModeRegistry, StateVector,
+                          attack_registry, source_registry)
+from spdcqkd.optics import (DA, HV, BasisAngle, OutcomeKind, beamsplitter_50_50, click_kinds,
                             joint_click_probabilities, joint_threshold_branches, qnd_count,
                             rotate_polarization)
 from spdcqkd.source import SpdcParams, spdc_state
@@ -365,17 +365,83 @@ def test_threshold_detect_post_state_is_conditional():
         assert prob == pytest.approx(1.0)
 
 
+def click_probabilities(state, assignments):
+    """joint_click_probabilities with its patterns unpacked into kinds."""
+    got = joint_click_probabilities(state, assignments)
+    assert [pattern for pattern, _ in got] == sorted({pattern for pattern, _ in got})
+    return [(click_kinds(pattern, len(assignments)), prob.hex()) for pattern, prob in got]
+
+
+def branch_probabilities(state, assignments):
+    return [(b.kinds, b.probability.hex()) for b in joint_threshold_branches(state, assignments)]
+
+
 @pytest.mark.parametrize("name,source,eve", BUILDABLE, ids=[name for name, _, _ in BUILDABLE])
 def test_click_probabilities_equal_branch_probabilities(name, source, eve):
     """Bit for bit, for every scenario state and basis pair of the golden
-    grid; also with Alice's channel rotated beforehand, as the table build
-    rotates it once for both of Bob's bases."""
+    grid, on all four channels and on Alice's and Bob's alone; also with
+    Alice's channel rotated beforehand, as the table build rotates it once
+    for both of Bob's bases."""
     for state, assignments in scenario_measurements(source, eve):
-        want = [(b.kinds, b.probability.hex()) for b in joint_threshold_branches(state, assignments)]
-        got = joint_click_probabilities(state, assignments)
-        assert [(c.kinds, c.probability.hex()) for c in got] == want
-        assert all(type(k) is OutcomeKind for c in got for k in c.kinds)
+        want = branch_probabilities(state, assignments)
+        got = click_probabilities(state, assignments)
+        assert got == want
+        assert all(type(k) is OutcomeKind for kinds, _ in got for k in kinds)
+        assert click_probabilities(state, assignments[:2]) == branch_probabilities(
+            state, assignments[:2])
         a_basis = assignments[0][2]
         state_a = rotate_polarization(state, "A", 0, a_basis) if a_basis is DA else state
-        pre_rotated = joint_click_probabilities(state_a, [("A", 0, HV)] + assignments[1:])
-        assert [(c.kinds, c.probability.hex()) for c in pre_rotated] == want
+        assert click_probabilities(state_a, [("A", 0, HV)] + assignments[1:]) == want
+
+
+@pytest.mark.parametrize("order", [
+    [("B", 0, 1), ("A", 0, 1), ("B", 0, 0), ("A", 0, 0)],  # V before H
+    [("A", 0, 0), ("B", 0, 0), ("A", 0, 1), ("B", 0, 1)],  # a channel's slots apart
+])
+def test_click_probabilities_on_another_mode_order(order):
+    """Bit for bit on a registry that lists the same modes in another
+    order (and on complex amplitudes, a pump phase): the patterns follow the
+    channels, not the slots."""
+    params = SpdcParams(0.4, phi=0.7, n_max=4)
+    reg = ModeRegistry([ModeLabel(*label) for label in order])
+    st = spdc_state(params).embed(reg)
+    for a in (HV, DA, BasisAngle(0.3)):
+        for b in (HV, DA):
+            for assignments in ([("A", 0, a), ("B", 0, b)], [("B", 0, b), ("A", 0, a)],
+                                [("A", 0, a)]):
+                got = click_probabilities(st, assignments)
+                assert got == branch_probabilities(st, assignments)
+                assert got == click_probabilities(spdc_state(params), assignments)
+
+
+def test_click_probabilities_prune_after_the_last_rotation():
+    """Terms whose amplitudes fall just below prune_tol (1e-12) in the last
+    rotation are pruned, as the rotated state prunes them; just above, kept."""
+    c, s = math.cos(DA.theta), math.sin(DA.theta)
+    for small, kept in ((0.99e-12, False), (1.01e-12, True)):
+        # |H>_A |V>_B at amplitude x rotates to x*c |10> - x*s |01> on A
+        x = small / min(c, s)
+        st = StateVector(source_registry(), {(0, 0, 1, 0): 1.0, (1, 0, 0, 1): x})
+        assert len(st) == 2
+        assert len(rotate_polarization(st, "A", 0, DA)) == (3 if kept else 1)
+        assignments = [("A", 0, DA), ("B", 0, HV)]
+        got = click_probabilities(st, assignments)
+        assert got == branch_probabilities(st, assignments)
+        assert len(got) == (3 if kept else 1)
+
+
+def test_click_probabilities_add_left_to_right():
+    """One pattern's squared amplitudes 1, 1e-16 and 1e-16 sum to exactly 1.0,
+    as a left-to-right sum gives on every Python; a compensated sum (Python
+    3.12's sum()) gives 1 + 2**-52."""
+    amps = {(1, 0, 0, 0): 1.0, (2, 0, 0, 0): 1e-8, (3, 0, 0, 0): 1e-8}
+    st = StateVector(source_registry(), amps)
+    got = joint_click_probabilities(st, [("A", 0, HV)])
+    assert got == [(OutcomeKind.BIT0, 1.0)]
+    assert got[0][1].hex() == "0x1.0000000000000p+0"
+    assert st.norm_sq() == 1.0
+    assert st.project(lambda occ: occ[0] > 0)[0] == 1.0
+    same_count = StateVector(source_registry(),
+                             {(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 1e-8, (0, 1, 1, 0): 1e-8})
+    assert [b.probability for b in qnd_count(same_count, [AH, AV])] == [1.0]
+    assert joint_threshold_branches(st, [("A", 0, HV)])[0].probability == 1.0

@@ -16,8 +16,8 @@ from click.testing import CliRunner
 from spdcqkd import _kernels, protocol
 from spdcqkd.attack import AttackConfig
 from spdcqkd.cli import main
-from spdcqkd.fock import FockError
-from spdcqkd.optics import DA, HV, BasisAngle
+from spdcqkd.fock import FockError, StateVector, attack_registry
+from spdcqkd.optics import DA, HV, BasisAngle, rotate_polarization
 from spdcqkd.protocol import (AttackMixture, ConfigError, InterceptResend,
                               SessionConfig, SingletSource, SpdcSource,
                               SplitAttack, TranscriptError, config_from_dict,
@@ -276,6 +276,22 @@ def test_split_attack_failure_branch_changes_tables():
     # max_attempts=1 keeps a pass-through branch with probability 1/2
     assert len(t_often.scen_cum) > len(t_surely.scen_cum) or not np.allclose(
         t_often.scen_cum, t_surely.scen_cum)
+
+
+@pytest.mark.parametrize("party", ["E1", "E2"])
+def test_outcome_rows_refuse_an_eavesdropper_double_click(party):
+    """A stored photon in each slot of an eavesdropper channel double-clicks
+    in HV, which gives the channel's column no bit: the table build refuses
+    it.  In DA the pair interferes into one slot, which reads as a bit."""
+    e = [1, 1, 0, 0] if party == "E1" else [0, 0, 1, 1]
+    r = 1.0 / math.sqrt(2.0)
+    state = StateVector(attack_registry(), {(0, 1, 1, 0, *e): r, (1, 0, 0, 1, *e): -r})
+    for b_basis in (HV, DA):
+        with pytest.raises(FockError, match="eavesdropper channel has a double click"):
+            protocol._outcome_rows(state, HV, b_basis, -1)
+        state_a = rotate_polarization(state, "A", 0, DA)
+        rows = protocol._outcome_rows(state_a, DA, b_basis, -1)
+        assert {key[2 if party == "E1" else 3] for key, _ in rows} == {0, 1}
 
 
 def test_double_click_policy_changes_sifting():
