@@ -264,14 +264,14 @@ def cmd_simulate(config_path, transcript_path, seed, fmt):
 
 @main.command("replay")
 @click.option("--transcript", "transcript_path", required=True,
-              help="Transcript produced by simulate (version 3), or a version-2 CSV one.")
+              help="Version-3 transcript produced by simulate.")
 @click.option("--config", "config_path", default=None,
-              help="Optional config the transcript must match: every field of a "
-                   "version-3 header, the round count of a CSV transcript.")
+              help="Optional config the transcript must match in every field of "
+                   "its header.")
 @_format_option
 def cmd_replay(transcript_path, config_path, fmt):
-    """Recompute a session report from its transcript.  A version-3
-    transcript's config and tool version are echoed in the parameters."""
+    """Recompute a session report from its transcript.  The transcript's
+    config and tool version are echoed in the parameters."""
     config = _load_config(config_path, None) if config_path else None
     try:
         report, header = replay_with_header(config, transcript_path)
@@ -287,7 +287,7 @@ def cmd_replay(transcript_path, config_path, fmt):
     def text():
         yield from _flat_lines(results)
 
-    _emit("replay", {"transcript": transcript_path, **(header or {})}, results, fmt, text)
+    _emit("replay", {"transcript": transcript_path, **header}, results, fmt, text)
 
 
 @main.command("transcript")

@@ -67,29 +67,23 @@ against the caller's field by field, names the first that differs, and
 checks its tags and every code against the cached template of its config:
 other tags, or a code the template draws with probability 0 (such as one
 out of range or a sifted round missing a key bit), is a TranscriptError.
-A digest mismatch is reported via checksum_ok=False.  The reader lives in
-`_replay`; it streams the body in fixed-size reads, hashes each and counts
-its codes with one bincount, so memory does not grow with the file.
+A digest mismatch is reported via checksum_ok=False.  Version 3 is the
+only format replay() reads: any other first line is a TranscriptError.
+The reader lives in `_replay`; it streams the body in fixed-size reads,
+hashes each and counts its codes with one bincount, so memory does not
+grow with the file, and `_parse_transcript` adds up those counts and
+checks the digest.
 
-The CSV of version 2 is the same rounds as text, one row per round, with
-header
+The text form is the CSV of version 2: the same rounds as text, one row
+per round, with header
 round_idx,source_tag,alice_basis,bob_basis,alice_outcome,bob_outcome,sifted_flag,alice_bit,bob_bit
 (bob_bit already flipped to the key convention, '-' marks absent bits) and a
-trailing checksum line '#sha256=<hex>' over all preceding bytes.  Sessions
-no longer write it: `transcript_text` (`spdcqkd transcript --text`) prints
-a version-3 file as version-2 bytes, and replay() still reads and verifies
-it, telling it from version 3 by the first line.  Version 1, a CSV ending
-in '#fnv1a64=<hex>', is refused as an unsupported version.
-
-Both CSV directions work on blocks of rows with numpy, never a Python
-string per row.  The text form builds, once, the text after the round index
-of every row code (`_suffix_table`), and assembles each block of WRITE_ROWS
-rows from index digits and that table.  The CSV reader reads the checksum
-line from the file's tail first (a pipe is spooled to a temporary file),
-then streams the body in fixed-size reads: each read is hashed, and its
-whole lines are checked field by field for all rows at once and tallied.
-The first row a block check rejects is re-checked on its own to name its
-error and line.
+trailing checksum line '#sha256=<hex>' over all preceding bytes.  It is a
+one-way, read-only view: `transcript_text` (`spdcqkd transcript --text`)
+prints a version-3 file in it, and nothing reads it back.  It is built
+with numpy, never a Python string per row: the text after the round index
+of every row code is built once (`_suffix_table`), and each block of
+WRITE_ROWS rows is assembled from index digits and that table.
 """
 
 from __future__ import annotations
@@ -153,9 +147,7 @@ DIGEST_BYTES = 32
 
 
 class TranscriptError(ValueError):
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -506,19 +498,20 @@ def _wilson_interval(hits: int, trials: int) -> list[float]:
 class _Tally:
     """Rounds counted by row code: counts[code] for the codes of `tags`."""
 
-    tags: list[str] | tuple[str, ...] = field(default_factory=list)
+    tags: list[str] | tuple[str, ...]
     rounds: int = 0
-    counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    counts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.counts = np.zeros(len(self.tags) * _CODES, dtype=np.int64)
 
     def update(self, codes: np.ndarray, weights: np.ndarray | None = None):
-        """Count row codes with one bincount; with `weights`, code i stands
-        for weights[i] rounds (a live session's template rows)."""
+        """Count row codes of `tags` with one bincount; with `weights`, code
+        i stands for weights[i] rounds (a live session's template rows)."""
         self.rounds += codes.size if weights is None else int(weights.sum())
         # float64 weights sum whole counts exactly below 2**53
-        counts = np.bincount(codes, weights, minlength=len(self.tags) * _CODES).astype(
+        self.counts += np.bincount(codes, weights, minlength=self.counts.size).astype(
             np.int64, copy=False)
-        counts[:self.counts.size] += self.counts  # each tag met since then adds _CODES
-        self.counts = counts
 
     def report(self, checksum_ok: bool = True) -> "SessionReport":
         # [tag, Alice basis, Bob basis, Alice kind, Bob kind, sifted, Alice bit, Bob bit]
@@ -824,78 +817,50 @@ def eve_mutual_information(config: SessionConfig) -> float:
 # transcript replay
 
 
-def _parse_transcript(fh, body_len: int) -> tuple[_Tally, str]:
-    """Tally the header and rows of a CSV transcript's first `body_len` bytes.
+def _parse_transcript(fh, head) -> tuple[_Tally, bool]:
+    """(tally, whether the trailing digest matches) of the version-3 body
+    after the checked header `head` (an `_replay.Header`).
 
-    The body is read in fixed-size reads; each read is hashed, its whole
-    lines are parsed as one block, and a partial last line is carried over.
-    Returns (tally, sha256 hex digest of the body).
+    The body is read by `_replay.code_reads`, which hashes each read and
+    counts its codes; the counts of the reads are added up.
     """
     from . import _replay
 
-    digest = hashlib.sha256()
-    tally = _Tally()
-    keys: dict[bytes, int] = {}
-    lookups = _replay.token_lookups()
-    carry: list[bytes] = []
-    header = (TRANSCRIPT_HEADER + "\n").encode("ascii")
-    seen_header = False
-    for chunk in _replay.body_reads(fh, body_len):
-        digest.update(chunk)
-        cut = chunk.rfind(b"\n") + 1
-        if not cut:
-            carry.append(chunk)
-            continue
-        block = b"".join(carry + [memoryview(chunk)[:cut]])
-        carry = [chunk[cut:]]
-        if not seen_header:
-            if not block.startswith(header):
-                raise TranscriptError("bad or missing header", line=1)
-            seen_header = True
-            block = block[len(header):]
-        if block:
-            tally.update(_replay.parse_rows(block, tally.rounds, tally.tags, keys, lookups))
-    if not seen_header:
-        raise TranscriptError("bad or missing header", line=1)
-    return tally, digest.hexdigest()
+    digest = hashlib.sha256(head.raw)
+    tally = _Tally(head.tags)
+    for _, codes, counts in _replay.code_reads(fh, head, digest):
+        tally.rounds += codes.size
+        tally.counts += counts
+    fh.seek(len(head.raw) + head.body_bytes)
+    return tally, fh.read(DIGEST_BYTES) == digest.digest()
 
 
 def replay(config: SessionConfig | None, transcript_path) -> SessionReport:
-    """Recompute a SessionReport from a transcript file.
+    """Recompute a SessionReport from a version-3 transcript file.
 
     A matching live report is reproduced exactly; a failed checksum is
     reported via checksum_ok=False (the tallies still reflect the file's
-    contents).  Version 3 is told by its first line; a CSV must be version
-    2, and version 1 (a '#fnv1a64' trailer) is a TranscriptError.  config,
-    when given, must equal a version-3 header's config in every field (a
-    TranscriptError names the first that differs); a version-2 CSV names no
-    config, so only its round count is checked against it.  The file is
-    read in blocks, so memory does not grow with its length.
+    contents).  Any other first line than the version-3 magic, a version-2
+    CSV or version 1 included, is a TranscriptError.  config, when given,
+    must equal the header's config in every field (a TranscriptError names
+    the first that differs).  The file is read in blocks, so memory does
+    not grow with its length.
     """
     return replay_with_header(config, transcript_path)[0]
 
 
 def replay_with_header(config: SessionConfig | None, transcript_path
-                       ) -> tuple[SessionReport, dict | None]:
-    """`replay`, and what a version-3 header says of its run: {"config":
-    its config as `config_to_dict` gives it, "tool_version": the writer's
-    version}; None for a CSV transcript."""
+                       ) -> tuple[SessionReport, dict]:
+    """`replay`, and what the header says of its run: {"config": its config
+    as `config_to_dict` gives it, "tool_version": the writer's version}."""
     from . import _replay  # loaded on first use: a process that never replays skips it
 
     with open(transcript_path, "rb") as source, _replay.seekable(source) as fh:
         head = _replay.read_header(fh)
-        if head is not None:
-            _replay.check_config(config, head)
-            counts, checksum_ok = _replay.read_counts(fh, head)
-            tally = _Tally(head.tags, head.config.rounds, counts)
-            return (tally.report(checksum_ok=checksum_ok),
-                    {"config": head.config_dict, "tool_version": head.tool_version})
-        tok, body_len = _replay.read_trailer(fh)
-        tally, digest = _parse_transcript(fh, body_len)
-    if config is not None and config.rounds != tally.rounds:
-        raise TranscriptError(
-            f"config expects {config.rounds} rounds, transcript has {tally.rounds}")
-    return tally.report(checksum_ok=tok == digest), None
+        _replay.check_config(config, head)
+        tally, checksum_ok = _parse_transcript(fh, head)
+    return (tally.report(checksum_ok=checksum_ok),
+            {"config": head.config_dict, "tool_version": head.tool_version})
 
 
 def transcript_text(transcript_path, out) -> None:

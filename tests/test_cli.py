@@ -7,6 +7,8 @@ from spdcqkd import __version__, cli
 from spdcqkd.cli import main
 from spdcqkd.source import N_MAX_CAP
 
+from test_protocol import flip_a_sifted_round
+
 
 @pytest.fixture()
 def runner():
@@ -378,7 +380,7 @@ def test_simulate_text_format(runner, tmp_path):
 # -- replay -------------------------------------------------------------------
 
 
-def simulate_text(runner, tmp_path, cfg, name="t.csv"):
+def simulate_text(runner, tmp_path, cfg):
     """Simulate with a version-3 transcript, and return the path of its CSV
     text form made by `transcript --text`."""
     v3 = tmp_path / "t.v3"
@@ -386,7 +388,7 @@ def simulate_text(runner, tmp_path, cfg, name="t.csv"):
                                 "--transcript", str(v3)]).exit_code == 0
     result = runner.invoke(main, ["transcript", "--in", str(v3), "--text"])
     assert result.exit_code == 0, result.stderr
-    path = tmp_path / name
+    path = tmp_path / "t.csv"
     path.write_bytes(result.stdout_bytes)
     return path
 
@@ -397,27 +399,24 @@ def test_replay_matches_simulate(runner, tmp_path):
     transcript = tmp_path / "t.v3"
     _, live = invoke_json(runner, ["simulate", "--config", str(cfg),
                                    "--transcript", str(transcript)])
-    text = simulate_text(runner, tmp_path, cfg)
-    for path in (transcript, text):
-        _, replayed = invoke_json(runner, ["replay", "--transcript", str(path),
-                                           "--config", str(cfg)])
-        assert replayed["results"] == live["results"]
-        assert replayed["results"]["checksum_ok"] is True
+    _, replayed = invoke_json(runner, ["replay", "--transcript", str(transcript),
+                                       "--config", str(cfg)])
+    assert replayed["results"] == live["results"]
+    assert replayed["results"]["checksum_ok"] is True
 
 
 def test_replay_reports_the_header_it_read(runner, tmp_path):
     doc = {"rounds": 1200, "seed": 6, "source": {"kind": "spdc", "tanh_xi": 0.25},
            "eve": {"kind": "split", "max_attempts": 2}}
     cfg = write_config(tmp_path, doc)
-    text = simulate_text(runner, tmp_path, cfg)
-    _, replayed = invoke_json(runner, ["replay", "--transcript", str(tmp_path / "t.v3")])
+    transcript = tmp_path / "t.v3"
+    invoke_json(runner, ["simulate", "--config", str(cfg), "--transcript", str(transcript)])
+    _, replayed = invoke_json(runner, ["replay", "--transcript", str(transcript)])
     assert replayed["parameters"] == {
-        "transcript": str(tmp_path / "t.v3"), "tool_version": __version__,
+        "transcript": str(transcript), "tool_version": __version__,
         "config": {"rounds": 1200, "seed": 6, "double_click_policy": "assign",
                    "source": {"kind": "spdc", "tanh_xi": 0.25, "phi": 0.0, "n_max": 4},
                    "eve": {"kind": "split", "max_attempts": 2}}}
-    _, replayed = invoke_json(runner, ["replay", "--transcript", str(text)])
-    assert replayed["parameters"] == {"transcript": str(text)}  # CSV names no config
 
 
 @pytest.mark.parametrize("field,value,name", [
@@ -459,33 +458,31 @@ def test_transcript_text_refuses_what_it_cannot_convert(runner, tmp_path):
 
 def test_replay_corrupt_transcript_is_usage_error(runner, tmp_path):
     cfg = write_config(tmp_path, SINGLET_CFG)
-    transcript = simulate_text(runner, tmp_path, cfg)
-    lines = transcript.read_text().splitlines()
-    lines[3] = "2,singlet,HV"
-    transcript.write_text("\n".join(lines) + "\n")
+    transcript = tmp_path / "t.v3"
+    invoke_json(runner, ["simulate", "--config", str(cfg), "--transcript", str(transcript)])
+    data = transcript.read_bytes()
+    body = len(data) - 32 - 2 * SINGLET_CFG["rounds"]
+    transcript.write_bytes(data[:body + 4] + b"\xff\xff" + data[body + 6:])  # round 2's code
     result = runner.invoke(main, ["replay", "--transcript", str(transcript)])
     assert result.exit_code == 2
-    assert "line 4" in result.stderr
+    assert "--transcript: round 2: row code 65535 is out of range for 1 tag(s)" in result.stderr
 
 
 def test_replay_warns_on_checksum_mismatch(runner, tmp_path):
-    cfg = write_config(tmp_path, SINGLET_CFG)
-    transcript = simulate_text(runner, tmp_path, cfg)
-    lines = transcript.read_text().splitlines()
-    for i, ln in enumerate(lines[1:-1], start=1):
-        f = ln.split(",")
-        if f[6] == "1":
-            f[5] = "b0" if f[5] == "b1" else "b1"
-            f[8] = "0" if f[8] == "1" else "1"
-            lines[i] = ",".join(f)
-            break
-    transcript.write_text("\n".join(lines) + "\n")
+    # an attack mixture, whose rounds can be errors: a singlet's transcript
+    # with an error round is refused as one its config cannot produce
+    cfg = write_config(tmp_path, {"rounds": 2000, "seed": 11,
+                                  "source": {"kind": "attack_mixture", "p": 0.7}})
+    transcript = tmp_path / "t.v3"
+    _, live = invoke_json(runner, ["simulate", "--config", str(cfg),
+                                   "--transcript", str(transcript)])
+    flip_a_sifted_round(transcript, 2000)
     result = runner.invoke(main, ["replay", "--transcript", str(transcript)])
     assert result.exit_code == 0
     assert "checksum mismatch" in result.stderr
     doc = json.loads(result.stdout)
     assert doc["results"]["checksum_ok"] is False
-    assert doc["results"]["qber_hat"] > 0
+    assert doc["results"]["qber_hat"] != live["results"]["qber_hat"]
 
 
 def test_replay_missing_transcript(runner, tmp_path):

@@ -6,9 +6,11 @@ transcript's bytes: the version-3 file a session writes, and its version-2
 text form.  A change to the sampler, the uniform stream, the sampling
 tables or the transcript formats that moves a single byte fails here.  The
 sampling tables are also pinned on their own, over a grid of every source
-and eavesdropper kind.
+and eavesdropper kind, and under a split attack at a pump phase where the
+amplitudes are complex.
 """
 
+import collections
 import dataclasses
 import hashlib
 import io
@@ -89,14 +91,21 @@ def test_golden_transcript(tmp_path):
     (dataclasses.replace(GOLDEN_RECORDS[0][0], rounds=3 * protocol.CHUNK_ROUNDS + 5, seed=19),
      True)], ids=GOLDEN_IDS + ["spdc-split-drawn-ahead"])
 def test_live_v3_and_text_replays_agree(tmp_path, monkeypatch, config, ahead):
+    # the replay of the file is the live report, and its text form lists
+    # the live report's rounds under its checksum
     if ahead is not None:
         monkeypatch.setattr(protocol, "_draws_ahead", lambda rounds: ahead)
-    v3, csv = tmp_path / "session.v3", tmp_path / "session.csv"
+    v3 = tmp_path / "session.v3"
     live = run_session(config, transcript_path=v3)
-    csv.write_bytes(text_form(v3))
     assert replay(config, v3) == live
-    assert replay(config, csv) == live
     assert live.checksum_ok and live.rounds == config.rounds
+    text = text_form(v3)
+    body, trailer = text[:text.rfind(b"#sha256=")], text[text.rfind(b"#sha256="):]
+    assert trailer == f"#sha256={hashlib.sha256(body).hexdigest()}\n".encode("ascii")
+    rows = body.decode("ascii").splitlines()[1:]
+    assert len(rows) == config.rounds
+    tags = collections.Counter(row.split(",", 2)[1] for row in rows)
+    assert dict(sorted(tags.items())) == live.source_counts
 
 
 # Table grid: every source kind (SPDC truncated at 1..6 pairs) against every
@@ -170,6 +179,16 @@ GOLDEN_TABLES = {
 }
 
 
+# Split-attack tables at pump phase phi 0.7, where amplitudes are complex; with
+# no eavesdropper a table does not depend on phi.
+PHASE_TABLES = {
+    "spdc2-phi0.7/split3": (SpdcSource(SpdcParams(0.3, phi=0.7, n_max=2)),
+                            "248bc37abd9d738df545c865515e1d875685f35642a6617348d7712fdf005681"),
+    "spdc4-phi0.7/split3": (SpdcSource(SpdcParams(0.3, phi=0.7, n_max=4)),
+                            "94c0057284ac8eea71f038c96869c0e5808767051080a2508aa1c59022a3862f"),
+}
+
+
 def scenario_measurements(source, eve):
     """(state, assignments) for every scenario state of a grid pair and every
     basis pair: the four channels a session's tables measure, in the order
@@ -199,3 +218,11 @@ def test_golden_tables(source_name, source, eve_name, eve):
     except Exception as exc:  # a build that raises is pinned by its exception type
         got = type(exc).__name__
     assert got == GOLDEN_TABLES[f"{source_name}/{eve_name}"]
+
+
+@pytest.mark.parametrize("name", PHASE_TABLES)
+def test_golden_phase_tables(name):
+    source, digest = PHASE_TABLES[name]
+    config = SessionConfig(rounds=1, seed=0, source=source,
+                           eve=SplitAttack(AttackConfig(max_attempts=3)))
+    assert _tables_digest(protocol._build_tables(config)) == digest
