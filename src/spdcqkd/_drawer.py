@@ -1,6 +1,6 @@
 """One background thread that shares the next step of its caller's work.
 
-`protocol` gives it the uniform draws of a session longer than
+`protocol` gives it the Philox words of a session longer than
 `protocol.DRAW_AHEAD_ROUNDS`.
 Each block of draws is cut into pieces.  `ahead` hands the next block to
 the drawer thread while the calling thread samples the current one; when

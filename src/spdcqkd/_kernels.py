@@ -1,6 +1,6 @@
 """Per-round sampling for Monte Carlo sessions.
 
-Every round consumes a fixed block of DRAWS_PER_ROUND uniforms from the
+Every round consumes a fixed block of DRAWS_PER_ROUND 64-bit words from the
 counter-based master stream (slot layout below) and picks a pre-enumerated
 scenario and outcome row.  `sample_rounds` does this for one block of
 rounds at once with vectorized numpy, through two guide tables (the
@@ -22,7 +22,13 @@ expectation of those counts.
 
 Draw slots per round: 0 scenario, 1 Alice basis, 2 Bob basis, 3 outcome row,
 4 Alice double-click bit, 5 Bob double-click bit (4 and 5 pick one of the
-outcome row's four template rows), 6-7 reserved.
+outcome row's four template rows), 6-7 reserved (drawn, never read).  A
+slot's word w is the draw u = (w >> 11) * 2**-53 in [0, 1), the double
+`numpy.random.Generator.random` makes of it, and the sampler makes each
+test on u exactly on the word's bits: u >= 0.5 is bit 63, and u's cell
+among 2**k equal cells of [0, 1) is w >> (64 - k) (k <= 53).  Only a draw
+in a guide cell that holds a threshold is made a double.  The low 11 bits
+of every word, and slots 6-7, never change a round.
 
 Record columns: scenario, alice_basis, bob_basis, alice_kind, bob_kind,
 alice_bit, bob_key_bit, sifted, eve1_bit, eve2_bit (bits are -1 when absent;
@@ -39,7 +45,8 @@ N_COLS = 10
 MAX_TEMPLATE_ROWS = 1 << 16
 # Guide cells: the scenario guide cuts [0, 1) into SCENARIO_CELLS equal
 # cells, the outcome guide into CELLS_PER_SLOT cells per slot of a group's
-# width.  Both counts are powers of two, so u * cells and c / cells are exact.
+# width.  Both counts are powers of two, so a draw's cell is a shift of its
+# word and c / cells is exact.
 SCENARIO_CELLS = 1 << 12
 CELLS_PER_SLOT = 16
 
@@ -173,37 +180,53 @@ def _search_slots(draw, pos, thresholds) -> np.ndarray:
     return pos
 
 
-def sample_rounds(u, scen_cum, thresholds, scen_guide, group_guide, counts) -> np.ndarray:
+def _draws(words) -> np.ndarray:
+    """float64: the draw (w >> 11) * 2**-53 of each word w, exactly."""
+    return (words >> 11) * 2.0**-53
+
+
+def _cell_shift(cells: int) -> int:
+    """The shift w >> shift that gives a draw's cell among `cells` = 2**k
+    equal cells of [0, 1): 64 - k."""
+    return 65 - cells.bit_length()
+
+
+def sample_rounds(words, scen_cum, thresholds, scen_guide, group_guide, counts) -> np.ndarray:
     """Run one block of rounds; returns each round's template index
     (uint16[n]) and adds to `counts` (intp[len(template)]) how many rounds
     drew each row.
 
-    `u` holds each round's uniforms in [0, 1); `thresholds` comes from
+    `words` (uint64[n, DRAWS_PER_ROUND]) holds each round's words, read as
+    the draws in the module docstring; `thresholds` comes from
     `lookup_tables`, whose template has at most MAX_TEMPLATE_ROWS rows, and
-    the guides from `guide_tables`.  A draw's cell, floor(u * cells), is
-    exact, and the guide's entry for it is the scenario, then the outcome
-    row, the exact search would find.  Only draws in a cell that holds -1
-    are searched: the scenario draw with `searchsorted`, the outcome draw
-    with `_search_slots`.  The basis and double-click bits come from one
-    u >= 0.5 pass over the block.  A block of `protocol.CHUNK_ROUNDS` keeps
-    these temporaries in cache.
+    the guides from `guide_tables`.  A draw's cell is a shift of its word,
+    and the guide's entry for it is the scenario, then the outcome row, the
+    exact search would find.  Only draws in a cell that holds -1 are made
+    doubles and searched: the scenario draw with `searchsorted`, the
+    outcome draw with `_search_slots`.  The basis and double-click bits
+    come from one pass over the block's top bits.  A block of
+    `protocol.CHUNK_ROUNDS` keeps these temporaries in cache.
     """
     cells = CELLS_PER_SLOT * thresholds.shape[1]
-    half = (u >= 0.5).view(np.uint8)
-    x = u[:, 0] * SCENARIO_CELLS
-    cell = np.take(scen_guide, x.astype(np.intp))
+    # bit 63 of a word is the sign bit of the same 8 bytes read as a double,
+    # which `signbit` reads from any pattern, NaN included; on words in cache
+    # numpy does this faster than it compares uint64 with 2**63
+    half = np.signbit(words.view(np.float64)).view(np.uint8)
+    x = words[:, 0] >> _cell_shift(SCENARIO_CELLS)
+    cell = np.take(scen_guide, x.view(np.int64))
     split = np.flatnonzero(cell < 0)
     if split.size:
-        cell[split] = np.searchsorted(scen_cum, u[split, 0], side="right") * (4 * cells)
+        cell[split] = np.searchsorted(scen_cum, _draws(words[split, 0]),
+                                      side="right") * (4 * cells)
     cell += half[:, 1] * np.int32(2 * cells)
     cell += half[:, 2] * np.int32(cells)
-    np.multiply(u[:, 3], cells, out=x)
+    np.right_shift(words[:, 3], _cell_shift(cells), out=x)
     cell += x.astype(np.int32)
     pos = np.take(group_guide, cell)
     split = np.flatnonzero(pos < 0)
     if split.size:
-        pos[split] = _search_slots(u[split, 3], cell[split] // cells * thresholds.shape[1],
-                                   thresholds)
+        pos[split] = _search_slots(_draws(words[split, 3]),
+                                   cell[split] // cells * thresholds.shape[1], thresholds)
     pos *= 4
     pos += half[:, 4] * np.int32(2)
     pos += half[:, 5]

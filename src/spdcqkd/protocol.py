@@ -18,10 +18,11 @@ the sampler returns the row's index, and counts how many rounds drew each
 row.  Rounds are tallied by row code (the source tag and each fixed-width
 field's transcript token): a live session counts its template's codes,
 weighted by those counts, and replay the codes it reads.  Every round owns a
-fixed block of DRAWS_PER_ROUND uniforms from a counter-based Philox stream
-keyed by the session seed, so rounds can be evaluated in any order or
+fixed block of DRAWS_PER_ROUND 64-bit words from a counter-based Philox
+stream keyed by the session seed, so rounds can be evaluated in any order or
 chunking with identical results; a session is reproduced bit-for-bit by its
-seed.
+seed.  The sampler reads a word's bits as the uniform draw in [0, 1) that
+`Generator.random` makes of it, so the rounds are those of that draw.
 
 The template depends on the physics alone (the source, the eavesdropper and
 the double-click policy), never on `rounds` or `seed`, so a process keeps
@@ -37,7 +38,7 @@ are the row probabilities and the mask of drawable row codes, which a
 template computes the first time replay or `eve_mutual_information` asks.
 
 A session is one loop over blocks of CHUNK_ROUNDS rounds (1 MB of
-uniforms), each drawn in pieces of DRAW_PIECE_ROUNDS, then sampled and
+words), each drawn in pieces of DRAW_PIECE_ROUNDS, then sampled and
 written on the calling thread; sampling adds to the session's per-row
 counts, which the report decodes once.  A session longer than
 DRAW_AHEAD_ROUNDS, in a process that may run on more than one CPU, gets
@@ -109,7 +110,7 @@ from .optics import DA, HV, BasisAngle, joint_click_probabilities, rotate_polari
 from .security import LeakBound, leak_vs_bound
 from .source import SpdcParams, singlet_state, spdc_state
 
-# Rounds per block a session draws, samples and writes (1 MB of uniforms),
+# Rounds per block a session draws, samples and writes (1 MB of words),
 # and rounds per piece of a block that either thread may draw.
 CHUNK_ROUNDS = 1 << 14
 DRAW_PIECE_ROUNDS = 1 << 12
@@ -449,32 +450,44 @@ def _build_tables(config: SessionConfig) -> _Tables:
 # the session itself
 
 
-_streams = threading.local()  # per thread: the generator of its last draw
+_streams = threading.local()  # per thread: the bit generator of its last draw
 
 
 def _uniform_block(seed: int, start_round: int, count: int,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """Rounds [start, start+count) of the session's uniform stream, written
-    into `out` (C-contiguous, shape (count, DRAWS_PER_ROUND)) if given.
+    """Rounds [start, start+count) of the session's word stream, uint64 of
+    shape (count, DRAWS_PER_ROUND), written into `out` if given; an `out`
+    of another shape or dtype is a ValueError.
 
-    Round i owns doubles [i*DRAWS_PER_ROUND, (i+1)*DRAWS_PER_ROUND) of the
-    Philox(key=seed) stream; Philox counts in ticks of 4 doubles, so any
+    Round i owns the 64-bit words [i*DRAWS_PER_ROUND, (i+1)*DRAWS_PER_ROUND)
+    of the Philox(key=seed) stream; Philox counts in ticks of 4 words, so any
     chunking or evaluation order reproduces the same per-round blocks.  A
-    thread whose last draw ended at or before `start_round` of the same
-    seed advances that generator instead of building a new one.
+    word w is the draw (w >> 11) * 2**-53 in [0, 1), the double
+    `Generator.random` makes of it, and `_kernels.sample_rounds` reads those
+    bits directly.  `random_raw` has no `out=`, so a call holds `count`
+    rounds of words (64 B each) besides `out`; sessions draw in pieces of
+    DRAW_PIECE_ROUNDS.  A thread whose last draw ended at or before
+    `start_round` of the same seed advances that generator instead of
+    building a new one.
     """
-    last = getattr(_streams, "last", None)  # (seed, end round, generator)
+    shape = (count, DRAWS_PER_ROUND)
+    if out is not None and (out.shape != shape or out.dtype != np.uint64):
+        raise ValueError(f"out must be uint64 of shape {shape}, not {out.dtype} of "
+                         f"shape {out.shape}")
+    last = getattr(_streams, "last", None)  # (seed, end round, bit generator)
     _streams.last = None  # until this draw has succeeded
     if last is not None and last[0] == seed and last[1] <= start_round:
-        generator = last[2]
-        generator.bit_generator.advance((start_round - last[1]) * (DRAWS_PER_ROUND // 4))
+        bg = last[2]
+        bg.advance((start_round - last[1]) * (DRAWS_PER_ROUND // 4))
     else:
         bg = np.random.Philox(key=seed)
         bg.advance(start_round * (DRAWS_PER_ROUND // 4))
-        generator = np.random.Generator(bg)
-    u = generator.random((count, DRAWS_PER_ROUND), out=out)
-    _streams.last = seed, start_round + count, generator
-    return u
+    words = bg.random_raw(count * DRAWS_PER_ROUND).reshape(shape)
+    if out is not None:
+        out[...] = words
+        words = out
+    _streams.last = seed, start_round + count, bg
+    return words
 
 
 def _wilson_interval(hits: int, trials: int) -> list[float]:
@@ -708,13 +721,14 @@ def _simulate(config: SessionConfig):
         """((start, draws), pieces) per block: the pieces fill its draws."""
         # Drawing ahead, block j is drawn into buffer j % 2 when block j - 1 is
         # asked for, by which time block j - 2 in that buffer has been sampled.
-        buffers = np.empty((1 + ahead, min(CHUNK_ROUNDS, config.rounds), DRAWS_PER_ROUND))
+        buffers = np.empty((1 + ahead, min(CHUNK_ROUNDS, config.rounds), DRAWS_PER_ROUND),
+                           dtype=np.uint64)
         for j, start in enumerate(range(0, config.rounds, CHUNK_ROUNDS)):
-            u = buffers[j % len(buffers), :min(CHUNK_ROUNDS, config.rounds - start)]
-            yield (start, u), [functools.partial(_uniform_block, config.seed, start + i,
-                                                 piece.shape[0], piece)
-                               for i in range(0, u.shape[0], DRAW_PIECE_ROUNDS)
-                               for piece in (u[i:i + DRAW_PIECE_ROUNDS],)]
+            words = buffers[j % len(buffers), :min(CHUNK_ROUNDS, config.rounds - start)]
+            yield (start, words), [functools.partial(_uniform_block, config.seed, start + i,
+                                                     piece.shape[0], piece)
+                                   for i in range(0, words.shape[0], DRAW_PIECE_ROUNDS)
+                                   for piece in (words[i:i + DRAW_PIECE_ROUNDS],)]
 
     def drawn_here():
         for block, pieces in jobs():
@@ -727,9 +741,9 @@ def _simulate(config: SessionConfig):
             from . import _drawer  # loaded only by sessions that draw ahead
         drawn = _drawer.ahead(jobs()) if ahead else drawn_here()
         try:
-            for start, u in drawn:
+            for start, words in drawn:
                 yield start, _kernels.sample_rounds(
-                    u, template.tables.scen_cum, template.thresholds, template.scen_guide,
+                    words, template.tables.scen_cum, template.thresholds, template.scen_guide,
                     template.group_guide, counts)
         finally:
             drawn.close()

@@ -1,4 +1,4 @@
-"""Sessions longer than DRAW_AHEAD_ROUNDS draw their next block of uniforms on a thread.
+"""Sessions longer than DRAW_AHEAD_ROUNDS draw their next block of words on a thread.
 
 The drawer must not change a byte of the sampled template indices or the
 transcripts, must leave the pieces it has not taken to the caller, must

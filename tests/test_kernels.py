@@ -1,13 +1,17 @@
 """The round sampler against the per-group `searchsorted` sampler it replaced.
 
-`reference_sample_rounds` is that sampler, kept here as the reference.  For
+`reference_sample_rounds` is that sampler, kept here as the reference: it
+reads each round's draws as doubles, u = (w >> 11) * 2**-53 for the
+stream's 64-bit words w, where `sample_rounds` reads the words' bits.  For
 every buildable table of the golden grid and both double-click policies, the
 records a session samples (its template's rows at the indices the sampler
-returns) must be byte-equal to it: on real Philox draws, and on uniforms
-placed exactly on every scenario and outcome-row boundary and on every
-cell edge of the sampler's guides.  A high-brightness template (144
-groups of width 16) joins the compared configs, and both it and the
-paper's template have guide cells whose draws take the exact search.
+returns) must be byte-equal to it: on real Philox words, and on words whose
+draws sit beside every scenario and outcome-row boundary and every cell edge
+of the sampler's guides (the largest draw below the edge and the smallest
+at or above it).  A high-brightness template (144 groups of width 16) joins
+the compared configs, and both it and the paper's template have guide cells
+whose draws take the exact search.  The bits no draw reads, the low 11 of
+every word and all of slots 6-7, must change no record.
 """
 
 from types import SimpleNamespace
@@ -84,35 +88,51 @@ def reference_sample_rounds(u, tables, keep_double):
     return out
 
 
-def edge_uniforms(tables, seed):
-    """Uniform blocks that hit every boundary of the tables exactly.
+# the steps k of the draws k * 2**-53 at 0.5 (bit 63 of the word) and just below it
+HALF = 1 << 52
+BELOW_HALF = HALF - 1
 
-    Per group and per outcome draw (0.0, each of the group's `row_cum`
-    values below 1, and the largest double below 1), two rounds: the
-    scenario draw on the scenario's lower `scen_cum` boundary (0.0 for the
-    first) and just below its upper one.  The basis and double-click draws
-    sit on 0.5 or just below it; the reserved slots are Philox draws.
 
-    Then the guide cell edges c / K of `guide_tables`, and the largest
-    double below each: per group, one round with each outcome-guide edge
-    as its outcome draw (the scenario draw on the lower boundary), and one
-    round with each scenario-guide edge as its scenario draw, its basis
-    pair and outcome draw cycling through the others.
+def draws(words):
+    """The double each word is the draw of, as `Generator.random` makes it."""
+    return (words >> 11) * 2.0**-53
+
+
+def steps_beside(edges):
+    """For each edge t in [0, 1], the steps k of the draws k * 2**-53 beside
+    it: the largest draw below t and the smallest at or above it, within
+    [0, 1).  A t >= 0.5 is a multiple of 2**-53, so the second draw is t;
+    below 0.5 a threshold need not be, and no draw lands on it."""
+    k = np.ceil(np.asarray(edges, dtype=np.float64) * 2.0**53)
+    return np.unique(np.clip(np.concatenate((k - 1, k)), 0, 2**53 - 1)).astype(np.int64)
+
+
+def edge_words(tables, seed):
+    """Word blocks whose draws sit beside every boundary of the tables.
+
+    Per group and per outcome draw beside 0, each of the group's `row_cum`
+    values and 1, two rounds: the scenario draw the lowest and the highest
+    that picks the scenario (beside its lower and upper `scen_cum`
+    boundaries).  The basis and double-click draws are 0.5 or the draw just
+    below it; the reserved slots are Philox words.
+
+    Then the draws beside the guide cell edges c / K of `guide_tables`: per
+    group, one round with each as its outcome draw (the scenario draw its
+    lowest), and one round with each draw beside a scenario-guide edge as
+    its scenario draw, its basis pair and outcome draw cycling through the
+    others.
     """
-    below_half = np.nextafter(0.5, 0.0)
-    scen_lo = np.concatenate(([0.0], tables.scen_cum[:-1]))
-    scen_hi = np.nextafter(tables.scen_cum, 0.0)
+    lowest = np.ceil(np.concatenate(([0.0], tables.scen_cum[:-1])) * 2.0**53).astype(np.int64)
+    highest = np.ceil(tables.scen_cum * 2.0**53).astype(np.int64) - 1
     rows = []
     for g, (off, n) in enumerate(zip(tables.grp_off, tables.grp_len)):
         s, a, b = g // 4, g // 2 % 2, g % 2
-        cum = tables.row_cum[off:off + n]
-        for u3 in [0.0, *cum[cum < 1.0], np.nextafter(1.0, 0.0)]:
-            for u0 in (scen_lo[s], scen_hi[s]):
-                rows.append((u0, 0.5 if a else below_half, 0.5 if b else below_half, u3))
+        for k3 in steps_beside([0.0, *tables.row_cum[off:off + n], 1.0]):
+            for k0 in (lowest[s], highest[s]):
+                rows.append((k0, HALF if a else BELOW_HALF, HALF if b else BELOW_HALF, k3))
 
     def cell_edges(cells):
-        edges = np.arange(cells) / cells
-        return np.concatenate((edges, np.nextafter(edges[1:], 0.0), [np.nextafter(1.0, 0.0)]))
+        return steps_beside(np.arange(cells + 1) / cells)
 
     thresholds, _ = _kernels.lookup_tables(tables.grp_off, tables.grp_len, tables.row_cum,
                                            tables.row_a, tables.row_b, tables.row_e1,
@@ -120,26 +140,34 @@ def edge_uniforms(tables, seed):
     outcome_edges = cell_edges(_kernels.CELLS_PER_SLOT * thresholds.shape[1])
     for g in range(tables.grp_off.shape[0]):
         s, a, b = g // 4, g // 2 % 2, g % 2
-        for u3 in outcome_edges:
-            rows.append((scen_lo[s], 0.5 if a else below_half, 0.5 if b else below_half, u3))
-    for i, u0 in enumerate(cell_edges(_kernels.SCENARIO_CELLS)):
-        rows.append((u0, 0.5 if i % 2 else below_half, 0.5 if i // 2 % 2 else below_half,
+        for k3 in outcome_edges:
+            rows.append((lowest[s], HALF if a else BELOW_HALF, HALF if b else BELOW_HALF, k3))
+    for i, k0 in enumerate(cell_edges(_kernels.SCENARIO_CELLS)):
+        rows.append((k0, HALF if i % 2 else BELOW_HALF, HALF if i // 2 % 2 else BELOW_HALF,
                      outcome_edges[i % outcome_edges.shape[0]]))
-    u = protocol._uniform_block(seed, 0, len(rows))
-    u[:, :4] = rows
-    u[0::2, 4], u[1::2, 4] = 0.5, below_half
-    u[0::2, 5], u[1::2, 5] = below_half, 0.5
-    return u
+    w = protocol._uniform_block(seed, 0, len(rows))
+    w[:, :4] = np.array(rows, dtype=np.uint64) << 11
+    w[0::2, 4], w[1::2, 4] = HALF << 11, BELOW_HALF << 11
+    w[0::2, 5], w[1::2, 5] = BELOW_HALF << 11, HALF << 11
+    return w
 
 
-def session_records(monkeypatch, config, u):
+def unread_bits_changed(words, seed):
+    """`words` with random low 11 bits and random words in slots 6-7."""
+    rng = np.random.default_rng(seed)
+    changed = words ^ rng.integers(0, 1 << 11, size=words.shape, dtype=np.uint64)
+    changed[:, 6:] = rng.integers(0, 2**64, size=(words.shape[0], 2), dtype=np.uint64)
+    return changed
+
+
+def session_records(monkeypatch, config, w):
     """The records of the rounds `_simulate` draws for `config` when its
-    uniform stream is `u`: its template's rows at the drawn indices."""
-    def draws(seed, start, count, out):
-        out[:] = u[start:start + count]
+    word stream is `w`: its template's rows at the drawn indices."""
+    def stream(seed, start, count, out):
+        out[:] = w[start:start + count]
         return out
 
-    monkeypatch.setattr(protocol, "_uniform_block", draws)
+    monkeypatch.setattr(protocol, "_uniform_block", stream)
     template, _, blocks = protocol._simulate(config)
     return np.concatenate([template.rows[idx] for _, idx in blocks])
 
@@ -151,18 +179,21 @@ def test_sampler_matches_reference(monkeypatch, name, source, eve, policy):
     tables = protocol._build_tables(config)
     seed = sum(map(ord, name))
     # 40 000 real rounds span several of the sampler's blocks
-    u = np.concatenate([protocol._uniform_block(seed, 0, 40_000), edge_uniforms(tables, seed)])
-    reserved = protocol._uniform_block(seed + 1, 0, u.shape[0])[:, 6:]
-    config = SessionConfig(rounds=u.shape[0], seed=seed, source=source, eve=eve,
+    w = np.concatenate([protocol._uniform_block(seed, 0, 40_000), edge_words(tables, seed)])
+    reserved = protocol._uniform_block(seed + 1, 0, w.shape[0])[:, 6:]
+    config = SessionConfig(rounds=w.shape[0], seed=seed, source=source, eve=eve,
                            double_click_policy=policy)
-    want = reference_sample_rounds(u, tables, policy == "assign")
-    got = session_records(monkeypatch, config, u)
+    want = reference_sample_rounds(draws(w), tables, policy == "assign")
+    got = session_records(monkeypatch, config, w)
     assert got.dtype == np.int8 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
     # draw slots 6-7 are reserved: no record depends on them
-    u[:, 6:] = reserved
-    assert session_records(monkeypatch, config, u).tobytes() == want.tobytes()
+    w[:, 6:] = reserved
+    assert session_records(monkeypatch, config, w).tobytes() == want.tobytes()
+    # nor on the low 11 bits of any word, which no draw keeps
+    changed = unread_bits_changed(w, seed)
+    assert session_records(monkeypatch, config, changed).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name,source,eve", [PAPER, BRIGHT], ids=[PAPER[0], BRIGHT[0]])
@@ -210,7 +241,7 @@ def test_thresholds_on_cell_edges_match_reference():
         row_b=rng.integers(0, 4, len(cum)).astype(np.int8),
         row_e1=rng.integers(-1, 2, len(cum)).astype(np.int8),
         row_e2=rng.integers(-1, 2, len(cum)).astype(np.int8))
-    u = np.concatenate([protocol._uniform_block(15, 0, 20_000), edge_uniforms(tables, 15)])
+    w = np.concatenate([protocol._uniform_block(15, 0, 20_000), edge_words(tables, 15)])
     for keep_double in (True, False):
         thresholds, template = _kernels.lookup_tables(
             tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
@@ -218,7 +249,10 @@ def test_thresholds_on_cell_edges_match_reference():
         guides = _kernels.guide_tables(scen_cum, thresholds)
         assert (guides[1] == -1).any()
         counts = np.zeros(template.shape[0], dtype=np.intp)
-        idx = _kernels.sample_rounds(u, scen_cum, thresholds, *guides, counts)
-        want = reference_sample_rounds(u, tables, keep_double)
+        idx = _kernels.sample_rounds(w, scen_cum, thresholds, *guides, counts)
+        want = reference_sample_rounds(draws(w), tables, keep_double)
         assert template[idx].tobytes() == want.tobytes()
         assert np.array_equal(counts, np.bincount(idx, minlength=template.shape[0]))
+        changed = unread_bits_changed(w, 16)
+        assert np.array_equal(_kernels.sample_rounds(changed, scen_cum, thresholds, *guides,
+                                                     np.zeros_like(counts)), idx)

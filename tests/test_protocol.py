@@ -133,25 +133,60 @@ def test_uniform_blocks_are_chunk_invariant():
     assert np.array_equal(full[5:6], protocol._uniform_block(99, 5, 1))
 
 
+# (seed, start round, count) of draws in an order that advances a thread's
+# generator, goes back, switches seed and jumps far ahead
+DRAW_ORDER = [(5, 0, 10), (5, 10, 7), (5, 40, 3), (5, 20, 5), (6, 20, 5), (5, 25, 2),
+              (2**127 + 3, 2**40, 4), (2**127 + 3, 2**40 + 4, 4), (5, 0, 1)]
+
+
+def fresh_philox(seed, start):
+    bg = np.random.Philox(key=seed)
+    bg.advance(start * protocol.DRAWS_PER_ROUND // 4)
+    return bg
+
+
+def fresh_words(seed, start, count):
+    words = fresh_philox(seed, start).random_raw(count * protocol.DRAWS_PER_ROUND)
+    return words.reshape(count, protocol.DRAWS_PER_ROUND)
+
+
 def test_uniform_blocks_do_not_depend_on_the_draws_before():
     """A thread's generator is advanced forward, rebuilt otherwise; every
-    draw equals one from a fresh generator, in any order, with or without
-    `out`, and after a draw that failed."""
-    def fresh(seed, start, count):
-        bg = np.random.Philox(key=seed)
-        bg.advance(start * protocol.DRAWS_PER_ROUND // 4)
-        return np.random.Generator(bg).random((count, protocol.DRAWS_PER_ROUND))
-
-    order = [(5, 0, 10), (5, 10, 7), (5, 40, 3), (5, 20, 5), (6, 20, 5), (5, 25, 2),
-             (2**127 + 3, 2**40, 4), (2**127 + 3, 2**40 + 4, 4), (5, 0, 1)]
-    for i, (seed, start, count) in enumerate(order):
-        out = np.empty((count, protocol.DRAWS_PER_ROUND)) if i % 2 else None
-        u = protocol._uniform_block(seed, start, count, out)
-        assert out is None or u is out
-        assert np.array_equal(u, fresh(seed, start, count)), (seed, start, count)
+    draw equals the words of a fresh generator, in any order, with or
+    without `out`, and after a draw that failed."""
+    for i, (seed, start, count) in enumerate(DRAW_ORDER):
+        out = np.empty((count, protocol.DRAWS_PER_ROUND), dtype=np.uint64) if i % 2 else None
+        w = protocol._uniform_block(seed, start, count, out)
+        assert out is None or w is out
+        assert w.dtype == np.uint64 and w.shape == (count, protocol.DRAWS_PER_ROUND)
+        assert np.array_equal(w, fresh_words(seed, start, count)), (seed, start, count)
     with pytest.raises(ValueError):
-        protocol._uniform_block(5, 1, 10, np.empty((3, protocol.DRAWS_PER_ROUND)))
-    assert np.array_equal(protocol._uniform_block(5, 11, 4), fresh(5, 11, 4))
+        protocol._uniform_block(5, 1, 10, np.empty((3, protocol.DRAWS_PER_ROUND), np.uint64))
+    assert np.array_equal(protocol._uniform_block(5, 11, 4), fresh_words(5, 11, 4))
+
+
+def test_words_are_the_stream_the_golden_records_were_drawn_from():
+    # the sampler reads a word w as the draw (w >> 11) * 2**-53: the double
+    # `Generator.random` makes of the same word, which the golden records
+    # were sampled from
+    for seed, start, count in DRAW_ORDER:
+        want = np.random.Generator(fresh_philox(seed, start)).random(
+            (count, protocol.DRAWS_PER_ROUND))
+        w = protocol._uniform_block(seed, start, count)
+        assert np.array_equal((w >> 11) * 2.0**-53, want), (seed, start, count)
+
+
+@pytest.mark.parametrize("shape,dtype", [
+    ((2, 10, protocol.DRAWS_PER_ROUND), np.uint64),  # would broadcast the words
+    ((10, protocol.DRAWS_PER_ROUND), np.float64),  # would convert the words
+    ((10, protocol.DRAWS_PER_ROUND), np.int64),  # would wrap the words above 2**63
+])
+def test_uniform_block_rejects_a_wrong_out(shape, dtype):
+    out = np.zeros(shape, dtype=dtype)
+    with pytest.raises(ValueError, match="out must be uint64 of shape"):
+        protocol._uniform_block(5, 1, 10, out)
+    assert not out.any()
+    assert np.array_equal(protocol._uniform_block(5, 1, 10), fresh_words(5, 1, 10))
 
 
 def test_uniform_blocks_differ_by_seed():
