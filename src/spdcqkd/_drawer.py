@@ -5,7 +5,7 @@
 Each block of draws is cut into pieces.  `ahead` hands the next block to
 the drawer thread while the calling thread samples the current one; when
 the caller comes to that block it draws the pieces the drawer has not
-taken yet, and waits only for the ones the drawer is drawing.  numpy
+taken yet, and waits only for the one the drawer is drawing.  numpy
 releases the interpreter lock while it fills a piece, so the two overlap.
 
 The drawer thread runs at idle priority (SCHED_IDLE, where the platform
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import deque
 from queue import SimpleQueue
 
 _requests: SimpleQueue | None = None
@@ -35,64 +36,52 @@ _lock = threading.Lock()
 
 
 class _Job:
-    """Pieces of work, each run once, by whichever thread takes it first."""
+    """Pieces of work, each run once, by whichever thread takes it first.
+
+    Both threads take pieces from the front, so each runs its pieces in
+    forward order.  The drawer takes and runs each piece holding `_running`;
+    once no piece is left, that lock is free only when no piece is running.
+    """
 
     def __init__(self, pieces):
-        self._pieces = list(pieces)
-        self._count = len(self._pieces)
-        self._taken = 0
-        self._left = self._count  # pieces not yet run to the end
+        self._pieces = deque(pieces)
+        self._running = threading.Lock()
         self._error: BaseException | None = None
-        self._lock = threading.Lock()
-        self._done = threading.Lock()  # held until no piece is left
-        self._done.acquire()
-        if not self._count:
-            self._done.release()
 
-    def _take(self):
-        with self._lock:
-            if self._taken == self._count:
-                return None
-            piece = self._pieces[self._taken]
-            self._taken += 1
-            if self._taken == self._count:
-                self._pieces = None  # a stale job in the queue holds no data
-            return piece
-
-    def _finish(self, error: BaseException | None = None):
-        with self._lock:
+    def _run_next(self) -> bool:
+        """Run the next piece, if one is left; keep the first error."""
+        try:
+            piece = self._pieces.popleft()
+        except IndexError:  # the other thread took the last one
+            return False
+        try:
+            piece()
+        except BaseException as exc:  # raised again by `join`
             if self._error is None:
-                self._error = error
-            self._left -= 1
-            if not self._left:
-                self._done.release()
+                self._error = exc
+        return True
 
     def work(self):
         """Run the pieces no thread has taken, until none is left."""
-        while (piece := self._take()) is not None:
-            try:
-                piece()
-            except BaseException as exc:  # raised again by `join`
-                self._finish(exc)
-            else:
-                self._finish()
+        while True:
+            with self._running:
+                if not self._run_next():
+                    return
 
     def join(self):
         """Run the pieces left, wait for the others; raise a piece's exception."""
-        self.work()
-        self._done.acquire()
+        while self._run_next():
+            pass
+        with self._running:
+            pass
         if self._error is not None:
             raise self._error
 
     def cancel(self):
-        """Drop the pieces no thread has taken; wait for the ones being run."""
-        with self._lock:
-            dropped = self._count - self._taken
-            self._taken, self._pieces = self._count, None
-            self._left -= dropped
-            if dropped and not self._left:
-                self._done.release()
-        self._done.acquire()
+        """Drop the pieces no thread has taken; wait for the one being run."""
+        self._pieces.clear()
+        with self._running:
+            pass
 
 
 def _serve(requests: SimpleQueue):

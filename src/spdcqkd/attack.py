@@ -149,10 +149,9 @@ def intercept_branches(state: StateVector, party: str, channel: int,
     out = []
     for b, w in bases:
         rotated = rotate_polarization(state, party, channel, b) if b.theta else state
-        for bit, pattern in ((-1, (0, 0)), (0, (1, 0)), (1, (0, 1))):
-            prob, post = rotated.project(lambda occ, p=pattern: (occ[h_idx], occ[v_idx]) == p)
-            if prob <= 0.0:
-                continue
+        # the channel holds no photon (bit -1) or one, in slot `bit`
+        for bit, prob, post in rotated.measure(
+                lambda occ: occ[v_idx] if occ[h_idx] + occ[v_idx] else -1):
             if b.theta:
                 post = rotate_polarization(post, party, channel, -b.theta)
             out.append((w * prob, post, bit))

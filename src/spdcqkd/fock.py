@@ -14,7 +14,7 @@ valid prefixes after modes are added.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 DEFAULT_PRUNE_TOL = 1e-12
 DEFAULT_MODE_CAP = 8
@@ -138,7 +138,7 @@ def attack_registry() -> ModeRegistry:
 class StateVector:
     """Immutable sparse ket: occupation tuple -> complex amplitude.
 
-    Not necessarily normalized (projections return sub-normalized pieces and
+    Not necessarily normalized (sums and ladder operators change the norm, and
     the truncated source state deliberately carries a small norm deficit).
     Amplitudes below prune_tol in magnitude are dropped on construction;
     occupations above mode_cap raise rather than silently truncate.
@@ -299,19 +299,36 @@ class StateVector:
 
     # -- measurement / structure ----------------------------------------------
 
-    def project(self, predicate: Callable[[tuple[int, ...]], bool]) -> tuple[float, "StateVector"]:
-        """Keep terms whose occupation satisfies predicate.
+    def measure(self, key: Callable[[tuple[int, ...]], Any]
+                ) -> list[tuple[Any, float, "StateVector"]]:
+        """Projective measurement of key(occupation): (outcome, probability,
+        renormalized post-state) for every outcome, sorted by outcome (key's
+        values must hash and compare).
 
-        Returns (probability, renormalized post-state) where probability is
-        the squared norm of the kept component (relative to the squared norm
-        of self).  A vanishing component returns (0.0, zero state).
+        The probability is the squared norm of the outcome's terms, added in
+        term order (`squared_norm`), so the probabilities sum to norm_sq();
+        an outcome whose sum is 0 is left out.
         """
-        kept = {occ: amp for occ, amp in self._amps.items() if predicate(occ)}
-        prob = squared_norm(kept.values())
-        if prob <= 0.0:
-            return 0.0, self._like({})
-        scale = 1.0 / math.sqrt(prob)
-        return prob, self._like({occ: amp * scale for occ, amp in kept.items()})
+        parts: dict[Any, dict[tuple[int, ...], complex]] = {}
+        for occ, amp in self._amps.items():
+            parts.setdefault(key(occ), {})[occ] = amp
+        out = []
+        for outcome in sorted(parts):
+            kept = parts[outcome]
+            prob = squared_norm(kept.values())
+            if prob > 0.0:
+                scale = 1.0 / math.sqrt(prob)
+                out.append((outcome, prob, self._like({occ: amp * scale
+                                                       for occ, amp in kept.items()})))
+        return out
+
+    def project(self, predicate: Callable[[tuple[int, ...]], bool]) -> tuple[float, "StateVector"]:
+        """The outcome True of measure(predicate): (probability, renormalized
+        post-state), or (0.0, zero state) if no term with weight satisfies it."""
+        for outcome, prob, post in self.measure(lambda occ: bool(predicate(occ))):
+            if outcome:
+                return prob, post
+        return 0.0, self._like({})
 
     def add_mode(self, label: ModeLabel) -> "StateVector":
         """Extend the registry with a new vacuum mode (appended slot)."""

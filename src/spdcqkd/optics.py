@@ -15,6 +15,11 @@ Conventions fixed here and relied on everywhere else:
 * Threshold detectors per channel: two detectors (one per polarization slot),
   outcome classes NoClick / Bit0 / Bit1 / DoubleClick on the (any photons in
   slot 0, any in slot 1) pattern.
+
+Photon counting (`qnd_count`) and threshold detection
+(`joint_threshold_branches`) are both `StateVector.measure` of a function
+of the occupations; `joint_click_probabilities` gives the click
+probabilities alone, without building the post states.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
-from .fock import FockError, ModeCapError, ModeLabel, StateVector, squared_norm
+from .fock import FockError, ModeCapError, ModeLabel, StateVector
 
 
 @dataclass(frozen=True)
@@ -164,46 +169,17 @@ def rotate_polarization(state: StateVector, party: str, channel: int,
 def qnd_count(state: StateVector, modes: Iterable[ModeLabel]) -> list[CountBranch]:
     """Nondemolition total-photon-number measurement over a set of modes.
 
-    Returns every possible count with its Born probability (probabilities sum
-    to the squared norm of the input) and the renormalized post-measurement
-    state, sorted by count.
+    `StateVector.measure` of the count: every count with its Born
+    probability (probabilities sum to the squared norm of the input) and the
+    renormalized post-measurement state, sorted by count.
     """
     idx = [state.registry.index(m) for m in modes]
     if not idx:
         raise FockError("qnd_count needs at least one mode")
-    buckets: dict[int, dict[tuple[int, ...], complex]] = {}
-    for occ, amp in state.terms():
-        n = sum(occ[i] for i in idx)
-        buckets.setdefault(n, {})[occ] = amp
-    out = []
-    for n in sorted(buckets):
-        prob = squared_norm(buckets[n].values())
-        scale = 1.0 / math.sqrt(prob)
-        post = StateVector._trusted(state.registry, {o: a * scale for o, a in buckets[n].items()},
-                                    state.prune_tol, state.mode_cap)
-        out.append(CountBranch(n, prob, post))
-    return out
+    return [CountBranch(*branch) for branch in state.measure(lambda occ: sum(occ[i] for i in idx))]
 
 
 _KINDS = tuple(OutcomeKind)  # indexed by value
-
-
-def _click_buckets(state: StateVector, assignments: list[tuple[str, int, BasisAngle]]
-                   ) -> tuple[StateVector, dict[tuple[int, ...], dict[tuple[int, ...], complex]]]:
-    """The state rotated channel by channel, in assignment order, into each
-    channel's basis (HV needs no rotation), and its terms in term order by
-    click pattern: per channel NoClick 0, Bit0 1, Bit1 2, Double 3."""
-    rotated = state
-    for party, channel, basis in assignments:
-        if basis.theta != 0.0:
-            rotated = rotate_polarization(rotated, party, channel, basis)
-    chans = [rotated.registry.channel_modes(party, channel)
-             for party, channel, _ in assignments]
-    buckets: dict[tuple[int, ...], dict[tuple[int, ...], complex]] = {}
-    for occ, amp in rotated.terms():
-        kinds = tuple([(occ[h] > 0) + 2 * (occ[v] > 0) for h, v in chans])
-        buckets.setdefault(kinds, {})[occ] = amp
-    return rotated, buckets
 
 
 class ClickBranch(NamedTuple):
@@ -218,21 +194,21 @@ def joint_threshold_branches(state: StateVector,
     """Joint threshold-detection branch enumeration over several channels.
 
     assignments lists (party, channel, basis) per measured channel.  The state
-    is rotated channel by channel, then terms are partitioned by the tuple of
-    click patterns.  Probabilities sum to the squared norm of the input; post
-    states stay expressed in the rotated frame with the measured channels'
-    photons left in place (they purify the conditional state of the rest).
+    is rotated channel by channel, in assignment order, into each channel's
+    basis (HV needs no rotation); then `StateVector.measure` takes the tuple
+    of click patterns, per channel NoClick 0, Bit0 1, Bit1 2, Double 3.
+    Branches are sorted by it, and probabilities sum to the squared norm of
+    the input; post states stay expressed in the rotated frame with the
+    measured channels' photons left in place (they purify the conditional
+    state of the rest).
     """
-    rotated, buckets = _click_buckets(state, assignments)
-    out = []
-    for kinds in sorted(buckets):
-        prob = squared_norm(buckets[kinds].values())
-        scale = 1.0 / math.sqrt(prob)
-        post = StateVector._trusted(rotated.registry,
-                                    {o: a * scale for o, a in buckets[kinds].items()},
-                                    state.prune_tol, state.mode_cap)
-        out.append(ClickBranch(tuple([_KINDS[k] for k in kinds]), prob, post))
-    return out
+    for party, channel, basis in assignments:
+        if basis.theta != 0.0:
+            state = rotate_polarization(state, party, channel, basis)
+    chans = [state.registry.channel_modes(party, channel) for party, channel, _ in assignments]
+    return [ClickBranch(tuple([_KINDS[k] for k in kinds]), prob, post)
+            for kinds, prob, post in state.measure(
+                lambda occ: tuple([(occ[h] > 0) + 2 * (occ[v] > 0) for h, v in chans]))]
 
 
 def click_kinds(pattern: int, channels: int) -> tuple[OutcomeKind, ...]:

@@ -92,6 +92,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -133,7 +134,6 @@ _BIT_TOKEN = {-1: "-", 0: "0", 1: "1"}
 _BITS = tuple(_BIT_TOKEN.values())
 _TAIL_FIELDS = ((1, _BASIS_TOKEN, 0), (2, _BASIS_TOKEN, 0), (3, _KIND_TOKEN, 0),
                 (4, _KIND_TOKEN, 0), (7, ("0", "1"), 0), (5, _BITS, -1), (6, _BITS, -1))
-_TAIL = sum(1 + len(tokens[0]) for _, tokens, _ in _TAIL_FIELDS)
 _TAIL_SHAPE = tuple(len(tokens) for _, tokens, _ in _TAIL_FIELDS)
 _CODES = math.prod(_TAIL_SHAPE)
 
@@ -271,13 +271,38 @@ def _real(d: dict, key: str, path: str, default: float | None = None) -> float:
         raise ConfigError(f"field {path}{key} is too large for a float") from None
 
 
+# The fields a config dict may hold, at the top and per source and eve kind.
+# A split's `mode` is retired: it never changed a session, and is ignored.
+_FIELDS = ("rounds", "seed", "source", "eve", "double_click_policy")
+_SOURCE_FIELDS = {"singlet": ("kind",), "spdc": ("kind", "tanh_xi", "phi", "n_max"),
+                  "attack_mixture": ("kind", "p")}
+_EVE_FIELDS = {"none": ("kind",), "split": ("kind", "max_attempts", "mode"),
+               "intercept": ("kind", "basis")}
+
+
+def _known(d: dict, names: tuple[str, ...], path: str) -> None:
+    """Refuse a field of d outside `names`: misspelt, it would take its default."""
+    for key in d:
+        if key not in names:
+            raise ConfigError(f"unknown field {path}{key}")
+
+
 def config_from_dict(d: dict) -> SessionConfig:
     if not isinstance(d, dict):
         raise ConfigError("session config must be a JSON object")
+    _known(d, _FIELDS, "")
     rounds = _require(d, "rounds", int, "")
     seed = _require(d, "seed", int, "")
     src = _require(d, "source", dict, "")
     kind = _require(src, "kind", str, "source.")
+    if kind not in _SOURCE_FIELDS:
+        raise ConfigError(f"unknown source.kind {kind!r}")
+    _known(src, _SOURCE_FIELDS[kind], "source.")
+    eve_d = _require(d, "eve", dict, "") if "eve" in d else {"kind": "none"}
+    ekind = _require(eve_d, "kind", str, "eve.")
+    if ekind not in _EVE_FIELDS:
+        raise ConfigError(f"unknown eve.kind {ekind!r}")
+    _known(eve_d, _EVE_FIELDS[ekind], "eve.")
     try:
         if kind == "singlet":
             source: Source = SingletSource()
@@ -289,24 +314,18 @@ def config_from_dict(d: dict) -> SessionConfig:
             except FockError as exc:  # its message starts with the field's name
                 raise ConfigError(f"source.{exc}") from exc
             source = SpdcSource(params)
-        elif kind == "attack_mixture":
-            source = AttackMixture(_real(src, "p", "source."))
         else:
-            raise ConfigError(f"unknown source.kind {kind!r}")
-        eve_d = _require(d, "eve", dict, "") if "eve" in d else {"kind": "none"}
-        ekind = _require(eve_d, "kind", str, "eve.")
+            source = AttackMixture(_real(src, "p", "source."))
         if ekind == "none":
             eve: EveStrategy = None
         elif ekind == "split":
             eve = SplitAttack(AttackConfig(
                 max_attempts=_optional(eve_d, "max_attempts", int, "eve.", 20)))
-        elif ekind == "intercept":
+        else:
             tok = eve_d.get("basis", "random")
             if tok not in ("random", "HV", "DA"):
                 raise ConfigError(f"eve.basis must be HV, DA or random, got {tok!r}")
             eve = InterceptResend(None if tok == "random" else (HV if tok == "HV" else DA))
-        else:
-            raise ConfigError(f"unknown eve.kind {ekind!r}")
         config = SessionConfig(rounds=rounds, seed=seed, source=source, eve=eve,
                                double_click_policy=d.get("double_click_policy", "assign"))
         if isinstance(eve, InterceptResend):
@@ -591,22 +610,9 @@ def _suffix_table(tags: list[str]) -> np.ndarray:
 
     Rows are NUL-padded to the widest.
     """
-    tail = np.full(_TAIL_SHAPE + (_TAIL + 1,), ord(","), dtype=np.uint8)
-    pos = 1
-    for axis, (_, tokens, _) in enumerate(_TAIL_FIELDS):
-        width = len(tokens[0])
-        tok = np.frombuffer("".join(tokens).encode("ascii"), dtype=np.uint8)
-        tok = tok.reshape((len(tokens),) + (1,) * (len(_TAIL_SHAPE) - 1 - axis) + (width,))
-        tail[..., pos:pos + width] = tok
-        pos += width + 1
-    tail[..., -1] = ord("\n")
-    tail = tail.reshape(-1, _TAIL + 1)
-    heads = [("," + tag).encode("ascii") for tag in tags]
-    out = np.zeros((len(tags), len(tail), max(map(len, heads)) + _TAIL + 1), dtype=np.uint8)
-    for t, head in enumerate(heads):
-        out[t, :, :len(head)] = np.frombuffer(head, dtype=np.uint8)
-        out[t, :, len(head):len(head) + _TAIL + 1] = tail
-    return out.reshape(-1, out.shape[2])
+    rows = ["," + ",".join((tag,) + tokens) + "\n" for tag in tags
+            for tokens in itertools.product(*(tokens for _, tokens, _ in _TAIL_FIELDS))]
+    return np.array(rows, dtype=bytes).view(np.uint8).reshape(len(rows), -1)
 
 
 def _transcript_block(codes: np.ndarray, start: int, table: np.ndarray) -> bytes:

@@ -232,6 +232,16 @@ def test_simulate_reports_config_field_errors(runner, tmp_path):
     assert "source.tanh_xi" in result.stderr
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["replay", "--transcript", "absent.v3"]],
+                         ids=["simulate", "replay"])
+def test_cli_refuses_a_misspelt_config_field(runner, tmp_path, command):
+    cfg = write_config(tmp_path, {"rounds": 10, "seed": 1,
+                                  "source": {"kind": "spdc", "tanh_xi": 0.3, "nmax": 6}})
+    result = runner.invoke(main, [*command, "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "unknown field source.nmax" in result.stderr
+
+
 HUGE_ATTEMPTS = ('{"rounds": 10, "seed": 1, "source": {"kind": "spdc", "tanh_xi": 0.3}, '
                  '"eve": {"kind": "split", "max_attempts": 1%s}}' % ("0" * 400)).encode()
 

@@ -5,9 +5,11 @@ import pytest
 from spdcqkd import protocol
 from spdcqkd.fock import (DEFAULT_MODE_CAP, FockError, ModeCapError, ModeLabel,
                           ModeRegistry, RegistryMismatchError, StateVector,
-                          UnknownModeError, attack_registry, source_registry)
+                          UnknownModeError, attack_registry, left_sum, source_registry,
+                          squared_norm)
 from spdcqkd.optics import joint_threshold_branches
 from spdcqkd.protocol import SessionConfig
+from spdcqkd.source import SpdcParams, spdc_state
 
 from test_golden import (GOLDEN_TABLES, TABLE_EVES, TABLE_SOURCES, _tables_digest,
                          scenario_measurements)
@@ -157,6 +159,33 @@ def test_project_empty_branch():
     prob, post = singlet(source_registry()).project(lambda occ: occ[0] == 7)
     assert prob == 0.0
     assert len(post) == 0
+
+
+@pytest.mark.parametrize("key", [
+    lambda occ: sum(occ),  # photon number
+    lambda occ: (occ[0], occ[1]),  # Alice's occupations
+    lambda occ: ((occ[0] > 0) + 2 * (occ[1] > 0), (occ[2] > 0) + 2 * (occ[3] > 0)),  # clicks
+], ids=["count", "occupation", "clicks"])
+def test_measure_partitions_in_term_order(key):
+    st = spdc_state(SpdcParams(0.3, phi=0.7, n_max=4))
+    assert any(amp.imag != 0.0 for _, amp in st.terms())  # complex amplitudes
+    branches = st.measure(key)
+    outcomes = [outcome for outcome, _, _ in branches]
+    assert len(outcomes) > 1 and outcomes == sorted(set(outcomes))
+    assert left_sum(prob for _, prob, _ in branches) == pytest.approx(st.norm_sq(), rel=1e-14)
+    for outcome, prob, post in branches:
+        kept = [(occ, amp) for occ, amp in st.terms() if key(occ) == outcome]
+        assert prob == squared_norm(amp for _, amp in kept)  # bit for bit
+        assert post.norm_sq() == pytest.approx(1.0, rel=1e-14)
+        scale = 1.0 / math.sqrt(prob)
+        assert list(post.terms()) == [(occ, amp * scale) for occ, amp in kept]
+
+
+def test_measure_leaves_out_outcomes_without_weight():
+    st = StateVector(source_registry(), {(1, 0, 0, 1): 1.0, (0, 1, 1, 0): 0.0}, prune_tol=0.0)
+    assert [(outcome, prob) for outcome, prob, _ in st.measure(lambda occ: occ[0])] == [(1, 1.0)]
+    prob, post = st.project(lambda occ: occ[0] == 0)
+    assert prob == 0.0 and len(post) == 0
 
 
 def test_pruning_drops_tiny_amplitudes():

@@ -7,13 +7,18 @@ text form.  A change to the sampler, the uniform stream, the sampling
 tables or the transcript formats that moves a single byte fails here.  The
 sampling tables are also pinned on their own, over a grid of every source
 and eavesdropper kind, and under a split attack at a pump phase where the
-amplitudes are complex.
+amplitudes are complex.  So is the line `tests/engine_bits.py` prints, which
+also covers the nondemolition splits and the eavesdropper's conditional
+states.
 """
 
 import collections
 import dataclasses
 import hashlib
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +231,17 @@ def test_golden_phase_tables(name):
     config = SessionConfig(rounds=1, seed=0, source=source,
                            eve=SplitAttack(AttackConfig(max_attempts=3)))
     assert _tables_digest(protocol._build_tables(config)) == digest
+
+
+# What tests/engine_bits.py prints after the interpreter's version.
+ENGINE_BITS = "3654 clicks b8d9135f11fbda5e all 5826303fd569f353"
+
+
+def test_engine_bits():
+    script = Path(__file__).resolve().parent / "engine_bits.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    version, line = result.stdout.strip().split(" ", 1)
+    assert version == sys.version.split()[0]
+    assert line == ENGINE_BITS

@@ -111,6 +111,21 @@ def test_config_from_dict_error_paths():
         config_from_dict({"rounds": True, "seed": 1, "source": {"kind": "singlet"}})
 
 
+@pytest.mark.parametrize("path,doc", [
+    ("double_click_polcy", {"double_click_polcy": "discard"}),
+    ("source.nmax", {"source": {"kind": "spdc", "tanh_xi": 0.3, "nmax": 6}}),
+    ("source.tanh_xi", {"source": {"kind": "singlet", "tanh_xi": 0.3}}),
+    ("eve.max_attempt", {"eve": {"kind": "split", "max_attempt": 3}}),
+    ("eve.mode", {"eve": {"kind": "intercept", "mode": "analytic"}}),
+], ids=["top", "source", "other-kind", "eve", "mode-off-split"])
+def test_config_from_dict_refuses_unknown_fields(path, doc):
+    # a misspelt field would take its default unseen; only a split's retired mode
+    # is ignored
+    base = {"rounds": 10, "seed": 1, "source": {"kind": "spdc", "tanh_xi": 0.3, "n_max": 6}}
+    with pytest.raises(ConfigError, match=rf"^unknown field {re.escape(path)}$"):
+        config_from_dict({**base, **doc})
+
+
 @pytest.mark.parametrize("source_name,source", TABLE_SOURCES, ids=[n for n, _ in TABLE_SOURCES])
 @pytest.mark.parametrize("eve_name,eve", TABLE_EVES, ids=[n for n, _ in TABLE_EVES])
 def test_config_from_dict_rejects_what_table_build_rejects(source_name, source, eve_name, eve):

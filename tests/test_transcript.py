@@ -387,6 +387,9 @@ V3_REJECTIONS = {
     "tag-with-comma": (lambda d, n: with_meta(d, tags=["att,ack", "singlet"]),
                        "bad version-3 header: tags must be 1 to 56 distinct printable ASCII "
                        "strings without commas"),
+    "misspelt-config-key": (lambda d, n: d.replace(b'"double_click_policy"',
+                                                    b'"double_click_polcy"', 1),
+                            "bad version-3 header: config: unknown field double_click_polcy"),
     "bad-config": (lambda d, n: with_meta(d, config={"rounds": n, "seed": -1,
                                                      "source": {"kind": "singlet"}}),
                    "bad version-3 header: config: seed must be >= 0, got -1"),
@@ -471,13 +474,15 @@ def test_v3_header_whose_template_cannot_be_built_is_rejected(tmp_path, monkeypa
 def test_corrupted_v3_files_end_in_a_report_or_a_named_error(tmp_path, monkeypatch, read_bytes):
     # a transcript with one byte replaced, deleted or inserted: replay returns
     # a report whose checksum_ok says whether the digest still matches, or
-    # raises a TranscriptError; both happen
+    # raises a TranscriptError; both happen.  Most edits hit the header, and
+    # nearly all of those are errors (a misspelt config key is one too), so
+    # it takes 1000 edits for both counts to pass 10
     monkeypatch.setattr(_replay, "READ_BYTES", read_bytes)
     _, path, live = write_v3(tmp_path, rounds=60, seed=5)
     data = path.read_bytes()
     rng = np.random.default_rng(read_bytes)
     reports = errors = 0
-    for _ in range(300):
+    for _ in range(1000):
         pos = int(rng.integers(len(data)))
         byte = int(rng.integers(256)).to_bytes(1, "big")
         edit = int(rng.integers(3))
