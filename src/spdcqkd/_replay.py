@@ -1,16 +1,17 @@
 """The transcript reader behind `protocol.replay`, and the text form.
 
 A transcript is read as version 3 only.  `read_header` reads and checks
-the two header lines, the body's length against the header's round count,
-and the header's tags against those of its config's cached template
-(`drawable_codes`); any other first line, a version-2 CSV or version 1
-included, is a TranscriptError that names version 3.  `check_config`
+the two header lines and the body's length against the header's round
+count, takes its config's cached template, and checks the header's tags
+against that template's; any other first line, a version-2 CSV or version
+1 included, is a TranscriptError that names version 3.  The header keeps
+the template, whose leak the replayed report takes.  `check_config`
 compares the header's config with the caller's; `code_reads` streams the
 body's row codes, hashing every read and counting its codes with one
-bincount, and rejects a code that template draws with probability 0 (out
-of range, a sifted code missing a key bit, or any other) through a mask
-over those counts; `protocol._parse_transcript` adds them up and checks
-the trailing digest.  `write_text` prints a version-3 file as the
+bincount, and rejects a code the template draws with probability 0 (out
+of range, a sifted code missing a key bit, or any other) through its
+`drawable` mask; `protocol._parse_transcript` adds the counts up and
+checks the trailing digest.  `write_text` prints a version-3 file as the
 version-2 CSV of the same rounds, a one-way view that is never read back.
 
 `protocol` imports this module on first use, so a process that replays or
@@ -31,7 +32,7 @@ import numpy as np
 
 from .fock import FockError
 from .protocol import (_CODES, _TAIL_SHAPE, CODE_DTYPE, DIGEST_BYTES, TRANSCRIPT_HEADER,
-                       TRANSCRIPT_MAGIC, ConfigError, SessionConfig, TranscriptError,
+                       TRANSCRIPT_MAGIC, ConfigError, SessionConfig, TranscriptError, _Template,
                        _parse_transcript, _session_template, _suffix_table, _transcript_lines,
                        config_from_dict, config_to_dict)
 
@@ -82,28 +83,11 @@ class Header:
     tool_version: str
     tags: list[str]
     body_bytes: int  # from the end of the header to the digest
-    drawable: np.ndarray  # `drawable_codes(config, tags)`
+    template: _Template  # the config's cached template, whose emission tags are `tags`
 
 
 def _bad_header(message: str) -> TranscriptError:
     return TranscriptError(f"bad version-3 header: {message}")
-
-
-def drawable_codes(config: SessionConfig, tags: list[str]) -> np.ndarray:
-    """bool[len(tags) * _CODES]: whether a round of the config can have
-    each row code, kept with its cached template (`_Template.drawable`).
-
-    Raises TranscriptError if the template cannot be built or `tags` are
-    not its emission tags.
-    """
-    try:
-        template = _session_template(config)
-    except FockError as exc:
-        raise _bad_header(f"config: {exc}") from None
-    if tuple(tags) != template.tables.emission_tags:
-        raise _bad_header(f"tags {tags} are not the config's emission tags "
-                          f"{list(template.tables.emission_tags)}")
-    return template.drawable
 
 
 def read_header(fh) -> Header:
@@ -159,8 +143,14 @@ def read_header(fh) -> Header:
     if body // CODE_DTYPE.itemsize != config.rounds:
         raise TranscriptError(f"header names {config.rounds} rounds, "
                               f"body holds {body // CODE_DTYPE.itemsize}")
-    return Header(raw, config, config_to_dict(config), tool_version, tags, body,
-                  drawable_codes(config, tags))
+    try:
+        template = _session_template(config)
+    except FockError as exc:
+        raise _bad_header(f"config: {exc}") from None
+    if tuple(tags) != template.tables.emission_tags:
+        raise _bad_header(f"tags {tags} are not the config's emission tags "
+                          f"{list(template.tables.emission_tags)}")
+    return Header(raw, config, config_to_dict(config), tool_version, tags, body, template)
 
 
 def _fields(d: dict, prefix: str = ""):
@@ -195,7 +185,7 @@ def code_reads(fh, head: Header, digest):
     code missing a key bit, or a code the header's config draws with
     probability 0 raises a TranscriptError naming its round.
     """
-    valid = head.drawable
+    valid = head.template.drawable
     first, carry = 0, b""
     for chunk in body_reads(fh, head.body_bytes, len(head.raw)):
         digest.update(chunk)

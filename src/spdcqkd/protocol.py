@@ -28,14 +28,16 @@ The template depends on the physics alone (the source, the eavesdropper and
 the double-click policy), never on `rounds` or `seed`, so a process keeps
 the templates of the TEMPLATE_CACHE_SIZE physics configs it used last, in a
 least-recently-used cache keyed by the config with `rounds` and `seed` set
-to fixed values.  Sessions and `eve_mutual_information` take their template
-from that cache only; a build that raises is not cached.  Many seeds of one
-config in one process build it once; a one-shot `spdcqkd simulate`, or a
-process that never repeats a config, gains nothing from it.
+to fixed values.  Sessions, replay and `eve_mutual_information` take their
+template from that cache only; a build that raises is not cached.  Many
+seeds of one config in one process build it once; a one-shot `spdcqkd
+simulate`, or a process that never repeats a config, gains nothing from it.
 The cached tables, lookup arrays, guides and row codes are read-only and
 the tags a tuple, so no session can change what the next one samples; so
-are the row probabilities and the mask of drawable row codes, which a
-template computes the first time replay or `eve_mutual_information` asks.
+are the row probabilities, the mask of drawable row codes and the exact
+eavesdropper information, which a template computes on first use.  Every
+report, live or replayed, takes its leak from the template that defines
+its rounds: `eve_information` against h(qber_hat).
 
 A session is one loop over blocks of CHUNK_ROUNDS rounds (1 MB of
 words), each drawn in pieces of DRAW_PIECE_ROUNDS, then sampled and
@@ -98,7 +100,7 @@ import math
 import os
 import stat
 import threading
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Union
 
 import numpy as np
@@ -108,7 +110,7 @@ from ._kernels import DRAWS_PER_ROUND
 from .attack import AttackConfig, attack_four_photon, intercept_branches, split_attack_branches
 from .fock import FockError, StateVector, attack_registry, left_sum
 from .optics import DA, HV, BasisAngle, joint_click_probabilities, rotate_polarization
-from .security import LeakBound, leak_vs_bound
+from .security import LeakBound, binary_entropy
 from .source import SpdcParams, singlet_state, spdc_state
 
 # Rounds per block a session draws, samples and writes (1 MB of words),
@@ -531,7 +533,6 @@ class _Tally:
     """Rounds counted by row code: counts[code] for the codes of `tags`."""
 
     tags: list[str] | tuple[str, ...]
-    rounds: int = 0
     counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -540,12 +541,11 @@ class _Tally:
     def update(self, codes: np.ndarray, weights: np.ndarray | None = None):
         """Count row codes of `tags` with one bincount; with `weights`, code
         i stands for weights[i] rounds (a live session's template rows)."""
-        self.rounds += codes.size if weights is None else int(weights.sum())
         # float64 weights sum whole counts exactly below 2**53
         self.counts += np.bincount(codes, weights, minlength=self.counts.size).astype(
             np.int64, copy=False)
 
-    def report(self, checksum_ok: bool = True) -> "SessionReport":
+    def report(self, eve_info: float, checksum_ok: bool = True) -> "SessionReport":
         # [tag, Alice basis, Bob basis, Alice kind, Bob kind, sifted, Alice bit, Bob bit]
         counts = self.counts.reshape((len(self.tags),) + _TAIL_SHAPE)
         per_tag = counts.sum(axis=(1, 2, 3, 4, 5, 6, 7)).tolist()
@@ -560,18 +560,23 @@ class _Tally:
                      for basis, (n, e) in enumerate(zip(sifted, errors))}
         n, e = sum(sifted), sum(errors)
         qber = e / n if n else 0.0
+        bound = binary_entropy(qber)
         return SessionReport(
-            rounds=self.rounds, sifted_length=n, error_count=e,
+            rounds=sum(per_tag), sifted_length=n, error_count=e,
             qber_hat=qber, qber_ci95=_wilson_interval(e, n),
             double_click_count=ends[3], no_click_count=ends[0],
             source_counts=dict(sorted((tag, c) for tag, c in zip(self.tags, per_tag) if c)),
             per_basis=per_basis,
-            leak=leak_vs_bound(min(1.0, 6.0 * qber)),
+            leak=LeakBound(eve_info, bound, bound - eve_info),
             checksum_ok=checksum_ok)
 
 
 @dataclass
 class SessionReport:
+    """A session's counts.  `leak` is the config's exact I(Alice bit;
+    eavesdropper record) per sifted key bit (`eve_mutual_information`)
+    against h(qber_hat), the error-correction leakage of its errors."""
+
     rounds: int
     sifted_length: int
     error_count: int
@@ -585,10 +590,7 @@ class SessionReport:
     checksum_ok: bool = True
 
     def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["leak"] = {"eve_info": self.leak.eve_info, "bound": self.leak.bound,
-                     "margin": self.leak.margin}
-        return d
+        return asdict(self)
 
 
 def _row_codes(rec: np.ndarray, scen_emission: np.ndarray) -> np.ndarray:
@@ -687,6 +689,31 @@ class _Template:
                            minlength=len(self.tables.emission_tags) * _CODES) > 0
         mask.flags.writeable = False
         return mask
+
+    @functools.cached_property
+    def eve_information(self) -> float:
+        """Exact I(Alice bit; eavesdropper record) over sifted rounds, in bits.
+
+        The eavesdropper's record is the pair of tap-channel threshold
+        outcomes read in the disclosed basis (split attack) or her intercept
+        bit (intercept-resend); rounds where she holds nothing count as a
+        fixed 'empty' symbol.  The joint distribution is the template's
+        sifted rows, each weighted by its exact probability, so the sift and
+        double-click rules are the sampler's own.
+        """
+        sifted = self.rows[:, 7] == 1
+        rows = self.rows[sifted].astype(np.intp)
+        # joint[alice bit, 3 * (e1 + 1) + (e2 + 1)]
+        joint = np.bincount(rows[:, 5] * 9 + (rows[:, 8] + 1) * 3 + rows[:, 9] + 1,
+                            self.probabilities[sifted], minlength=18).reshape(2, 9)
+        pa = joint.sum(axis=1, keepdims=True)
+        pe = joint.sum(axis=0, keepdims=True)
+        total = pa.sum()
+        if total == 0.0:
+            return 0.0  # nothing sifts, e.g. a source that emits vacuum only
+        held = joint > 0
+        # unnormalised sums: a record independent of the bit gives log2(1) = 0 exactly
+        return float(np.sum(joint[held] * np.log2(joint[held] * total / (pa * pe)[held])) / total)
 
 
 def _session_template(config: SessionConfig) -> _Template:
@@ -801,36 +828,15 @@ def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
             raise
     tally = _Tally(template.tables.emission_tags)
     tally.update(template.codes, counts)
-    return tally.report()
+    return tally.report(template.eve_information)
 
 
 def eve_mutual_information(config: SessionConfig) -> float:
-    """Exact I(Alice bit; eavesdropper record) over sifted rounds, in bits.
-
-    The eavesdropper's record is the pair of tap-channel threshold outcomes
-    read in the disclosed basis (split attack) or her intercept bit
-    (intercept-resend); rounds where she holds nothing count as a fixed
-    'empty' symbol.  The joint distribution is the session template's
-    sifted rows, each weighted by the exact probability that a round draws
-    it, so the sift and double-click rules are the sampler's own; no round
-    is drawn, and `rounds` and `seed` do not matter.  The template comes
-    from the cache that sessions use.
-    """
-    template = _session_template(config)
-    prob = template.probabilities
-    sifted = template.rows[:, 7] == 1
-    rows = template.rows[sifted].astype(np.intp)
-    # joint[alice bit, 3 * (e1 + 1) + (e2 + 1)]
-    joint = np.bincount(rows[:, 5] * 9 + (rows[:, 8] + 1) * 3 + rows[:, 9] + 1,
-                        prob[sifted], minlength=18).reshape(2, 9)
-    pa = joint.sum(axis=1, keepdims=True)
-    pe = joint.sum(axis=0, keepdims=True)
-    total = pa.sum()
-    if total == 0.0:
-        return 0.0  # nothing sifts, e.g. a source that emits vacuum only
-    held = joint > 0
-    # unnormalised sums: a record independent of the bit gives log2(1) = 0 exactly
-    return float(np.sum(joint[held] * np.log2(joint[held] * total / (pa * pe)[held])) / total)
+    """Exact I(Alice bit; eavesdropper record) over sifted rounds, in bits:
+    `_Template.eve_information` of the config's cached template, which
+    every session report of the config carries as its leak.  No round is
+    drawn, and `rounds` and `seed` do not matter."""
+    return _session_template(config).eve_information
 
 
 # ---------------------------------------------------------------------------
@@ -848,8 +854,7 @@ def _parse_transcript(fh, head) -> tuple[_Tally, bool]:
 
     digest = hashlib.sha256(head.raw)
     tally = _Tally(head.tags)
-    for _, codes, counts in _replay.code_reads(fh, head, digest):
-        tally.rounds += codes.size
+    for _, _, counts in _replay.code_reads(fh, head, digest):
         tally.counts += counts
     fh.seek(len(head.raw) + head.body_bytes)
     return tally, fh.read(DIGEST_BYTES) == digest.digest()
@@ -879,7 +884,7 @@ def replay_with_header(config: SessionConfig | None, transcript_path
         head = _replay.read_header(fh)
         _replay.check_config(config, head)
         tally, checksum_ok = _parse_transcript(fh, head)
-    return (tally.report(checksum_ok=checksum_ok),
+    return (tally.report(head.template.eve_information, checksum_ok=checksum_ok),
             {"config": head.config_dict, "tool_version": head.tool_version})
 
 

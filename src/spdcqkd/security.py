@@ -139,8 +139,8 @@ def eve_conditional_states(state: StateVector, alice_basis: BasisAngle,
 
 @dataclass(frozen=True)
 class LeakBound:
-    eve_info: float  # p * chi per sifted key bit
-    bound: float     # h(p/6), the error-correction leakage at QBER p/6
+    eve_info: float  # the eavesdropper's information per sifted key bit
+    bound: float     # h(QBER), the error-correction leakage
     margin: float    # bound - eve_info
 
 

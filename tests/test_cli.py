@@ -5,6 +5,8 @@ from click.testing import CliRunner
 
 from spdcqkd import __version__, cli
 from spdcqkd.cli import main
+from spdcqkd.protocol import config_from_dict, eve_mutual_information, run_session
+from spdcqkd.security import binary_entropy
 from spdcqkd.source import N_MAX_CAP
 
 from test_protocol import flip_a_sifted_round
@@ -385,6 +387,22 @@ def test_simulate_text_format(runner, tmp_path):
     lines = result.stdout.splitlines()
     assert any(ln.startswith("qber_hat ") for ln in lines)
     assert any(ln.startswith("leak.margin ") for ln in lines)
+
+
+def test_simulate_text_prints_the_exact_leak(runner, tmp_path):
+    doc = {"rounds": 20000, "seed": 7, "source": {"kind": "singlet"},
+           "eve": {"kind": "intercept"}}
+    result = runner.invoke(main, ["simulate", "--config", str(write_config(tmp_path, doc)),
+                                  "--format", "text"])
+    assert result.exit_code == 0
+    config = config_from_dict(doc)
+    eve_info = eve_mutual_information(config)
+    bound = binary_entropy(run_session(config).qber_hat)
+    leak = [ln for ln in result.stdout.splitlines() if ln.startswith("leak.")]
+    assert leak == [f"leak.bound {bound:.9g}", f"leak.eve_info {eve_info:.9g}",
+                    f"leak.margin {bound - eve_info:.9g}"]
+    assert leak == ["leak.bound 0.812415776", "leak.eve_info 0.188721876",
+                    "leak.margin 0.6236939"]
 
 
 # -- replay -------------------------------------------------------------------

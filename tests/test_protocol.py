@@ -21,6 +21,7 @@ from spdcqkd.protocol import (AttackMixture, ConfigError, InterceptResend,
                               SplitAttack, TranscriptError, config_from_dict,
                               config_to_dict, eve_mutual_information, replay,
                               run_session)
+from spdcqkd.security import LeakBound, binary_entropy
 from spdcqkd.source import SpdcParams
 
 from test_golden import TABLE_EVES, TABLE_SOURCES, text_form
@@ -359,8 +360,7 @@ def test_session_qber_hat_has_confidence_interval():
     half = z / (1 + z * z / n) * math.sqrt(q * (1 - q) / n + z * z / (4 * n * n))
     assert rep.qber_ci95 == pytest.approx([center - half, center + half])
     assert 0.0 < rep.qber_ci95[0] < q < rep.qber_ci95[1] < 1.0
-    assert rep.leak.bound == pytest.approx(
-        protocol.leak_vs_bound(min(1.0, 6.0 * q)).bound)
+    assert rep.leak.bound == binary_entropy(q)
     # no errors: the interval keeps a width, z^2 / (n + z^2), where Wald's is 0
     rep = run_session(SessionConfig(rounds=20000, seed=2, source=SingletSource()))
     n = rep.sifted_length
@@ -393,8 +393,9 @@ class ReferenceTally:
     basis_sifted: list = dataclasses.field(default_factory=lambda: [0, 0])
     basis_errors: list = dataclasses.field(default_factory=lambda: [0, 0])
 
-    def report(self, checksum_ok=True):
+    def report(self, eve_info, checksum_ok=True):
         qber = self.errors / self.sifted if self.sifted else 0.0
+        bound = binary_entropy(qber)
         per_basis = {}
         for basis, name in enumerate(("HV", "DA")):
             n, e = self.basis_sifted[basis], self.basis_errors[basis]
@@ -404,7 +405,7 @@ class ReferenceTally:
             qber_hat=qber, qber_ci95=protocol._wilson_interval(self.errors, self.sifted),
             double_click_count=self.double_clicks, no_click_count=self.no_clicks,
             source_counts=dict(sorted(self.source_counts.items())), per_basis=per_basis,
-            leak=protocol.leak_vs_bound(min(1.0, 6.0 * qber)), checksum_ok=checksum_ok)
+            leak=LeakBound(eve_info, bound, bound - eve_info), checksum_ok=checksum_ok)
 
 
 def reference_tally_update(tally, rec, tags, scen_emission):
@@ -461,14 +462,14 @@ def test_tally_matches_reference(config):
         for rec, emission in tag_chunks:
             got.update(protocol._row_codes(rec, emission))
             reference_tally_update(want, rec, tags, emission)
-            assert got.report() == want.report()
+            assert got.report(0.25) == want.report(0.25)
     # weighted: record i stands for weights[i] rounds (zero included)
     weights = np.random.default_rng(7).integers(0, 5, crafted.shape[0])
     got, want = protocol._Tally(["attack", "singlet"]), ReferenceTally()
     got.update(protocol._row_codes(crafted, scen_emission), weights)
     reference_tally_update(want, np.repeat(crafted, weights, axis=0), ["attack", "singlet"],
                            scen_emission)
-    assert got.report() == want.report()
+    assert got.report(0.25) == want.report(0.25)
 
 
 # one block; 2550 rounds in blocks of 100 and pieces of 30, drawn on the
@@ -500,8 +501,9 @@ def test_live_tally_from_slot_counts_equals_record_tally(monkeypatch, shape, pol
     assert len(starts) == (1 if draw_ahead is None else 26)
     live = protocol._Tally(tables.emission_tags)
     live.update(template.codes, counts)
-    assert live.report() == from_records.report() == want.report()
-    report = live.report()
+    eve_info = template.eve_information
+    assert live.report(eve_info) == from_records.report(eve_info) == want.report(eve_info)
+    report = live.report(eve_info)
     assert report.double_click_count > 0 and report.error_count > 0
     assert report == run_session(config)
 
@@ -595,6 +597,26 @@ def test_eve_mutual_information_no_eavesdropper():
     # SPDC at tanh_xi 0 emits vacuum only: nothing sifts
     for source in (SingletSource(), SpdcSource(SpdcParams(0.3)), SpdcSource(SpdcParams(0.0))):
         assert eve_mutual_information(SessionConfig(rounds=5000, seed=5, source=source)) == 0.0
+
+
+def test_report_leak_is_the_exact_information_of_its_config():
+    # intercept-resend in a random basis: Eve's bit is Alice's with
+    # probability 3/4, so I = 1 - h(1/4), while the QBER of 1/4 spends h(1/4)
+    cfg = SessionConfig(rounds=20000, seed=7, source=SingletSource(), eve=InterceptResend())
+    rep = run_session(cfg)
+    assert rep.leak.eve_info == eve_mutual_information(cfg)
+    assert rep.leak.eve_info == pytest.approx(1.0 - binary_entropy(0.25), rel=1e-12)
+    assert rep.leak.bound == binary_entropy(rep.qber_hat)
+    assert rep.leak.bound == pytest.approx(0.812, abs=1e-3)
+    assert rep.leak.margin == rep.leak.bound - rep.leak.eve_info
+
+
+def test_report_leak_is_zero_without_an_eavesdropper():
+    # multi-pair emissions err, but with no eavesdropper nobody learns a bit
+    rep = run_session(SessionConfig(rounds=20000, seed=7, source=SpdcSource(SpdcParams(0.3))))
+    assert rep.error_count > 0
+    assert rep.leak.eve_info == 0.0
+    assert rep.leak.bound == rep.leak.margin == binary_entropy(rep.qber_hat)
 
 
 # -- transcript and replay --------------------------------------------------

@@ -5,8 +5,9 @@ eavesdropper and the double-click policy.  Sessions of any seed and round
 count, and `eve_mutual_information`, share one build per config; configs
 that differ in any physics field get their own; cached arrays are
 read-only; and cold and warm caches give the same records, tables,
-sampler guides and transcript bytes.  The exact row probabilities and the
-drawable-code mask are kept with the template on first use.
+sampler guides and transcript bytes.  The exact row probabilities, the
+drawable-code mask and the eavesdropper information are kept with the
+template on first use.
 """
 
 import dataclasses
@@ -232,7 +233,7 @@ def test_probabilities_are_computed_once_per_template(tmp_path, monkeypatch, bui
     monkeypatch.setattr(_replay, "template_probabilities", counting, raising=False)
     path = tmp_path / "run.v3"
     live = run_session(PAPER, path)
-    assert calls == []  # a session samples without them
+    assert len(calls) == 1  # the report's leak weighs the rows by them
     assert replay(PAPER, path) == replay(None, path) == live
     eve_mutual_information(dataclasses.replace(PAPER, seed=3))
     assert len(calls) == 1 and len(builds) == 1

@@ -20,10 +20,14 @@ import pytest
 from click.testing import CliRunner
 
 from spdcqkd import _kernels, _replay, protocol
+from spdcqkd.attack import AttackConfig
 from spdcqkd.cli import main
 from spdcqkd.fock import FockError
-from spdcqkd.protocol import (AttackMixture, SessionConfig, SingletSource, SpdcSource,
-                              TranscriptError, replay, run_session)
+from spdcqkd.optics import HV
+from spdcqkd.protocol import (AttackMixture, InterceptResend, SessionConfig, SingletSource,
+                              SpdcSource, SplitAttack, TranscriptError, eve_mutual_information,
+                              replay, run_session)
+from spdcqkd.security import binary_entropy
 from spdcqkd.source import SpdcParams
 
 from test_golden import text_form
@@ -38,6 +42,31 @@ def write_v3(tmp_path, rounds=3000, seed=17, source=AttackMixture(0.7)):
 
 
 NOT_V3 = "not a version-3 transcript: its first line must be 'spdcqkd-transcript 3'"
+
+
+# every source and eavesdropper kind that can act on it
+LEAK_GRID = {"singlet/none": (SingletSource(), None),
+             "singlet/intercept": (SingletSource(), InterceptResend()),
+             "spdc/none": (SpdcSource(SpdcParams(0.3)), None),
+             "spdc/split3": (SpdcSource(SpdcParams(0.3)),
+                             SplitAttack(AttackConfig(max_attempts=3))),
+             "mixture/split1": (AttackMixture(0.5), SplitAttack(AttackConfig(max_attempts=1))),
+             "mixture/intercept-HV": (AttackMixture(0.5), InterceptResend(HV))}
+
+
+@pytest.mark.parametrize("policy", ["assign", "discard"])
+@pytest.mark.parametrize("name", LEAK_GRID)
+def test_replayed_leak_is_the_live_leak(tmp_path, name, policy):
+    source, eve = LEAK_GRID[name]
+    cfg = SessionConfig(rounds=3000, seed=11, source=source, eve=eve,
+                        double_click_policy=policy)
+    path = tmp_path / "session.v3"
+    live = run_session(cfg, transcript_path=path)
+    protocol._physics_template.cache_clear()  # replay builds the template anew
+    replayed = replay(None, path)
+    assert replayed.leak == live.leak
+    assert live.leak.eve_info == eve_mutual_information(cfg)
+    assert live.leak.bound == binary_entropy(live.qber_hat)
 
 
 def as_v1(text):
@@ -131,10 +160,10 @@ def reference_replay(config, path):
     data = path.read_bytes()
     codes = np.frombuffer(data[len(head.raw):len(head.raw) + head.body_bytes], dtype="<u2")
     for i, code in enumerate(codes.tolist()):
-        if code >= head.drawable.size:
+        if code >= head.template.drawable.size:
             raise TranscriptError(f"round {i}: row code {code} is out of range for "
                                   f"{len(head.tags)} tag(s)")
-        if not head.drawable[code]:
+        if not head.template.drawable[code]:
             *_, sifted, alice_bit, bob_bit = np.unravel_index(code % protocol._CODES,
                                                               protocol._TAIL_SHAPE)
             if sifted and not (alice_bit and bob_bit):  # a bit field's token 0 is '-'
@@ -148,7 +177,8 @@ def reference_replay(config, path):
         rec[:, col] = token + first
     tally = ReferenceTally()
     reference_tally_update(tally, rec, head.tags, np.arange(len(head.tags)))
-    return tally.report(checksum_ok=hashlib.sha256(data[:-32]).digest() == data[-32:])
+    return tally.report(head.template.eve_information,
+                        checksum_ok=hashlib.sha256(data[:-32]).digest() == data[-32:])
 
 
 # (emission tags, scenario -> tag): one tag, and two tags over four scenarios
@@ -218,14 +248,15 @@ def test_session_transcript_matches_reference(tmp_path, monkeypatch, tags, scen_
     # that end inside a code
     monkeypatch.setattr(_replay, "READ_BYTES", 9999)
     # no config draws every code: the header's config is taken to allow them all
-    monkeypatch.setattr(_replay, "drawable_codes",
-                        lambda config, tags: np.ones(len(tags) * protocol._CODES, dtype=bool))
+    monkeypatch.setattr(protocol._Template, "drawable", property(
+        lambda self: np.ones(len(self.tables.emission_tags) * protocol._CODES, dtype=bool)))
     codes = every_code(scen_emission)
     codes = codes[~((codes[:, 7] == 1) & ((codes[:, 5] < 0) | (codes[:, 6] < 0)))]
     rounds = 100_003
     rec = codes[np.arange(rounds) % codes.shape[0]]
     path = tmp_path / "t.v3"
-    path.write_bytes(v3_bytes(SessionConfig(rounds=rounds, seed=0, source=SingletSource()),
+    source = SpdcSource(SpdcParams(0.3)) if tags == ["spdc"] else AttackMixture(0.5)
+    path.write_bytes(v3_bytes(SessionConfig(rounds=rounds, seed=0, source=source),
                               tags, protocol._row_codes(rec, scen_emission)))
     body = "\n".join([protocol.TRANSCRIPT_HEADER]
                      + reference_lines(rec, 0, tags, scen_emission)) + "\n"
