@@ -1,7 +1,7 @@
 """One background thread that shares the next step of its caller's work.
 
-`protocol` gives it the Philox words of a session longer than
-`protocol.DRAW_AHEAD_ROUNDS`.
+`protocol` gives it the Philox words of a session longer than one piece,
+`protocol.DRAW_PIECE_ROUNDS`.
 Each block of draws is cut into pieces.  `ahead` hands the next block to
 the drawer thread while the calling thread samples the current one; when
 the caller comes to that block it draws the pieces the drawer has not
@@ -21,7 +21,7 @@ on several threads can share it.  A forked child has no copy of the thread
 and starts its own when asked.
 
 `protocol` imports this module on first use, so a process that runs no
-session that long neither loads it nor starts the thread.
+session longer than one piece neither loads it nor starts the thread.
 """
 
 from __future__ import annotations

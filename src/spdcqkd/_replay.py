@@ -81,9 +81,8 @@ class Header:
     config: SessionConfig
     config_dict: dict  # `config_to_dict(config)`
     tool_version: str
-    tags: list[str]
     body_bytes: int  # from the end of the header to the digest
-    template: _Template  # the config's cached template, whose emission tags are `tags`
+    template: _Template  # the config's cached template, whose emission tags the header names
 
 
 def _bad_header(message: str) -> TranscriptError:
@@ -150,7 +149,7 @@ def read_header(fh) -> Header:
     if tuple(tags) != template.tables.emission_tags:
         raise _bad_header(f"tags {tags} are not the config's emission tags "
                           f"{list(template.tables.emission_tags)}")
-    return Header(raw, config, config_to_dict(config), tool_version, tags, body, template)
+    return Header(raw, config, config_to_dict(config), tool_version, body, template)
 
 
 def _fields(d: dict, prefix: str = ""):
@@ -179,7 +178,7 @@ def check_config(config: SessionConfig | None, head: Header) -> None:
 
 def code_reads(fh, head: Header, digest):
     """(first round, codes, counts) per read of the body: its row codes
-    (CODE_DTYPE) and how many rounds have each code of the header's tags.
+    (CODE_DTYPE) and how many rounds have each code of the template's tags.
 
     Every byte read is fed to `digest`.  A code out of range, a sifted
     code missing a key bit, or a code the header's config draws with
@@ -202,7 +201,7 @@ def code_reads(fh, head: Header, digest):
             code = int(codes[i])
             if code >= valid.size:
                 raise TranscriptError(f"round {first + i}: row code {code} is out of "
-                                      f"range for {len(head.tags)} tag(s)")
+                                      f"range for {len(head.template.tables.emission_tags)} tag(s)")
             *_, sifted, alice_bit, bob_bit = np.unravel_index(code % _CODES, _TAIL_SHAPE)
             if sifted and not (alice_bit and bob_bit):  # a bit field's token 0 is '-'
                 raise TranscriptError(f"round {first + i}: sifted round missing a key bit")
@@ -218,7 +217,7 @@ def write_text(fh, out) -> None:
     head = read_header(fh)
     if not _parse_transcript(fh, head)[1]:
         raise TranscriptError("checksum mismatch: not converted")
-    table = _suffix_table(head.tags)
+    table = _suffix_table(head.template.tables.emission_tags)
     digest = hashlib.sha256()
 
     def emit(blob: bytes) -> None:

@@ -42,17 +42,18 @@ its rounds: `eve_information` against h(qber_hat).
 A session is one loop over blocks of CHUNK_ROUNDS rounds (1 MB of
 words), each drawn in pieces of DRAW_PIECE_ROUNDS, then sampled and
 written on the calling thread; sampling adds to the session's per-row
-counts, which the report decodes once.  A session longer than
-DRAW_AHEAD_ROUNDS, in a process that may run on more than one CPU, gets
-help from the daemon drawer thread of `_drawer`, started on first use and
-shared by all sessions: the drawer draws the pieces of the next block,
-into the other of the session's two buffers, while the calling thread
-samples the current one, which draws the pieces the drawer has not taken
-when it comes to that block.  The drawer runs at idle priority, so it
-takes only CPU time nothing else wants, and a session is never left
-waiting on a drawer that gets none.  Shorter sessions draw every piece on
-the calling thread into one buffer and start no thread.  A piece is the
-same bytes whichever thread draws it, so the rounds are the same either way.
+counts, which the report decodes once.  A session longer than one piece,
+in a process that may run on more than one CPU, gets help from the daemon
+drawer thread of `_drawer`, started on first use and shared by all
+sessions: the drawer draws the pieces of the next block, into the other
+of the session's two buffers, while the calling thread samples the
+current one, which draws the pieces the drawer has not taken when it
+comes to that block.  The drawer runs at idle priority, so it takes only
+CPU time nothing else wants, and a session is never left waiting on a
+drawer that gets none.  A session of one piece has no work to share: it
+draws on the calling thread into one buffer and starts no thread.  A
+piece is the same bytes whichever thread draws it, so the rounds are the
+same either way.
 
 A session writes transcript format 3, bound to its run:
 - a text header of two lines: the magic line TRANSCRIPT_MAGIC
@@ -114,11 +115,10 @@ from .security import LeakBound, binary_entropy
 from .source import SpdcParams, singlet_state, spdc_state
 
 # Rounds per block a session draws, samples and writes (1 MB of words),
-# and rounds per piece of a block that either thread may draw.
+# and rounds per piece of a block that either thread may draw; a session
+# longer than one piece draws ahead on the drawer thread.
 CHUNK_ROUNDS = 1 << 14
 DRAW_PIECE_ROUNDS = 1 << 12
-# Sessions longer than this draw ahead on the drawer thread.
-DRAW_AHEAD_ROUNDS = 1 << 16
 # Physics configs whose session template a process keeps.
 TEMPLATE_CACHE_SIZE = 8
 
@@ -607,7 +607,7 @@ def _row_codes(rec: np.ndarray, scen_emission: np.ndarray) -> np.ndarray:
     return code
 
 
-def _suffix_table(tags: list[str]) -> np.ndarray:
+def _suffix_table(tags: list[str] | tuple[str, ...]) -> np.ndarray:
     """Row text after the round index for every row code: uint8[codes, width].
 
     Rows are NUL-padded to the widest.
@@ -645,8 +645,9 @@ def _transcript_lines(codes: np.ndarray, start: int, table: np.ndarray) -> list[
 
 
 def _draws_ahead(rounds: int) -> bool:
-    """Whether a session of `rounds` draws its next block on the drawer thread."""
-    if rounds <= DRAW_AHEAD_ROUNDS:
+    """Whether a session of `rounds` draws its blocks with the drawer thread:
+    one longer than a piece, in a process that may run on more than one CPU."""
+    if rounds <= DRAW_PIECE_ROUNDS:
         return False
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
@@ -853,7 +854,7 @@ def _parse_transcript(fh, head) -> tuple[_Tally, bool]:
     from . import _replay
 
     digest = hashlib.sha256(head.raw)
-    tally = _Tally(head.tags)
+    tally = _Tally(head.template.tables.emission_tags)
     for _, _, counts in _replay.code_reads(fh, head, digest):
         tally.counts += counts
     fh.seek(len(head.raw) + head.body_bytes)

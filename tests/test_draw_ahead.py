@@ -1,4 +1,4 @@
-"""Sessions longer than DRAW_AHEAD_ROUNDS draw their next block of words on a thread.
+"""Sessions longer than one piece (DRAW_PIECE_ROUNDS) draw their next block of words on a thread.
 
 The drawer must not change a byte of the sampled template indices or the
 transcripts, must leave the pieces it has not taken to the caller, must
@@ -92,8 +92,8 @@ def test_drawn_ahead_records_and_transcript_equal_serial(monkeypatch, tmp_path, 
 
 
 @pytest.mark.parametrize("rounds", [
-    protocol.CHUNK_ROUNDS - 1, protocol.CHUNK_ROUNDS, protocol.CHUNK_ROUNDS + 1,
-    protocol.DRAW_AHEAD_ROUNDS, protocol.DRAW_AHEAD_ROUNDS + 1])
+    protocol.DRAW_PIECE_ROUNDS, protocol.DRAW_PIECE_ROUNDS + 1,
+    protocol.CHUNK_ROUNDS - 1, protocol.CHUNK_ROUNDS, protocol.CHUNK_ROUNDS + 1, 65536, 65537])
 def test_serial_drawn_ahead_and_replay_agree_at_the_block_edges(monkeypatch, tmp_path, rounds):
     config = SessionConfig(rounds=rounds, seed=rounds, double_click_policy="discard", **PAPER)
     out = {}
@@ -125,16 +125,62 @@ def test_slow_sampling_reads_the_block_it_was_given(monkeypatch, small_blocks):
     assert drawn(SMALL) == want
 
 
-def test_sessions_up_to_the_threshold_draw_on_the_main_thread(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    threshold = protocol.DRAW_AHEAD_ROUNDS
-    assert protocol._draws_ahead(threshold + 1) and not protocol._draws_ahead(threshold)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert not protocol._draws_ahead(threshold + 1)
-    started, _ = recording_draws(monkeypatch)
-    run_session(SessionConfig(rounds=threshold, seed=3, **PAPER))
+def test_sessions_of_one_piece_draw_on_the_main_thread(monkeypatch):
+    """A session of one piece has no work to share; one CPU never draws ahead."""
     piece = protocol.DRAW_PIECE_ROUNDS
-    assert started == [(lo, piece, threading.get_ident()) for lo in range(0, threshold, piece)]
+    main = threading.get_ident()
+    real = _drawer.ahead
+    handed = []
+    monkeypatch.setattr(_drawer, "ahead", lambda jobs: handed.append(jobs) or real(jobs))
+    started, _ = recording_draws(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert protocol._draws_ahead(piece + 1) and not protocol._draws_ahead(piece)
+    run_session(SessionConfig(rounds=piece, seed=3, **PAPER))
+    assert started == [(0, piece, main)] and not handed
+    run_session(SessionConfig(rounds=piece + 1, seed=3, **PAPER))
+    assert len(handed) == 1
+    assert sorted((s, c) for s, c, _ in started[1:]) == [(0, piece), (piece, 1)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert not protocol._draws_ahead(piece + 1)
+    started.clear()
+    rounds = protocol.CHUNK_ROUNDS + 1
+    run_session(SessionConfig(rounds=rounds, seed=3, **PAPER))
+    assert len(handed) == 1
+    assert started == [(lo, min(piece, rounds - lo), main) for lo in range(0, rounds, piece)]
+
+
+def test_paper_session_of_5e4_rounds_draws_off_the_main_thread(monkeypatch, tmp_path):
+    """On two CPUs a 50 000-round session, the benchmark's transcript round
+    trip, draws pieces on the drawer thread, and its report and transcript
+    are those of the serial path."""
+    config = SessionConfig(rounds=50_000, seed=21, **PAPER)
+    pieces = list(range(0, 50_000, protocol.DRAW_PIECE_ROUNDS))
+    main = threading.get_ident()
+    started, _ = recording_draws(monkeypatch)
+    rule = protocol._draws_ahead
+    draw_ahead(monkeypatch, False)
+    serial = run_session(config, tmp_path / "serial.v3")
+    assert [(s, ident) for s, _, ident in started] == [(s, main) for s in pieces]
+
+    real = _kernels.sample_rounds
+
+    def sample_once_the_drawer_has_drawn(u, *args):
+        # an idle-priority drawer may wait for a free CPU; give it one
+        deadline = time.monotonic() + 10
+        while (not any(ident != main for *_, ident in started)
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
+        return real(u, *args)
+
+    monkeypatch.setattr(_kernels, "sample_rounds", sample_once_the_drawer_has_drawn)
+    monkeypatch.setattr(protocol, "_draws_ahead", rule)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started.clear()
+    ahead = run_session(config, tmp_path / "ahead.v3")
+    assert any(ident != main for *_, ident in started)
+    assert sorted(s for s, _, _ in started) == pieces
+    assert ahead == serial
+    assert (tmp_path / "ahead.v3").read_bytes() == (tmp_path / "serial.v3").read_bytes()
 
 
 def test_caller_draws_the_pieces_the_drawer_has_not_taken():
@@ -304,10 +350,11 @@ def test_forked_child_runs_a_drawn_ahead_session(small_blocks):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-def test_sessions_hold_one_or_two_block_buffers(monkeypatch):
+@pytest.mark.parametrize("rounds", [16 * protocol.CHUNK_ROUNDS, 50_000])
+def test_sessions_hold_one_or_two_block_buffers(monkeypatch, rounds):
     """One 1 MB block buffer drawing on the calling thread, two drawing
     ahead; either way less than the 4 MB a 65 536-round chunk of draws took."""
-    config = SessionConfig(rounds=16 * protocol.CHUNK_ROUNDS, seed=8, **PAPER)
+    config = SessionConfig(rounds=rounds, seed=8, **PAPER)
     block = protocol.CHUNK_ROUNDS * protocol.DRAWS_PER_ROUND * 8
     assert block == 1 << 20
     peaks = {}

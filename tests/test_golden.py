@@ -32,7 +32,7 @@ from spdcqkd.protocol import (AttackMixture, InterceptResend, SessionConfig,
 from spdcqkd.source import SpdcParams
 
 GOLDEN_RECORDS = [
-    # 70000 rounds span five blocks of CHUNK_ROUNDS, past DRAW_AHEAD_ROUNDS
+    # 70000 rounds span five blocks of CHUNK_ROUNDS, drawn ahead on more than one CPU
     (SessionConfig(rounds=70000, seed=11, source=SpdcSource(SpdcParams(0.3)),
                    eve=SplitAttack(AttackConfig(max_attempts=3))),
      "7f27700617abf4a483fad7799744dda0d9c55ee94761013fb455f362082db512"),

@@ -157,12 +157,13 @@ def reference_replay(config, path):
     with open(path, "rb") as fh:
         head = _replay.read_header(fh)
     _replay.check_config(config, head)
+    tags = head.template.tables.emission_tags
     data = path.read_bytes()
     codes = np.frombuffer(data[len(head.raw):len(head.raw) + head.body_bytes], dtype="<u2")
     for i, code in enumerate(codes.tolist()):
         if code >= head.template.drawable.size:
             raise TranscriptError(f"round {i}: row code {code} is out of range for "
-                                  f"{len(head.tags)} tag(s)")
+                                  f"{len(tags)} tag(s)")
         if not head.template.drawable[code]:
             *_, sifted, alice_bit, bob_bit = np.unravel_index(code % protocol._CODES,
                                                               protocol._TAIL_SHAPE)
@@ -170,13 +171,13 @@ def reference_replay(config, path):
                 raise TranscriptError(f"round {i}: sifted round missing a key bit")
             raise TranscriptError(f"round {i}: row code {code} has probability 0 under the "
                                   "header's config")
-    tag, *tokens = np.unravel_index(codes, (len(head.tags),) + protocol._TAIL_SHAPE)
+    tag, *tokens = np.unravel_index(codes, (len(tags),) + protocol._TAIL_SHAPE)
     rec = np.full((codes.size, _kernels.N_COLS), -1, dtype=np.int8)
     rec[:, 0] = tag
     for (col, _, first), token in zip(protocol._TAIL_FIELDS, tokens):
         rec[:, col] = token + first
     tally = ReferenceTally()
-    reference_tally_update(tally, rec, head.tags, np.arange(len(head.tags)))
+    reference_tally_update(tally, rec, tags, np.arange(len(tags)))
     return tally.report(head.template.eve_information,
                         checksum_ok=hashlib.sha256(data[:-32]).digest() == data[-32:])
 
