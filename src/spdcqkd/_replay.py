@@ -33,7 +33,7 @@ import numpy as np
 from .fock import FockError
 from .protocol import (_CODES, _TAIL_SHAPE, CODE_DTYPE, DIGEST_BYTES, TRANSCRIPT_HEADER,
                        TRANSCRIPT_MAGIC, ConfigError, SessionConfig, TranscriptError, _Template,
-                       _parse_transcript, _session_template, _suffix_table, _transcript_lines,
+                       _parse_transcript, _row_texts, _session_template, _transcript_lines,
                        config_from_dict, config_to_dict)
 
 # Bytes per read of the transcript body.
@@ -213,19 +213,22 @@ def code_reads(fh, head: Header, digest):
 
 def write_text(fh, out) -> None:
     """Write the version-3 transcript `fh` to `out` as version-2 CSV bytes,
-    after checking all of it; a digest mismatch is a TranscriptError."""
+    one blob per read of its body, and flush `out`, after checking all of
+    it; a digest mismatch is a TranscriptError."""
     head = read_header(fh)
     if not _parse_transcript(fh, head)[1]:
         raise TranscriptError("checksum mismatch: not converted")
-    table = _suffix_table(head.template.tables.emission_tags)
+    texts = _row_texts(head.template.tables.emission_tags)
     digest = hashlib.sha256()
 
-    def emit(blob: bytes) -> None:
+    def emit(text: str) -> None:
+        blob = text.encode("ascii")
         out.write(blob)
         digest.update(blob)
 
-    emit((TRANSCRIPT_HEADER + "\n").encode("ascii"))
+    emit(TRANSCRIPT_HEADER + "\n")
     for first, codes, _ in code_reads(fh, head, hashlib.sha256()):
-        for blob in _transcript_lines(codes, first, table):
-            emit(blob)
+        if codes.size:  # a read that ends inside the first code holds none
+            emit("\n".join(_transcript_lines(codes, first, texts)) + "\n")
     out.write(f"#sha256={digest.hexdigest()}\n".encode("ascii"))
+    out.flush()

@@ -4,13 +4,16 @@ All value-bearing commands accept --format {json|text}.  JSON output is a
 single envelope {command, parameters, results, tool_version} printed with
 sorted keys and floats rounded to 9 significant digits, so deterministic
 commands are byte-stable across runs.  Diagnostics go to stderr.  Exit
-codes: 0 success, 2 usage or validation, 3 I/O failure.
+codes: 0 success, 2 usage or validation, 3 I/O failure, a stdout that
+cannot be written included.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 
 import click
@@ -31,13 +34,9 @@ from .source import SpdcParams, pair_statistics, spdc_state, truncation_tail
 MAX_SWEEP_STEPS = 10 ** 6
 
 
-def _sig9(x: float) -> float:
-    return float(f"{x:.9g}")
-
-
 def _rounded(obj):
     if isinstance(obj, float):
-        return _sig9(obj)
+        return float(f"{obj:.9g}")  # 9 significant digits
     if isinstance(obj, dict):
         return {k: _rounded(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -63,15 +62,33 @@ def _flat_lines(obj, prefix: str = "") -> list[str]:
     return [f"{prefix[:-1]} {obj}"]
 
 
+def _exit_io_error(message: str):
+    """Print `message` as an error and exit 3.  Stdout goes to the null device
+    first, or what a failed write left buffered fails the exit flush (status 120)."""
+    click.echo(f"error: {message}", err=True)
+    with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor
+        fd = sys.stdout.fileno()
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+    sys.exit(3)
+
+
+def _print(text: str) -> None:
+    """Write `text` to stdout and flush it; exit 3 if it cannot be written."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        _exit_io_error(f"cannot write to stdout: {exc}")
+
+
 def _emit(command: str, parameters: dict, results: dict, fmt: str,
           text_lines) -> None:
     if fmt == "json":
         envelope = {"command": command, "parameters": _rounded(parameters),
                     "results": _rounded(results), "tool_version": __version__}
-        click.echo(json.dumps(envelope, sort_keys=True))
+        _print(json.dumps(envelope, sort_keys=True) + "\n")
     else:
-        for line in text_lines():
-            click.echo(line)
+        _print("".join(f"{line}\n" for line in text_lines()))
 
 
 _format_option = click.option(
@@ -200,14 +217,13 @@ def cmd_sweep(p_min, p_max, steps, out_path):
                     f"{lb.bound:.9g},{lb.margin:.9g}")
     blob = "\n".join(rows) + "\n"
     if out_path == "-":
-        sys.stdout.write(blob)
+        _print(blob)
     else:
         try:
             with open(out_path, "w", newline="") as fh:
                 fh.write(blob)
         except OSError as exc:
-            click.echo(f"error: cannot write {out_path}: {exc}", err=True)
-            sys.exit(3)
+            _exit_io_error(f"cannot write {out_path}: {exc}")
 
 
 def _load_config(config_path: str, seed: int | None) -> SessionConfig:
@@ -215,8 +231,7 @@ def _load_config(config_path: str, seed: int | None) -> SessionConfig:
         with open(config_path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        click.echo(f"error: cannot read {config_path}: {exc}", err=True)
-        sys.exit(3)
+        _exit_io_error(f"cannot read {config_path}: {exc}")
     try:
         doc = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # undecodable bytes or nesting too deep
@@ -248,18 +263,12 @@ def cmd_simulate(config_path, transcript_path, seed, fmt):
     try:
         report = run_session(config, transcript_path=transcript_path)
     except OSError as exc:
-        click.echo(f"error: cannot write transcript: {exc}", err=True)
-        sys.exit(3)
+        _exit_io_error(f"cannot write transcript: {exc}")
     except FockError as exc:
         raise click.UsageError(f"--config: {exc}")
     results = report.to_dict()
-
-    def text():
-        yield from _flat_lines(results)
-
-    _emit("simulate",
-          {"config": config_to_dict(config), "transcript": transcript_path},
-          results, fmt, text)
+    _emit("simulate", {"config": config_to_dict(config), "transcript": transcript_path},
+          results, fmt, lambda: _flat_lines(results))
 
 
 @main.command("replay")
@@ -276,18 +285,14 @@ def cmd_replay(transcript_path, config_path, fmt):
     try:
         report, header = replay_with_header(config, transcript_path)
     except OSError as exc:
-        click.echo(f"error: cannot read {transcript_path}: {exc}", err=True)
-        sys.exit(3)
+        _exit_io_error(f"cannot read {transcript_path}: {exc}")
     except TranscriptError as exc:
         raise click.UsageError(f"--transcript: {exc}")
     results = report.to_dict()
     if not report.checksum_ok:
         click.echo("warning: transcript checksum mismatch", err=True)
-
-    def text():
-        yield from _flat_lines(results)
-
-    _emit("replay", {"transcript": transcript_path, **header}, results, fmt, text)
+    _emit("replay", {"transcript": transcript_path, **header}, results, fmt,
+          lambda: _flat_lines(results))
 
 
 @main.command("transcript")
@@ -301,8 +306,7 @@ def cmd_transcript(in_path, text):
     try:
         transcript_text(in_path, click.get_binary_stream("stdout"))
     except OSError as exc:
-        click.echo(f"error: cannot convert {in_path}: {exc}", err=True)
-        sys.exit(3)
+        _exit_io_error(f"cannot convert {in_path}: {exc}")
     except TranscriptError as exc:
         raise click.UsageError(f"--in: {exc}")
 

@@ -84,10 +84,8 @@ round_idx,source_tag,alice_basis,bob_basis,alice_outcome,bob_outcome,sifted_flag
 (bob_bit already flipped to the key convention, '-' marks absent bits) and a
 trailing checksum line '#sha256=<hex>' over all preceding bytes.  It is a
 one-way, read-only view: `transcript_text` (`spdcqkd transcript --text`)
-prints a version-3 file in it, and nothing reads it back.  It is built
-with numpy, never a Python string per row: the text after the round index
-of every row code is built once (`_suffix_table`), and each block of
-WRITE_ROWS rows is assembled from index digits and that table.
+prints a version-3 file in it, one string of rows per read of its body,
+and nothing reads it back; `_row_texts` gives each row code's text.
 """
 
 from __future__ import annotations
@@ -126,21 +124,17 @@ TRANSCRIPT_HEADER = ("round_idx,source_tag,alice_basis,bob_basis,"
                      "alice_outcome,bob_outcome,sifted_flag,alice_bit,bob_bit")
 _BASIS_TOKEN = ("HV", "DA")
 _KIND_TOKEN = ("nc", "b0", "b1", "dc")
-_BIT_TOKEN = {-1: "-", 0: "0", 1: "1"}
+_BITS = ("-", "0", "1")  # no bit, 0, 1
 # The fixed-width fields after the source tag, in file order (alice_basis,
 # bob_basis, alice_outcome, bob_outcome, sifted_flag, alice_bit, bob_bit),
 # each a comma and one of its tokens: 18 bytes, e.g. ",HV,DA,b0,b1,1,0,1".
 # Per field: its record column, its tokens, and the value of the first token.
 # A row's code is its tag index, then its token index per field, in
 # row-major order: _CODES codes per tag.
-_BITS = tuple(_BIT_TOKEN.values())
 _TAIL_FIELDS = ((1, _BASIS_TOKEN, 0), (2, _BASIS_TOKEN, 0), (3, _KIND_TOKEN, 0),
                 (4, _KIND_TOKEN, 0), (7, ("0", "1"), 0), (5, _BITS, -1), (6, _BITS, -1))
 _TAIL_SHAPE = tuple(len(tokens) for _, tokens, _ in _TAIL_FIELDS)
 _CODES = math.prod(_TAIL_SHAPE)
-
-# Rows formatted per transcript block.
-WRITE_ROWS = 8192
 
 # The first line of a version-3 transcript, the dtype of its row codes, and
 # the bytes of its trailing digest.
@@ -532,7 +526,7 @@ def _wilson_interval(hits: int, trials: int) -> list[float]:
 class _Tally:
     """Rounds counted by row code: counts[code] for the codes of `tags`."""
 
-    tags: list[str] | tuple[str, ...]
+    tags: tuple[str, ...]
     counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -607,41 +601,15 @@ def _row_codes(rec: np.ndarray, scen_emission: np.ndarray) -> np.ndarray:
     return code
 
 
-def _suffix_table(tags: list[str] | tuple[str, ...]) -> np.ndarray:
-    """Row text after the round index for every row code: uint8[codes, width].
-
-    Rows are NUL-padded to the widest.
-    """
-    rows = ["," + ",".join((tag,) + tokens) + "\n" for tag in tags
-            for tokens in itertools.product(*(tokens for _, tokens, _ in _TAIL_FIELDS))]
-    return np.array(rows, dtype=bytes).view(np.uint8).reshape(len(rows), -1)
+def _row_texts(tags: tuple[str, ...]) -> tuple[str, ...]:
+    """The CSV text after the round index of every row code of `tags`."""
+    return tuple(",".join(("", tag) + tokens) for tag in tags
+                 for tokens in itertools.product(*(tokens for _, tokens, _ in _TAIL_FIELDS)))
 
 
-def _transcript_block(codes: np.ndarray, start: int, table: np.ndarray) -> bytes:
-    """CSV rows of a block of row codes whose first round is `start`.
-
-    Each row is its index digits and its code's suffix-table row, in one
-    NUL-padded matrix; NUL is in no tag or token, so the text is the
-    matrix's nonzero bytes.
-    """
-    n = codes.shape[0]
-    width = len(str(start + n - 1))
-    row = np.empty((n, width + table.shape[1]), dtype=np.uint8)
-    row[:, width:] = np.take(table, codes, axis=0)
-    q = np.arange(start, start + n, dtype=np.uint64)
-    for k in range(width - 1, -1, -1):  # index digits, right-aligned
-        rest = q // 10
-        row[:, k] = q - rest * 10 + 48
-        q = rest
-    for k in range(width - 1):  # column k is a leading zero below 10**(width-1-k)
-        row[:max(10 ** (width - 1 - k) - start, 0), k] = 0
-    return row[row != 0].tobytes()
-
-
-def _transcript_lines(codes: np.ndarray, start: int, table: np.ndarray) -> list[bytes]:
-    """CSV rows of a run of row codes, in blocks of at most WRITE_ROWS rows."""
-    return [_transcript_block(codes[lo:lo + WRITE_ROWS], start + lo, table)
-            for lo in range(0, codes.shape[0], WRITE_ROWS)]
+def _transcript_lines(codes: np.ndarray, start: int, texts: tuple[str, ...]) -> list[str]:
+    """CSV rows, without newlines, of row codes from round `start` on."""
+    return [f"{i}{texts[c]}" for i, c in enumerate(codes.tolist(), start)]
 
 
 def _draws_ahead(rounds: int) -> bool:
@@ -891,7 +859,7 @@ def replay_with_header(config: SessionConfig | None, transcript_path
 
 def transcript_text(transcript_path, out) -> None:
     """Write a version-3 transcript to the binary stream `out` as the
-    version-2 CSV of the same rounds, its '#sha256=' trailer included.
+    version-2 CSV of the same rounds, '#sha256=' trailer included, and flush it.
 
     The file is checked whole first, as replay checks it, and a digest
     mismatch is a TranscriptError: a corrupt file never gets a CSV with a

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -518,3 +522,39 @@ def test_replay_missing_transcript(runner, tmp_path):
         main, ["replay", "--transcript", str(tmp_path / "absent.csv")])
     assert result.exit_code == 3
     assert "cannot read" in result.stderr
+
+
+# -- a stdout that cannot be written ------------------------------------------
+
+
+# every command that prints to stdout, with arguments whose output is small
+# enough to sit in stdout's buffer until the interpreter's flush at exit
+FULL_STDOUT_COMMANDS = {
+    "spdc-state": ["spdc-state", "--tanh-xi", "0.1"],
+    "pair-stats": ["pair-stats", "--tanh-xi", "0.1", "--format", "text"],
+    "attack-report": ["attack-report"],
+    "sweep": ["sweep", "--steps", "2"],
+    "simulate": ["simulate", "--config", "{config}"],
+    "simulate-text": ["simulate", "--config", "{config}", "--format", "text"],
+    "replay": ["replay", "--transcript", "{transcript}"],
+    "transcript": ["transcript", "--in", "{transcript}", "--text"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("name", FULL_STDOUT_COMMANDS)
+def test_full_stdout_exits_3_with_one_error_line(tmp_path, name):
+    # buffered, as stdout to a file is: the exit status must stay 3, not
+    # become 120 when the exit-time flush of stdout fails once more
+    config = write_config(tmp_path, dict(SINGLET_CFG, rounds=1))
+    transcript = tmp_path / "t.v3"
+    run_session(config_from_dict(dict(SINGLET_CFG, rounds=1)), transcript_path=transcript)
+    args = [a.format(config=config, transcript=transcript) for a in FULL_STDOUT_COMMANDS[name]]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    with open("/dev/full", "wb") as full:
+        result = subprocess.run([sys.executable, "-m", "spdcqkd.cli", *args], stdout=full,
+                                stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: "), result.stderr
+    assert "No space left on device" in result.stderr

@@ -6,6 +6,8 @@ annotations included.  `from __future__` imports and the names a package
 re-exports through `__all__` are exempt.  Every UPPER_CASE constant a
 module under `src/` assigns at its top level must be read somewhere under
 `src/`, by name or as an attribute: tests alone do not keep one alive.
+Every top-level function and class under `src/` must be named somewhere
+under `src/` outside its own definition, or exported by the package.
 The package's `__all__` must list exactly the names its `__init__`
 imports, and a short session loads neither the drawer nor the replay
 parser.
@@ -17,6 +19,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -100,6 +103,53 @@ def test_check_finds_an_unread_constant():
                        "def f():\n    OTHER = 4\n    return OTHER\n",
                "b.py": "from a import DONE\nimport a\nprint(a.WIDTH)\nDONE = 5\n"}
     assert unread_constants(sources) == ["a.py: _STEP", "a.py: DONE", "b.py: DONE"]
+
+
+def _is_command(node: ast.AST) -> bool:
+    """Whether a definition is decorated `@<group>.command(...)` or
+    `@click.group(...)`: the command line reaches it through its group."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each name appears under `node`, bare or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def dead_definitions(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """'module: name' for each top-level function or class of the modules
+    `sources` (name -> source) that none of them names outside its own
+    definition, unless it is in `exported` or a command."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    return [f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not _is_command(node) and node.name not in exported
+            and named[node.name] == _names(node)[node.name]]
+
+
+# Named nowhere in the package, but deleted by name in the perfbench test of
+# a layer whose entry point is absent; it goes with that test (ROADMAP item 6).
+UNUSED_KEPT = ["src/spdcqkd/_kernels.py: fnv1a64"]
+
+
+def test_every_source_definition_is_used():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
+    exported = _exported(ast.parse((ROOT / "src" / "spdcqkd" / "__init__.py").read_text()))
+    assert dead_definitions(sources, exported) == UNUSED_KEPT
+
+
+def test_check_finds_a_dead_definition():
+    sources = {"a.py": "import click\n@click.group()\ndef main(): pass\n"
+                       "@main.command('go')\ndef go(): pass\n"
+                       "def loop(n):\n    return loop(n - 1) if n else 0\n"
+                       "def used(): pass\nclass Kept: pass\nclass Gone: pass\n",
+               "b.py": "import a\ndef helper():\n    return a.used()\n"
+                       "def public(): pass\n"}
+    assert dead_definitions(sources, {"public", "Kept"}) == ["a.py: loop", "a.py: Gone",
+                                                             "b.py: helper"]
 
 
 def test_package_exports_exactly_its_imports():

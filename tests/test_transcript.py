@@ -1,5 +1,6 @@
-"""Transcripts: exact rejection errors, and the block writer and reader
-against the row-by-row code they are checked against.
+"""Transcripts: exact rejection errors, and the text-form writer and the
+block reader against the record-based and round-by-round code they are
+checked against.
 
 Each rejection case edits the version-3 file `run_session` writes and
 asserts the exact `TranscriptError` text.  Replay reads version 3 only:
@@ -133,7 +134,7 @@ def test_file_cut_inside_a_row(tmp_path):
         replay(None, path)
 
 
-# -- the block writer and reader against the row-by-row references -----------
+# -- the writer and block reader against the record-based references --------
 
 _BASIS = ("HV", "DA")
 _KIND = ("nc", "b0", "b1", "dc")
@@ -141,7 +142,8 @@ _BIT = {-1: "-", 0: "0", 1: "1"}
 
 
 def reference_lines(rec, start, tags, scen_emission):
-    """The row-by-row formatter the block writer replaced."""
+    """The text-form rows of records, formatted from their columns, not
+    from their row codes."""
     emis = scen_emission[rec[:, 0]]
     return [
         f"{start + r},{tags[emis[r]]},{_BASIS[rec[r, 1]]},{_BASIS[rec[r, 2]]},"
@@ -201,10 +203,9 @@ def every_code(scen_emission):
 @pytest.mark.parametrize("tags,scen_emission", TAG_TABLES, ids=["one-tag", "two-tag"])
 def test_block_writer_matches_reference(tags, scen_emission, start):
     rec = every_code(scen_emission)
-    blob = protocol._transcript_block(protocol._row_codes(rec, scen_emission), start,
-                                      protocol._suffix_table(tags))
-    assert blob.decode("ascii").split("\n")[:-1] == reference_lines(rec, start, tags,
-                                                                     scen_emission)
+    lines = protocol._transcript_lines(protocol._row_codes(rec, scen_emission), start,
+                                       protocol._row_texts(tuple(tags)))
+    assert lines == reference_lines(rec, start, tags, scen_emission)
 
 
 @pytest.mark.parametrize("start", [0, 99995])
@@ -219,9 +220,9 @@ def test_writer_and_reader_agree_on_the_row_code(start):
     rec = every_code(scen_emission)
     codes = protocol._row_codes(rec, scen_emission)
     assert np.array_equal(np.sort(codes), np.arange(3 * protocol._CODES))
-    blob = protocol._transcript_block(codes, start, protocol._suffix_table(tags))
+    lines = protocol._transcript_lines(codes, start, protocol._row_texts(tuple(tags)))
     index = [{tok: i for i, tok in enumerate(tokens)} for _, tokens, _ in protocol._TAIL_FIELDS]
-    rows = [line.split(",") for line in blob.decode("ascii").split("\n")[:-1]]
+    rows = [line.split(",") for line in lines]
     assert [int(row[0]) for row in rows] == list(range(start, start + codes.size))
     assert [tags.index(row[1]) * protocol._CODES
             + int(np.ravel_multi_index([ix[tok] for ix, tok in zip(index, row[2:])],
@@ -263,6 +264,39 @@ def test_session_transcript_matches_reference(tmp_path, monkeypatch, tags, scen_
                      + reference_lines(rec, 0, tags, scen_emission)) + "\n"
     digest = hashlib.sha256(body.encode("ascii")).hexdigest()
     assert text_form(path).decode("ascii") == body + f"#sha256={digest}\n"
+
+
+@pytest.mark.parametrize("read_bytes", [1, 3, 9999])
+def test_text_form_does_not_depend_on_the_read_size(tmp_path, monkeypatch, read_bytes):
+    # a read of 1 byte holds half a code or ends one, a read of 3 bytes one
+    # code and a half: a read with no whole code writes no line
+    _, path, _ = write_v3(tmp_path, rounds=40)
+    want = text_form(path)
+    assert len(want.splitlines()) == 40 + 2
+    monkeypatch.setattr(_replay, "READ_BYTES", read_bytes)
+    assert text_form(path) == want
+
+
+def test_text_form_formats_one_read_at_a_time(tmp_path, monkeypatch):
+    # memory is bounded by the read size: no call formats more rounds than
+    # one read holds, and the calls cover every round once, in order
+    rounds = 300_007
+    assert 2 * rounds > 2 * _replay.READ_BYTES  # the body spans three reads
+    _, path, _ = write_v3(tmp_path, rounds=rounds)
+    calls = []
+    lines = _replay._transcript_lines
+
+    def spy(codes, start, texts):
+        calls.append((start, codes.size))
+        return lines(codes, start, texts)
+
+    monkeypatch.setattr(_replay, "_transcript_lines", spy)
+    assert len(text_form(path).splitlines()) == rounds + 2
+    assert len(calls) > 2
+    assert all(0 < size <= _replay.READ_BYTES // 2 for _, size in calls)
+    assert [start for start, _ in calls] == list(itertools.accumulate(
+        [0] + [size for _, size in calls[:-1]]))
+    assert sum(size for _, size in calls) == rounds
 
 
 @pytest.mark.parametrize("source", [SpdcSource(SpdcParams(0.3)), AttackMixture(0.5)],
