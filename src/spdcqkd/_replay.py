@@ -36,8 +36,9 @@ from .protocol import (_CODES, _TAIL_SHAPE, CODE_DTYPE, DIGEST_BYTES, TRANSCRIPT
                        _parse_transcript, _row_texts, _session_template, _transcript_lines,
                        config_from_dict, config_to_dict)
 
-# Bytes per read of the transcript body.
+# Bytes per read of the transcript body, and rows per write of its text form.
 READ_BYTES = 1 << 18
+TEXT_SLICE_ROWS = 1 << 13
 
 # Version 3: its first line, MAGIC_PREFIX, a space and the version; the
 # longest header line read; the most tags whose codes fit CODE_DTYPE.
@@ -213,8 +214,8 @@ def code_reads(fh, head: Header, digest):
 
 def write_text(fh, out) -> None:
     """Write the version-3 transcript `fh` to `out` as version-2 CSV bytes,
-    one blob per read of its body, and flush `out`, after checking all of
-    it; a digest mismatch is a TranscriptError."""
+    one blob per TEXT_SLICE_ROWS rows of a read of its body, and flush
+    `out`, after checking all of it; a digest mismatch is a TranscriptError."""
     head = read_header(fh)
     if not _parse_transcript(fh, head)[1]:
         raise TranscriptError("checksum mismatch: not converted")
@@ -228,7 +229,7 @@ def write_text(fh, out) -> None:
 
     emit(TRANSCRIPT_HEADER + "\n")
     for first, codes, _ in code_reads(fh, head, hashlib.sha256()):
-        if codes.size:  # a read that ends inside the first code holds none
-            emit("\n".join(_transcript_lines(codes, first, texts)) + "\n")
+        for i in range(0, codes.size, TEXT_SLICE_ROWS):
+            emit("\n".join(_transcript_lines(codes[i:i + TEXT_SLICE_ROWS], first + i, texts)) + "\n")
     out.write(f"#sha256={digest.hexdigest()}\n".encode("ascii"))
     out.flush()

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fock import FockError, ModeLabel, ModeRegistry, StateVector, attack_registry
+from .fock import FockError, ModeLabel, StateVector, attack_registry
 from .optics import DA, HV, BasisAngle, beamsplitter_50_50, qnd_count, rotate_polarization
 
 
@@ -108,18 +108,16 @@ def split_attack_branches(state: StateVector, config: AttackConfig
     return branches
 
 
-def attack_four_photon(registry: ModeRegistry | None = None) -> StateVector:
+def attack_four_photon() -> StateVector:
     """Post-attack state of the two-pair component, both channels split.
 
     Equals split_channel on A then B applied to the four-photon component
     (each stage heralded with per-attempt probability 1/2); written out
     directly here so the pipeline can be cross-checked against it.
     """
-    registry = registry or attack_registry()
-    reg8 = attack_registry()
     r = 1.0 / (2.0 * math.sqrt(3.0))
     #           AH AV BH BV E1H E1V E2H E2V
-    st = StateVector(reg8, {
+    return StateVector(attack_registry(), {
         (1, 0, 0, 1, 1, 0, 0, 1): 2 * r,   # |HV>_AB |HV>_E
         (1, 0, 0, 1, 0, 1, 1, 0): -r,      # |HV>_AB |VH>_E
         (0, 1, 1, 0, 0, 1, 1, 0): 2 * r,   # |VH>_AB |VH>_E
@@ -127,7 +125,6 @@ def attack_four_photon(registry: ModeRegistry | None = None) -> StateVector:
         (1, 0, 1, 0, 0, 1, 0, 1): -r,      # |HH>_AB |VV>_E
         (0, 1, 0, 1, 1, 0, 1, 0): -r,      # |VV>_AB |HH>_E
     })
-    return st if registry == reg8 else st.embed(registry)
 
 
 def intercept_branches(state: StateVector, party: str, channel: int,

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+import types
 
 import click
 import numpy as np
@@ -72,11 +73,12 @@ def _exit_io_error(message: str):
     sys.exit(3)
 
 
-def _print(text: str) -> None:
-    """Write `text` to stdout and flush it; exit 3 if it cannot be written."""
+def _print(data: str | bytes) -> None:
+    """Write `data` to stdout (bytes to its buffer) and flush; exit 3 on failure."""
+    out = click.get_binary_stream("stdout") if isinstance(data, bytes) else sys.stdout
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        out.write(data)
+        out.flush()
     except OSError as exc:
         _exit_io_error(f"cannot write to stdout: {exc}")
 
@@ -120,7 +122,7 @@ def cmd_spdc_state(tanh_xi, phi, nmax, fmt):
     state = spdc_state(params)
     results = {"terms": _state_terms(state),
                "squared_norm": state.norm_sq(),
-               "truncation_tail": state.meta["truncation_tail"]}
+               "truncation_tail": truncation_tail(params)}
 
     def text():
         yield "# occupation (A-H A-V B-H B-V)  re  im"
@@ -303,9 +305,10 @@ def cmd_replay(transcript_path, config_path, fmt):
 def cmd_transcript(in_path, text):
     """Print a version-3 transcript in a readable form.  The file is checked
     whole first; a corrupt one is refused."""
+    stdout = types.SimpleNamespace(write=_print, flush=lambda: None)  # _print flushes
     try:
-        transcript_text(in_path, click.get_binary_stream("stdout"))
-    except OSError as exc:
+        transcript_text(in_path, stdout)
+    except OSError as exc:  # a failed write exits in _print: this one is the input's
         _exit_io_error(f"cannot convert {in_path}: {exc}")
     except TranscriptError as exc:
         raise click.UsageError(f"--in: {exc}")

@@ -140,7 +140,7 @@ class StateVector:
 
     Not necessarily normalized (sums and ladder operators change the norm, and
     the truncated source state deliberately carries a small norm deficit).
-    Amplitudes below prune_tol in magnitude are dropped on construction;
+    Amplitudes below DEFAULT_PRUNE_TOL in magnitude are dropped on construction;
     occupations above mode_cap raise rather than silently truncate.
 
     The public constructor checks every occupation (slot count, non-negative
@@ -150,17 +150,13 @@ class StateVector:
     itself (`create`, `optics.rotate_polarization`).
     """
 
-    __slots__ = ("registry", "prune_tol", "mode_cap", "meta", "_amps")
+    __slots__ = ("registry", "mode_cap", "_amps")
 
     def __init__(self, registry: ModeRegistry,
                  amplitudes: dict[tuple[int, ...], complex] | None = None, *,
-                 prune_tol: float = DEFAULT_PRUNE_TOL,
-                 mode_cap: int = DEFAULT_MODE_CAP,
-                 meta: dict | None = None):
+                 mode_cap: int = DEFAULT_MODE_CAP):
         self.registry = registry
-        self.prune_tol = float(prune_tol)
         self.mode_cap = int(mode_cap)
-        self.meta = dict(meta) if meta else {}
         amps: dict[tuple[int, ...], complex] = {}
         n_modes = len(registry)
         for occ, amp in (amplitudes or {}).items():
@@ -173,36 +169,34 @@ class StateVector:
                     raise ModeCapError(
                         f"mode {lab}: occupation {n} exceeds per-mode cap {self.mode_cap}")
             amp = complex(amp)
-            if abs(amp) >= self.prune_tol:
+            if abs(amp) >= DEFAULT_PRUNE_TOL:
                 amps[tuple(int(n) for n in occ)] = amp
         self._amps = amps
 
     @classmethod
     def _trusted(cls, registry: ModeRegistry, amps: dict[tuple[int, ...], complex],
-                 prune_tol: float, mode_cap: int) -> "StateVector":
-        """A state from occupations an engine operation made; no metadata.
+                 mode_cap: int) -> "StateVector":
+        """A state from occupations an engine operation made.
 
         The caller guarantees what `__init__` would check: every key is a
         tuple of len(registry) ints in [0, mode_cap] and every value a
-        complex.  Only the pruning below prune_tol is applied.
+        complex.  Only the pruning below DEFAULT_PRUNE_TOL is applied.
         """
         st = cls.__new__(cls)
         st.registry = registry
-        st.prune_tol = prune_tol
         st.mode_cap = mode_cap
-        st.meta = {}
-        st._amps = {occ: amp for occ, amp in amps.items() if abs(amp) >= prune_tol}
+        st._amps = {occ: amp for occ, amp in amps.items() if abs(amp) >= DEFAULT_PRUNE_TOL}
         return st
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def vacuum(cls, registry: ModeRegistry, **kw) -> "StateVector":
-        return cls(registry, {(0,) * len(registry): 1.0}, **kw)
+    def vacuum(cls, registry: ModeRegistry) -> "StateVector":
+        return cls(registry, {(0,) * len(registry): 1.0})
 
     @classmethod
-    def basis_state(cls, registry: ModeRegistry, occ: tuple[int, ...], **kw) -> "StateVector":
-        return cls(registry, {tuple(occ): 1.0}, **kw)
+    def basis_state(cls, registry: ModeRegistry, occ: tuple[int, ...]) -> "StateVector":
+        return cls(registry, {tuple(occ): 1.0})
 
     # -- inspection --------------------------------------------------------
 
@@ -239,7 +233,7 @@ class StateVector:
     # -- linear structure ---------------------------------------------------
 
     def _like(self, amps: dict[tuple[int, ...], complex]) -> "StateVector":
-        return StateVector._trusted(self.registry, amps, self.prune_tol, self.mode_cap)
+        return StateVector._trusted(self.registry, amps, self.mode_cap)
 
     def __mul__(self, scalar: complex) -> "StateVector":
         scalar = complex(scalar)
@@ -257,8 +251,7 @@ class StateVector:
         for occ, amp in other._amps.items():
             amps[occ] = amps.get(occ, 0j) + amp
         if other.mode_cap > self.mode_cap:  # other's terms may exceed this cap
-            return StateVector(self.registry, amps, prune_tol=self.prune_tol,
-                               mode_cap=self.mode_cap)
+            return StateVector(self.registry, amps, mode_cap=self.mode_cap)
         return self._like(amps)
 
     def __sub__(self, other: "StateVector") -> "StateVector":
@@ -306,8 +299,8 @@ class StateVector:
         values must hash and compare).
 
         The probability is the squared norm of the outcome's terms, added in
-        term order (`squared_norm`), so the probabilities sum to norm_sq();
-        an outcome whose sum is 0 is left out.
+        term order (`squared_norm`), so the probabilities sum to norm_sq()
+        and, as no kept amplitude is below DEFAULT_PRUNE_TOL, none is 0.
         """
         parts: dict[Any, dict[tuple[int, ...], complex]] = {}
         for occ, amp in self._amps.items():
@@ -316,25 +309,17 @@ class StateVector:
         for outcome in sorted(parts):
             kept = parts[outcome]
             prob = squared_norm(kept.values())
-            if prob > 0.0:
-                scale = 1.0 / math.sqrt(prob)
-                out.append((outcome, prob, self._like({occ: amp * scale
-                                                       for occ, amp in kept.items()})))
+            scale = 1.0 / math.sqrt(prob)
+            out.append((outcome, prob, self._like({occ: amp * scale for occ, amp in kept.items()})))
         return out
 
     def project(self, predicate: Callable[[tuple[int, ...]], bool]) -> tuple[float, "StateVector"]:
         """The outcome True of measure(predicate): (probability, renormalized
-        post-state), or (0.0, zero state) if no term with weight satisfies it."""
+        post-state), or (0.0, zero state) if no term satisfies it."""
         for outcome, prob, post in self.measure(lambda occ: bool(predicate(occ))):
             if outcome:
                 return prob, post
         return 0.0, self._like({})
-
-    def add_mode(self, label: ModeLabel) -> "StateVector":
-        """Extend the registry with a new vacuum mode (appended slot)."""
-        reg = self.registry.with_mode(label)
-        return StateVector._trusted(reg, {occ + (0,): amp for occ, amp in self._amps.items()},
-                                    self.prune_tol, self.mode_cap)
 
     def embed(self, registry: ModeRegistry) -> "StateVector":
         """Re-express on a larger registry; modes not present here become vacuum."""
@@ -346,7 +331,7 @@ class StateVector:
             for s, n in zip(slots, occ):
                 new[s] = n
             amps[tuple(new)] = amp
-        return StateVector._trusted(registry, amps, self.prune_tol, self.mode_cap)
+        return StateVector._trusted(registry, amps, self.mode_cap)
 
     def drop_modes(self, indices: Iterable[int]) -> "StateVector":
         """Remove modes that carry one common occupation across every term.
@@ -366,7 +351,7 @@ class StateVector:
         keep = [i for i in range(len(self.registry)) if i not in drop]
         reg = ModeRegistry([self.registry.labels[i] for i in keep])
         amps = {tuple(occ[i] for i in keep): amp for occ, amp in self._amps.items()}
-        return StateVector._trusted(reg, amps, self.prune_tol, self.mode_cap)
+        return StateVector._trusted(reg, amps, self.mode_cap)
 
     # -- debug dump -----------------------------------------------------------
 

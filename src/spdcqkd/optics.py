@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
-from .fock import FockError, ModeCapError, ModeLabel, StateVector
+from .fock import DEFAULT_PRUNE_TOL, FockError, ModeCapError, ModeLabel, StateVector
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def beamsplitter_50_50(state: StateVector, from_mode: ModeLabel,
             new[ti] = k
             key = tuple(new)
             amps[key] = amps.get(key, 0j) + scale * math.sqrt(math.comb(n, k))
-    return StateVector._trusted(state.registry, amps, state.prune_tol, state.mode_cap)
+    return StateVector._trusted(state.registry, amps, state.mode_cap)
 
 
 # Entries kept by the rotation-weight cache: one per (nh, nv, cos, sin).  The
@@ -163,7 +163,7 @@ def rotate_polarization(state: StateVector, party: str, channel: int,
     order as the per-term formula, so amplitudes are bit-identical to it.
     """
     return StateVector._trusted(state.registry, _rotated_amplitudes(state, party, channel, theta),
-                                state.prune_tol, state.mode_cap)
+                                state.mode_cap)
 
 
 def qnd_count(state: StateVector, modes: Iterable[ModeLabel]) -> list[CountBranch]:
@@ -241,7 +241,7 @@ def joint_click_probabilities(state: StateVector,
     for party, channel, basis in rotations[:-1]:
         state = rotate_polarization(state, party, channel, basis)
     terms = _rotated_amplitudes(state, *rotations[-1]).items() if rotations else state.terms()
-    tol = state.prune_tol
+    tol = DEFAULT_PRUNE_TOL
     probs: dict[int, float] = {}
     get = probs.get
     for occ, amp in terms:

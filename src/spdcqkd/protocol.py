@@ -84,7 +84,7 @@ round_idx,source_tag,alice_basis,bob_basis,alice_outcome,bob_outcome,sifted_flag
 (bob_bit already flipped to the key convention, '-' marks absent bits) and a
 trailing checksum line '#sha256=<hex>' over all preceding bytes.  It is a
 one-way, read-only view: `transcript_text` (`spdcqkd transcript --text`)
-prints a version-3 file in it, one string of rows per read of its body,
+prints a version-3 file in it, one string per slice of rows of its body,
 and nothing reads it back; `_row_texts` gives each row code's text.
 """
 
@@ -370,16 +370,16 @@ class _Tables:
 
 def _emission_branches(source: Source, registry) -> list[tuple[str, float, StateVector]]:
     if isinstance(source, SingletSource):
-        return [("singlet", 1.0, singlet_state(registry))]
+        return [("singlet", 1.0, singlet_state().embed(registry))]
     if isinstance(source, SpdcSource):
-        # renormalize the truncated state for emission; the tail is metadata
+        # renormalize the truncated state for emission; truncation_tail is its lost weight
         st = spdc_state(source.params).embed(registry)
         return [("spdc", 1.0, st.normalized())]
     out = []
     if source.p > 0.0:
-        out.append(("attack", source.p, attack_four_photon(registry)))
+        out.append(("attack", source.p, attack_four_photon().embed(registry)))
     if source.p < 1.0:
-        out.append(("singlet", 1.0 - source.p, singlet_state(registry)))
+        out.append(("singlet", 1.0 - source.p, singlet_state().embed(registry)))
     return out
 
 

@@ -163,17 +163,16 @@ class CorrelationReport(NamedTuple):
 
 
 def eve_wrong_basis_correlation(state: StateVector,
-                                eve_basis: BasisAngle = DA,
-                                alice_basis: BasisAngle = HV) -> CorrelationReport:
+                                eve_basis: BasisAngle = DA) -> CorrelationReport:
     """Pearson correlation between Alice's bit and the eavesdropper's tap bit.
 
-    Alice threshold-detects her channel in alice_basis while the eavesdropper
+    Alice threshold-detects her channel in HV while the eavesdropper
     reads her first stored channel (E1) in eve_basis; rounds where either side
     fails to click are discarded.  If a marginal is constant the Pearson
     coefficient is undefined: the report is flagged degenerate and the value
     is +1 for a perfectly copied bit, -1 for a perfectly flipped one, else 0.
     """
-    joint, mass = _clicked_joint(state, [("A", 0, alice_basis), ("E1", 0, eve_basis)])
+    joint, mass = _clicked_joint(state, [("A", 0, HV), ("E1", 0, eve_basis)])
     if mass <= 0.0:
         raise FockError("no rounds where both Alice and the tap clicked")
     joint = {k: v / mass for k, v in joint.items()}

@@ -7,8 +7,8 @@ The type-II downconversion source emits, up to n_max photon pairs,
 over the slots (A-H, A-V, B-H, B-V), with C0 = 1/cosh^2|xi| = 1 - tanh^2|xi|.
 The n = 1 sector is the polarization singlet, the n = 2 sector the
 four-photon component (|0220> + |2002> - |1111>)/sqrt(3).  Truncation keeps
-the exact amplitudes and drops sectors above n_max; the discarded weight is
-attached to the state's metadata.
+the exact amplitudes and drops sectors above n_max, whose weight is
+`truncation_tail`; each builder returns its state on the source registry.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .fock import FockError, ModeRegistry, StateVector, left_sum, source_registry
+from .fock import FockError, StateVector, left_sum, source_registry
 
 
 # The largest pair cutoff n_max.  Session tables grow steeply with it, most
@@ -80,9 +80,8 @@ def _sector_cap(params: SpdcParams) -> int:
     return max(8, params.n_max)
 
 
-def spdc_state(params: SpdcParams, registry: ModeRegistry | None = None) -> StateVector:
+def spdc_state(params: SpdcParams) -> StateVector:
     """Closed-form truncated source state on (A-H, A-V, B-H, B-V)."""
-    registry = registry or source_registry()
     t = params.tanh_xi
     c0 = 1.0 - t * t
     amps: dict[tuple[int, ...], complex] = {}
@@ -90,11 +89,10 @@ def spdc_state(params: SpdcParams, registry: ModeRegistry | None = None) -> Stat
         sector = c0 * (t ** n) * cmath.exp(1j * params.phi * n)
         for m in range(n + 1):
             amps[(m, n - m, n - m, m)] = sector * (-1) ** m
-    return StateVector(registry, amps, mode_cap=_sector_cap(params),
-                       meta={"truncation_tail": truncation_tail(params)})
+    return StateVector(source_registry(), amps, mode_cap=_sector_cap(params))
 
 
-def spdc_state_recursive(params: SpdcParams, registry: ModeRegistry | None = None) -> StateVector:
+def spdc_state_recursive(params: SpdcParams) -> StateVector:
     """Same state built from the two coefficient recursions instead of the closed form.
 
     Starting from C_0000 = C0:
@@ -103,7 +101,6 @@ def spdc_state_recursive(params: SpdcParams, registry: ModeRegistry | None = Non
     Interior coefficients are reachable along two paths; both are evaluated and
     must agree, so path independence is checked at build time.
     """
-    registry = registry or source_registry()
     t = params.tanh_xi
     step = t * cmath.exp(1j * params.phi)
     coeffs: dict[tuple[int, int, int, int], complex] = {(0, 0, 0, 0): 1.0 - t * t}
@@ -122,23 +119,16 @@ def spdc_state_recursive(params: SpdcParams, registry: ModeRegistry | None = Non
                     coeffs[new] = val
                     nxt.append(new)
         frontier = nxt
-    return StateVector(registry, dict(coeffs), mode_cap=_sector_cap(params),
-                       meta={"truncation_tail": truncation_tail(params)})
+    return StateVector(source_registry(), dict(coeffs), mode_cap=_sector_cap(params))
 
 
-def singlet_state(registry: ModeRegistry | None = None) -> StateVector:
+def singlet_state() -> StateVector:
     """(|0110> - |1001>)/sqrt(2): one photon pair, anti-correlated in every basis."""
-    registry = registry or source_registry()
-    reg4 = source_registry()
     r = 1.0 / math.sqrt(2.0)
-    st = StateVector(reg4, {(0, 1, 1, 0): r, (1, 0, 0, 1): -r})
-    return st if registry == reg4 else st.embed(registry)
+    return StateVector(source_registry(), {(0, 1, 1, 0): r, (1, 0, 0, 1): -r})
 
 
-def four_photon_component(registry: ModeRegistry | None = None) -> StateVector:
+def four_photon_component() -> StateVector:
     """(|0220> + |2002> - |1111>)/sqrt(3): the normalized two-pair sector."""
-    registry = registry or source_registry()
-    reg4 = source_registry()
     r = 1.0 / math.sqrt(3.0)
-    st = StateVector(reg4, {(0, 2, 2, 0): r, (2, 0, 0, 2): r, (1, 1, 1, 1): -r})
-    return st if registry == reg4 else st.embed(registry)
+    return StateVector(source_registry(), {(0, 2, 2, 0): r, (2, 0, 0, 2): r, (1, 1, 1, 1): -r})

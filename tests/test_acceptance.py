@@ -120,7 +120,7 @@ def test_diagonal_rotation_fixes_source_states():
 
 @criterion(6, "attack-state-oracle")
 def test_split_pipeline_reproduces_attack_state():
-    psi4 = four_photon_component(attack_registry())
+    psi4 = four_photon_component().embed(attack_registry())
     after_a = split_channel(psi4, "A", 0, "E1")
     after_b = split_channel(after_a.state, "B", 0, "E2")
     assert (after_b.state - attack_four_photon()).norm() <= 1e-12

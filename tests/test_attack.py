@@ -16,7 +16,7 @@ def assert_states_close(x, y, tol=1e-12):
 
 
 def psi4_full():
-    return four_photon_component(attack_registry())
+    return four_photon_component().embed(attack_registry())
 
 
 def test_per_attempt_probability_on_two_same_photons():
@@ -42,7 +42,7 @@ def test_split_success_takes_exactly_one_photon():
 
 
 def test_split_requires_two_photons():
-    st = singlet_state(attack_registry())
+    st = singlet_state().embed(attack_registry())
     with pytest.raises(FockError):
         split_channel(st, "A", 0, "E1")
 
@@ -152,7 +152,7 @@ def test_intercept_branches_reject_multiphoton_channel():
 def test_intercept_branch_probabilities_sum_to_squared_norm(basis):
     # a one-photon channel in superposition with vacuum, not normalized
     reg = source_registry()
-    st = singlet_state(reg) * 0.6 + StateVector(reg, {(0, 0, 1, 0): 0.3j})
+    st = singlet_state() * 0.6 + StateVector(reg, {(0, 0, 1, 0): 0.3j})
     branches = intercept_branches(st, "A", 0, basis)
     assert sum(prob for prob, _, _ in branches) == pytest.approx(st.norm_sq(), rel=1e-12)
     assert {bit for _, _, bit in branches} == {-1, 0, 1}

@@ -550,11 +550,58 @@ def test_full_stdout_exits_3_with_one_error_line(tmp_path, name):
     transcript = tmp_path / "t.v3"
     run_session(config_from_dict(dict(SINGLET_CFG, rounds=1)), transcript_path=transcript)
     args = [a.format(config=config, transcript=transcript) for a in FULL_STDOUT_COMMANDS[name]]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     with open("/dev/full", "wb") as full:
-        result = subprocess.run([sys.executable, "-m", "spdcqkd.cli", *args], stdout=full,
-                                stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        result = run_cli(args, full)
     assert result.returncode == 3, result.stderr
     assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: "), result.stderr
     assert "No space left on device" in result.stderr
+
+
+CLI = [sys.executable, "-m", "spdcqkd.cli"]
+
+
+def cli_env():
+    """This package on the path, and stdout buffered, as it is to a file or a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return env
+
+
+def run_cli(args, stdout):
+    return subprocess.run([*CLI, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          env=cli_env(), text=True, timeout=120)
+
+
+def big_transcript(tmp_path):
+    # 20000 rounds: a text form of about 0.9 MB, more than a pipe holds
+    transcript = tmp_path / "t.v3"
+    run_session(config_from_dict(dict(SINGLET_CFG, rounds=20000)), transcript_path=transcript)
+    return transcript
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_transcript_text_to_a_full_stdout_names_stdout(tmp_path):
+    transcript = big_transcript(tmp_path)
+    with open("/dev/full", "wb") as full:
+        result = run_cli(["transcript", "--in", str(transcript), "--text"], full)
+    assert result.returncode == 3
+    assert result.stderr == "error: cannot write to stdout: [Errno 28] No space left on device\n"
+
+
+def test_transcript_text_to_a_closed_pipe_names_stdout(tmp_path):
+    # `spdcqkd transcript --in t.v3 --text | head -1`, with the reader gone
+    transcript = big_transcript(tmp_path)
+    with subprocess.Popen([*CLI, "transcript", "--in", str(transcript), "--text"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+                          text=True) as proc:
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 3
+    assert stderr == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
+def test_transcript_text_of_a_directory_names_the_input(tmp_path):
+    result = run_cli(["transcript", "--in", str(tmp_path), "--text"], subprocess.DEVNULL)
+    assert result.returncode == 3
+    assert result.stderr.startswith(f"error: cannot convert {tmp_path}: "), result.stderr
+    assert result.stderr.count("\n") == 1

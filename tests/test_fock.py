@@ -182,7 +182,8 @@ def test_measure_partitions_in_term_order(key):
 
 
 def test_measure_leaves_out_outcomes_without_weight():
-    st = StateVector(source_registry(), {(1, 0, 0, 1): 1.0, (0, 1, 1, 0): 0.0}, prune_tol=0.0)
+    # the zero amplitude is pruned on construction, so no outcome without weight remains
+    st = StateVector(source_registry(), {(1, 0, 0, 1): 1.0, (0, 1, 1, 0): 0.0})
     assert [(outcome, prob) for outcome, prob, _ in st.measure(lambda occ: occ[0])] == [(1, 1.0)]
     prob, post = st.project(lambda occ: occ[0] == 0)
     assert prob == 0.0 and len(post) == 0
@@ -228,9 +229,9 @@ def test_embed_preserves_amplitudes_and_norm():
         big.embed(source_registry())  # only extensions allowed
 
 
-def test_add_mode_appends_vacuum_slot():
+def test_embed_on_one_more_mode_appends_vacuum_slot():
     s = singlet(source_registry())
-    st = s.add_mode(ModeLabel("E1", 0, 0))
+    st = s.embed(s.registry.with_mode(ModeLabel("E1", 0, 0)))
     assert len(st.registry) == 5
     assert st.amplitude((0, 1, 1, 0, 0)) == pytest.approx(1 / math.sqrt(2))
 
@@ -280,10 +281,10 @@ def test_trusted_states_pass_validation(monkeypatch, policy):
     problems: list[str] = []
     built = []
 
-    def validating(cls, registry, amps, prune_tol, mode_cap):
-        st = trusted(cls, registry, amps, prune_tol, mode_cap)
+    def validating(cls, registry, amps, mode_cap):
+        st = trusted(cls, registry, amps, mode_cap)
         try:
-            ref = StateVector(registry, amps, prune_tol=prune_tol, mode_cap=mode_cap)
+            ref = StateVector(registry, amps, mode_cap=mode_cap)
         except FockError as exc:
             problems.append(f"fails validation: {exc}")
             return st

@@ -8,6 +8,8 @@ module under `src/` assigns at its top level must be read somewhere under
 `src/`, by name or as an attribute: tests alone do not keep one alive.
 Every top-level function and class under `src/` must be named somewhere
 under `src/` outside its own definition, or exported by the package.
+Every parameter with a default of a top-level function under `src/` must
+be passed by some call under `src/`, `tests/` or `perfbench/`.
 The package's `__all__` must list exactly the names its `__init__`
 imports, and a short session loads neither the drawer nor the replay
 parser.
@@ -27,6 +29,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
 MODULES = SOURCES + sorted((ROOT / "tests").rglob("*.py"))
+CALLERS = MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -150,6 +153,57 @@ def test_check_finds_a_dead_definition():
                        "def public(): pass\n"}
     assert dead_definitions(sources, {"public", "Kept"}) == ["a.py: loop", "a.py: Gone",
                                                              "b.py: helper"]
+
+
+def _defaulted(node: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(positional index or None if keyword-only, name) of each parameter
+    of `node` that has a default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return ([(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None])
+
+
+def unset_parameters(sources: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """'module: function.parameter' for each parameter with a default of a
+    top-level function of `sources` that no call in `callers` (both name ->
+    source) passes: by keyword, or positionally past its index, to a call
+    of the function's name, bare or as an attribute.  A call with *args or
+    **kwargs passes everything."""
+    passed: dict[str, set] = {}
+    for source in callers.values():
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            given = passed.setdefault(name, set())
+            if (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg is None for k in call.keywords)):
+                given.add("*")  # no parameter has this name
+            given.update(range(len(call.args)))
+            given.update(k.arg for k in call.keywords)
+    return [f"{module}: {node.name}.{param}"
+            for module, source in sources.items() for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)
+            for index, param in _defaulted(node)
+            if not {"*", index, param} & passed.get(node.name, set())]
+
+
+def test_every_defaulted_parameter_is_passed():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
+    callers = {str(p.relative_to(ROOT)): p.read_text() for p in CALLERS}
+    assert unset_parameters(sources, callers) == []
+
+
+def test_check_finds_an_unset_parameter():
+    sources = {"a.py": "def f(x, y=1, z=2, *, k=3, m=4): pass\n"
+                       "def g(a=1, b=2): pass\n"
+                       "def h(a, b=1): pass\n"
+                       "class C:\n    def method(self, unset=0): pass\n"}
+    callers = {"a.py": "f(0, 1)\nf(0, m=5)\n",
+               "b.py": "import a\na.g(*[1])\nh(1)\n"}
+    assert unset_parameters(sources, callers) == ["a.py: f.z", "a.py: f.k", "a.py: h.b"]
 
 
 def test_package_exports_exactly_its_imports():

@@ -199,7 +199,7 @@ def reference_rotation(state, party, channel, theta):
                 key = tuple(new)
                 weight = w * math.sqrt(math.factorial(m) * math.factorial(tot - m))
                 amps[key] = amps.get(key, 0j) + base * weight
-    return StateVector(state.registry, amps, prune_tol=state.prune_tol, mode_cap=state.mode_cap)
+    return StateVector(state.registry, amps, mode_cap=state.mode_cap)
 
 
 def test_rotation_past_the_cap_names_the_mode():

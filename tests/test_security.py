@@ -96,7 +96,7 @@ def test_eve_key_round_overlap_and_chi():
 
 
 def test_eve_conditional_states_without_eavesdropper():
-    cond = eve_conditional_states(singlet_state(attack_registry()), HV, HV)
+    cond = eve_conditional_states(singlet_state().embed(attack_registry()), HV, HV)
     assert set(cond) == {(0, 1), (1, 0)}
     overlap = cond[(0, 1)].state.inner(cond[(1, 0)].state)
     assert abs(overlap) == pytest.approx(1.0)  # identical vacuum: chi = 0

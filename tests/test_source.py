@@ -49,10 +49,11 @@ def test_params_require_computable_phases():
 
 
 def test_vacuum_limit():
-    st = spdc_state(SpdcParams(0.0, n_max=3))
+    params = SpdcParams(0.0, n_max=3)
+    st = spdc_state(params)
     assert len(st) == 1
     assert st.amplitude((0, 0, 0, 0)) == pytest.approx(1.0)
-    assert st.meta["truncation_tail"] == 0.0
+    assert truncation_tail(params) == 0.0
 
 
 def test_single_pair_amplitudes():
@@ -200,7 +201,7 @@ def test_full_state_basis_invariant():
 
 
 def test_singlet_embeds_into_bigger_registry():
-    st = singlet_state(attack_registry())
+    st = singlet_state().embed(attack_registry())
     assert len(st.registry) == 8
     assert st.amplitude((0, 1, 1, 0, 0, 0, 0, 0)) == pytest.approx(1 / math.sqrt(2))
 

@@ -278,8 +278,8 @@ def test_text_form_does_not_depend_on_the_read_size(tmp_path, monkeypatch, read_
 
 
 def test_text_form_formats_one_read_at_a_time(tmp_path, monkeypatch):
-    # memory is bounded by the read size: no call formats more rounds than
-    # one read holds, and the calls cover every round once, in order
+    # memory is bounded by the slice size: no call formats more rounds than
+    # one slice holds, and the calls cover every round once, in order
     rounds = 300_007
     assert 2 * rounds > 2 * _replay.READ_BYTES  # the body spans three reads
     _, path, _ = write_v3(tmp_path, rounds=rounds)
@@ -293,7 +293,7 @@ def test_text_form_formats_one_read_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(_replay, "_transcript_lines", spy)
     assert len(text_form(path).splitlines()) == rounds + 2
     assert len(calls) > 2
-    assert all(0 < size <= _replay.READ_BYTES // 2 for _, size in calls)
+    assert all(0 < size <= _replay.TEXT_SLICE_ROWS for _, size in calls)
     assert [start for start, _ in calls] == list(itertools.accumulate(
         [0] + [size for _, size in calls[:-1]]))
     assert sum(size for _, size in calls) == rounds
