@@ -1,7 +1,14 @@
 """One background thread that shares the next step of its caller's work.
 
-`protocol` gives it the Philox words of a session longer than one piece,
-`protocol.DRAW_PIECE_ROUNDS`.
+`protocol` gives it two kinds of work: the Philox words of a session longer
+than one piece, `protocol.DRAW_PIECE_ROUNDS`, and the template build of such
+a session whose physics config is not cached.  `hand_over` queues a job of
+pieces for the thread; the caller goes on with its own work and then
+`join`s the job, running the pieces the drawer has not taken.  A cold
+session draws its first two blocks while the drawer builds its template:
+the build is pure Python, and the draw is one call that releases the
+interpreter lock for its whole length.
+
 Each block of draws is cut into pieces.  `ahead` hands the next block to
 the drawer thread while the calling thread samples the current one; when
 the caller comes to that block it draws the pieces the drawer has not
@@ -15,8 +22,8 @@ could, and the caller then sat in the run queue while the drawer drew the
 whole block.  Together with the pieces, a drawer that gets no CPU costs
 its caller at most the piece it holds.
 
-The daemon thread is started by the first `ahead` and serves every later
-one, in request order; each caller waits only on its own jobs, so callers
+The daemon thread is started by the first job handed over and serves every
+later one, in request order; each caller waits only on its own jobs, so callers
 on several threads can share it.  A forked child has no copy of the thread
 and starts its own when asked.
 
@@ -115,6 +122,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget)
 
 
+def hand_over(pieces) -> _Job:
+    """A job of `pieces`, zero-argument callables, queued for the drawer
+    thread, which this starts if need be; `join` the job to have them run.
+    A job of no pieces is not queued."""
+    job = _Job(pieces)
+    if job._pieces:
+        _started().put(job)
+    return job
+
+
 def ahead(jobs):
     """Each `result` of `jobs`, an iterable of (result, pieces), once its
     pieces have run; in order.
@@ -127,24 +144,19 @@ def ahead(jobs):
     Closing the iterator early drops the pieces of the job in flight that
     have not started and waits for the ones that have.
     """
-    requests = _started()
     jobs = iter(jobs)
 
-    def hand_over():
+    def next_job():
         item = next(jobs, None)
-        if item is None:
-            return None
-        job = _Job(item[1])
-        requests.put(job)
-        return item[0], job
+        return None if item is None else (item[0], hand_over(item[1]))
 
-    queued = hand_over()
+    queued = next_job()
     try:
         while queued is not None:
             result, job = queued
             queued = None
             job.join()
-            queued = hand_over()
+            queued = next_job()
             yield result
     finally:
         if queued is not None:

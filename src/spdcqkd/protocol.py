@@ -27,9 +27,13 @@ seed.  The sampler reads a word's bits as the uniform draw in [0, 1) that
 The template depends on the physics alone (the source, the eavesdropper and
 the double-click policy), never on `rounds` or `seed`, so a process keeps
 the templates of the TEMPLATE_CACHE_SIZE physics configs it used last, in a
-least-recently-used cache keyed by the config with `rounds` and `seed` set
-to fixed values.  Sessions, replay and `eve_mutual_information` take their
-template from that cache only; a build that raises is not cached.  Many
+dict in least-recently-used order behind a lock, keyed by the config with
+`rounds` and `seed` set to fixed values.  A session asks it whether its
+template is cached without building one (`_cached_template`), which
+`functools.lru_cache` cannot answer; when two threads build one config at
+once, the first build stays cached.  Sessions, replay and
+`eve_mutual_information` take their template from that cache only; a build
+that raises is not cached.  Many
 seeds of one config in one process build it once; a one-shot `spdcqkd
 simulate`, or a process that never repeats a config, gains nothing from it.
 The cached tables, lookup arrays, guides and row codes are read-only and
@@ -50,10 +54,15 @@ of the session's two buffers, while the calling thread samples the
 current one, which draws the pieces the drawer has not taken when it
 comes to that block.  The drawer runs at idle priority, so it takes only
 CPU time nothing else wants, and a session is never left waiting on a
-drawer that gets none.  A session of one piece has no work to share: it
-draws on the calling thread into one buffer and starts no thread.  A
-piece is the same bytes whichever thread draws it, so the rounds are the
-same either way.
+drawer that gets none.  A session that draws ahead and finds its template
+not cached hands the build to the drawer and meanwhile draws rounds
+[0, 2 CHUNK_ROUNDS), blocks 0 and 1, in one call on the calling thread: the
+build holds the interpreter lock, which the draw needs only at its two ends.
+That array is the session's two buffers.  If the drawer has not taken the
+build when the draw ends, the calling thread builds.  A session of one
+piece has no work to share: it draws on the calling thread into one buffer
+and starts no thread.  A piece is the same bytes whichever thread draws it,
+so the rounds are the same either way.
 
 A session writes transcript format 3, bound to its run:
 - a text header of two lines: the magic line TRANSCRIPT_MAGIC
@@ -685,17 +694,43 @@ class _Template:
         return float(np.sum(joint[held] * np.log2(joint[held] * total / (pa * pe)[held])) / total)
 
 
+# The cached templates, least recently used first, keyed by the config with
+# `rounds` and `seed` set to fixed values.
+_templates: dict[SessionConfig, _Template] = {}
+_templates_lock = threading.Lock()
+
+
+def _forget_templates_lock():
+    """In a forked child: a lock another thread held at the fork stays held."""
+    global _templates_lock
+    _templates_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_templates_lock)
+
+
+def _cached_template(config: SessionConfig) -> _Template | None:
+    """The cached template of the config's physics, now the most recently
+    used; None if it is not cached."""
+    key = replace(config, rounds=1, seed=0)
+    with _templates_lock:
+        template = _templates.pop(key, None)
+        if template is not None:
+            _templates[key] = template
+    return template
+
+
 def _session_template(config: SessionConfig) -> _Template:
     """The template of the config's physics, from the cache of the last
-    TEMPLATE_CACHE_SIZE configs used; a FockError if it cannot be built."""
-    return _physics_template(replace(config, rounds=1, seed=0))
-
-
-@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
-def _physics_template(config: SessionConfig) -> _Template:
-    """Build the template of a config; a FockError if a uint16 round index
-    cannot address it."""
-    tables = _build_tables(config)
+    TEMPLATE_CACHE_SIZE configs used, or built and cached; a FockError if it
+    cannot be built (a uint16 round index cannot address it), which caches
+    nothing."""
+    template = _cached_template(config)
+    if template is not None:
+        return template
+    key = replace(config, rounds=1, seed=0)
+    tables = _build_tables(key)
     thresholds, rows = _kernels.lookup_tables(
         tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
         tables.row_e1, tables.row_e2, config.double_click_policy == "assign")
@@ -703,8 +738,13 @@ def _physics_template(config: SessionConfig) -> _Template:
         raise FockError(f"the sampling template has {rows.shape[0]} rows; a round index "
                         f"addresses at most {_kernels.MAX_TEMPLATE_ROWS}")
     codes = _row_codes(rows, tables.scen_emission).astype(CODE_DTYPE)
-    return _Template(tables, thresholds, rows, codes,
-                     *_kernels.guide_tables(tables.scen_cum, thresholds))
+    template = _Template(tables, thresholds, rows, codes,
+                         *_kernels.guide_tables(tables.scen_cum, thresholds))
+    with _templates_lock:
+        template = _templates.setdefault(key, template)  # another thread's build stays
+        if len(_templates) > TEMPLATE_CACHE_SIZE:
+            del _templates[next(iter(_templates))]
+    return template
 
 
 def _simulate(config: SessionConfig):
@@ -715,22 +755,29 @@ def _simulate(config: SessionConfig):
     Sampling a block adds to the counts (intp[len(template)]) how many of
     its rounds drew each template row: the session's, once all are drawn.
     """
-    template = _session_template(config)
-    counts = np.zeros(template.rows.shape[0], dtype=np.intp)
     ahead = _draws_ahead(config.rounds)
+    template = _cached_template(config) if ahead else _session_template(config)
+    first = None  # the words of blocks 0 and 1, if drawn during the build
+    if template is None:
+        template, first = _build_while_drawing(config)
+    counts = np.zeros(template.rows.shape[0], dtype=np.intp)
 
     def jobs():
         """((start, draws), pieces) per block: the pieces fill its draws."""
         # Drawing ahead, block j is drawn into buffer j % 2 when block j - 1 is
         # asked for, by which time block j - 2 in that buffer has been sampled.
-        buffers = np.empty((1 + ahead, min(CHUNK_ROUNDS, config.rounds), DRAWS_PER_ROUND),
-                           dtype=np.uint64)
+        # The halves of a first draw are blocks 0 and 1 and the two buffers.
+        if first is None:
+            buffers = np.empty((1 + ahead, min(CHUNK_ROUNDS, config.rounds), DRAWS_PER_ROUND),
+                               dtype=np.uint64)
+        else:
+            buffers = first[:CHUNK_ROUNDS], first[CHUNK_ROUNDS:]
         for j, start in enumerate(range(0, config.rounds, CHUNK_ROUNDS)):
-            words = buffers[j % len(buffers), :min(CHUNK_ROUNDS, config.rounds - start)]
-            yield (start, words), [functools.partial(_uniform_block, config.seed, start + i,
-                                                     piece.shape[0], piece)
-                                   for i in range(0, words.shape[0], DRAW_PIECE_ROUNDS)
-                                   for piece in (words[i:i + DRAW_PIECE_ROUNDS],)]
+            words = buffers[j % len(buffers)][:min(CHUNK_ROUNDS, config.rounds - start)]
+            yield (start, words), [] if first is not None and j < 2 else [
+                functools.partial(_uniform_block, config.seed, start + i, piece.shape[0], piece)
+                for i in range(0, words.shape[0], DRAW_PIECE_ROUNDS)
+                for piece in (words[i:i + DRAW_PIECE_ROUNDS],)]
 
     def drawn_here():
         for block, pieces in jobs():
@@ -751,6 +798,24 @@ def _simulate(config: SessionConfig):
             drawn.close()
 
     return template, counts, blocks()
+
+
+def _build_while_drawing(config: SessionConfig) -> tuple[_Template, np.ndarray]:
+    """The config's template, built on the drawer thread (or here, if the
+    drawer has not taken the build) while this thread draws the session's
+    rounds [0, min(rounds, 2 CHUNK_ROUNDS)) in one call; the template and
+    those words.  A FockError of the build raises here."""
+    from . import _drawer
+
+    built = []
+    build = _drawer.hand_over([lambda: built.append(_session_template(config))])
+    try:
+        first = _uniform_block(config.seed, 0, min(config.rounds, 2 * CHUNK_ROUNDS))
+    except BaseException:
+        build.cancel()
+        raise
+    build.join()
+    return built[0], first
 
 
 def _transcript_head(config: SessionConfig, tags: tuple[str, ...]) -> bytes:

@@ -10,4 +10,4 @@ def cold_template_cache():
     """Empty the session-template cache before each test, so that no test is
     handed a template built before it patched the engine, whatever the order
     the tests run in."""
-    protocol._physics_template.cache_clear()
+    protocol._templates.clear()

@@ -272,6 +272,7 @@ def test_closing_early_drops_the_pieces_not_started(monkeypatch, small_blocks):
         return u
 
     monkeypatch.setattr(protocol, "_uniform_block", draw)
+    protocol._session_template(SMALL)  # warm: a cold session draws blocks 0 and 1 at once
     _, _, blocks = protocol._simulate(SMALL)
     next(blocks)  # the first block is drawn, and the next one is handed over
     assert next_block_started.wait(10)
@@ -350,17 +351,20 @@ def test_forked_child_runs_a_drawn_ahead_session(small_blocks):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-@pytest.mark.parametrize("rounds", [16 * protocol.CHUNK_ROUNDS, 50_000])
+@pytest.mark.parametrize("rounds", [16 * protocol.CHUNK_ROUNDS, 50_000, 20_000])
 def test_sessions_hold_one_or_two_block_buffers(monkeypatch, rounds):
     """One 1 MB block buffer drawing on the calling thread, two drawing
-    ahead; either way less than the 4 MB a 65 536-round chunk of draws took."""
+    ahead; either way less than the 4 MB a 65 536-round chunk of draws took.
+    A cold session's first draw, blocks 0 and 1, is its two buffers."""
     config = SessionConfig(rounds=rounds, seed=8, **PAPER)
     block = protocol.CHUNK_ROUNDS * protocol.DRAWS_PER_ROUND * 8
     assert block == 1 << 20
     peaks = {}
-    for ahead in (False, True):
-        draw_ahead(monkeypatch, ahead)
+    for ahead in (False, True, "cold"):
+        draw_ahead(monkeypatch, bool(ahead))
         want = run_session(config)  # starts the drawer outside the measurement
+        if ahead == "cold":
+            protocol._templates.clear()
         tracemalloc.start()
         rep = run_session(config)
         peaks[ahead] = tracemalloc.get_traced_memory()[1]
@@ -369,6 +373,8 @@ def test_sessions_hold_one_or_two_block_buffers(monkeypatch, rounds):
     # besides its buffers a session holds one block's sampling temporaries, under 1 MB
     assert block < peaks[False] < 2 * block, peaks
     assert 2 * block < peaks[True] < 3 * block < 4 << 20, peaks
+    first = min(rounds, 2 * protocol.CHUNK_ROUNDS) * protocol.DRAWS_PER_ROUND * 8
+    assert first < peaks["cold"] < first + block <= 3 * block, peaks
 
 
 @pytest.mark.parametrize("ahead", [False, True])

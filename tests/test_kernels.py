@@ -163,7 +163,9 @@ def unread_bits_changed(words, seed):
 def session_records(monkeypatch, config, w):
     """The records of the rounds `_simulate` draws for `config` when its
     word stream is `w`: its template's rows at the drawn indices."""
-    def stream(seed, start, count, out):
+    def stream(seed, start, count, out=None):
+        if out is None:  # a cold session's first draw
+            return w[start:start + count].copy()
         out[:] = w[start:start + count]
         return out
 

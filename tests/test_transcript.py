@@ -63,7 +63,7 @@ def test_replayed_leak_is_the_live_leak(tmp_path, name, policy):
                         double_click_policy=policy)
     path = tmp_path / "session.v3"
     live = run_session(cfg, transcript_path=path)
-    protocol._physics_template.cache_clear()  # replay builds the template anew
+    protocol._templates.clear()  # replay builds the template anew
     replayed = replay(None, path)
     assert replayed.leak == live.leak
     assert live.leak.eve_info == eve_mutual_information(cfg)
