@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .attack import (AttackConfig, SplitResult, attack_four_photon, intercept_branches,
                      split_attack_branches, split_channel)
-from .fock import (DEFAULT_MODE_CAP, DEFAULT_PRUNE_TOL, FockError, ModeCapError,
+from .fock import (DEFAULT_PRUNE_TOL, MODE_CAP, FockError, ModeCapError,
                    ModeLabel, ModeRegistry, RegistryMismatchError, StateVector,
                    UnknownModeError, attack_registry, source_registry)
 from .optics import (DA, HV, BasisAngle, OutcomeKind, beamsplitter_50_50,
@@ -29,8 +29,8 @@ from .source import (SpdcParams, four_photon_component, pair_statistics,
 
 __all__ = [
     "AttackConfig", "AttackMixture", "BasisAngle", "ConfigError",
-    "CorrelationReport", "DA", "DEFAULT_MODE_CAP", "DEFAULT_PRUNE_TOL",
-    "EveBranch", "FockError", "HV", "InterceptResend", "LeakBound",
+    "CorrelationReport", "DA", "DEFAULT_PRUNE_TOL",
+    "EveBranch", "FockError", "HV", "InterceptResend", "LeakBound", "MODE_CAP",
     "ModeCapError", "ModeLabel", "ModeRegistry", "OutcomeKind", "QberReport",
     "RegistryMismatchError", "SessionConfig", "SessionReport",
     "SingletSource", "SpdcParams", "SpdcSource", "SplitAttack", "SplitResult",

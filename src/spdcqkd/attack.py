@@ -3,25 +3,27 @@
 This module is the one model of each eavesdropper; the session tables are
 built from its exact branch enumerators.
 
-The splitting attack taps a channel known (by nondemolition counting) to
-carry exactly two photons: a 50:50 beamsplitter deflects each photon
-independently toward the eavesdropper, and a second nondemolition count on
-the deflected arm heralds success when exactly one photon crossed.  On the
-heralded branch the channel keeps one photon and the eavesdropper holds a
-copy correlated with it; either failure outcome (zero or two deflected)
-leaves both photons together, so recombining restores the pre-attempt state
-exactly and the attempt can be repeated.  The retry loop is therefore exact
-in closed form: with per-attempt probability p and at most n attempts the
-split succeeds with probability 1 - (1 - p)^n, and otherwise gives up with
-the channel passed through unchanged.  On the two-pair source component
-this pipeline produces, after splitting both channels,
+Each party has one channel, its two polarization modes, and so has each of
+the eavesdropper's taps E1 and E2.  The splitting attack taps a channel
+known (by nondemolition counting) to carry exactly two photons: a 50:50
+beamsplitter deflects each photon independently toward the eavesdropper,
+and a second nondemolition count on the deflected arm heralds success when
+exactly one photon crossed.  On the heralded branch the channel keeps one
+photon and the eavesdropper holds a copy correlated with it; either failure
+outcome (zero or two deflected) leaves both photons together, so
+recombining restores the pre-attempt state exactly and the attempt can be
+repeated.  The retry loop is therefore exact in closed form: with
+per-attempt probability p and at most n attempts the split succeeds with
+probability 1 - (1 - p)^n, and otherwise gives up with the channel passed
+through unchanged.  On the two-pair source component this pipeline
+produces, after splitting both channels,
 
   (1/(2 sqrt 3)) [ |HV>_AB (2|HV>_E - |VH>_E) + |VH>_AB (2|VH>_E - |HV>_E)
                    - |HH>_AB |VV>_E - |VV>_AB |HH>_E ]
 
 with anti-correlated key rounds kept at error rate 1/6.
 
-Intercept-resend measures an (at most one-photon) channel in the
+Intercept-resend measures Alice's (at most one-photon) channel in the
 eavesdropper's basis and resends the observed polarization; its branches
 are enumerated exactly too.
 """
@@ -32,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fock import FockError, ModeLabel, StateVector, attack_registry
+from .fock import POL_H, POL_V, FockError, ModeLabel, StateVector, attack_registry
 from .optics import DA, HV, BasisAngle, beamsplitter_50_50, qnd_count, rotate_polarization
 
 
@@ -54,25 +56,24 @@ class SplitResult(NamedTuple):
     per_attempt_probability: float
 
 
-def split_channel(state: StateVector, party: str, channel: int,
-                  eve_party: str) -> SplitResult:
-    """One splitting attempt on a two-photon channel, conditioned on success.
+def split_channel(state: StateVector, party: str, eve_party: str) -> SplitResult:
+    """One splitting attempt on a party's two-photon channel, conditioned on success.
 
     Beamsplits both polarizations into eve_party's modes and counts the tap
     arm; returns the one-photon tap branch and its probability.  Failure
     needs no state: zero or two deflected photons recombine into the
     original channel, restoring the input exactly.
     """
-    h_idx, v_idx = state.registry.channel_modes(party, channel)
+    h_idx, v_idx = state.registry.channel_modes(party)
     for occ, _ in state.terms():
         if occ[h_idx] + occ[v_idx] != 2:
             raise FockError(
-                f"split attack requires exactly 2 photons in channel {party}{channel}; "
+                f"split attack requires exactly 2 photons in channel {party}; "
                 f"gate the input with qnd_count first")
-    eh = ModeLabel(eve_party, 0, 0)
-    ev = ModeLabel(eve_party, 0, 1)
-    tapped = beamsplitter_50_50(beamsplitter_50_50(state, ModeLabel(party, channel, 0), eh),
-                                ModeLabel(party, channel, 1), ev)
+    eh = ModeLabel(eve_party, POL_H)
+    ev = ModeLabel(eve_party, POL_V)
+    tapped = beamsplitter_50_50(beamsplitter_50_50(state, ModeLabel(party, POL_H), eh),
+                                ModeLabel(party, POL_V), ev)
     norm_sq = state.norm_sq()
     for branch in qnd_count(tapped, [eh, ev]):
         if branch.count == 1:
@@ -92,14 +93,14 @@ def split_attack_branches(state: StateVector, config: AttackConfig
     """
     branches = [(1.0, state)]
     for party, eve_party in (("A", "E1"), ("B", "E2")):
-        modes = [ModeLabel(party, 0, 0), ModeLabel(party, 0, 1)]
+        modes = [ModeLabel(party, POL_H), ModeLabel(party, POL_V)]
         nxt = []
         for pr, st in branches:
             for count, p_c, post in qnd_count(st, modes):
                 if count != 2:
                     nxt.append((pr * p_c, post))
                     continue
-                res = split_channel(post, party, 0, eve_party)
+                res = split_channel(post, party, eve_party)
                 q = 1.0 - (1.0 - res.per_attempt_probability) ** config.max_attempts
                 nxt.append((pr * p_c * q, res.state))
                 if q < 1.0:
@@ -127,9 +128,9 @@ def attack_four_photon() -> StateVector:
     })
 
 
-def intercept_branches(state: StateVector, party: str, channel: int,
+def intercept_branches(state: StateVector,
                        basis: BasisAngle | None) -> list[tuple[float, StateVector, int]]:
-    """Every outcome of intercept-resend on one channel: (probability, state, bit).
+    """Every outcome of intercept-resend on Alice's channel: (probability, state, bit).
 
     The channel is rotated into the eavesdropper's basis, collapsed onto each
     occupation that can be observed there (empty, bit 0, bit 1), and rotated
@@ -138,19 +139,18 @@ def intercept_branches(state: StateVector, party: str, channel: int,
     bit is -1 for an empty channel.  basis None is a fresh random basis:
     H/V and D/A at 1/2 each.
     """
-    h_idx, v_idx = state.registry.channel_modes(party, channel)
+    h_idx, v_idx = state.registry.channel_modes("A")
     if any(occ[h_idx] + occ[v_idx] > 1 for occ, _ in state.terms()):
-        raise FockError(
-            f"intercept-resend expects at most one photon in channel {party}{channel}")
+        raise FockError("intercept-resend expects at most one photon in channel A")
     bases = [(basis, 1.0)] if basis is not None else [(HV, 0.5), (DA, 0.5)]
     out = []
     for b, w in bases:
-        rotated = rotate_polarization(state, party, channel, b) if b.theta else state
+        rotated = rotate_polarization(state, "A", b) if b.theta else state
         # the channel holds no photon (bit -1) or one, in slot `bit`
         for bit, prob, post in rotated.measure(
                 lambda occ: occ[v_idx] if occ[h_idx] + occ[v_idx] else -1):
             if b.theta:
-                post = rotate_polarization(post, party, channel, -b.theta)
+                post = rotate_polarization(post, "A", -b.theta)
             out.append((w * prob, post, bit))
     return out
 

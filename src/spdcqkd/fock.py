@@ -2,13 +2,14 @@
 
 States live in a truncated Fock space: a state is a map from occupation
 vectors (one photon count per registered mode) to complex amplitudes.
-Everything downstream keeps at most a few hundred terms, so the
+A state keeps tens of terms at the default pair cutoff and about 12 000 at
+the largest (a source state at n_max 32 with one channel rotated), so the
 representation is a plain dict and all operations return new states.
 
-Mode bookkeeping: a ModeLabel is (party, channel, polarization) and a
-ModeRegistry fixes the slot order of occupation vectors.  Registries are
-append-only so occupation tuples written against an old registry remain
-valid prefixes after modes are added.
+Mode bookkeeping: a ModeLabel is (party, polarization), as each party
+(Alice, Bob, each eavesdropper tap) has one spatial channel of two
+polarization modes, and a ModeRegistry fixes the slot order of occupation
+vectors.  Every state caps every mode's occupation at MODE_CAP.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import math
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 DEFAULT_PRUNE_TOL = 1e-12
-DEFAULT_MODE_CAP = 8
+# The largest occupation of any mode.  A source slot holds up to n_max
+# photons, so this is at least source.N_MAX_CAP.
+MODE_CAP = 32
 
-# polarization slot indices within a channel
+# polarization slot indices within a party's channel
 POL_H = 0
 POL_V = 1
 
@@ -61,22 +64,21 @@ class RegistryMismatchError(FockError):
 
 class ModeLabel(NamedTuple):
     party: str
-    channel: int
     pol: int
 
     def __str__(self) -> str:
-        return f"{self.party}{self.channel}{'HV'[self.pol]}"
+        return f"{self.party}{'HV'[self.pol]}"
 
 
 class ModeRegistry:
-    """Ordered, append-only collection of modes; order fixes occupation slots."""
+    """Ordered collection of modes; order fixes occupation slots."""
 
     __slots__ = ("_labels", "_index", "_channels")
 
     def __init__(self, labels: Iterable[ModeLabel] = ()):
         self._labels = tuple(ModeLabel(*lab) for lab in labels)
         self._index = {lab: i for i, lab in enumerate(self._labels)}
-        self._channels: dict[tuple[str, int], tuple[int, int]] = {}  # channel_modes results
+        self._channels: dict[str, tuple[int, int]] = {}  # channel_modes results
         if len(self._index) != len(self._labels):
             raise FockError("duplicate mode label in registry")
 
@@ -105,33 +107,23 @@ class ModeRegistry:
         except KeyError:
             raise UnknownModeError(f"mode {ModeLabel(*label)} not in registry") from None
 
-    def __contains__(self, label: ModeLabel) -> bool:
-        return ModeLabel(*label) in self._index
-
-    def with_mode(self, label: ModeLabel) -> "ModeRegistry":
-        label = ModeLabel(*label)
-        if label in self._index:
-            raise FockError(f"mode {label} already registered")
-        return ModeRegistry(self._labels + (label,))
-
-    def channel_modes(self, party: str, channel: int = 0) -> tuple[int, int]:
-        """Slot indices (H, V) of one spatial channel, memoised: the labels never change."""
-        slots = self._channels.get((party, channel))
+    def channel_modes(self, party: str) -> tuple[int, int]:
+        """Slot indices (H, V) of a party's channel, memoised: the labels never change."""
+        slots = self._channels.get(party)
         if slots is None:
-            slots = (self.index(ModeLabel(party, channel, POL_H)),
-                     self.index(ModeLabel(party, channel, POL_V)))
-            self._channels[party, channel] = slots
+            slots = (self.index(ModeLabel(party, POL_H)), self.index(ModeLabel(party, POL_V)))
+            self._channels[party] = slots
         return slots
 
 
 def source_registry() -> ModeRegistry:
     """The four source modes A-H, A-V, B-H, B-V (slot order of |ijkl>)."""
-    return ModeRegistry([ModeLabel(p, 0, pol) for p in ("A", "B") for pol in (POL_H, POL_V)])
+    return ModeRegistry([ModeLabel(p, pol) for p in ("A", "B") for pol in (POL_H, POL_V)])
 
 
 def attack_registry() -> ModeRegistry:
     """Source modes plus one eavesdropper channel per party (E1 taps A, E2 taps B)."""
-    return ModeRegistry([ModeLabel(p, 0, pol)
+    return ModeRegistry([ModeLabel(p, pol)
                          for p in ("A", "B", "E1", "E2") for pol in (POL_H, POL_V)])
 
 
@@ -141,22 +133,20 @@ class StateVector:
     Not necessarily normalized (sums and ladder operators change the norm, and
     the truncated source state deliberately carries a small norm deficit).
     Amplitudes below DEFAULT_PRUNE_TOL in magnitude are dropped on construction;
-    occupations above mode_cap raise rather than silently truncate.
+    occupations above MODE_CAP raise rather than silently truncate.
 
     The public constructor checks every occupation (slot count, non-negative
-    integer counts, the per-mode cap), since it takes outside input.  States
+    integer counts, the cap), since it takes outside input.  States
     that engine operations build from a valid state go through `_trusted`,
     which only prunes: an operation that can raise a count checks the cap
     itself (`create`, `optics.rotate_polarization`).
     """
 
-    __slots__ = ("registry", "mode_cap", "_amps")
+    __slots__ = ("registry", "_amps")
 
     def __init__(self, registry: ModeRegistry,
-                 amplitudes: dict[tuple[int, ...], complex] | None = None, *,
-                 mode_cap: int = DEFAULT_MODE_CAP):
+                 amplitudes: dict[tuple[int, ...], complex] | None = None):
         self.registry = registry
-        self.mode_cap = int(mode_cap)
         amps: dict[tuple[int, ...], complex] = {}
         n_modes = len(registry)
         for occ, amp in (amplitudes or {}).items():
@@ -165,26 +155,25 @@ class StateVector:
             if any(n < 0 or n != int(n) for n in occ):
                 raise FockError(f"occupation {occ} has a negative or fractional count")
             for n, lab in zip(occ, registry):
-                if n > self.mode_cap:
+                if n > MODE_CAP:
                     raise ModeCapError(
-                        f"mode {lab}: occupation {n} exceeds per-mode cap {self.mode_cap}")
+                        f"mode {lab}: occupation {n} exceeds per-mode cap {MODE_CAP}")
             amp = complex(amp)
             if abs(amp) >= DEFAULT_PRUNE_TOL:
                 amps[tuple(int(n) for n in occ)] = amp
         self._amps = amps
 
     @classmethod
-    def _trusted(cls, registry: ModeRegistry, amps: dict[tuple[int, ...], complex],
-                 mode_cap: int) -> "StateVector":
+    def _trusted(cls, registry: ModeRegistry,
+                 amps: dict[tuple[int, ...], complex]) -> "StateVector":
         """A state from occupations an engine operation made.
 
         The caller guarantees what `__init__` would check: every key is a
-        tuple of len(registry) ints in [0, mode_cap] and every value a
+        tuple of len(registry) ints in [0, MODE_CAP] and every value a
         complex.  Only the pruning below DEFAULT_PRUNE_TOL is applied.
         """
         st = cls.__new__(cls)
         st.registry = registry
-        st.mode_cap = mode_cap
         st._amps = {occ: amp for occ, amp in amps.items() if abs(amp) >= DEFAULT_PRUNE_TOL}
         return st
 
@@ -233,7 +222,7 @@ class StateVector:
     # -- linear structure ---------------------------------------------------
 
     def _like(self, amps: dict[tuple[int, ...], complex]) -> "StateVector":
-        return StateVector._trusted(self.registry, amps, self.mode_cap)
+        return StateVector._trusted(self.registry, amps)
 
     def __mul__(self, scalar: complex) -> "StateVector":
         scalar = complex(scalar)
@@ -250,8 +239,6 @@ class StateVector:
         amps = dict(self._amps)
         for occ, amp in other._amps.items():
             amps[occ] = amps.get(occ, 0j) + amp
-        if other.mode_cap > self.mode_cap:  # other's terms may exceed this cap
-            return StateVector(self.registry, amps, mode_cap=self.mode_cap)
         return self._like(amps)
 
     def __sub__(self, other: "StateVector") -> "StateVector":
@@ -271,9 +258,9 @@ class StateVector:
         amps: dict[tuple[int, ...], complex] = {}
         for occ, amp in self._amps.items():
             n = occ[i]
-            if n + 1 > self.mode_cap:
+            if n >= MODE_CAP:
                 raise ModeCapError(
-                    f"mode {ModeLabel(*label)}: occupation {n + 1} exceeds per-mode cap {self.mode_cap}")
+                    f"mode {ModeLabel(*label)}: occupation {n + 1} exceeds per-mode cap {MODE_CAP}")
             new = occ[:i] + (n + 1,) + occ[i + 1:]
             amps[new] = amps.get(new, 0j) + amp * math.sqrt(n + 1)
         return self._like(amps)
@@ -331,7 +318,7 @@ class StateVector:
             for s, n in zip(slots, occ):
                 new[s] = n
             amps[tuple(new)] = amp
-        return StateVector._trusted(registry, amps, self.mode_cap)
+        return StateVector._trusted(registry, amps)
 
     def drop_modes(self, indices: Iterable[int]) -> "StateVector":
         """Remove modes that carry one common occupation across every term.
@@ -351,7 +338,7 @@ class StateVector:
         keep = [i for i in range(len(self.registry)) if i not in drop]
         reg = ModeRegistry([self.registry.labels[i] for i in keep])
         amps = {tuple(occ[i] for i in keep): amp for occ, amp in self._amps.items()}
-        return StateVector._trusted(reg, amps, self.mode_cap)
+        return StateVector._trusted(reg, amps)
 
     # -- debug dump -----------------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 Conventions fixed here and relied on everywhere else:
 
-* Polarization rotation by theta re-expresses a channel in the rotated basis
+* Each party has one channel: its two polarization modes, H in slot 0 and
+  V in slot 1.  Polarization rotation by theta re-expresses a party's
+  channel in the rotated basis
   with determinant +1:  h  ->  cos(t)*m0' - sin(t)*m1',
                          v  ->  sin(t)*m0' + cos(t)*m1'
   (substitution on creation operators; the channel's two slots afterwards
@@ -12,7 +14,7 @@ Conventions fixed here and relied on everywhere else:
 * The 50:50 beamsplitter is the real symmetric substitution
   a_from -> (a_from + a_to)/sqrt(2) with no relative phase; the deflected
   output mode must start in vacuum.
-* Threshold detectors per channel: two detectors (one per polarization slot),
+* Threshold detectors per party: two detectors (one per polarization slot),
   outcome classes NoClick / Bit0 / Bit1 / DoubleClick on the (any photons in
   slot 0, any in slot 1) pattern.
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
-from .fock import DEFAULT_PRUNE_TOL, FockError, ModeCapError, ModeLabel, StateVector
+from .fock import DEFAULT_PRUNE_TOL, MODE_CAP, FockError, ModeCapError, ModeLabel, StateVector
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,11 @@ def beamsplitter_50_50(state: StateVector, from_mode: ModeLabel,
             new[ti] = k
             key = tuple(new)
             amps[key] = amps.get(key, 0j) + scale * math.sqrt(math.comb(n, k))
-    return StateVector._trusted(state.registry, amps, state.mode_cap)
+    return StateVector._trusted(state.registry, amps)
 
 
 # Entries kept by the rotation-weight cache: one per (nh, nv, cos, sin).  The
-# engine uses a few angles on channels of at most mode_cap photons, a few
+# engine uses a few angles on channels of at most MODE_CAP photons, a few
 # hundred entries; the bound only matters to callers sweeping the angle.
 ROTATION_CACHE_SIZE = 1024
 
@@ -115,15 +117,15 @@ def _rotation_weights(nh: int, nv: int, c: float, s: float
     return math.sqrt(math.factorial(nh) * math.factorial(nv)), tuple(terms)
 
 
-def _rotated_amplitudes(state: StateVector, party: str, channel: int,
+def _rotated_amplitudes(state: StateVector, party: str,
                         theta: float | BasisAngle) -> dict[tuple[int, ...], complex]:
     """The amplitudes of `rotate_polarization` before pruning."""
     if isinstance(theta, BasisAngle):
         theta = theta.theta
-    hi, vi = state.registry.channel_modes(party, channel)
+    hi, vi = state.registry.channel_modes(party)
     c = math.cos(theta)
     s = math.sin(theta)
-    cap = state.mode_cap
+    cap = MODE_CAP
     amps: dict[tuple[int, ...], complex] = {}
     get = amps.get
     for occ, amp in state.terms():
@@ -150,20 +152,19 @@ def _rotated_amplitudes(state: StateVector, party: str, channel: int,
     return amps
 
 
-def rotate_polarization(state: StateVector, party: str, channel: int,
+def rotate_polarization(state: StateVector, party: str,
                         theta: float | BasisAngle) -> StateVector:
-    """Re-express one channel's polarization pair in the basis rotated by theta.
+    """Re-express a party's polarization pair in the basis rotated by theta.
 
     Output states skip the constructor's checks except the cap, which this
     is the one operation besides `create` to raise: a term whose channel
-    holds nh + nv > mode_cap photons puts some of them past the cap in one
+    holds nh + nv > MODE_CAP photons puts some of them past the cap in one
     rotated slot (at every angle but 0), and raises ModeCapError naming the
     first such slot, as the checking constructor did.  The weights per
     (nh, nv, angle) come from a bounded cache and are summed in the same
     order as the per-term formula, so amplitudes are bit-identical to it.
     """
-    return StateVector._trusted(state.registry, _rotated_amplitudes(state, party, channel, theta),
-                                state.mode_cap)
+    return StateVector._trusted(state.registry, _rotated_amplitudes(state, party, theta))
 
 
 def qnd_count(state: StateVector, modes: Iterable[ModeLabel]) -> list[CountBranch]:
@@ -189,11 +190,11 @@ class ClickBranch(NamedTuple):
 
 
 def joint_threshold_branches(state: StateVector,
-                             assignments: list[tuple[str, int, BasisAngle]]
+                             assignments: list[tuple[str, BasisAngle]]
                              ) -> list[ClickBranch]:
     """Joint threshold-detection branch enumeration over several channels.
 
-    assignments lists (party, channel, basis) per measured channel.  The state
+    assignments lists (party, basis) per measured channel.  The state
     is rotated channel by channel, in assignment order, into each channel's
     basis (HV needs no rotation); then `StateVector.measure` takes the tuple
     of click patterns, per channel NoClick 0, Bit0 1, Bit1 2, Double 3.
@@ -202,10 +203,10 @@ def joint_threshold_branches(state: StateVector,
     measured channels' photons left in place (they purify the conditional
     state of the rest).
     """
-    for party, channel, basis in assignments:
+    for party, basis in assignments:
         if basis.theta != 0.0:
-            state = rotate_polarization(state, party, channel, basis)
-    chans = [state.registry.channel_modes(party, channel) for party, channel, _ in assignments]
+            state = rotate_polarization(state, party, basis)
+    chans = [state.registry.channel_modes(party) for party, _ in assignments]
     return [ClickBranch(tuple([_KINDS[k] for k in kinds]), prob, post)
             for kinds, prob, post in state.measure(
                 lambda occ: tuple([(occ[h] > 0) + 2 * (occ[v] > 0) for h, v in chans]))]
@@ -217,7 +218,7 @@ def click_kinds(pattern: int, channels: int) -> tuple[OutcomeKind, ...]:
 
 
 def joint_click_probabilities(state: StateVector,
-                              assignments: list[tuple[str, int, BasisAngle]]
+                              assignments: list[tuple[str, BasisAngle]]
                               ) -> list[tuple[int, float]]:
     """The click patterns and probabilities of `joint_threshold_branches`,
     bit for bit, without its post states: (pattern, probability) sorted by
@@ -234,12 +235,11 @@ def joint_click_probabilities(state: StateVector,
     several bases may rotate a channel they share once and measure it here
     in HV, provided the rotations keep their order.
     """
-    chans = [state.registry.channel_modes(party, channel) for party, channel, _ in assignments]
-    rotations = [(party, channel, basis)
-                 for (party, channel, basis), (h, v) in zip(assignments, chans)
+    chans = [state.registry.channel_modes(party) for party, _ in assignments]
+    rotations = [(party, basis) for (party, basis), (h, v) in zip(assignments, chans)
                  if basis.theta != 0.0 and any(occ[h] or occ[v] for occ, _ in state.terms())]
-    for party, channel, basis in rotations[:-1]:
-        state = rotate_polarization(state, party, channel, basis)
+    for party, basis in rotations[:-1]:
+        state = rotate_polarization(state, party, basis)
     terms = _rotated_amplitudes(state, *rotations[-1]).items() if rotations else state.terms()
     tol = DEFAULT_PRUNE_TOL
     probs: dict[int, float] = {}

@@ -58,7 +58,8 @@ drawer that gets none.  A session that draws ahead and finds its template
 not cached hands the build to the drawer and meanwhile draws rounds
 [0, 2 CHUNK_ROUNDS), blocks 0 and 1, in one call on the calling thread: the
 build holds the interpreter lock, which the draw needs only at its two ends.
-That array is the session's two buffers.  If the drawer has not taken the
+That array is the session's two buffers, as the first two blocks' words
+are in every session that draws ahead.  If the drawer has not taken the
 build when the draw ends, the calling thread builds.  A session of one
 piece has no work to share: it draws on the calling thread into one buffer
 and starts no thread.  A piece is the same bytes whichever thread draws it,
@@ -266,14 +267,15 @@ def _optional(d: dict, key: str, types, path: str, default):
     return v
 
 
-def _real(d: dict, key: str, path: str, default: float | None = None) -> float:
-    """A number field as a float; required if there is no default."""
-    v = (_require(d, key, (int, float), path) if default is None
-         else _optional(d, key, (int, float), path, default))
+def _real(src: dict, key: str, default: float | None = None) -> float:
+    """A number field of the source dict as a float; required if there is
+    no default."""
+    v = (_require(src, key, (int, float), "source.") if default is None
+         else _optional(src, key, (int, float), "source.", default))
     try:
         return float(v)
     except OverflowError:  # an integer past the largest float
-        raise ConfigError(f"field {path}{key} is too large for a float") from None
+        raise ConfigError(f"field source.{key} is too large for a float") from None
 
 
 # The fields a config dict may hold, at the top and per source and eve kind.
@@ -313,14 +315,13 @@ def config_from_dict(d: dict) -> SessionConfig:
             source: Source = SingletSource()
         elif kind == "spdc":
             try:
-                params = SpdcParams(tanh_xi=_real(src, "tanh_xi", "source."),
-                                    phi=_real(src, "phi", "source.", 0.0),
+                params = SpdcParams(tanh_xi=_real(src, "tanh_xi"), phi=_real(src, "phi", 0.0),
                                     n_max=_optional(src, "n_max", int, "source.", 4))
             except FockError as exc:  # its message starts with the field's name
                 raise ConfigError(f"source.{exc}") from exc
             source = SpdcSource(params)
         else:
-            source = AttackMixture(_real(src, "p", "source."))
+            source = AttackMixture(_real(src, "p"))
         if ekind == "none":
             eve: EveStrategy = None
         elif ekind == "split":
@@ -337,7 +338,7 @@ def config_from_dict(d: dict) -> SessionConfig:
             # intercept-resend takes at most one photon per channel, which an
             # SPDC source's multi-pair terms break: reject it here, not at table build
             for _, _, state in _emission_branches(source, attack_registry()):
-                intercept_branches(state, "A", 0, eve.basis)
+                intercept_branches(state, eve.basis)
         return config
     except (FockError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -399,7 +400,7 @@ def _eve_branches(state: StateVector, eve: EveStrategy
         return [(1.0, state, -1)]
     if isinstance(eve, SplitAttack):
         return [(pr, st, -1) for pr, st in split_attack_branches(state, eve.config)]
-    return intercept_branches(state, "A", 0, eve.basis)
+    return intercept_branches(state, eve.basis)
 
 
 def _outcome_rows(state_a: StateVector, a_basis: BasisAngle, b_basis: BasisAngle,
@@ -416,7 +417,7 @@ def _outcome_rows(state_a: StateVector, a_basis: BasisAngle, b_basis: BasisAngle
     -1 for no click; a double click there has no bit and raises.
     """
     patterns = joint_click_probabilities(
-        state_a, [("A", 0, HV), ("B", 0, b_basis), ("E1", 0, a_basis), ("E2", 0, a_basis)])
+        state_a, [("A", HV), ("B", b_basis), ("E1", a_basis), ("E2", a_basis)])
     rows: dict[tuple[int, int, int, int], float] = {}
     for pattern, prob in patterns:
         k1 = pattern >> 2 & 3
@@ -447,7 +448,7 @@ def _build_tables(config: SessionConfig) -> _Tables:
     keys: list[tuple[int, int, int, int]] = []
     for _, _, st, fixed_e1 in scenarios:
         for a_basis in (HV, DA):
-            st_a = st if a_basis is HV else rotate_polarization(st, "A", 0, a_basis)
+            st_a = st if a_basis is HV else rotate_polarization(st, "A", a_basis)
             for b_basis in (HV, DA):
                 rows = _outcome_rows(st_a, a_basis, b_basis, fixed_e1)
                 lengths.append(len(rows))
@@ -764,16 +765,15 @@ def _simulate(config: SessionConfig):
 
     def jobs():
         """((start, draws), pieces) per block: the pieces fill its draws."""
+        # The session's words are one array of its first 1 + ahead blocks,
+        # split at CHUNK_ROUNDS into buffers; a first draw is that array.
         # Drawing ahead, block j is drawn into buffer j % 2 when block j - 1 is
         # asked for, by which time block j - 2 in that buffer has been sampled.
-        # The halves of a first draw are blocks 0 and 1 and the two buffers.
-        if first is None:
-            buffers = np.empty((1 + ahead, min(CHUNK_ROUNDS, config.rounds), DRAWS_PER_ROUND),
-                               dtype=np.uint64)
-        else:
-            buffers = first[:CHUNK_ROUNDS], first[CHUNK_ROUNDS:]
+        drawn = first if first is not None else np.empty(
+            (min(config.rounds, (1 + ahead) * CHUNK_ROUNDS), DRAWS_PER_ROUND), dtype=np.uint64)
+        buffers = drawn[:CHUNK_ROUNDS], drawn[CHUNK_ROUNDS:]
         for j, start in enumerate(range(0, config.rounds, CHUNK_ROUNDS)):
-            words = buffers[j % len(buffers)][:min(CHUNK_ROUNDS, config.rounds - start)]
+            words = buffers[j % (1 + ahead)][:min(CHUNK_ROUNDS, config.rounds - start)]
             yield (start, words), [] if first is not None and j < 2 else [
                 functools.partial(_uniform_block, config.seed, start + i, piece.shape[0], piece)
                 for i in range(0, words.shape[0], DRAW_PIECE_ROUNDS)

@@ -56,7 +56,7 @@ def _bit_weights(kind: OutcomeKind) -> tuple[tuple[int, float], ...]:
     return ((0, 0.5), (1, 0.5))  # DOUBLE
 
 
-def _clicked_joint(state: StateVector, assignments: list[tuple[str, int, BasisAngle]]
+def _clicked_joint(state: StateVector, assignments: list[tuple[str, BasisAngle]]
                    ) -> tuple[dict[tuple[int, int], float], float]:
     """Joint bit weights of two channels over the branches where both clicked.
 
@@ -86,8 +86,7 @@ class QberReport:
 def qber_from_state(state: StateVector, alice_basis: BasisAngle,
                     bob_basis: BasisAngle) -> QberReport:
     """Exact Born-rule error rate of one emitted state under threshold detection."""
-    joint, clicked_mass = _clicked_joint(
-        state, [("A", 0, alice_basis), ("B", 0, bob_basis)])
+    joint, clicked_mass = _clicked_joint(state, [("A", alice_basis), ("B", bob_basis)])
     if clicked_mass <= 0.0:
         return QberReport(0.0, 0.0, joint)
     joint = {k: v / clicked_mass for k, v in joint.items()}
@@ -110,10 +109,9 @@ def eve_conditional_states(state: StateVector, alice_basis: BasisAngle,
     remaining (eavesdropper) modes and can be compared by inner product.
     Raises if some outcome pair would leave the eavesdropper in a mixture.
     """
-    branches = joint_threshold_branches(
-        state, [("A", 0, alice_basis), ("B", 0, bob_basis)])
-    a_modes = state.registry.channel_modes("A", 0)
-    b_modes = state.registry.channel_modes("B", 0)
+    branches = joint_threshold_branches(state, [("A", alice_basis), ("B", bob_basis)])
+    a_modes = state.registry.channel_modes("A")
+    b_modes = state.registry.channel_modes("B")
     buckets: dict[tuple[int, int], list[tuple[float, StateVector]]] = {}
     clicked_mass = 0.0
     for kinds, prob, post in branches:
@@ -172,7 +170,7 @@ def eve_wrong_basis_correlation(state: StateVector,
     coefficient is undefined: the report is flagged degenerate and the value
     is +1 for a perfectly copied bit, -1 for a perfectly flipped one, else 0.
     """
-    joint, mass = _clicked_joint(state, [("A", 0, HV), ("E1", 0, eve_basis)])
+    joint, mass = _clicked_joint(state, [("A", HV), ("E1", eve_basis)])
     if mass <= 0.0:
         raise FockError("no rounds where both Alice and the tap clicked")
     joint = {k: v / mass for k, v in joint.items()}

@@ -24,7 +24,8 @@ from .fock import FockError, StateVector, left_sum, source_registry
 # of all near tanh_xi 1, where no sector is pruned: under a split attack (3
 # attempts) a build took 0.06 s at n_max 16, 0.2-0.3 s at 24, 0.55-0.7 s at
 # 32 for tanh_xi from 0.9 to 0.999999, and at tanh_xi 0.99 3.0 s at 40 and
-# 66 s at 80 (one CPU of a shared Intel Xeon host, Python 3.11).
+# 66 s at 80 (one CPU of a shared Intel Xeon host, Python 3.11).  A slot
+# then holds up to N_MAX_CAP photons, which fock.MODE_CAP allows.
 N_MAX_CAP = 32
 
 
@@ -75,11 +76,6 @@ def pair_statistics(params: SpdcParams) -> list[tuple[int, float]]:
     return [(n, (n + 1) * x ** n * c0sq) for n in range(params.n_max + 1)]
 
 
-def _sector_cap(params: SpdcParams) -> int:
-    # each slot holds at most n_max photons; keep the engine cap comfortably above
-    return max(8, params.n_max)
-
-
 def spdc_state(params: SpdcParams) -> StateVector:
     """Closed-form truncated source state on (A-H, A-V, B-H, B-V)."""
     t = params.tanh_xi
@@ -89,7 +85,7 @@ def spdc_state(params: SpdcParams) -> StateVector:
         sector = c0 * (t ** n) * cmath.exp(1j * params.phi * n)
         for m in range(n + 1):
             amps[(m, n - m, n - m, m)] = sector * (-1) ** m
-    return StateVector(source_registry(), amps, mode_cap=_sector_cap(params))
+    return StateVector(source_registry(), amps)
 
 
 def spdc_state_recursive(params: SpdcParams) -> StateVector:
@@ -119,7 +115,7 @@ def spdc_state_recursive(params: SpdcParams) -> StateVector:
                     coeffs[new] = val
                     nxt.append(new)
         frontier = nxt
-    return StateVector(source_registry(), dict(coeffs), mode_cap=_sector_cap(params))
+    return StateVector(source_registry(), dict(coeffs))
 
 
 def singlet_state() -> StateVector:

@@ -46,7 +46,7 @@ def main() -> None:
                 every.update(prob.hex().encode())
                 for a in bases:
                     for b in bases:
-                        channels = [("A", 0, a), ("B", 0, b), ("E1", 0, a), ("E2", 0, a)]
+                        channels = [("A", a), ("B", b), ("E1", a), ("E2", a)]
                         for pattern, p in optics.joint_click_probabilities(branch, channels):
                             kinds = tuple(map(int, optics.click_kinds(pattern, 4)))
                             clicks.update(f"{kinds} {p.hex()}\n".encode())

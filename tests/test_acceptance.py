@@ -24,8 +24,8 @@ from spdcqkd import (AttackMixture, InterceptResend, ModeLabel, SessionConfig,
                      squared_norm_truncated)
 from spdcqkd.optics import DA, HV
 
-AH, AV = ModeLabel("A", 0, 0), ModeLabel("A", 0, 1)
-BH, BV = ModeLabel("B", 0, 0), ModeLabel("B", 0, 1)
+AH, AV = ModeLabel("A", 0), ModeLabel("A", 1)
+BH, BV = ModeLabel("B", 0), ModeLabel("B", 1)
 
 
 def criterion(num, name):
@@ -109,7 +109,7 @@ def test_source_constructions_agree():
 def test_diagonal_rotation_fixes_source_states():
     def rotate_both(state):
         return rotate_polarization(
-            rotate_polarization(state, "A", 0, DA), "B", 0, DA)
+            rotate_polarization(state, "A", DA), "B", DA)
 
     for state in (singlet_state(),
                   four_photon_component(),
@@ -121,15 +121,15 @@ def test_diagonal_rotation_fixes_source_states():
 @criterion(6, "attack-state-oracle")
 def test_split_pipeline_reproduces_attack_state():
     psi4 = four_photon_component().embed(attack_registry())
-    after_a = split_channel(psi4, "A", 0, "E1")
-    after_b = split_channel(after_a.state, "B", 0, "E2")
+    after_a = split_channel(psi4, "A", "E1")
+    after_b = split_channel(after_a.state, "B", "E2")
     assert (after_b.state - attack_four_photon()).norm() <= 1e-12
 
     reg = attack_registry()
     same = StateVector(reg, {(2, 0, 0, 0, 0, 0, 0, 0): 1.0})
     mixed = StateVector(reg, {(1, 1, 0, 0, 0, 0, 0, 0): 1.0})
     for content in (same, mixed):
-        res = split_channel(content, "A", 0, "E1")
+        res = split_channel(content, "A", "E1")
         assert res.per_attempt_probability == pytest.approx(0.5, abs=1e-12)
 
 
@@ -172,7 +172,7 @@ def test_intercept_resend_quarter_error_rate():
 def test_diagonal_rotation_bunches_photon_pair():
     reg = source_registry()
     one_each = StateVector(reg, {(1, 1, 0, 0): 1.0})
-    rotated = rotate_polarization(one_each, "A", 0, DA)
+    rotated = rotate_polarization(one_each, "A", DA)
     amps = dict(rotated.terms())
     # the coincidence term cancels identically
     assert (1, 1, 0, 0) not in amps

@@ -22,20 +22,20 @@ def psi4_full():
 def test_per_attempt_probability_on_two_same_photons():
     # |2,0> channel content: both photons in one polarization
     st = StateVector(attack_registry(), {(2, 0, 0, 0, 0, 0, 0, 0): 1.0})
-    res = split_channel(st, "A", 0, "E1")
+    res = split_channel(st, "A", "E1")
     assert res.per_attempt_probability == pytest.approx(0.5, abs=1e-12)
 
 
 def test_per_attempt_probability_on_orthogonal_pair():
     # H+V channel content
     st = StateVector(attack_registry(), {(1, 1, 0, 0, 0, 0, 0, 0): 1.0})
-    res = split_channel(st, "A", 0, "E1")
+    res = split_channel(st, "A", "E1")
     assert res.per_attempt_probability == pytest.approx(0.5, abs=1e-12)
 
 
 def test_split_success_takes_exactly_one_photon():
     st = StateVector(attack_registry(), {(2, 0, 0, 0, 0, 0, 0, 0): 1.0})
-    res = split_channel(st, "A", 0, "E1")
+    res = split_channel(st, "A", "E1")
     for occ, _ in res.state.terms():
         assert occ[0] + occ[1] == 1  # one left for Alice
         assert occ[4] + occ[5] == 1  # one held by Eve
@@ -44,13 +44,13 @@ def test_split_success_takes_exactly_one_photon():
 def test_split_requires_two_photons():
     st = singlet_state().embed(attack_registry())
     with pytest.raises(FockError):
-        split_channel(st, "A", 0, "E1")
+        split_channel(st, "A", "E1")
 
 
 def test_attack_pipeline_reproduces_four_photon_attack_state():
     st = psi4_full()
-    st = split_channel(st, "A", 0, "E1").state
-    st = split_channel(st, "B", 0, "E2").state
+    st = split_channel(st, "A", "E1").state
+    st = split_channel(st, "B", "E2").state
     assert_states_close(st, attack_four_photon())
 
 
@@ -87,7 +87,7 @@ def test_attack_state_golden_dump():
 
 def test_analytic_split_reports_success_and_attempt_budget():
     st = psi4_full()
-    res = split_channel(st, "A", 0, "E1")
+    res = split_channel(st, "A", "E1")
     assert res.per_attempt_probability == pytest.approx(0.5)
 
 
@@ -100,10 +100,10 @@ def test_split_attack_branches_retry_loop(attempts):
     branches = split_attack_branches(st, AttackConfig(max_attempts=attempts))
     assert [p for p, _ in branches] == pytest.approx(
         [q * q, q * (1 - q), (1 - q) * q, (1 - q) ** 2], abs=1e-15)
-    split_a = split_channel(st, "A", 0, "E1").state
+    split_a = split_channel(st, "A", "E1").state
     assert_states_close(branches[0][1], attack_four_photon())
     assert_states_close(branches[1][1], split_a)  # B passed through
-    assert_states_close(branches[2][1], split_channel(st, "B", 0, "E2").state)
+    assert_states_close(branches[2][1], split_channel(st, "B", "E2").state)
     assert_states_close(branches[3][1], st)
 
 
@@ -113,7 +113,7 @@ def test_attack_config_validation():
 
 
 def test_intercept_branches_collapse_partner():
-    branches = intercept_branches(singlet_state(), "A", 0, HV)
+    branches = intercept_branches(singlet_state(), HV)
     assert sorted(bit for _, _, bit in branches) == [0, 1]
     for prob, post, bit in branches:
         assert prob == pytest.approx(0.5)
@@ -126,7 +126,7 @@ def test_intercept_branches_collapse_partner():
 def test_intercept_branches_wrong_basis_decoheres():
     # Eve reads D/A; the resent photon is a D/A eigenstate, so Alice's H/V
     # outcome no longer pins down Bob's
-    branches = intercept_branches(singlet_state(), "A", 0, DA)
+    branches = intercept_branches(singlet_state(), DA)
     assert len(branches) == 2
     for _, post, _ in branches:
         prob_h, _ = post.project(lambda occ: occ[0] == 1)
@@ -137,7 +137,7 @@ def test_intercept_branches_wrong_basis_decoheres():
 
 def test_intercept_branches_empty_channel():
     st = StateVector.vacuum(source_registry())
-    branches = intercept_branches(st, "A", 0, HV)
+    branches = intercept_branches(st, HV)
     assert [(prob, bit) for prob, _, bit in branches] == [(1.0, -1)]
     assert_states_close(branches[0][1], st)
 
@@ -145,7 +145,7 @@ def test_intercept_branches_empty_channel():
 def test_intercept_branches_reject_multiphoton_channel():
     st = StateVector(source_registry(), {(2, 0, 0, 2): 1.0})
     with pytest.raises(FockError):
-        intercept_branches(st, "A", 0, HV)
+        intercept_branches(st, HV)
 
 
 @pytest.mark.parametrize("basis", [None, HV, DA], ids=["random", "HV", "DA"])
@@ -153,6 +153,6 @@ def test_intercept_branch_probabilities_sum_to_squared_norm(basis):
     # a one-photon channel in superposition with vacuum, not normalized
     reg = source_registry()
     st = singlet_state() * 0.6 + StateVector(reg, {(0, 0, 1, 0): 0.3j})
-    branches = intercept_branches(st, "A", 0, basis)
+    branches = intercept_branches(st, basis)
     assert sum(prob for prob, _, _ in branches) == pytest.approx(st.norm_sq(), rel=1e-12)
     assert {bit for _, _, bit in branches} == {-1, 0, 1}

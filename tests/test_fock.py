@@ -3,21 +3,21 @@ import math
 import pytest
 
 from spdcqkd import protocol
-from spdcqkd.fock import (DEFAULT_MODE_CAP, FockError, ModeCapError, ModeLabel,
+from spdcqkd.fock import (MODE_CAP, FockError, ModeCapError, ModeLabel,
                           ModeRegistry, RegistryMismatchError, StateVector,
                           UnknownModeError, attack_registry, left_sum, source_registry,
                           squared_norm)
-from spdcqkd.optics import joint_threshold_branches
+from spdcqkd.optics import DA, joint_threshold_branches, rotate_polarization
 from spdcqkd.protocol import SessionConfig
-from spdcqkd.source import SpdcParams, spdc_state
+from spdcqkd.source import N_MAX_CAP, SpdcParams, spdc_state
 
 from test_golden import (GOLDEN_TABLES, TABLE_EVES, TABLE_SOURCES, _tables_digest,
                          scenario_measurements)
 
-AH = ModeLabel("A", 0, 0)
-AV = ModeLabel("A", 0, 1)
-BH = ModeLabel("B", 0, 0)
-BV = ModeLabel("B", 0, 1)
+AH = ModeLabel("A", 0)
+AV = ModeLabel("A", 1)
+BH = ModeLabel("B", 0)
+BV = ModeLabel("B", 1)
 
 
 def singlet(reg):
@@ -29,45 +29,35 @@ def test_registry_order_and_index():
     reg = source_registry()
     assert reg.labels == (AH, AV, BH, BV)
     assert reg.index(BH) == 2
-    assert AV in reg and ModeLabel("E1", 0, 0) not in reg
+    with pytest.raises(UnknownModeError):
+        reg.index(ModeLabel("E1", 0))
 
 
 def test_registry_rejects_duplicates():
     with pytest.raises(FockError):
         ModeRegistry([AH, AH])
-    with pytest.raises(FockError):
-        source_registry().with_mode(BV)
-
-
-def test_with_mode_appends_without_reordering():
-    reg = source_registry()
-    e = ModeLabel("E1", 0, 0)
-    bigger = reg.with_mode(e)
-    assert bigger.labels[:4] == reg.labels
-    assert bigger.index(e) == 4
-    assert len(reg) == 4  # original untouched
 
 
 def test_attack_registry_extends_source_registry():
     src, atk = source_registry(), attack_registry()
     assert atk.labels[:4] == src.labels
-    assert [str(m) for m in atk.labels[4:]] == ["E10H", "E10V", "E20H", "E20V"]
+    assert [str(m) for m in atk.labels[4:]] == ["E1H", "E1V", "E2H", "E2V"]
 
 
 def test_channel_modes():
     reg = attack_registry()
-    assert reg.channel_modes("A", 0) == (0, 1)
-    assert reg.channel_modes("E2", 0) == (6, 7)
+    assert reg.channel_modes("A") == (0, 1)
+    assert reg.channel_modes("E2") == (6, 7)
     with pytest.raises(UnknownModeError):
-        reg.channel_modes("C", 0)
-    # answers are memoised per registry: asked again, and for a second
-    # channel of one party on a larger registry, each keeps its own slots
-    wide = reg.with_mode(ModeLabel("A", 1, 1)).with_mode(ModeLabel("A", 1, 0))
+        reg.channel_modes("C")
+    # answers are memoised per registry: asked again, and on a registry of
+    # another slot order, each keeps its own slots
+    flipped = ModeRegistry([BV, BH, AV, AH])
     for _ in range(2):
-        assert reg.channel_modes("A", 0) == wide.channel_modes("A", 0) == (0, 1)
-        assert wide.channel_modes("A", 1) == (9, 8)
+        assert reg.channel_modes("A") == (0, 1)
+        assert flipped.channel_modes("A") == (3, 2)
         with pytest.raises(UnknownModeError):
-            reg.channel_modes("A", 1)
+            flipped.channel_modes("E2")
 
 
 def test_create_on_vacuum():
@@ -109,7 +99,7 @@ def test_annihilate_on_singlet():
 
 def test_unknown_mode_errors():
     st = StateVector.vacuum(source_registry())
-    ghost = ModeLabel("E1", 3, 0)
+    ghost = ModeLabel("E3", 0)
     with pytest.raises(UnknownModeError):
         st.create(ghost)
     with pytest.raises(UnknownModeError):
@@ -118,11 +108,31 @@ def test_unknown_mode_errors():
 
 def test_mode_cap_error_names_the_mode():
     reg = source_registry()
-    st = StateVector.basis_state(reg, (DEFAULT_MODE_CAP, 0, 0, 0))
-    with pytest.raises(ModeCapError, match="A0H"):
+    st = StateVector.basis_state(reg, (MODE_CAP, 0, 0, 0))
+    with pytest.raises(ModeCapError, match="AH"):
         st.create(AH)
     with pytest.raises(ModeCapError):
-        StateVector(reg, {(0, DEFAULT_MODE_CAP + 1, 0, 0): 1.0})
+        StateVector(reg, {(0, MODE_CAP + 1, 0, 0): 1.0})
+
+
+def test_one_cap_holds_the_largest_source_state():
+    """A source state at the largest pair cutoff builds and rotates under
+    the one cap; a photon more in a mode raises from the constructor, from
+    `create` and from a rotation, and names the mode."""
+    st = spdc_state(SpdcParams(0.9, n_max=N_MAX_CAP))
+    assert st.amplitude((0, N_MAX_CAP, N_MAX_CAP, 0)) != 0
+    rotated = rotate_polarization(st, "A", DA)
+    assert rotated.norm_sq() == pytest.approx(st.norm_sq(), rel=1e-12)
+    assert max(max(occ) for occ, _ in rotated.terms()) == N_MAX_CAP
+    reg = source_registry()
+    over = f"occupation {MODE_CAP + 1} exceeds per-mode cap {MODE_CAP}"
+    with pytest.raises(ModeCapError, match=f"mode BV: {over}"):
+        StateVector(reg, {(0, 0, 0, MODE_CAP + 1): 1.0})
+    full = StateVector.basis_state(reg, (0, MODE_CAP, 0, 0))
+    with pytest.raises(ModeCapError, match=f"mode AV: {over}"):
+        full.create(AV)
+    with pytest.raises(ModeCapError, match=f"mode AV: {over}"):
+        rotate_polarization(full.create(AH), "A", DA)
 
 
 def test_inner_products():
@@ -231,7 +241,7 @@ def test_embed_preserves_amplitudes_and_norm():
 
 def test_embed_on_one_more_mode_appends_vacuum_slot():
     s = singlet(source_registry())
-    st = s.embed(s.registry.with_mode(ModeLabel("E1", 0, 0)))
+    st = s.embed(ModeRegistry([*s.registry, ModeLabel("E1", 0)]))
     assert len(st.registry) == 5
     assert st.amplitude((0, 1, 1, 0, 0)) == pytest.approx(1 / math.sqrt(2))
 
@@ -263,15 +273,6 @@ def test_states_are_immutable_under_ops():
     assert s.dumps() == before
 
 
-def test_sum_with_a_larger_cap_still_checks_this_cap():
-    reg = source_registry()
-    small = StateVector.vacuum(reg)
-    big = StateVector(reg, {(DEFAULT_MODE_CAP + 1, 0, 0, 0): 1.0}, mode_cap=DEFAULT_MODE_CAP + 1)
-    with pytest.raises(ModeCapError, match="A0H"):
-        small + big
-    assert len(big + small) == 2
-
-
 @pytest.mark.parametrize("policy", ["assign", "discard"])
 def test_trusted_states_pass_validation(monkeypatch, policy):
     """Every state the engine builds unchecked over the golden table grid
@@ -281,10 +282,10 @@ def test_trusted_states_pass_validation(monkeypatch, policy):
     problems: list[str] = []
     built = []
 
-    def validating(cls, registry, amps, mode_cap):
-        st = trusted(cls, registry, amps, mode_cap)
+    def validating(cls, registry, amps):
+        st = trusted(cls, registry, amps)
         try:
-            ref = StateVector(registry, amps, mode_cap=mode_cap)
+            ref = StateVector(registry, amps)
         except FockError as exc:
             problems.append(f"fails validation: {exc}")
             return st

@@ -198,7 +198,7 @@ def scenario_measurements(source, eve):
     """(state, assignments) for every scenario state of a grid pair and every
     basis pair: the four channels a session's tables measure, in the order
     they are rotated.  Raises FockError where the table build does."""
-    return [(state, [("A", 0, a), ("B", 0, b), ("E1", 0, a), ("E2", 0, a)])
+    return [(state, [("A", a), ("B", b), ("E1", a), ("E2", a)])
             for _, _, emitted in protocol._emission_branches(source, attack_registry())
             for _, state, _ in protocol._eve_branches(emitted, eve)
             for a in (HV, DA) for b in (HV, DA)]

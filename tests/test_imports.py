@@ -9,7 +9,9 @@ module under `src/` assigns at its top level must be read somewhere under
 Every top-level function and class under `src/` must be named somewhere
 under `src/` outside its own definition, or exported by the package.
 Every parameter with a default of a top-level function under `src/` must
-be passed by some call under `src/`, `tests/` or `perfbench/`.
+be passed by some call under `src/`, `tests/` or `perfbench/`, and no
+parameter of one may get the same literal constant from every such call,
+unless the function is also named outside a call (passed on as a value).
 The package's `__all__` must list exactly the names its `__init__`
 imports, and a short session loads neither the drawer nor the replay
 parser.
@@ -204,6 +206,80 @@ def test_check_finds_an_unset_parameter():
     callers = {"a.py": "f(0, 1)\nf(0, m=5)\n",
                "b.py": "import a\na.g(*[1])\nh(1)\n"}
     assert unset_parameters(sources, callers) == ["a.py: f.z", "a.py: f.k", "a.py: h.b"]
+
+
+def _literal(node: ast.AST | None) -> str | None:
+    """repr of the literal constant `node` stands for, None if it is not one."""
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError):
+        return None
+
+
+def constant_arguments(sources: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """'module: function.parameter' for each parameter of a top-level
+    function of `sources` to which every call in `callers` (both name ->
+    source) of the function's name, bare or as an attribute, gives one
+    literal constant, passed or as the default.  A function named anywhere
+    outside a call's callee, or called with *args or **kwargs, is skipped:
+    its other callers are unknown."""
+    calls: dict[str, list[ast.Call]] = {}
+    named = set()
+    for source in callers.values():
+        tree = ast.parse(source)
+        callees = set()
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                callees.add(call.func)
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                calls.setdefault(name, []).append(call)
+        named.update(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                     if isinstance(n, (ast.Name, ast.Attribute)) and n not in callees)
+    found = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            sites = calls.get(getattr(node, "name", None), [])
+            if (not isinstance(node, ast.FunctionDef) or node.name in named or not sites
+                    or any(isinstance(a, ast.Starred) for c in sites for a in c.args)
+                    or any(k.arg is None for c in sites for k in c.keywords)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = dict(zip([a.arg for a in positional[len(positional) - len(args.defaults):]],
+                                args.defaults))
+            defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults))
+            for index, param in ([(i, a.arg) for i, a in enumerate(positional)]
+                                 + [(None, a.arg) for a in args.kwonlyargs]):
+                values = set()
+                for call in sites:
+                    given = {k.arg: k.value for k in call.keywords}
+                    if index is not None and index < len(call.args):
+                        given[param] = call.args[index]
+                    values.add(_literal(given.get(param, defaults.get(param))))
+                if len(values) == 1 and None not in values:
+                    found.append(f"{module}: {node.name}.{param}")
+    return found
+
+
+def test_no_parameter_gets_one_constant_from_every_call():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
+    callers = {str(p.relative_to(ROOT)): p.read_text() for p in CALLERS}
+    assert constant_arguments(sources, callers) == []
+
+
+def test_check_finds_a_constant_argument():
+    sources = {"a.py": "def f(x, path, n=1, *, k=2): pass\n"
+                       "def g(x, y): pass\n"
+                       "def h(x): pass\n"
+                       "def spread(x): pass\n"
+                       "def unused(x): pass\n"
+                       "def starred(x): pass\n"}
+    callers = {"a.py": "f(1, 'p.')\nf(2, 'p.', 1)\ng(0, 1)\nh(True)\nspread(3)\n"
+                       "starred(*[0])\n",
+               "b.py": "import a\na.f(x=3, path='p.', k=2)\ng(0, 2)\na.h(1)\n"
+                       "spread(3)\nfunctools.partial(a.spread, 4)\n"}
+    assert constant_arguments(sources, callers) == ["a.py: f.path", "a.py: f.n", "a.py: f.k",
+                                                    "a.py: g.x"]
 
 
 def test_package_exports_exactly_its_imports():

@@ -15,10 +15,10 @@ from spdcqkd.source import SpdcParams, spdc_state
 from test_golden import scenario_measurements
 from test_kernels import BUILDABLE
 
-AH = ModeLabel("A", 0, 0)
-AV = ModeLabel("A", 0, 1)
-E1H = ModeLabel("E1", 0, 0)
-E1V = ModeLabel("E1", 0, 1)
+AH = ModeLabel("A", 0)
+AV = ModeLabel("A", 1)
+E1H = ModeLabel("E1", 0)
+E1V = ModeLabel("E1", 1)
 
 SQ2 = math.sqrt(2.0)
 
@@ -113,7 +113,7 @@ def test_beamsplitter_preserves_inner_products():
 
 def test_rotation_hong_ou_mandel():
     reg = source_registry()
-    st = rotate_polarization(ket(reg, (1, 1, 0, 0)), "A", 0, DA)
+    st = rotate_polarization(ket(reg, (1, 1, 0, 0)), "A", DA)
     assert st.amplitude((2, 0, 0, 0)) == pytest.approx(1 / SQ2, abs=1e-12)
     assert st.amplitude((0, 2, 0, 0)) == pytest.approx(-1 / SQ2, abs=1e-12)
     assert len(st) == 2
@@ -123,11 +123,11 @@ def test_rotation_of_two_same_polarization_photons():
     # |20> and |02> split across both rotated modes; the cross terms carry
     # opposite signs so |20> + |02> stays invariant
     reg = source_registry()
-    st20 = rotate_polarization(ket(reg, (2, 0, 0, 0)), "A", 0, DA)
+    st20 = rotate_polarization(ket(reg, (2, 0, 0, 0)), "A", DA)
     assert st20.amplitude((2, 0, 0, 0)) == pytest.approx(0.5, abs=1e-12)
     assert abs(st20.amplitude((1, 1, 0, 0))) == pytest.approx(1 / SQ2, abs=1e-12)
     assert st20.amplitude((0, 2, 0, 0)) == pytest.approx(0.5, abs=1e-12)
-    st02 = rotate_polarization(ket(reg, (0, 2, 0, 0)), "A", 0, DA)
+    st02 = rotate_polarization(ket(reg, (0, 2, 0, 0)), "A", DA)
     both = st20 + st02
     assert both.amplitude((2, 0, 0, 0)) == pytest.approx(1.0, abs=1e-12)
     assert both.amplitude((0, 2, 0, 0)) == pytest.approx(1.0, abs=1e-12)
@@ -137,14 +137,14 @@ def test_rotation_of_two_same_polarization_photons():
 def test_rotation_theta_zero_is_identity():
     reg = source_registry()
     st = StateVector(reg, {(1, 1, 0, 0): 0.6, (0, 2, 1, 0): 0.8j})
-    assert_states_close(rotate_polarization(st, "A", 0, HV), st)
+    assert_states_close(rotate_polarization(st, "A", HV), st)
 
 
 def test_rotation_roundtrip_is_identity():
     reg = source_registry()
     rng = np.random.default_rng(11)
     st = random_state(reg, rng)
-    back = rotate_polarization(rotate_polarization(st, "A", 0, DA), "A", 0, -DA.theta)
+    back = rotate_polarization(rotate_polarization(st, "A", DA), "A", -DA.theta)
     assert_states_close(back, st)
 
 
@@ -154,28 +154,28 @@ def test_rotation_preserves_inner_products():
     for theta in (0.3, math.pi / 4, 1.2):
         x = random_state(reg, rng)
         y = random_state(reg, rng)
-        rx = rotate_polarization(x, "B", 0, theta)
-        ry = rotate_polarization(y, "B", 0, theta)
+        rx = rotate_polarization(x, "B", theta)
+        ry = rotate_polarization(y, "B", theta)
         assert abs(x.inner(y) - rx.inner(ry)) <= 1e-12
 
 
 def test_rotation_fixes_singlet():
     st = singlet()
-    rot = rotate_polarization(rotate_polarization(st, "A", 0, DA), "B", 0, DA)
+    rot = rotate_polarization(rotate_polarization(st, "A", DA), "B", DA)
     assert_states_close(rot, st)
 
 
 def test_rotation_unknown_channel():
     with pytest.raises(FockError):
-        rotate_polarization(singlet(), "E1", 0, DA)
+        rotate_polarization(singlet(), "E1", DA)
 
 
-def reference_rotation(state, party, channel, theta):
+def reference_rotation(state, party, theta):
     """The per-term formula the weight cache replaced, built through the
     validating constructor (which raised on an occupation above the cap)."""
     if isinstance(theta, BasisAngle):
         theta = theta.theta
-    hi, vi = state.registry.channel_modes(party, channel)
+    hi, vi = state.registry.channel_modes(party)
     c = math.cos(theta)
     s = math.sin(theta)
     amps = {}
@@ -199,26 +199,26 @@ def reference_rotation(state, party, channel, theta):
                 key = tuple(new)
                 weight = w * math.sqrt(math.factorial(m) * math.factorial(tot - m))
                 amps[key] = amps.get(key, 0j) + base * weight
-    return StateVector(state.registry, amps, mode_cap=state.mode_cap)
+    return StateVector(state.registry, amps)
 
 
 def test_rotation_past_the_cap_names_the_mode():
     reg = source_registry()
-    with pytest.raises(ModeCapError, match="mode A0V: occupation 9 exceeds per-mode cap 8"):
-        rotate_polarization(ket(reg, (5, 4, 0, 0)), "A", 0, DA)
+    with pytest.raises(ModeCapError, match="mode AV: occupation 33 exceeds per-mode cap 32"):
+        rotate_polarization(ket(reg, (17, 16, 0, 0)), "A", DA)
 
 
 @pytest.mark.parametrize("theta", [DA, 0.3, -DA.theta, 2.0, 1e-300, HV])
 def test_rotation_cap_error_matches_reference(theta):
-    # a valid term first, then 9 photons in one channel (cap 8); only an
+    # a valid term first, then 33 photons in one channel (cap 32); only an
     # exact identity (theta 0, or weights that underflow to 0) leaves every
     # slot within the cap
     reg = source_registry()
-    st = StateVector(reg, {(0, 0, 1, 0): 0.6, (5, 4, 0, 0): 0.8, (0, 0, 0, 1): 0.1})
+    st = StateVector(reg, {(0, 0, 1, 0): 0.6, (17, 16, 0, 0): 0.8, (0, 0, 0, 1): 0.1})
 
     def outcome(rotate):
         try:
-            return list(rotate(st, "A", 0, theta).terms())
+            return list(rotate(st, "A", theta).terms())
         except ModeCapError as exc:
             return str(exc)
 
@@ -229,8 +229,8 @@ def test_rotation_of_spdc_state_matches_reference():
     st = spdc_state(SpdcParams(0.3, n_max=6))
     got, want = st, st
     for party, theta in (("A", DA), ("B", DA), ("A", -DA.theta), ("B", 0.3)):
-        got = rotate_polarization(got, party, 0, theta)
-        want = reference_rotation(want, party, 0, theta)
+        got = rotate_polarization(got, party, theta)
+        want = reference_rotation(want, party, theta)
         assert got.dump_lines() == want.dump_lines()
         assert [(o, repr(a)) for o, a in got.terms()] == [(o, repr(a)) for o, a in want.terms()]
     assert len(got) > 100
@@ -241,11 +241,11 @@ def test_rotation_weight_cache_is_bounded():
     assert weights.cache_info().maxsize == optics.ROTATION_CACHE_SIZE
     st = ket(source_registry(), (1, 1, 0, 0))
     for k in range(optics.ROTATION_CACHE_SIZE + 200):
-        rotate_polarization(st, "A", 0, 1e-3 * (k + 1))
+        rotate_polarization(st, "A", 1e-3 * (k + 1))
         assert weights.cache_info().currsize <= optics.ROTATION_CACHE_SIZE
     hits = weights.cache_info().hits
-    rotate_polarization(st, "A", 0, 1e-3)
-    rotate_polarization(st, "A", 0, 1e-3)
+    rotate_polarization(st, "A", 1e-3)
+    rotate_polarization(st, "A", 1e-3)
     assert weights.cache_info().hits == hits + 1
 
 
@@ -301,7 +301,7 @@ def kinds_and_probabilities(state, assignments):
 
 def test_joint_threshold_branches_probabilities():
     st = singlet()
-    branches = joint_threshold_branches(st, [("A", 0, HV), ("B", 0, DA)])
+    branches = joint_threshold_branches(st, [("A", HV), ("B", DA)])
     assert sum(b.probability for b in branches) == pytest.approx(1.0)
     for b in branches:
         assert b.state.norm() == pytest.approx(1.0)
@@ -310,7 +310,7 @@ def test_joint_threshold_branches_probabilities():
 
 
 def test_threshold_detect_singlet_anticorrelation():
-    got = kinds_and_probabilities(singlet(), [("A", 0, HV), ("B", 0, HV)])
+    got = kinds_and_probabilities(singlet(), [("A", HV), ("B", HV)])
     assert [kinds for kinds, _ in got] == [(OutcomeKind.BIT0, OutcomeKind.BIT1),
                                            (OutcomeKind.BIT1, OutcomeKind.BIT0)]
     assert [p for _, p in got] == pytest.approx([0.5, 0.5])
@@ -318,18 +318,18 @@ def test_threshold_detect_singlet_anticorrelation():
 
 def test_threshold_detect_two_photons_one_detector():
     st = ket(source_registry(), (2, 0, 0, 0))
-    assert kinds_and_probabilities(st, [("A", 0, HV)]) == [
+    assert kinds_and_probabilities(st, [("A", HV)]) == [
         ((OutcomeKind.BIT0,), pytest.approx(1.0))]
 
 
 def test_threshold_detect_vacuum_never_clicks():
     st = StateVector.vacuum(source_registry())
-    assert kinds_and_probabilities(st, [("A", 0, HV)]) == [((OutcomeKind.NO_CLICK,), 1.0)]
+    assert kinds_and_probabilities(st, [("A", HV)]) == [((OutcomeKind.NO_CLICK,), 1.0)]
 
 
 def test_threshold_detect_double_click_assigns_random_bit():
     st = ket(source_registry(), (1, 1, 0, 0))
-    assert kinds_and_probabilities(st, [("A", 0, HV)]) == [
+    assert kinds_and_probabilities(st, [("A", HV)]) == [
         ((OutcomeKind.DOUBLE,), pytest.approx(1.0))]
     # the session template gives Alice's double click each bit on two of
     # its four equally likely draw pairs
@@ -347,18 +347,18 @@ def test_threshold_detect_global_phase_invariance():
     # bit for bit when the phase is exact in floating point, to rounding
     # otherwise
     st = singlet()
-    want = kinds_and_probabilities(st, [("A", 0, DA)])
+    want = kinds_and_probabilities(st, [("A", DA)])
     for phase in (1j, -1.0):
-        got = kinds_and_probabilities(st * phase, [("A", 0, DA)])
+        got = kinds_and_probabilities(st * phase, [("A", DA)])
         assert [(kinds, p.hex()) for kinds, p in got] == [(kinds, p.hex()) for kinds, p in want]
-    got = kinds_and_probabilities(st * cmath.exp(0.7j), [("A", 0, DA)])
+    got = kinds_and_probabilities(st * cmath.exp(0.7j), [("A", DA)])
     assert [kinds for kinds, _ in got] == [kinds for kinds, _ in want]
     assert [p for _, p in got] == pytest.approx([p for _, p in want], rel=1e-15)
 
 
 def test_threshold_detect_post_state_is_conditional():
     # each of Alice's clicks leaves Bob's photon in the opposite polarization
-    branches = joint_threshold_branches(singlet(), [("A", 0, HV)])
+    branches = joint_threshold_branches(singlet(), [("A", HV)])
     assert [b.kinds for b in branches] == [(OutcomeKind.BIT0,), (OutcomeKind.BIT1,)]
     for bit, b in enumerate(branches):
         prob, _ = b.state.project(lambda occ: occ[2 + (1 - bit)] == 1)
@@ -389,14 +389,14 @@ def test_click_probabilities_equal_branch_probabilities(name, source, eve):
         assert all(type(k) is OutcomeKind for kinds, _ in got for k in kinds)
         assert click_probabilities(state, assignments[:2]) == branch_probabilities(
             state, assignments[:2])
-        a_basis = assignments[0][2]
-        state_a = rotate_polarization(state, "A", 0, a_basis) if a_basis is DA else state
-        assert click_probabilities(state_a, [("A", 0, HV)] + assignments[1:]) == want
+        a_basis = assignments[0][1]
+        state_a = rotate_polarization(state, "A", a_basis) if a_basis is DA else state
+        assert click_probabilities(state_a, [("A", HV)] + assignments[1:]) == want
 
 
 @pytest.mark.parametrize("order", [
-    [("B", 0, 1), ("A", 0, 1), ("B", 0, 0), ("A", 0, 0)],  # V before H
-    [("A", 0, 0), ("B", 0, 0), ("A", 0, 1), ("B", 0, 1)],  # a channel's slots apart
+    [("B", 1), ("A", 1), ("B", 0), ("A", 0)],  # V before H
+    [("A", 0), ("B", 0), ("A", 1), ("B", 1)],  # a channel's slots apart
 ])
 def test_click_probabilities_on_another_mode_order(order):
     """Bit for bit on a registry that lists the same modes in another
@@ -407,8 +407,8 @@ def test_click_probabilities_on_another_mode_order(order):
     st = spdc_state(params).embed(reg)
     for a in (HV, DA, BasisAngle(0.3)):
         for b in (HV, DA):
-            for assignments in ([("A", 0, a), ("B", 0, b)], [("B", 0, b), ("A", 0, a)],
-                                [("A", 0, a)]):
+            for assignments in ([("A", a), ("B", b)], [("B", b), ("A", a)],
+                                [("A", a)]):
                 got = click_probabilities(st, assignments)
                 assert got == branch_probabilities(st, assignments)
                 assert got == click_probabilities(spdc_state(params), assignments)
@@ -423,8 +423,8 @@ def test_click_probabilities_prune_after_the_last_rotation():
         x = small / min(c, s)
         st = StateVector(source_registry(), {(0, 0, 1, 0): 1.0, (1, 0, 0, 1): x})
         assert len(st) == 2
-        assert len(rotate_polarization(st, "A", 0, DA)) == (3 if kept else 1)
-        assignments = [("A", 0, DA), ("B", 0, HV)]
+        assert len(rotate_polarization(st, "A", DA)) == (3 if kept else 1)
+        assignments = [("A", DA), ("B", HV)]
         got = click_probabilities(st, assignments)
         assert got == branch_probabilities(st, assignments)
         assert len(got) == (3 if kept else 1)
@@ -436,7 +436,7 @@ def test_click_probabilities_add_left_to_right():
     3.12's sum()) gives 1 + 2**-52."""
     amps = {(1, 0, 0, 0): 1.0, (2, 0, 0, 0): 1e-8, (3, 0, 0, 0): 1e-8}
     st = StateVector(source_registry(), amps)
-    got = joint_click_probabilities(st, [("A", 0, HV)])
+    got = joint_click_probabilities(st, [("A", HV)])
     assert got == [(OutcomeKind.BIT0, 1.0)]
     assert got[0][1].hex() == "0x1.0000000000000p+0"
     assert st.norm_sq() == 1.0
@@ -444,4 +444,4 @@ def test_click_probabilities_add_left_to_right():
     same_count = StateVector(source_registry(),
                              {(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 1e-8, (0, 1, 1, 0): 1e-8})
     assert [b.probability for b in qnd_count(same_count, [AH, AV])] == [1.0]
-    assert joint_threshold_branches(st, [("A", 0, HV)])[0].probability == 1.0
+    assert joint_threshold_branches(st, [("A", HV)])[0].probability == 1.0

@@ -338,7 +338,7 @@ def test_outcome_rows_refuse_an_eavesdropper_double_click(party):
     for b_basis in (HV, DA):
         with pytest.raises(FockError, match="eavesdropper channel has a double click"):
             protocol._outcome_rows(state, HV, b_basis, -1)
-        state_a = rotate_polarization(state, "A", 0, DA)
+        state_a = rotate_polarization(state, "A", DA)
         rows = protocol._outcome_rows(state_a, DA, b_basis, -1)
         assert {key[2 if party == "E1" else 3] for key, _ in rows} == {0, 1}
 

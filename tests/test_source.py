@@ -9,10 +9,10 @@ from spdcqkd.source import (N_MAX_CAP, SpdcParams, four_photon_component, pair_s
                             singlet_state, spdc_state, spdc_state_recursive,
                             squared_norm_truncated, truncation_tail)
 
-AH = ModeLabel("A", 0, 0)
-AV = ModeLabel("A", 0, 1)
-BH = ModeLabel("B", 0, 0)
-BV = ModeLabel("B", 0, 1)
+AH = ModeLabel("A", 0)
+AV = ModeLabel("A", 1)
+BH = ModeLabel("B", 0)
+BV = ModeLabel("B", 1)
 
 
 def assert_states_close(x, y, tol=1e-12):
@@ -20,7 +20,7 @@ def assert_states_close(x, y, tol=1e-12):
 
 
 def rotate_both(state):
-    return rotate_polarization(rotate_polarization(state, "A", 0, DA), "B", 0, DA)
+    return rotate_polarization(rotate_polarization(state, "A", DA), "B", DA)
 
 
 def test_params_validation():
