@@ -35,11 +35,20 @@ once, the first build stays cached.  Sessions, replay and
 `eve_mutual_information` take their template from that cache only; a build
 that raises is not cached.  Many
 seeds of one config in one process build it once; a one-shot `spdcqkd
-simulate`, or a process that never repeats a config, gains nothing from it.
+simulate` gains nothing from it.  Below it, every build takes each
+scenario's rows from `_scenario_rows`, which keeps the rows of the
+SCENARIO_MEMO_SIZE scenarios used last, keyed by the scenario state's
+exact terms in term order and its fixed eavesdropper bit.  A split or
+intercept branch projects the source onto pair-number sectors, whose
+renormalized states repeat across `tanh_xi` bit for bit, so a process that
+never repeats a config still builds most scenarios once; a hit returns what
+equal arguments computed, so the tables keep every bit.
 The cached tables, lookup arrays, guides and row codes are read-only and
 the tags a tuple, so no session can change what the next one samples; so
-are the row probabilities, the mask of drawable row codes and the exact
-eavesdropper information, which a template computes on first use.  Every
+are the row probabilities and the exact eavesdropper information, which
+the thread that builds a template computes before caching it, and the
+mask of drawable row codes, which a transcript's reader computes on first
+use.  Every
 report, live or replayed, takes its leak from the template that defines
 its rounds: `eve_information` against h(qber_hat).
 
@@ -127,8 +136,10 @@ from .source import SpdcParams, singlet_state, spdc_state
 # longer than one piece draws ahead on the drawer thread.
 CHUNK_ROUNDS = 1 << 14
 DRAW_PIECE_ROUNDS = 1 << 12
-# Physics configs whose session template a process keeps.
+# Physics configs whose session template a process keeps, and scenarios
+# whose table rows it keeps (`_scenario_rows`).
 TEMPLATE_CACHE_SIZE = 8
+SCENARIO_MEMO_SIZE = 128
 
 TRANSCRIPT_HEADER = ("round_idx,source_tag,alice_basis,bob_basis,"
                      "alice_outcome,bob_outcome,sifted_flag,alice_bit,bob_bit")
@@ -430,6 +441,41 @@ def _outcome_rows(state_a: StateVector, a_basis: BasisAngle, b_basis: BasisAngle
     return [(key, p / total) for key, p in sorted(rows.items())]
 
 
+@functools.lru_cache(maxsize=SCENARIO_MEMO_SIZE)
+def _scenario_rows(registry, terms: tuple, fixed_e1: int
+                   ) -> tuple[tuple[int, ...], tuple[float, ...], tuple[tuple[int, ...], ...]]:
+    """The table rows of one scenario: (length of each basis-pair group,
+    cumulative probability of each row, key of each row), the groups in
+    the order (HV, HV), (HV, DA), (DA, HV), (DA, DA).
+
+    The scenario is its state's registry and `terms`, the (occupation,
+    amplitude) pairs in term order, and `fixed_e1`; the state is rebuilt
+    from them, so these arguments are all it depends on.  Memoized for the
+    SCENARIO_MEMO_SIZE scenarios used last: a split or intercept branch
+    projects the source onto pair-number sectors, whose renormalized states
+    mostly repeat across `tanh_xi` bit for bit.  A hit returns what equal
+    arguments computed; keys equal when their amplitudes are, so 0.0 and
+    -0.0 parts share an entry, and they give the same rows.  An error
+    caches nothing.
+    """
+    st = StateVector._trusted(registry, dict(terms))
+    lengths = []
+    cum: list[float] = []
+    keys: list[tuple[int, int, int, int]] = []
+    for a_basis in (HV, DA):
+        st_a = st if a_basis is HV else rotate_polarization(st, "A", a_basis)
+        for b_basis in (HV, DA):
+            rows = _outcome_rows(st_a, a_basis, b_basis, fixed_e1)
+            lengths.append(len(rows))
+            acc = 0.0
+            for key, p in rows:
+                acc += p
+                cum.append(acc)
+                keys.append(key)
+            cum[-1] = 1.0
+    return tuple(lengths), tuple(cum), tuple(keys)
+
+
 def _build_tables(config: SessionConfig) -> _Tables:
     registry = attack_registry()
     emissions = _emission_branches(config.source, registry)
@@ -447,17 +493,10 @@ def _build_tables(config: SessionConfig) -> _Tables:
     cum: list[float] = []
     keys: list[tuple[int, int, int, int]] = []
     for _, _, st, fixed_e1 in scenarios:
-        for a_basis in (HV, DA):
-            st_a = st if a_basis is HV else rotate_polarization(st, "A", a_basis)
-            for b_basis in (HV, DA):
-                rows = _outcome_rows(st_a, a_basis, b_basis, fixed_e1)
-                lengths.append(len(rows))
-                acc = 0.0
-                for key, p in rows:
-                    acc += p
-                    cum.append(acc)
-                    keys.append(key)
-                cum[-1] = 1.0
+        s_lengths, s_cum, s_keys = _scenario_rows(st.registry, tuple(st.terms()), fixed_e1)
+        lengths += s_lengths
+        cum += s_cum
+        keys += s_keys
     grp_len = np.array(lengths, dtype=np.int64)
     row_a, row_b, row_e1, row_e2 = np.array(keys, dtype=np.int8).T.copy()
     return _Tables(
@@ -579,7 +618,13 @@ class _Tally:
 class SessionReport:
     """A session's counts.  `leak` is the config's exact I(Alice bit;
     eavesdropper record) per sifted key bit (`eve_mutual_information`)
-    against h(qber_hat), the error-correction leakage of its errors."""
+    against h(qber_hat), the error-correction leakage of its errors.
+
+    `leak.eve_info` counts the eavesdropper's tap or intercept outcomes
+    only, not the announced basis or her own basis choice
+    (`_Template.eve_information`): 0.1887 bits where she knows 0.5 on the
+    singlet under `InterceptResend(HV)`.
+    """
 
     rounds: int
     sifted_length: int
@@ -655,7 +700,7 @@ class _Template:
     @functools.cached_property
     def probabilities(self) -> np.ndarray:
         """float64[T]: the exact probability that a round draws each row
-        (`template_probabilities`), computed on first use."""
+        (`template_probabilities`), computed when the template is built."""
         prob = _kernels.template_probabilities(self.tables.scen_cum, self.thresholds)
         prob.flags.writeable = False
         return prob
@@ -663,7 +708,8 @@ class _Template:
     @functools.cached_property
     def drawable(self) -> np.ndarray:
         """bool[len(tags) * _CODES]: whether a round can have each row code,
-        i.e. some row of that code has a probability above 0."""
+        i.e. some row of that code has a probability above 0; computed on
+        first use, as only a transcript's reader reads it."""
         mask = np.bincount(self.codes[self.probabilities > 0],
                            minlength=len(self.tables.emission_tags) * _CODES) > 0
         mask.flags.writeable = False
@@ -678,7 +724,15 @@ class _Template:
         bit (intercept-resend); rounds where she holds nothing count as a
         fixed 'empty' symbol.  The joint distribution is the template's
         sifted rows, each weighted by its exact probability, so the sift and
-        double-click rules are the sampler's own.
+        double-click rules are the sampler's own.  Computed when the
+        template is built.
+
+        The record holds those outcomes only: not the basis sifting
+        announces, nor the basis she measured in.  So it understates what
+        she knows when her basis choice tells: on the singlet under
+        `InterceptResend(HV)` it is 0.1887 bits (1 - h(1/4)), against 0.5
+        given the announced basis.  The split attack reads its taps in the
+        announced basis, so the paper's scenario loses nothing.
         """
         sifted = self.rows[:, 7] == 1
         rows = self.rows[sifted].astype(np.intp)
@@ -741,6 +795,9 @@ def _session_template(config: SessionConfig) -> _Template:
     codes = _row_codes(rows, tables.scen_emission).astype(CODE_DTYPE)
     template = _Template(tables, thresholds, rows, codes,
                          *_kernels.guide_tables(tables.scen_cum, thresholds))
+    # every report reads these: compute them on this thread, which may be
+    # the drawer's while the session draws, not after the session's rounds
+    template.probabilities, template.eve_information
     with _templates_lock:
         template = _templates.setdefault(key, template)  # another thread's build stays
         if len(_templates) > TEMPLATE_CACHE_SIZE:

@@ -5,17 +5,22 @@ eavesdropper and the double-click policy.  Sessions of any seed and round
 count, and `eve_mutual_information`, share one build per config; configs
 that differ in any physics field get their own; cached arrays are
 read-only; and cold and warm caches give the same records, tables,
-sampler guides and transcript bytes.  The exact row probabilities, the
-drawable-code mask and the eavesdropper information are kept with the
-template on first use.  A session that draws ahead and finds its template
-not cached builds it on the drawer thread while it draws its first two
-blocks, with the same rounds as a warm or a serial session.
+sampler guides and transcript bytes.  The exact row probabilities and the
+eavesdropper information are computed with the template, the
+drawable-code mask on first use, and all are kept with it.  A session that
+draws ahead and finds its template not cached builds it on the drawer
+thread while it draws its first two blocks, with the same rounds as a warm
+or a serial session.  Below the cache, the memo of each scenario's rows
+(`protocol._scenario_rows`) gives every pinned table bit for bit when it
+was warmed at another parameter, misses on an amplitude one ulp away,
+stays within its bound and caches no error.
 """
 
 import contextlib
 import dataclasses
 import functools
 import hashlib
+import math
 import os
 import signal
 import sys
@@ -28,7 +33,7 @@ import pytest
 
 from spdcqkd import _drawer, _kernels, _replay, protocol
 from spdcqkd.attack import AttackConfig
-from spdcqkd.fock import FockError
+from spdcqkd.fock import FockError, StateVector, attack_registry
 from spdcqkd.optics import DA, HV, BasisAngle
 from spdcqkd.protocol import (AttackMixture, InterceptResend, SessionConfig, SingletSource,
                               SpdcSource, SplitAttack, eve_mutual_information, replay,
@@ -36,7 +41,8 @@ from spdcqkd.protocol import (AttackMixture, InterceptResend, SessionConfig, Sin
 from spdcqkd.source import SpdcParams
 
 from test_golden import (GOLDEN_RECORDS, GOLDEN_SESSION, GOLDEN_TABLES, GOLDEN_TRANSCRIPT_V3,
-                         GOLDEN_IDS, TABLE_EVES, TABLE_SOURCES, _tables_digest, records)
+                         GOLDEN_IDS, PHASE_TABLES, TABLE_EVES, TABLE_SOURCES, _tables_digest,
+                         records)
 
 PAPER = SessionConfig(rounds=2000, seed=1, source=SpdcSource(SpdcParams(0.3)),
                       eve=SplitAttack(AttackConfig(max_attempts=3)))
@@ -253,6 +259,127 @@ def test_golden_transcript_cold_and_warm(tmp_path, builds):
         assert path.read_bytes()[-32:] == bytes.fromhex(GOLDEN_TRANSCRIPT_V3)
     assert (tmp_path / "cold.v3").read_bytes() == (tmp_path / "warm.v3").read_bytes()
     assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# the memo of each scenario's rows below the template cache
+
+
+def _other_source(source):
+    """The same source kind at another continuous parameter (tanh_xi, p)."""
+    if isinstance(source, SpdcSource):
+        return SpdcSource(dataclasses.replace(source.params, tanh_xi=0.45))
+    if isinstance(source, AttackMixture):
+        return AttackMixture(0.7)
+    return source
+
+
+def _memo_hits() -> int:
+    return protocol._scenario_rows.cache_info().hits
+
+
+def _scenarios(config):
+    """(registry, terms, fixed_e1) of every scenario a config's tables build."""
+    return [(state.registry, tuple(state.terms()), fixed_e1)
+            for _, _, emitted in protocol._emission_branches(config.source, attack_registry())
+            for _, state, fixed_e1 in protocol._eve_branches(emitted, config.eve)]
+
+
+# (name, source, eve, digest) of every pinned table
+PINNED_TABLES = [(f"{s}/{e}", source, eve, GOLDEN_TABLES[f"{s}/{e}"])
+                 for s, source in TABLE_SOURCES for e, eve in TABLE_EVES] + [
+    (name, source, SplitAttack(AttackConfig(max_attempts=3)), digest)
+    for name, (source, digest) in PHASE_TABLES.items()]
+
+
+@pytest.mark.parametrize("source,eve,digest", [pin[1:] for pin in PINNED_TABLES],
+                         ids=[pin[0] for pin in PINNED_TABLES])
+def test_pinned_tables_from_a_memo_warmed_at_another_parameter(source, eve, digest):
+    def digest_of(src):
+        try:
+            return _tables_digest(protocol._build_tables(
+                SessionConfig(rounds=1, seed=0, source=src, eve=eve)))
+        except FockError:
+            return "FockError"
+
+    digest_of(_other_source(source))
+    before = _memo_hits()
+    assert digest_of(source) == digest
+    # with no eavesdropper an SPDC source's whole coherent state is its one
+    # scenario, which tanh_xi changes; a split or intercept branch is a sector
+    recurs = digest != "FockError" and not (isinstance(source, SpdcSource) and eve is None)
+    assert (_memo_hits() > before) == recurs
+
+
+def test_an_amplitude_one_ulp_away_misses():
+    registry, terms, fixed_e1 = _scenarios(PAPER)[0]
+    rows = protocol._scenario_rows(registry, terms, fixed_e1)
+    assert protocol._scenario_rows(registry, terms, fixed_e1) is rows
+    info = protocol._scenario_rows.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    occ, amp = terms[0]
+    moved = ((occ, complex(math.nextafter(amp.real, math.inf), amp.imag)),) + terms[1:]
+    protocol._scenario_rows(registry, moved, fixed_e1)
+    info = protocol._scenario_rows.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
+def test_the_memo_holds_at_most_its_bound():
+    bound = protocol.SCENARIO_MEMO_SIZE
+    assert protocol._scenario_rows.cache_info().maxsize == bound
+    # one scenario per config, a new one at each tanh_xi
+    for i in range(bound + 5):
+        protocol._build_tables(SessionConfig(
+            rounds=1, seed=0, source=SpdcSource(SpdcParams(0.1 + i / 1000, n_max=1))))
+        assert protocol._scenario_rows.cache_info().currsize <= bound
+    info = protocol._scenario_rows.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (bound, bound + 5, 0)
+
+
+def test_a_scenario_that_raises_caches_nothing(monkeypatch):
+    # a stored photon in each slot of E1 double-clicks in HV: `_outcome_rows` raises
+    r = 1.0 / math.sqrt(2.0)
+    state = StateVector(attack_registry(), {(0, 1, 1, 0, 1, 1, 0, 0): r,
+                                            (1, 0, 0, 1, 1, 1, 0, 0): -r})
+    monkeypatch.setattr(protocol, "_eve_branches", lambda emitted, eve: [(1.0, state, -1)])
+    errors = []
+    for _ in range(2):
+        with pytest.raises(FockError, match="eavesdropper channel has a double click") as raised:
+            protocol._build_tables(PAPER)
+        errors.append((type(raised.value), str(raised.value)))
+    assert errors[0] == errors[1]
+    info = protocol._scenario_rows.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (0, 2, 0)
+
+
+def _flip_zero_signs(terms):
+    """The terms with every zero real or imaginary part of opposite sign,
+    and how many parts that flipped."""
+    flipped = 0
+
+    def flip(x):
+        nonlocal flipped
+        if x == 0.0:
+            flipped += 1
+            return -x
+        return x
+
+    out = tuple((occ, complex(flip(a.real), flip(a.imag))) for occ, a in terms)
+    return out, flipped
+
+
+def test_signed_zero_parts_share_an_entry_and_give_the_same_rows():
+    scenarios = _scenarios(PAPER)
+    assert len(scenarios) == 8
+    rows_of = protocol._scenario_rows.__wrapped__  # computed afresh, never from the memo
+    for registry, terms, fixed_e1 in scenarios:
+        other, flipped = _flip_zero_signs(terms)
+        assert flipped > 0
+        assert other == terms and hash(other) == hash(terms)  # one key for the memo
+        (len_a, cum_a, keys_a), (len_b, cum_b, keys_b) = (
+            rows_of(registry, t, fixed_e1) for t in (terms, other))
+        assert len_a == len_b and keys_a == keys_b
+        assert np.array(cum_a).tobytes() == np.array(cum_b).tobytes()
 
 
 def _guides_digest(template) -> str:
@@ -473,6 +600,32 @@ def test_concurrent_cold_sessions_of_one_config(monkeypatch, tmp_path, two_cpus)
         for i in range(4):
             assert (tmp_path / f"{attempt}-{i}.v3").read_bytes() == serial_path.read_bytes()
         assert 1 <= len(threads) <= 4 and len(protocol._templates) == 1
+
+
+def test_a_cold_session_computes_probabilities_and_leak_on_the_drawer(monkeypatch, two_cpus):
+    # what every report reads is computed with the build, while the caller draws
+    names = {"probabilities": [], "eve_information": []}
+    probabilities = _kernels.template_probabilities
+    monkeypatch.setattr(_kernels, "template_probabilities", lambda *args: names[
+        "probabilities"].append(threading.current_thread().name) or probabilities(*args))
+    leak = protocol._Template.eve_information.func
+
+    def recording(template):
+        names["eve_information"].append(threading.current_thread().name)
+        return leak(template)
+
+    prop = functools.cached_property(recording)
+    prop.__set_name__(protocol._Template, "eve_information")
+    monkeypatch.setattr(protocol._Template, "eve_information", prop)
+    config = dataclasses.replace(PAPER, rounds=20_000)
+    assert protocol._draws_ahead(config.rounds)
+    threads = build_threads(monkeypatch)
+    with drawer_builds_first(monkeypatch, threads):
+        report = run_session(config)
+    assert threads == [DRAWER]
+    assert names == {"probabilities": [DRAWER], "eve_information": [DRAWER]}
+    assert report == serial_report(monkeypatch, config)
+    assert names == {"probabilities": [DRAWER], "eve_information": [DRAWER]}
 
 
 def test_only_a_cache_miss_hands_a_build_to_the_drawer(monkeypatch, two_cpus):
