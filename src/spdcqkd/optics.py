@@ -20,8 +20,9 @@ Conventions fixed here and relied on everywhere else:
 
 Photon counting (`qnd_count`) and threshold detection
 (`joint_threshold_branches`) are both `StateVector.measure` of a function
-of the occupations; `joint_click_probabilities` gives the click
-probabilities alone, without building the post states.
+of the occupations, and the one implementation of each: the session
+tables and the security metrics read their click probabilities from the
+same branches that carry the post-measurement states.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
-from .fock import DEFAULT_PRUNE_TOL, MODE_CAP, FockError, ModeCapError, ModeLabel, StateVector
+from .fock import MODE_CAP, FockError, ModeCapError, ModeLabel, StateVector
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,18 @@ def _rotation_weights(nh: int, nv: int, c: float, s: float
     return math.sqrt(math.factorial(nh) * math.factorial(nv)), tuple(terms)
 
 
-def _rotated_amplitudes(state: StateVector, party: str,
-                        theta: float | BasisAngle) -> dict[tuple[int, ...], complex]:
-    """The amplitudes of `rotate_polarization` before pruning."""
+def rotate_polarization(state: StateVector, party: str,
+                        theta: float | BasisAngle) -> StateVector:
+    """Re-express a party's polarization pair in the basis rotated by theta.
+
+    Output states skip the constructor's checks except the cap, which this
+    is the one operation besides `create` to raise: a term whose channel
+    holds nh + nv > MODE_CAP photons puts some of them past the cap in one
+    rotated slot (at every angle but 0), and raises ModeCapError naming the
+    first such slot, as the checking constructor did.  The weights per
+    (nh, nv, angle) come from a bounded cache and are summed in the same
+    order as the per-term formula, so amplitudes are bit-identical to it.
+    """
     if isinstance(theta, BasisAngle):
         theta = theta.theta
     hi, vi = state.registry.channel_modes(party)
@@ -149,22 +159,7 @@ def _rotated_amplitudes(state: StateVector, party: str,
             new[vi] = rest
             key = tuple(new)
             amps[key] = get(key, 0j) + base * weight
-    return amps
-
-
-def rotate_polarization(state: StateVector, party: str,
-                        theta: float | BasisAngle) -> StateVector:
-    """Re-express a party's polarization pair in the basis rotated by theta.
-
-    Output states skip the constructor's checks except the cap, which this
-    is the one operation besides `create` to raise: a term whose channel
-    holds nh + nv > MODE_CAP photons puts some of them past the cap in one
-    rotated slot (at every angle but 0), and raises ModeCapError naming the
-    first such slot, as the checking constructor did.  The weights per
-    (nh, nv, angle) come from a bounded cache and are summed in the same
-    order as the per-term formula, so amplitudes are bit-identical to it.
-    """
-    return StateVector._trusted(state.registry, _rotated_amplitudes(state, party, theta))
+    return StateVector._trusted(state.registry, amps)
 
 
 def qnd_count(state: StateVector, modes: Iterable[ModeLabel]) -> list[CountBranch]:
@@ -201,7 +196,10 @@ def joint_threshold_branches(state: StateVector,
     Branches are sorted by it, and probabilities sum to the squared norm of
     the input; post states stay expressed in the rotated frame with the
     measured channels' photons left in place (they purify the conditional
-    state of the rest).
+    state of the rest).  A caller measuring one state under several bases
+    may rotate a channel they share once and measure it here in HV,
+    provided the rotations keep their order: the probabilities keep every
+    bit.
     """
     for party, basis in assignments:
         if basis.theta != 0.0:
@@ -210,44 +208,3 @@ def joint_threshold_branches(state: StateVector,
     return [ClickBranch(tuple([_KINDS[k] for k in kinds]), prob, post)
             for kinds, prob, post in state.measure(
                 lambda occ: tuple([(occ[h] > 0) + 2 * (occ[v] > 0) for h, v in chans]))]
-
-
-def click_kinds(pattern: int, channels: int) -> tuple[OutcomeKind, ...]:
-    """The kinds of a `joint_click_probabilities` pattern over `channels`."""
-    return tuple(_KINDS[pattern >> 2 * (channels - 1 - i) & 3] for i in range(channels))
-
-
-def joint_click_probabilities(state: StateVector,
-                              assignments: list[tuple[str, BasisAngle]]
-                              ) -> list[tuple[int, float]]:
-    """The click patterns and probabilities of `joint_threshold_branches`,
-    bit for bit, without its post states: (pattern, probability) sorted by
-    pattern, where the pattern packs the channels' kinds in base 4, the
-    first channel's most significant (`click_kinds` unpacks it), so it sorts
-    as the kinds do.
-
-    The channels are rotated as `joint_threshold_branches` rotates them,
-    the last one without building its state: one pass over its amplitudes
-    prunes each as the state would and adds its squared magnitude to its
-    pattern's sum, in term order.  An empty channel is not rotated: its
-    rotation only adds 0j to each amplitude, which changes no magnitude.
-    Nor is a channel measured in HV: a caller measuring one state under
-    several bases may rotate a channel they share once and measure it here
-    in HV, provided the rotations keep their order.
-    """
-    chans = [state.registry.channel_modes(party) for party, _ in assignments]
-    rotations = [(party, basis) for (party, basis), (h, v) in zip(assignments, chans)
-                 if basis.theta != 0.0 and any(occ[h] or occ[v] for occ, _ in state.terms())]
-    for party, basis in rotations[:-1]:
-        state = rotate_polarization(state, party, basis)
-    terms = _rotated_amplitudes(state, *rotations[-1]).items() if rotations else state.terms()
-    tol = DEFAULT_PRUNE_TOL
-    probs: dict[int, float] = {}
-    get = probs.get
-    for occ, amp in terms:
-        if abs(amp) >= tol:
-            pattern = 0
-            for h, v in chans:
-                pattern = 4 * pattern + (occ[h] > 0) + 2 * (occ[v] > 0)
-            probs[pattern] = get(pattern, 0.0) + (amp.real * amp.real + amp.imag * amp.imag)
-    return sorted(probs.items())

@@ -12,8 +12,8 @@ enumerated exactly once with the sparse engine into categorical tables, and
 the per-round loop just samples those tables.  The strategy branches come
 from the eavesdropper models in `attack` (split_attack_branches,
 intercept_branches); this module only dispatches to them.  The outcome rows
-need only click probabilities (`optics.joint_click_probabilities`), not
-post-measurement states.  Each round is one row of the sampler's template:
+take kinds and probabilities from `optics.joint_threshold_branches`, whose
+post states go unused.  Each round is one row of the sampler's template:
 the sampler returns the row's index, and counts how many rounds drew each
 row.  Rounds are tallied by row code (the source tag and each fixed-width
 field's transcript token): a live session counts its template's codes,
@@ -127,7 +127,7 @@ from . import __version__, _kernels
 from ._kernels import DRAWS_PER_ROUND
 from .attack import AttackConfig, attack_four_photon, intercept_branches, split_attack_branches
 from .fock import FockError, StateVector, attack_registry, left_sum
-from .optics import DA, HV, BasisAngle, joint_click_probabilities, rotate_polarization
+from .optics import DA, HV, BasisAngle, joint_threshold_branches, rotate_polarization
 from .security import LeakBound, binary_entropy
 from .source import SpdcParams, singlet_state, spdc_state
 
@@ -419,23 +419,21 @@ def _outcome_rows(state_a: StateVector, a_basis: BasisAngle, b_basis: BasisAngle
     """Joint detection categorical for one scenario and basis pair:
     ((Alice kind, Bob kind, E1 bit, E2 bit), probability) rows in key order.
 
-    `state_a` is the scenario's state with Alice's channel already rotated
-    into `a_basis`, shared by both of Bob's bases; the rest are rotated
+    The kinds and probabilities are those of `joint_threshold_branches`.
+    `state_a` has Alice's channel already rotated into `a_basis`, shared by
+    both of Bob's bases, so it is measured in HV; the rest are rotated
     after it in the order B, E1, E2, which the pinned tables depend on.
     The eavesdropper's stored channels are read in the disclosed basis
     (Alice's); on rounds that do not sift those columns are simply ignored.
     A kind k < 3 (OutcomeKind) of an eavesdropper channel is the bit k - 1,
     -1 for no click; a double click there has no bit and raises.
     """
-    patterns = joint_click_probabilities(
-        state_a, [("A", HV), ("B", b_basis), ("E1", a_basis), ("E2", a_basis)])
     rows: dict[tuple[int, int, int, int], float] = {}
-    for pattern, prob in patterns:
-        k1 = pattern >> 2 & 3
-        k2 = pattern & 3
+    for (ka, kb, k1, k2), prob, _ in joint_threshold_branches(
+            state_a, [("A", HV), ("B", b_basis), ("E1", a_basis), ("E2", a_basis)]):
         if k1 == 3 or k2 == 3:
             raise FockError("an eavesdropper channel has a double click, which gives no bit")
-        key = (pattern >> 6, pattern >> 4 & 3, fixed_e1 if fixed_e1 >= 0 else k1 - 1, k2 - 1)
+        key = (int(ka), int(kb), fixed_e1 if fixed_e1 >= 0 else k1 - 1, k2 - 1)
         rows[key] = rows.get(key, 0.0) + prob
     total = left_sum(rows.values())
     return [(key, p / total) for key, p in sorted(rows.items())]

@@ -6,11 +6,14 @@ outcome bit to form his key bit and an *error* is a round where both parties
 saw the same polarization.  Double clicks contribute half their weight to
 each bit.
 
-The leakage comparison: an eavesdropper splitting pairs learns at most
-chi = h((1 - |overlap|)/2) per key bit on attacked rounds (equal priors), so
-with attack fraction p her information is p*chi while the error-correction
-leakage already spent is h(QBER) = h(p/6); the margin is positive for every
-p in (0, 1].
+The leakage comparison is the paper's: an eavesdropper splitting pairs is
+credited with chi = h((1 - |overlap|)/2) = h(1/10) per key bit on attacked
+rounds, so with attack fraction p her information is p*chi while the
+error-correction leakage already spent is h(QBER) = h(p/6); the margin is
+positive for every p in (0, 1].  That chi is the overlap figure of her two
+key-round states and leaves out the error rounds, so it is not an upper
+bound: the exact chi(Alice bit; Eve) on sifted rounds of the four-photon
+state is 0.5575 in HV and in DA, below h(1/6) = 0.650 by 0.093, not 0.181.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .fock import FockError, StateVector, left_sum
-from .optics import (DA, HV, BasisAngle, OutcomeKind, click_kinds, joint_click_probabilities,
-                     joint_threshold_branches)
+from .optics import DA, HV, BasisAngle, OutcomeKind, joint_threshold_branches
 
 
 def binary_entropy(x: float) -> float:
@@ -56,24 +58,34 @@ def _bit_weights(kind: OutcomeKind) -> tuple[tuple[int, float], ...]:
     return ((0, 0.5), (1, 0.5))  # DOUBLE
 
 
-def _clicked_joint(state: StateVector, assignments: list[tuple[str, BasisAngle]]
-                   ) -> tuple[dict[tuple[int, int], float], float]:
-    """Joint bit weights of two channels over the branches where both clicked.
+def _clicked_buckets(state: StateVector, assignments: list[tuple[str, BasisAngle]]
+                     ) -> tuple[dict[tuple[int, int], list[tuple[float, StateVector]]], float]:
+    """The branches of two channels where both clicked, by (first bit, second bit).
 
-    Returns the unnormalized joint over (first bit, second bit) and the mass
-    of those branches; a double click spreads its weight over both bits.
+    Returns per bit pair its (weight, post state) pieces in branch order,
+    and the mass of those branches; a double click spreads its weight over
+    both bits, so its branch is a piece of two pairs.
     """
-    joint = {(a, b): 0.0 for a in (0, 1) for b in (0, 1)}
+    buckets: dict[tuple[int, int], list[tuple[float, StateVector]]] = {}
     mass = 0.0
-    for pattern, prob in joint_click_probabilities(state, assignments):
-        ka, kb = click_kinds(pattern, 2)
+    for (ka, kb), prob, post in joint_threshold_branches(state, assignments):
         if ka not in _CLICKED or kb not in _CLICKED:
             continue
         mass += prob
         for a, wa in _bit_weights(ka):
             for b, wb in _bit_weights(kb):
-                joint[(a, b)] += prob * wa * wb
-    return joint, mass
+                buckets.setdefault((a, b), []).append((prob * wa * wb, post))
+    return buckets, mass
+
+
+def _clicked_joint(state: StateVector, assignments: list[tuple[str, BasisAngle]]
+                   ) -> tuple[dict[tuple[int, int], float], float]:
+    """Joint bit weights of two channels over the branches where both clicked:
+    the unnormalized joint over (first bit, second bit), each weight the
+    left-to-right sum of its pieces, and the mass of those branches."""
+    buckets, mass = _clicked_buckets(state, assignments)
+    return {(a, b): left_sum(w for w, _ in buckets.get((a, b), ()))
+            for a in (0, 1) for b in (0, 1)}, mass
 
 
 @dataclass(frozen=True)
@@ -109,25 +121,13 @@ def eve_conditional_states(state: StateVector, alice_basis: BasisAngle,
     remaining (eavesdropper) modes and can be compared by inner product.
     Raises if some outcome pair would leave the eavesdropper in a mixture.
     """
-    branches = joint_threshold_branches(state, [("A", alice_basis), ("B", bob_basis)])
-    a_modes = state.registry.channel_modes("A")
-    b_modes = state.registry.channel_modes("B")
-    buckets: dict[tuple[int, int], list[tuple[float, StateVector]]] = {}
-    clicked_mass = 0.0
-    for kinds, prob, post in branches:
-        ka, kb = kinds
-        if ka not in _CLICKED or kb not in _CLICKED:
-            continue
-        clicked_mass += prob
-        eve = post.drop_modes([*a_modes, *b_modes])
-        for a, wa in _bit_weights(ka):
-            for b, wb in _bit_weights(kb):
-                buckets.setdefault((a, b), []).append((prob * wa * wb, eve))
+    buckets, clicked_mass = _clicked_buckets(state, [("A", alice_basis), ("B", bob_basis)])
+    measured = [*state.registry.channel_modes("A"), *state.registry.channel_modes("B")]
     out: dict[tuple[int, int], EveBranch] = {}
     for key, pieces in sorted(buckets.items()):
         prob = left_sum(p for p, _ in pieces)
-        first = pieces[0][1]
-        for _, other in pieces[1:]:
+        first, *others = [post.drop_modes(measured) for _, post in pieces]
+        for other in others:
             if abs(abs(first.inner(other)) - 1.0) > 1e-9:
                 raise FockError(
                     f"eavesdropper state for outcome {key} is not pure")
@@ -146,7 +146,8 @@ def leak_vs_bound(p: float) -> LeakBound:
     """Splitting-attack leakage versus the entropy already spent on errors.
 
     With attack fraction p the error rate is p/6 and the per-bit leak is
-    p*h(1/10); the margin bound - leak stays positive on all of (0, 1].
+    the paper's p*h(1/10), which leaves out the error rounds (see the module
+    docstring); the margin bound - leak stays positive on all of (0, 1].
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"attack fraction {p} outside [0, 1]")

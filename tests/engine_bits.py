@@ -5,13 +5,14 @@
 runs the numpy-free engine modules (`fock`, `optics`, `attack`, `source`,
 `security`) without the package's `__init__`, so any Python the package
 supports can run it without numpy.  It prints the number of click
-probabilities and two digests: `clicks`, over the four-channel click
-probabilities of every split-attack branch (3 attempts) of the SPDC source
-at tanh_xi 0.1-0.7 and n_max 2/4/6 in every basis pair, and `all`, over
-those and the norms, split, QBER and eavesdropper-state probabilities of
-the same states.  Every supported interpreter must print the same line after
-its version: the engine adds floats left to right (`fock.left_sum`), never
-with sum(), which Python 3.12 made a compensated sum.
+branches and two digests: `clicks`, over the kinds and probabilities of the
+four-channel `joint_threshold_branches` of every split-attack branch (3
+attempts) of the SPDC source at tanh_xi 0.1-0.7 and n_max 2/4/6 in every
+basis pair, and `all`, over those and the norms, split, QBER and
+eavesdropper-state probabilities of the same states.  Every supported
+interpreter must print the same line after its version: the engine adds
+floats left to right (`fock.left_sum`), never with sum(), which Python 3.12
+made a compensated sum.
 """
 
 import hashlib
@@ -47,9 +48,8 @@ def main() -> None:
                 for a in bases:
                     for b in bases:
                         channels = [("A", a), ("B", b), ("E1", a), ("E2", a)]
-                        for pattern, p in optics.joint_click_probabilities(branch, channels):
-                            kinds = tuple(map(int, optics.click_kinds(pattern, 4)))
-                            clicks.update(f"{kinds} {p.hex()}\n".encode())
+                        for kinds, p, _ in optics.joint_threshold_branches(branch, channels):
+                            clicks.update(f"{tuple(map(int, kinds))} {p.hex()}\n".encode())
                             count += 1
     four = attack.attack_four_photon()
     for a in bases:

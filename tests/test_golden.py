@@ -7,9 +7,9 @@ text form.  A change to the sampler, the uniform stream, the sampling
 tables or the transcript formats that moves a single byte fails here.  The
 sampling tables are also pinned on their own, over a grid of every source
 and eavesdropper kind, and under a split attack at a pump phase where the
-amplitudes are complex.  So is the line `tests/engine_bits.py` prints, which
-also covers the nondemolition splits and the eavesdropper's conditional
-states.
+amplitudes are complex.  So is the line `tests/engine_bits.py` prints: the
+kinds and probabilities of the `joint_threshold_branches` the tables read,
+and also the nondemolition splits and the eavesdropper's conditional states.
 """
 
 import collections

@@ -7,9 +7,8 @@ import pytest
 from spdcqkd import _kernels, optics
 from spdcqkd.fock import (FockError, ModeCapError, ModeLabel, ModeRegistry, StateVector,
                           attack_registry, source_registry)
-from spdcqkd.optics import (DA, HV, BasisAngle, OutcomeKind, beamsplitter_50_50, click_kinds,
-                            joint_click_probabilities, joint_threshold_branches, qnd_count,
-                            rotate_polarization)
+from spdcqkd.optics import (DA, HV, BasisAngle, OutcomeKind, beamsplitter_50_50,
+                            joint_threshold_branches, qnd_count, rotate_polarization)
 from spdcqkd.source import SpdcParams, spdc_state
 
 from test_golden import scenario_measurements
@@ -365,33 +364,22 @@ def test_threshold_detect_post_state_is_conditional():
         assert prob == pytest.approx(1.0)
 
 
-def click_probabilities(state, assignments):
-    """joint_click_probabilities with its patterns unpacked into kinds."""
-    got = joint_click_probabilities(state, assignments)
-    assert [pattern for pattern, _ in got] == sorted({pattern for pattern, _ in got})
-    return [(click_kinds(pattern, len(assignments)), prob.hex()) for pattern, prob in got]
-
-
 def branch_probabilities(state, assignments):
     return [(b.kinds, b.probability.hex()) for b in joint_threshold_branches(state, assignments)]
 
 
 @pytest.mark.parametrize("name,source,eve", BUILDABLE, ids=[name for name, _, _ in BUILDABLE])
-def test_click_probabilities_equal_branch_probabilities(name, source, eve):
+def test_alice_rotated_beforehand_measures_as_in_her_basis(name, source, eve):
     """Bit for bit, for every scenario state and basis pair of the golden
-    grid, on all four channels and on Alice's and Bob's alone; also with
-    Alice's channel rotated beforehand, as the table build rotates it once
-    for both of Bob's bases."""
+    grid: rotating Alice's channel into her basis and then measuring it in
+    HV gives the kinds and probabilities of measuring it in her basis, as
+    the table build rotates it once for both of Bob's bases."""
     for state, assignments in scenario_measurements(source, eve):
         want = branch_probabilities(state, assignments)
-        got = click_probabilities(state, assignments)
-        assert got == want
-        assert all(type(k) is OutcomeKind for kinds, _ in got for k in kinds)
-        assert click_probabilities(state, assignments[:2]) == branch_probabilities(
-            state, assignments[:2])
+        assert all(type(k) is OutcomeKind for kinds, _ in want for k in kinds)
         a_basis = assignments[0][1]
         state_a = rotate_polarization(state, "A", a_basis) if a_basis is DA else state
-        assert click_probabilities(state_a, [("A", HV)] + assignments[1:]) == want
+        assert branch_probabilities(state_a, [("A", HV)] + assignments[1:]) == want
 
 
 @pytest.mark.parametrize("order", [
@@ -400,7 +388,7 @@ def test_click_probabilities_equal_branch_probabilities(name, source, eve):
 ])
 def test_click_probabilities_on_another_mode_order(order):
     """Bit for bit on a registry that lists the same modes in another
-    order (and on complex amplitudes, a pump phase): the patterns follow the
+    order (and on complex amplitudes, a pump phase): the kinds follow the
     channels, not the slots."""
     params = SpdcParams(0.4, phi=0.7, n_max=4)
     reg = ModeRegistry([ModeLabel(*label) for label in order])
@@ -409,9 +397,8 @@ def test_click_probabilities_on_another_mode_order(order):
         for b in (HV, DA):
             for assignments in ([("A", a), ("B", b)], [("B", b), ("A", a)],
                                 [("A", a)]):
-                got = click_probabilities(st, assignments)
-                assert got == branch_probabilities(st, assignments)
-                assert got == click_probabilities(spdc_state(params), assignments)
+                assert branch_probabilities(st, assignments) == branch_probabilities(
+                    spdc_state(params), assignments)
 
 
 def test_click_probabilities_prune_after_the_last_rotation():
@@ -424,9 +411,8 @@ def test_click_probabilities_prune_after_the_last_rotation():
         st = StateVector(source_registry(), {(0, 0, 1, 0): 1.0, (1, 0, 0, 1): x})
         assert len(st) == 2
         assert len(rotate_polarization(st, "A", DA)) == (3 if kept else 1)
-        assignments = [("A", DA), ("B", HV)]
-        got = click_probabilities(st, assignments)
-        assert got == branch_probabilities(st, assignments)
+        got = branch_probabilities(st, [("A", DA), ("B", HV)])
+        assert got == branch_probabilities(rotate_polarization(st, "A", DA), [("A", HV), ("B", HV)])
         assert len(got) == (3 if kept else 1)
 
 
@@ -436,12 +422,9 @@ def test_click_probabilities_add_left_to_right():
     3.12's sum()) gives 1 + 2**-52."""
     amps = {(1, 0, 0, 0): 1.0, (2, 0, 0, 0): 1e-8, (3, 0, 0, 0): 1e-8}
     st = StateVector(source_registry(), amps)
-    got = joint_click_probabilities(st, [("A", HV)])
-    assert got == [(OutcomeKind.BIT0, 1.0)]
-    assert got[0][1].hex() == "0x1.0000000000000p+0"
+    assert branch_probabilities(st, [("A", HV)]) == [((OutcomeKind.BIT0,), "0x1.0000000000000p+0")]
     assert st.norm_sq() == 1.0
     assert st.project(lambda occ: occ[0] > 0)[0] == 1.0
     same_count = StateVector(source_registry(),
                              {(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 1e-8, (0, 1, 1, 0): 1e-8})
     assert [b.probability for b in qnd_count(same_count, [AH, AV])] == [1.0]
-    assert joint_threshold_branches(st, [("A", HV)])[0].probability == 1.0

@@ -95,6 +95,33 @@ def test_eve_key_round_overlap_and_chi():
     assert holevo_binary(overlap) == pytest.approx(H_TENTH, abs=1e-12)
 
 
+def _entropy(pieces):
+    """Von Neumann entropy in bits of sum_i p_i |psi_i><psi_i|: the entropy of
+    the Gram matrix sqrt(p_i p_j) <psi_i|psi_j>, which has its nonzero
+    eigenvalues."""
+    gram = np.array([[math.sqrt(p * q) * s.inner(t) for q, t in pieces] for p, s in pieces])
+    lam = np.linalg.eigvalsh(gram)
+    lam = lam[lam > 1e-15]
+    return float(-(lam * np.log2(lam)).sum())
+
+
+@pytest.mark.parametrize("basis", [HV, DA], ids=["HV", "DA"])
+def test_exact_chi_exceeds_the_overlap_figure(basis):
+    """The exact chi(Alice bit; Eve) on sifted rounds of the four-photon
+    attack counts the error rounds, whose flags |VV> and |HH> tell Eve the
+    bit, so it exceeds the key-round overlap figure h(1/10); it is still
+    below h(1/6), by 0.093 rather than 0.181."""
+    cond = eve_conditional_states(attack_four_photon(), basis, basis)
+    chi = _entropy([(b.probability, b.state) for b in cond.values()])
+    for a in (0, 1):
+        given_a = [(b.probability, b.state) for (x, _), b in cond.items() if x == a]
+        p_a = sum(p for p, _ in given_a)
+        chi -= p_a * _entropy([(p / p_a, st) for p, st in given_a])
+    assert round(chi, 4) == 0.5575
+    assert H_TENTH < chi < H_SIXTH
+    assert H_SIXTH - chi == pytest.approx(0.0925, abs=1e-4)
+
+
 def test_eve_conditional_states_without_eavesdropper():
     cond = eve_conditional_states(singlet_state().embed(attack_registry()), HV, HV)
     assert set(cond) == {(0, 1), (1, 0)}
