@@ -147,9 +147,9 @@ def read_header(fh) -> Header:
         template = _session_template(config)
     except FockError as exc:
         raise _bad_header(f"config: {exc}") from None
-    if tuple(tags) != template.tables.emission_tags:
+    if tuple(tags) != template.emission_tags:
         raise _bad_header(f"tags {tags} are not the config's emission tags "
-                          f"{list(template.tables.emission_tags)}")
+                          f"{list(template.emission_tags)}")
     return Header(raw, config, config_to_dict(config), tool_version, body, template)
 
 
@@ -202,7 +202,7 @@ def code_reads(fh, head: Header, digest):
             code = int(codes[i])
             if code >= valid.size:
                 raise TranscriptError(f"round {first + i}: row code {code} is out of "
-                                      f"range for {len(head.template.tables.emission_tags)} tag(s)")
+                                      f"range for {len(head.template.emission_tags)} tag(s)")
             *_, sifted, alice_bit, bob_bit = np.unravel_index(code % _CODES, _TAIL_SHAPE)
             if sifted and not (alice_bit and bob_bit):  # a bit field's token 0 is '-'
                 raise TranscriptError(f"round {first + i}: sifted round missing a key bit")
@@ -219,7 +219,7 @@ def write_text(fh, out) -> None:
     head = read_header(fh)
     if not _parse_transcript(fh, head)[1]:
         raise TranscriptError("checksum mismatch: not converted")
-    texts = _row_texts(head.template.tables.emission_tags)
+    texts = _row_texts(head.template.emission_tags)
     digest = hashlib.sha256()
 
     def emit(text: str) -> None:

@@ -43,14 +43,13 @@ intercept branch projects the source onto pair-number sectors, whose
 renormalized states repeat across `tanh_xi` bit for bit, so a process that
 never repeats a config still builds most scenarios once; a hit returns what
 equal arguments computed, so the tables keep every bit.
-The cached tables, lookup arrays, guides and row codes are read-only and
-the tags a tuple, so no session can change what the next one samples; so
-are the row probabilities and the exact eavesdropper information, which
-the thread that builds a template computes before caching it, and the
-mask of drawable row codes, which a transcript's reader computes on first
-use.  Every
-report, live or replayed, takes its leak from the template that defines
-its rounds: `eve_information` against h(qber_hat).
+`_build_tables` builds a template whole on one thread before it is cached:
+the tables, lookup arrays, guides and row codes, the row probabilities,
+the mask of drawable row codes and the exact eavesdropper information.
+Its arrays are read-only and its tags a tuple, so no session can change
+what the next one samples.  Every report, live or replayed, takes its
+leak from the template that defines its rounds: `eve_information`
+against h(qber_hat).
 
 A session is one loop over blocks of CHUNK_ROUNDS rounds (1 MB of
 words), each drawn in pieces of DRAW_PIECE_ROUNDS, then sampled and
@@ -118,7 +117,7 @@ import math
 import os
 import stat
 import threading
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -361,18 +360,18 @@ def config_from_dict(d: dict) -> SessionConfig:
 # exact enumeration into sampling tables
 
 
-def _read_only(obj) -> None:
-    """Make every numpy array field of the dataclass `obj` read-only."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
+@dataclass(frozen=True, eq=False)
+class _Template:
+    """The session template of one physics config, built whole by
+    `_build_tables` on one thread: the enumerated tables, the sampler's
+    lookup arrays (`lookup_tables`, `guide_tables`), the row codes, each
+    row's exact probability, the mask of drawable row codes and the exact
+    eavesdropper information.
 
-
-@dataclass(frozen=True)
-class _Tables:
-    """The enumerated tables of one physics config; read-only, as the
-    template cache shares them between sessions."""
+    A round that draws template index i has the record rows[i] and the row
+    code codes[i], which a version-3 transcript stores.  Read-only, as the
+    template cache shares it between sessions.
+    """
 
     emission_tags: tuple[str, ...]
     scen_emission: np.ndarray  # int8[S]
@@ -384,9 +383,25 @@ class _Tables:
     row_b: np.ndarray
     row_e1: np.ndarray
     row_e2: np.ndarray
+    thresholds: np.ndarray
+    rows: np.ndarray   # int8[T, N_COLS]
+    codes: np.ndarray  # CODE_DTYPE[T]
+    scen_guide: np.ndarray   # int32[SCENARIO_CELLS]
+    group_guide: np.ndarray  # int32[groups * CELLS_PER_SLOT * W]
+    # float64[T]: the exact probability that a round draws each row
+    # (`template_probabilities`)
+    probabilities: np.ndarray
+    # bool[len(tags) * _CODES]: whether a round can have each row code,
+    # i.e. some row of that code has a probability above 0
+    drawable: np.ndarray
+    eve_information: float  # `_eve_information` of the rows
 
     def __post_init__(self):
-        _read_only(self)
+        # not `dataclasses.fields`: the 18-tuple it builds per template piles
+        # up on the interpreter's tuple free list (0.36 MB after 3000 builds)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 def _emission_branches(source: Source, registry) -> list[tuple[str, float, StateVector]]:
@@ -474,7 +489,10 @@ def _scenario_rows(registry, terms: tuple, fixed_e1: int
     return tuple(lengths), tuple(cum), tuple(keys)
 
 
-def _build_tables(config: SessionConfig) -> _Tables:
+def _build_tables(config: SessionConfig) -> _Template:
+    """The template of the config's physics, built whole on this thread; a
+    FockError if it cannot be built (a uint16 round index cannot address
+    it).  `rounds` and `seed` do not matter."""
     registry = attack_registry()
     emissions = _emission_branches(config.source, registry)
     tags = tuple(tag for tag, _, _ in emissions)
@@ -495,17 +513,59 @@ def _build_tables(config: SessionConfig) -> _Tables:
         lengths += s_lengths
         cum += s_cum
         keys += s_keys
+    scen_emission = np.array([ei for ei, _, _, _ in scenarios], dtype=np.int8)
     grp_len = np.array(lengths, dtype=np.int64)
+    grp_off = np.cumsum(grp_len) - grp_len
+    row_cum = np.array(cum, dtype=np.float64)
     row_a, row_b, row_e1, row_e2 = np.array(keys, dtype=np.int8).T.copy()
-    return _Tables(
-        emission_tags=tags,
-        scen_emission=np.array([ei for ei, _, _, _ in scenarios], dtype=np.int8),
-        scen_cum=scen_cum,
-        grp_off=np.cumsum(grp_len) - grp_len,
-        grp_len=grp_len,
-        row_cum=np.array(cum, dtype=np.float64),
-        row_a=row_a, row_b=row_b, row_e1=row_e1, row_e2=row_e2,
-    )
+    thresholds, rows = _kernels.lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1,
+                                              row_e2, config.double_click_policy == "assign")
+    if rows.shape[0] > _kernels.MAX_TEMPLATE_ROWS:
+        raise FockError(f"the sampling template has {rows.shape[0]} rows; a round index "
+                        f"addresses at most {_kernels.MAX_TEMPLATE_ROWS}")
+    codes = _row_codes(rows, scen_emission).astype(CODE_DTYPE)
+    probabilities = _kernels.template_probabilities(scen_cum, thresholds)
+    scen_guide, group_guide = _kernels.guide_tables(scen_cum, thresholds)
+    return _Template(
+        emission_tags=tags, scen_emission=scen_emission, scen_cum=scen_cum, grp_off=grp_off,
+        grp_len=grp_len, row_cum=row_cum, row_a=row_a, row_b=row_b, row_e1=row_e1,
+        row_e2=row_e2, thresholds=thresholds, rows=rows, codes=codes, scen_guide=scen_guide,
+        group_guide=group_guide, probabilities=probabilities,
+        drawable=np.bincount(codes[probabilities > 0], minlength=len(tags) * _CODES) > 0,
+        eve_information=_eve_information(rows, probabilities))
+
+
+def _eve_information(rows: np.ndarray, probabilities: np.ndarray) -> float:
+    """Exact I(Alice bit; eavesdropper record) over sifted rounds, in bits,
+    of template records `rows` drawn with `probabilities`.
+
+    The eavesdropper's record is the pair of tap-channel threshold
+    outcomes read in the disclosed basis (split attack) or her intercept
+    bit (intercept-resend); rounds where she holds nothing count as a
+    fixed 'empty' symbol.  The joint distribution is the template's
+    sifted rows, each weighted by its exact probability, so the sift and
+    double-click rules are the sampler's own.
+
+    The record holds those outcomes only: not the basis sifting
+    announces, nor the basis she measured in.  So it understates what
+    she knows when her basis choice tells: on the singlet under
+    `InterceptResend(HV)` it is 0.1887 bits (1 - h(1/4)), against 0.5
+    given the announced basis.  The split attack reads its taps in the
+    announced basis, so the paper's scenario loses nothing.
+    """
+    sifted = rows[:, 7] == 1
+    rec = rows[sifted].astype(np.intp)
+    # joint[alice bit, 3 * (e1 + 1) + (e2 + 1)]
+    joint = np.bincount(rec[:, 5] * 9 + (rec[:, 8] + 1) * 3 + rec[:, 9] + 1,
+                        probabilities[sifted], minlength=18).reshape(2, 9)
+    pa = joint.sum(axis=1, keepdims=True)
+    pe = joint.sum(axis=0, keepdims=True)
+    total = pa.sum()
+    if total == 0.0:
+        return 0.0  # nothing sifts, e.g. a source that emits vacuum only
+    held = joint > 0
+    # unnormalised sums: a record of one symbol gives log2(1) = 0 exactly
+    return float(np.sum(joint[held] * np.log2(joint[held] * total / (pa * pe)[held])) / total)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +680,7 @@ class SessionReport:
 
     `leak.eve_info` counts the eavesdropper's tap or intercept outcomes
     only, not the announced basis or her own basis choice
-    (`_Template.eve_information`): 0.1887 bits where she knows 0.5 on the
+    (`_eve_information`): 0.1887 bits where she knows 0.5 on the
     singlet under `InterceptResend(HV)`.
     """
 
@@ -675,78 +735,6 @@ def _draws_ahead(rounds: int) -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-@dataclass(frozen=True, eq=False)
-class _Template:
-    """A session's tables and the sampler's lookup arrays (`lookup_tables`,
-    `guide_tables`).
-
-    A round that draws template index i has the record rows[i] and the row
-    code codes[i], which a version-3 transcript stores.  Read-only, as the
-    template cache shares it between sessions.
-    """
-
-    tables: _Tables
-    thresholds: np.ndarray
-    rows: np.ndarray   # int8[T, N_COLS]
-    codes: np.ndarray  # CODE_DTYPE[T]
-    scen_guide: np.ndarray   # int32[SCENARIO_CELLS]
-    group_guide: np.ndarray  # int32[groups * CELLS_PER_SLOT * W]
-
-    def __post_init__(self):
-        _read_only(self)
-
-    @functools.cached_property
-    def probabilities(self) -> np.ndarray:
-        """float64[T]: the exact probability that a round draws each row
-        (`template_probabilities`), computed when the template is built."""
-        prob = _kernels.template_probabilities(self.tables.scen_cum, self.thresholds)
-        prob.flags.writeable = False
-        return prob
-
-    @functools.cached_property
-    def drawable(self) -> np.ndarray:
-        """bool[len(tags) * _CODES]: whether a round can have each row code,
-        i.e. some row of that code has a probability above 0; computed on
-        first use, as only a transcript's reader reads it."""
-        mask = np.bincount(self.codes[self.probabilities > 0],
-                           minlength=len(self.tables.emission_tags) * _CODES) > 0
-        mask.flags.writeable = False
-        return mask
-
-    @functools.cached_property
-    def eve_information(self) -> float:
-        """Exact I(Alice bit; eavesdropper record) over sifted rounds, in bits.
-
-        The eavesdropper's record is the pair of tap-channel threshold
-        outcomes read in the disclosed basis (split attack) or her intercept
-        bit (intercept-resend); rounds where she holds nothing count as a
-        fixed 'empty' symbol.  The joint distribution is the template's
-        sifted rows, each weighted by its exact probability, so the sift and
-        double-click rules are the sampler's own.  Computed when the
-        template is built.
-
-        The record holds those outcomes only: not the basis sifting
-        announces, nor the basis she measured in.  So it understates what
-        she knows when her basis choice tells: on the singlet under
-        `InterceptResend(HV)` it is 0.1887 bits (1 - h(1/4)), against 0.5
-        given the announced basis.  The split attack reads its taps in the
-        announced basis, so the paper's scenario loses nothing.
-        """
-        sifted = self.rows[:, 7] == 1
-        rows = self.rows[sifted].astype(np.intp)
-        # joint[alice bit, 3 * (e1 + 1) + (e2 + 1)]
-        joint = np.bincount(rows[:, 5] * 9 + (rows[:, 8] + 1) * 3 + rows[:, 9] + 1,
-                            self.probabilities[sifted], minlength=18).reshape(2, 9)
-        pa = joint.sum(axis=1, keepdims=True)
-        pe = joint.sum(axis=0, keepdims=True)
-        total = pa.sum()
-        if total == 0.0:
-            return 0.0  # nothing sifts, e.g. a source that emits vacuum only
-        held = joint > 0
-        # unnormalised sums: a record independent of the bit gives log2(1) = 0 exactly
-        return float(np.sum(joint[held] * np.log2(joint[held] * total / (pa * pe)[held])) / total)
-
-
 # The cached templates, least recently used first, keyed by the config with
 # `rounds` and `seed` set to fixed values.
 _templates: dict[SessionConfig, _Template] = {}
@@ -783,19 +771,7 @@ def _session_template(config: SessionConfig) -> _Template:
     if template is not None:
         return template
     key = replace(config, rounds=1, seed=0)
-    tables = _build_tables(key)
-    thresholds, rows = _kernels.lookup_tables(
-        tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
-        tables.row_e1, tables.row_e2, config.double_click_policy == "assign")
-    if rows.shape[0] > _kernels.MAX_TEMPLATE_ROWS:
-        raise FockError(f"the sampling template has {rows.shape[0]} rows; a round index "
-                        f"addresses at most {_kernels.MAX_TEMPLATE_ROWS}")
-    codes = _row_codes(rows, tables.scen_emission).astype(CODE_DTYPE)
-    template = _Template(tables, thresholds, rows, codes,
-                         *_kernels.guide_tables(tables.scen_cum, thresholds))
-    # every report reads these: compute them on this thread, which may be
-    # the drawer's while the session draws, not after the session's rounds
-    template.probabilities, template.eve_information
+    template = _build_tables(key)
     with _templates_lock:
         template = _templates.setdefault(key, template)  # another thread's build stays
         if len(_templates) > TEMPLATE_CACHE_SIZE:
@@ -847,7 +823,7 @@ def _simulate(config: SessionConfig):
         try:
             for start, words in drawn:
                 yield start, _kernels.sample_rounds(
-                    words, template.tables.scen_cum, template.thresholds, template.scen_guide,
+                    words, template.scen_cum, template.thresholds, template.scen_guide,
                     template.group_guide, counts)
         finally:
             drawn.close()
@@ -897,7 +873,7 @@ def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
         for _ in blocks:
             pass
     else:
-        head = _transcript_head(config, template.tables.emission_tags)
+        head = _transcript_head(config, template.emission_tags)
         digest = hashlib.sha256(head)
         fh = open(transcript_path, "wb")
         try:
@@ -915,7 +891,7 @@ def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
                 if stat.S_ISREG(os.lstat(transcript_path).st_mode):
                     os.unlink(transcript_path)
             raise
-    tally = _Tally(template.tables.emission_tags)
+    tally = _Tally(template.emission_tags)
     tally.update(template.codes, counts)
     return tally.report(template.eve_information)
 
@@ -942,7 +918,7 @@ def _parse_transcript(fh, head) -> tuple[_Tally, bool]:
     from . import _replay
 
     digest = hashlib.sha256(head.raw)
-    tally = _Tally(head.template.tables.emission_tags)
+    tally = _Tally(head.template.emission_tags)
     for _, _, counts in _replay.code_reads(fh, head, digest):
         tally.counts += counts
     fh.seek(len(head.raw) + head.body_bytes)

@@ -306,7 +306,7 @@ def test_trusted_states_pass_validation(monkeypatch, policy):
             try:
                 template, _, blocks = protocol._simulate(config)
                 (_, _), = blocks  # one block of 100 rounds
-                got = _tables_digest(template.tables)
+                got = _tables_digest(template)
                 for state, assignments in scenario_measurements(source, eve):
                     joint_threshold_branches(state, assignments)
             except FockError as exc:

@@ -122,8 +122,8 @@ TABLE_EVES = [("none", None)] + [
     ("intercept-random", InterceptResend(None)), ("intercept-HV", InterceptResend(HV)),
     ("intercept-DA", InterceptResend(DA))]
 
-# sha256 over the emission tags and every `_Tables` array (name, dtype, shape,
-# bytes), or the name of the exception the table build raises
+# sha256 over the emission tags and every array of TABLE_ARRAYS (name, dtype,
+# shape, bytes), or the name of the exception the table build raises
 GOLDEN_TABLES = {
     "singlet/none": "6992db68117bcd2713fa1850f815f01f376b8b67ab802f6e7f85208c4600b7b1",
     "singlet/split1": "6992db68117bcd2713fa1850f815f01f376b8b67ab802f6e7f85208c4600b7b1",
@@ -204,13 +204,17 @@ def scenario_measurements(source, eve):
             for a in (HV, DA) for b in (HV, DA)]
 
 
-def _tables_digest(tables) -> str:
-    h = hashlib.sha256(",".join(tables.emission_tags).encode("ascii"))
-    for f in dataclasses.fields(tables):
-        if f.name != "emission_tags":
-            a = getattr(tables, f.name)
-            h.update(f"{f.name}:{a.dtype.str}:{a.shape}".encode("ascii"))
-            h.update(a.tobytes())
+# The enumerated tables of a template, in the order its digest hashes them.
+TABLE_ARRAYS = ("scen_emission", "scen_cum", "grp_off", "grp_len", "row_cum", "row_a", "row_b",
+                "row_e1", "row_e2")
+
+
+def _tables_digest(template) -> str:
+    h = hashlib.sha256(",".join(template.emission_tags).encode("ascii"))
+    for name in TABLE_ARRAYS:
+        a = getattr(template, name)
+        h.update(f"{name}:{a.dtype.str}:{a.shape}".encode("ascii"))
+        h.update(a.tobytes())
     return h.hexdigest()
 
 

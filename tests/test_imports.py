@@ -14,10 +14,13 @@ parameter of one may get the same literal constant from every such call,
 unless the function is also named outside a call (passed on as a value).
 The package's `__all__` must list exactly the names its `__init__`
 imports, and a short session loads neither the drawer nor the replay
-parser.
+parser.  A test's `monkeypatch.setattr(module, "name", ..., raising=False)`
+on a module of the package must name something that module binds at its
+top level, or a builtin it shadows: any other name patches nothing.
 """
 
 import ast
+import builtins
 import json
 import os
 import re
@@ -280,6 +283,79 @@ def test_check_finds_a_constant_argument():
                        "spread(3)\nfunctools.partial(a.spread, 4)\n"}
     assert constant_arguments(sources, callers) == ["a.py: f.path", "a.py: f.n", "a.py: f.k",
                                                     "a.py: g.x"]
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module binds outside any function or class: what it
+    defines, assigns or imports in its top-level statements, any branch
+    included, and what a function declares `global`."""
+    names = {n for node in ast.walk(tree) if isinstance(node, ast.Global) for n in node.names}
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif not isinstance(node, (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
+                                   ast.GeneratorExp)):  # their names are their own
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def dead_patches(tests: dict[str, str], package: dict[str, str]) -> list[str]:
+    """'file:line: module.name' for each `<any>.setattr(module, "name", ...,
+    raising=False)` in `tests` (name -> source) whose `module` is a module
+    of the package (`package`: module name -> source), imported by `from
+    spdcqkd import`, that binds no `name` at its top level, unless `name`
+    is a builtin."""
+    bound = {module: _top_level_names(ast.parse(source)) for module, source in package.items()}
+    found = []
+    for path, source in tests.items():
+        tree = ast.parse(source)
+        modules = {a.asname or a.name: a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "spdcqkd"
+                   for a in node.names if a.name in package}
+        for call in ast.walk(tree):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "setattr" and len(call.args) >= 2
+                    and any(k.arg == "raising" and isinstance(k.value, ast.Constant)
+                            and k.value.value is False for k in call.keywords)
+                    and isinstance(call.args[0], ast.Name) and call.args[0].id in modules
+                    and isinstance(call.args[1], ast.Constant)):
+                module, name = modules[call.args[0].id], call.args[1].value
+                if name not in bound[module] and not hasattr(builtins, name):
+                    found.append(f"{path}:{call.lineno}: {module}.{name}")
+    return found
+
+
+def test_no_patch_of_a_missing_name():
+    tests = {str(p.relative_to(ROOT)): p.read_text() for p in MODULES if p not in SOURCES}
+    package = {p.stem: p.read_text() for p in SOURCES}
+    assert dead_patches(tests, package) == []
+
+
+def test_check_finds_a_patch_of_a_missing_name():
+    package = {"mod": "import os\nfrom a import b as c\nX, (Y, Z) = 1, (2, 3)\n"
+                      "if X:\n    def f(): pass\nelse:\n    class K: pass\n"
+                      "W = [i for i in range(3)]\n"
+                      "def g():\n    global G\n    G = local = 1\n",
+               "other": ""}
+    tests = {"t.py": "import os\nfrom spdcqkd import mod, other as o, __version__\n"
+                     "def test(monkeypatch):\n"
+                     + "".join(f"    monkeypatch.setattr(mod, {name!r}, 0, raising=False)\n"
+                               for name in ("os", "c", "X", "Z", "f", "K", "W", "G", "open",
+                                            "i", "local"))
+                     + "    monkeypatch.setattr(o, 'gone', 0, raising=False)\n"
+                     "    with monkeypatch.context() as m:\n"
+                     "        m.setattr(mod, 'b', 0, raising=False)\n"
+                     "    monkeypatch.setattr(mod, 'unset', 0)\n"
+                     "    monkeypatch.setattr(mod, 'unset', 0, raising=True)\n"
+                     "    monkeypatch.setattr(os, 'unset', 0, raising=False)\n"}
+    assert dead_patches(tests, package) == ["t.py:13: mod.i", "t.py:14: mod.local",
+                                            "t.py:15: other.gone", "t.py:17: mod.b"]
 
 
 def test_package_exports_exactly_its_imports():

@@ -215,7 +215,7 @@ def test_guides_have_cells_the_exact_search_resolves(name, source, eve):
     whole = template.scen_guide >= 0
     cells = _kernels.CELLS_PER_SLOT * width
     assert np.array_equal(template.scen_guide[whole], 4 * cells * np.searchsorted(
-        template.tables.scen_cum, edges[whole], side="right"))
+        template.scen_cum, edges[whole], side="right"))
     guide = template.group_guide.reshape(-1, cells)
     edges = np.arange(cells) / cells
     for g, thr in enumerate(template.thresholds):

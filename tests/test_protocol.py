@@ -446,16 +446,15 @@ def every_tallied_field():
 def test_tally_matches_reference(config):
     chunks = []
     template, _, drawn = protocol._simulate(config)
-    tables = template.tables
     for _, idx in drawn:
         rec = template.rows[idx]
         as_read = rec.copy()  # as a replay reads it: column 0 holds the emission
-        as_read[:, 0] = tables.scen_emission[rec[:, 0]]
-        chunks += [(rec, tables.scen_emission),
-                   (as_read, np.arange(len(tables.emission_tags)))]
+        as_read[:, 0] = template.scen_emission[rec[:, 0]]
+        chunks += [(rec, template.scen_emission),
+                   (as_read, np.arange(len(template.emission_tags)))]
     crafted = every_tallied_field()
     scen_emission = np.array([1, 0, 0, 1], dtype=np.int8)
-    for tags, tag_chunks in ((tables.emission_tags, chunks),
+    for tags, tag_chunks in ((template.emission_tags, chunks),
                              (["attack", "singlet"], [(crafted, scen_emission)]),
                              (["a", "b", "c", "d"], [(crafted, np.arange(4))])):
         got, want = protocol._Tally(tags), ReferenceTally()
@@ -490,16 +489,15 @@ def test_live_tally_from_slot_counts_equals_record_tally(monkeypatch, shape, pol
                            eve=SplitAttack(AttackConfig(max_attempts=3)),
                            double_click_policy=policy)
     template, counts, drawn = protocol._simulate(config)
-    tables = template.tables
-    from_records, want = protocol._Tally(tables.emission_tags), ReferenceTally()
+    from_records, want = protocol._Tally(template.emission_tags), ReferenceTally()
     starts = []
     for start, idx in drawn:
         rec = template.rows[idx]
         starts.append(start)
-        from_records.update(protocol._row_codes(rec, tables.scen_emission))
-        reference_tally_update(want, rec, tables.emission_tags, tables.scen_emission)
+        from_records.update(protocol._row_codes(rec, template.scen_emission))
+        reference_tally_update(want, rec, template.emission_tags, template.scen_emission)
     assert len(starts) == (1 if draw_ahead is None else 26)
-    live = protocol._Tally(tables.emission_tags)
+    live = protocol._Tally(template.emission_tags)
     live.update(template.codes, counts)
     eve_info = template.eve_information
     assert live.report(eve_info) == from_records.report(eve_info) == want.report(eve_info)
@@ -522,12 +520,11 @@ def test_drawn_template_rows_match_exact_probabilities(policy):
     session, counts, drawn = protocol._simulate(config)
     for _ in drawn:
         pass
-    tables = session.tables
     thresholds, template = _kernels.lookup_tables(
-        tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
-        tables.row_e1, tables.row_e2, policy == "assign")
-    assert np.array_equal(session.codes, protocol._row_codes(template, tables.scen_emission))
-    prob = _kernels.template_probabilities(tables.scen_cum, thresholds)
+        session.grp_off, session.grp_len, session.row_cum, session.row_a, session.row_b,
+        session.row_e1, session.row_e2, policy == "assign")
+    assert np.array_equal(session.codes, protocol._row_codes(template, session.scen_emission))
+    prob = _kernels.template_probabilities(session.scen_cum, thresholds)
     assert prob.shape == counts.shape
     assert prob.sum() == pytest.approx(1.0, abs=1e-12)
     assert counts.sum() == config.rounds
@@ -599,6 +596,58 @@ def test_eve_mutual_information_no_eavesdropper():
         assert eve_mutual_information(SessionConfig(rounds=5000, seed=5, source=source)) == 0.0
 
 
+def eve_rows(*cells):
+    """Template records of (sifted flag, Alice bit, E1, E2) cells; every
+    other column 0."""
+    rows = np.zeros((len(cells), _kernels.N_COLS), dtype=np.int8)
+    rows[:, [7, 5, 8, 9]] = cells
+    return rows
+
+
+def test_eve_information_of_a_record_independent_of_the_bit_is_zero():
+    # a record of one symbol, whatever the weights; rows that do not sift
+    # are left out, however they correlate
+    rows = eve_rows((1, 0, -1, -1), (1, 1, -1, -1), (1, 0, -1, -1), (1, 1, -1, -1),
+                    (0, 0, 0, -1), (0, 1, 1, -1))
+    assert protocol._eve_information(rows, np.array([0.1, 0.3, 0.2, 0.7 / 3, 0.1, 0.1])) == 0.0
+    # a record of two symbols, drawn independently of the bit (dyadic weights)
+    rows = eve_rows((1, 0, 0, -1), (1, 0, 1, -1), (1, 1, 0, -1), (1, 1, 1, -1))
+    assert protocol._eve_information(rows, np.array([1.0, 3.0, 3.0, 9.0]) / 16) == 0.0
+
+
+def test_eve_information_with_nothing_sifted_is_zero():
+    rows = eve_rows((0, 0, 0, -1), (0, 1, 1, -1), (0, -1, -1, -1))
+    assert protocol._eve_information(rows, np.array([0.25, 0.25, 0.5])) == 0.0
+    assert protocol._eve_information(np.zeros((0, _kernels.N_COLS), dtype=np.int8),
+                                     np.zeros(0)) == 0.0
+
+
+@pytest.mark.parametrize("weights", [(0.5,), (0.1, 0.2), (0.3, 0.05, 0.15), (0.7 / 3, 0.1)])
+def test_eve_information_of_a_tap_that_reads_the_bit_is_one(weights):
+    # E1 is Alice's bit on every sifted row, each bit of weight sum(weights);
+    # E2 and the rows that do not sift do not matter
+    cells = [(1, bit, bit, e2) for bit in (0, 1) for e2, _ in zip((-1, 0, 1), weights)]
+    rows = eve_rows(*cells, (0, 0, 1, -1))
+    assert protocol._eve_information(rows, np.array(weights * 2 + (0.2,))) == 1.0
+
+
+def test_eve_information_ignores_rows_of_probability_zero():
+    # rows of probability 0 in cells of their own and in cells already held
+    zero = eve_rows((1, 0, 1, 0), (1, 1, 0, 1), (1, 0, 0, -1), (1, 1, -1, -1))
+    template = protocol._session_template(SessionConfig(
+        rounds=1, seed=0, source=SpdcSource(SpdcParams(0.3)),
+        eve=SplitAttack(AttackConfig(max_attempts=3))))
+    for rows, prob in ((eve_rows((1, 0, 0, -1), (1, 1, 1, -1), (1, 1, 0, -1)),
+                        np.array([0.25, 0.5, 0.25])),
+                       (template.rows, template.probabilities)):
+        want = protocol._eve_information(rows, prob).hex()
+        assert want != (0.0).hex()
+        for where in (0, rows.shape[0] // 2, rows.shape[0]):
+            got = protocol._eve_information(np.insert(rows, where, zero, axis=0),
+                                            np.insert(prob, where, np.zeros(len(zero))))
+            assert got.hex() == want
+
+
 def test_report_leak_is_the_exact_information_of_its_config():
     # intercept-resend in a random basis: Eve's bit is Alice's with
     # probability 3/4, so I = 1 - h(1/4), while the QBER of 1/4 spends h(1/4)
@@ -660,7 +709,7 @@ def test_v3_transcript_layout(tmp_path):
     # the codes are the row codes of the rounds the CSV text form lists
     codes = np.frombuffer(rest[:-32], dtype="<u2")
     template, _, blocks = protocol._simulate(cfg)
-    want = np.concatenate([protocol._row_codes(template.rows[idx], template.tables.scen_emission)
+    want = np.concatenate([protocol._row_codes(template.rows[idx], template.scen_emission)
                            for _, idx in blocks])
     assert np.array_equal(codes, want)
     text = text_form(path).decode("ascii").splitlines()[1:-1]

@@ -5,15 +5,15 @@ eavesdropper and the double-click policy.  Sessions of any seed and round
 count, and `eve_mutual_information`, share one build per config; configs
 that differ in any physics field get their own; cached arrays are
 read-only; and cold and warm caches give the same records, tables,
-sampler guides and transcript bytes.  The exact row probabilities and the
-eavesdropper information are computed with the template, the
-drawable-code mask on first use, and all are kept with it.  A session that
-draws ahead and finds its template not cached builds it on the drawer
-thread while it draws its first two blocks, with the same rounds as a warm
-or a serial session.  Below the cache, the memo of each scenario's rows
-(`protocol._scenario_rows`) gives every pinned table bit for bit when it
-was warmed at another parameter, misses on an amplitude one ulp away,
-stays within its bound and caches no error.
+sampler guides and transcript bytes.  The exact row probabilities, the
+drawable-code mask and the eavesdropper information are computed once,
+with the template, and kept with it.  A session that draws ahead and finds
+its template not cached builds it on the drawer thread while it draws its
+first two blocks, with the same template in every field and the same
+rounds as a warm or a serial session.  Below the cache, the memo of each
+scenario's rows (`protocol._scenario_rows`) gives every pinned table bit
+for bit when it was warmed at another parameter, misses on an amplitude
+one ulp away, stays within its bound and caches no error.
 """
 
 import contextlib
@@ -31,7 +31,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spdcqkd import _drawer, _kernels, _replay, protocol
+from spdcqkd import _drawer, _kernels, protocol
 from spdcqkd.attack import AttackConfig
 from spdcqkd.fock import FockError, StateVector, attack_registry
 from spdcqkd.optics import DA, HV, BasisAngle
@@ -118,23 +118,23 @@ def test_negative_zero_builds_the_same_tables(make):
 
 def test_cached_arrays_are_read_only(monkeypatch):
     template = protocol._session_template(PAPER)
-    arrays = [getattr(template.tables, f.name) for f in dataclasses.fields(template.tables)
-              if f.name != "emission_tags"]
-    arrays += [template.thresholds, template.rows, template.codes, template.scen_guide,
-               template.group_guide]
+    arrays = [getattr(template, f.name) for f in dataclasses.fields(template)
+              if f.name not in ("emission_tags", "eve_information")]
+    assert len(arrays) == 16
     for a in arrays:
         assert isinstance(a, np.ndarray)
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
-    assert template.tables.emission_tags == ("spdc",)
+    assert template.emission_tags == ("spdc",)
+    assert type(template.eve_information) is float
     with pytest.raises(dataclasses.FrozenInstanceError):
-        template.tables.scen_cum = np.zeros(1)
+        template.scen_cum = np.zeros(1)
     tallied = []
     report = protocol._Tally.report
     monkeypatch.setattr(protocol._Tally, "report",
                         lambda self, *args: tallied.append(self.tags) or report(self, *args))
     run_session(PAPER)
-    assert len(tallied) == 1 and tallied[0] is template.tables.emission_tags
+    assert len(tallied) == 1 and tallied[0] is template.emission_tags
 
 
 def test_replay_takes_its_header_template_from_the_cache(tmp_path, builds):
@@ -245,7 +245,7 @@ def test_golden_tables_cold_and_warm(builds, source_name, source, eve_name, eve)
     for seed in (0, 1):
         config = SessionConfig(rounds=1 + seed, seed=seed, source=source, eve=eve)
         try:
-            got.append(_tables_digest(protocol._session_template(config).tables))
+            got.append(_tables_digest(protocol._session_template(config)))
         except FockError:
             got.append("FockError")
     assert got == [GOLDEN_TABLES[f"{source_name}/{eve_name}"]] * 2
@@ -390,20 +390,6 @@ def _guides_digest(template) -> str:
     return h.hexdigest()
 
 
-def test_guides_are_the_same_cold_and_warm(builds):
-    template = protocol._session_template(PAPER)
-    cold = _guides_digest(template)
-    warm = protocol._session_template(dataclasses.replace(PAPER, seed=2, rounds=7))
-    assert warm is template and _guides_digest(warm) == cold
-    protocol._templates.clear()
-    rebuilt = protocol._session_template(PAPER)
-    assert rebuilt is not template and _guides_digest(rebuilt) == cold
-    assert len(builds) == 2
-    want = _kernels.guide_tables(template.tables.scen_cum, template.thresholds)
-    assert [g.tobytes() for g in want] == [template.scen_guide.tobytes(),
-                                           template.group_guide.tobytes()]
-
-
 def test_guides_of_the_largest_template_fit_in_a_megabyte():
     # the largest template timed when source.n_max was capped (n_max 32,
     # tanh_xi 0.99, 20 attempts): 144 (scenario, basis pair) groups of width 16
@@ -423,8 +409,6 @@ def test_probabilities_are_computed_once_per_template(tmp_path, monkeypatch, bui
         return probabilities(*args)
 
     monkeypatch.setattr(_kernels, "template_probabilities", counting)
-    # a reader that imported the function by name would call it from there
-    monkeypatch.setattr(_replay, "template_probabilities", counting, raising=False)
     path = tmp_path / "run.v3"
     live = run_session(PAPER, path)
     assert len(calls) == 1  # the report's leak weighs the rows by them
@@ -608,15 +592,9 @@ def test_a_cold_session_computes_probabilities_and_leak_on_the_drawer(monkeypatc
     probabilities = _kernels.template_probabilities
     monkeypatch.setattr(_kernels, "template_probabilities", lambda *args: names[
         "probabilities"].append(threading.current_thread().name) or probabilities(*args))
-    leak = protocol._Template.eve_information.func
-
-    def recording(template):
-        names["eve_information"].append(threading.current_thread().name)
-        return leak(template)
-
-    prop = functools.cached_property(recording)
-    prop.__set_name__(protocol._Template, "eve_information")
-    monkeypatch.setattr(protocol._Template, "eve_information", prop)
+    leak = protocol._eve_information
+    monkeypatch.setattr(protocol, "_eve_information", lambda *args: names[
+        "eve_information"].append(threading.current_thread().name) or leak(*args))
     config = dataclasses.replace(PAPER, rounds=20_000)
     assert protocol._draws_ahead(config.rounds)
     threads = build_threads(monkeypatch)
@@ -626,6 +604,48 @@ def test_a_cold_session_computes_probabilities_and_leak_on_the_drawer(monkeypatc
     assert names == {"probabilities": [DRAWER], "eve_information": [DRAWER]}
     assert report == serial_report(monkeypatch, config)
     assert names == {"probabilities": [DRAWER], "eve_information": [DRAWER]}
+
+
+def _fields_of(template) -> dict:
+    """Every field of a template by name: an array as its dtype, shape and
+    bytes, the leak as its `float.hex`, so that equal means the same bits."""
+    out = {}
+    for f in dataclasses.fields(template):
+        value = getattr(template, f.name)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.shape, value.tobytes())
+        elif isinstance(value, float):
+            value = value.hex()
+        out[f.name] = value
+    return out
+
+
+def test_guides_are_the_same_cold_and_warm(builds, monkeypatch, two_cpus):
+    # and a cold session that draws ahead builds on the drawer the template
+    # the calling thread builds, in every field
+    for name, config in COLD_CONFIGS.items():
+        config = dataclasses.replace(config, rounds=20_000)
+        protocol._templates.clear()
+        builds.clear()
+        template = protocol._session_template(config)
+        cold = _guides_digest(template)
+        warm = protocol._session_template(dataclasses.replace(config, seed=2, rounds=7))
+        assert warm is template and _guides_digest(warm) == cold, name
+        protocol._templates.clear()
+        rebuilt = protocol._session_template(config)
+        assert rebuilt is not template and _guides_digest(rebuilt) == cold, name
+        assert len(builds) == 2, name
+        want = _kernels.guide_tables(template.scen_cum, template.thresholds)
+        assert [g.tobytes() for g in want] == [template.scen_guide.tobytes(),
+                                               template.group_guide.tobytes()], name
+        protocol._templates.clear()
+        with monkeypatch.context() as m:
+            threads = build_threads(m)
+            with drawer_builds_first(m, threads):
+                run_session(config)
+        assert threads == [DRAWER], name
+        drawn = protocol._cached_template(config)
+        assert drawn is not rebuilt and _fields_of(drawn) == _fields_of(template), name
 
 
 def test_only_a_cache_miss_hands_a_build_to_the_drawer(monkeypatch, two_cpus):

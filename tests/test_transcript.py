@@ -159,7 +159,7 @@ def reference_replay(config, path):
     with open(path, "rb") as fh:
         head = _replay.read_header(fh)
     _replay.check_config(config, head)
-    tags = head.template.tables.emission_tags
+    tags = head.template.emission_tags
     data = path.read_bytes()
     codes = np.frombuffer(data[len(head.raw):len(head.raw) + head.body_bytes], dtype="<u2")
     for i, code in enumerate(codes.tolist()):
@@ -250,8 +250,14 @@ def test_session_transcript_matches_reference(tmp_path, monkeypatch, tags, scen_
     # that end inside a code
     monkeypatch.setattr(_replay, "READ_BYTES", 9999)
     # no config draws every code: the header's config is taken to allow them all
-    monkeypatch.setattr(protocol._Template, "drawable", property(
-        lambda self: np.ones(len(self.tables.emission_tags) * protocol._CODES, dtype=bool)))
+    build = protocol._build_tables
+
+    def allowing_every_code(config):
+        template = build(config)
+        return dataclasses.replace(template, drawable=np.ones(
+            len(template.emission_tags) * protocol._CODES, dtype=bool))
+
+    monkeypatch.setattr(protocol, "_build_tables", allowing_every_code)
     codes = every_code(scen_emission)
     codes = codes[~((codes[:, 7] == 1) & ((codes[:, 5] < 0) | (codes[:, 6] < 0)))]
     rounds = 100_003
