@@ -1,12 +1,15 @@
 """The transcript reader behind `protocol.replay`, and the text form.
 
-A transcript is read as version 3 only.  `read_header` reads and checks
-the two header lines and the body's length against the header's round
-count, takes its config's cached template, and checks the header's tags
-against that template's; any other first line, a version-2 CSV or version
-1 included, is a TranscriptError that names version 3.  The header keeps
-the template, whose leak the replayed report takes.  `check_config`
-compares the header's config with the caller's; `code_reads` streams the
+A transcript is read as version 3 only.  `read_header` reads the two
+header lines, parses the config they name, checks the body's length
+against its round count and takes its cached template; then the header
+must be, byte for byte, the one `protocol._transcript_head` writes for
+that config, the template's emission tags and the header's own
+tool_version, so the writer is the one definition of the format.  Any
+other first line, a version-2 CSV or version 1 included, is a
+TranscriptError that names version 3.  The header keeps the template,
+whose leak the replayed report takes.  `check_config` compares the
+header's config with the caller's; `code_reads` streams the
 body's row codes, hashing every read and counting its codes with one
 bincount, and rejects a code the template draws with probability 0 (out
 of range, a sifted code missing a key bit, or any other) through its
@@ -33,19 +36,17 @@ import numpy as np
 from .fock import FockError
 from .protocol import (_CODES, _TAIL_SHAPE, CODE_DTYPE, DIGEST_BYTES, TRANSCRIPT_HEADER,
                        TRANSCRIPT_MAGIC, ConfigError, SessionConfig, TranscriptError, _Template,
-                       _parse_transcript, _row_texts, _session_template, _transcript_lines,
-                       config_from_dict, config_to_dict)
+                       _fields, _parse_transcript, _row_texts, _session_template,
+                       _transcript_head, _transcript_lines, config_from_dict, config_to_dict)
 
 # Bytes per read of the transcript body, and rows per write of its text form.
 READ_BYTES = 1 << 18
 TEXT_SLICE_ROWS = 1 << 13
 
 # Version 3: its first line, MAGIC_PREFIX, a space and the version; the
-# longest header line read; the most tags whose codes fit CODE_DTYPE.
+# longest header line read.
 MAGIC_PREFIX, _, VERSION = TRANSCRIPT_MAGIC.encode("ascii").partition(b" ")
 HEADER_LINE_BYTES = 1 << 16
-MAX_TAGS = (1 << 8 * CODE_DTYPE.itemsize) // _CODES
-_HEADER_FIELDS = ["code_bytes", "config", "tags", "tool_version"]
 
 
 def seekable(fh):
@@ -80,7 +81,7 @@ class Header:
 
     raw: bytes  # the two header lines, as read
     config: SessionConfig
-    config_dict: dict  # `config_to_dict(config)`
+    config_dict: dict  # `config_to_dict(config)`, as the header holds it
     tool_version: str
     body_bytes: int  # from the end of the header to the digest
     template: _Template  # the config's cached template, whose emission tags the header names
@@ -95,10 +96,12 @@ def read_header(fh) -> Header:
 
     Raises TranscriptError for a first line that does not begin with
     MAGIC_PREFIX and a space (a CSV, version 1 or an empty file), another
-    version, a header that is not the JSON object
-    `protocol._transcript_head` writes, a body that is not one whole row
-    code per round the header's config names, or tags that are not the
-    emission tags of that config.
+    version, a JSON line without a config `config_from_dict` takes or a
+    string tool_version, a body that is not one whole row code per round
+    of that config, or a header other than the one
+    `protocol._transcript_head` writes for that config, the emission tags
+    of its template and that tool_version, which names the first field
+    that differs.
     """
     size = fh.seek(0, os.SEEK_END)
     fh.seek(0)
@@ -117,21 +120,10 @@ def read_header(fh) -> Header:
         meta = json.loads(line)
     except (ValueError, RecursionError) as exc:
         raise _bad_header(f"not JSON: {exc}") from None
-    if not isinstance(meta, dict) or sorted(meta) != _HEADER_FIELDS:
-        raise _bad_header(f"expected an object with the fields {', '.join(_HEADER_FIELDS)}")
-    width, tags, tool_version = meta["code_bytes"], meta["tags"], meta["tool_version"]
-    if type(width) is not int or width != CODE_DTYPE.itemsize:
-        raise TranscriptError(f"unsupported row code width {width!r}")
-    if (not isinstance(tags, list) or not 1 <= len(tags) <= MAX_TAGS
-            or not all(isinstance(t, str) and t and t.isascii() and t.isprintable()
-                       and "," not in t for t in tags)
-            or len(set(tags)) != len(tags)):
-        raise _bad_header(f"tags must be 1 to {MAX_TAGS} distinct printable ASCII "
-                          "strings without commas")
-    if not isinstance(tool_version, str):
-        raise _bad_header("tool_version must be a string")
+    if not isinstance(meta, dict) or not isinstance(meta.get("tool_version"), str):
+        raise _bad_header("expected a JSON object with a string tool_version")
     try:
-        config = config_from_dict(meta["config"])
+        config = config_from_dict(meta.get("config"))
     except ConfigError as exc:
         raise _bad_header(f"config: {exc}") from None
     raw = magic + line
@@ -147,19 +139,14 @@ def read_header(fh) -> Header:
         template = _session_template(config)
     except FockError as exc:
         raise _bad_header(f"config: {exc}") from None
-    if tuple(tags) != template.emission_tags:
-        raise _bad_header(f"tags {tags} are not the config's emission tags "
-                          f"{list(template.emission_tags)}")
-    return Header(raw, config, config_to_dict(config), tool_version, body, template)
-
-
-def _fields(d: dict, prefix: str = ""):
-    """(dotted name, value) of every leaf of a config dict, in its order."""
-    for key, value in d.items():
-        if isinstance(value, dict):
-            yield from _fields(value, f"{prefix}{key}.")
-        else:
-            yield prefix + key, value
+    written = _transcript_head(config, template.emission_tags, meta["tool_version"])
+    if raw != written:
+        want = json.loads(written.partition(b"\n")[2])
+        for name, have, value in _fields(meta, want):
+            if have != value:
+                raise _bad_header(f"{name} {have!r} here, {value!r} for its config")
+        raise _bad_header("not byte for byte the JSON its writer writes")
+    return Header(raw, config, meta["config"], meta["tool_version"], body, template)
 
 
 def check_config(config: SessionConfig | None, head: Header) -> None:
@@ -168,13 +155,13 @@ def check_config(config: SessionConfig | None, head: Header) -> None:
     if config is None or config == head.config:
         return
     try:
-        want = dict(_fields(config_to_dict(config)))
+        want = config_to_dict(config)
     except ConfigError as exc:
         raise TranscriptError(f"config differs from the transcript's: {exc}") from None
-    have = dict(_fields(head.config_dict))
-    name = next((k for k in [*want, *have] if want.get(k) != have.get(k)), "config")
+    name, have, value = next((f for f in _fields(head.config_dict, want) if f[1] != f[2]),
+                             ("config", None, None))
     raise TranscriptError(f"config differs from the transcript's in {name}: "
-                          f"{want.get(name)!r} here, {have.get(name)!r} in the transcript")
+                          f"{value!r} here, {have!r} in the transcript")
 
 
 def code_reads(fh, head: Header, digest):

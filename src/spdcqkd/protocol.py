@@ -74,21 +74,24 @@ and starts no thread.  A piece is the same bytes whichever thread draws it,
 so the rounds are the same either way.
 
 A session writes transcript format 3, bound to its run:
-- a text header of two lines: the magic line TRANSCRIPT_MAGIC
-  ('spdcqkd-transcript 3'), then one JSON object (sorted keys, no spaces)
-  with the canonical `config_to_dict` of the session (its rounds and seed
-  included) under "config", the writer's "tool_version", the emission
-  "tags" in code order, and "code_bytes", the width of a row code (2);
+- a text header of two lines, which `_transcript_head` alone defines: the
+  magic line TRANSCRIPT_MAGIC ('spdcqkd-transcript 3'), then one JSON
+  object (sorted keys, no spaces) with the canonical `config_to_dict` of
+  the session (its rounds and seed included) under "config", the writer's
+  "tool_version", the emission "tags" in code order, and "code_bytes", the
+  width of a row code (2);
 - one little-endian uint16 row code per round, in round order (the round
   index is implicit): `codes[index]` for the template's row codes, one
   take per block;
 - the raw 32-byte sha256 digest of every byte before it.
 A config the header cannot name (an intercept basis at an arbitrary angle)
-is refused before the file is opened.  replay() checks the header's config
-against the caller's field by field, names the first that differs, and
-checks its tags and every code against the cached template of its config:
-other tags, or a code the template draws with probability 0 (such as one
-out of range or a sifted round missing a key bit), is a TranscriptError.
+is refused before the file is opened.  replay() parses the header's
+config, then requires the header to be, byte for byte, the one
+`_transcript_head` writes for that config, its cached template's tags and
+the header's own tool_version; it names the first field that differs, as
+it does for a caller's config that differs from the header's.  A code the
+template draws with probability 0 (such as one out of range or a sifted
+round missing a key bit) is a TranscriptError too.
 A digest mismatch is reported via checksum_ok=False.  Version 3 is the
 only format replay() reads: any other first line is a TranscriptError.
 The reader lives in `_replay`; it streams the body in fixed-size reads,
@@ -288,38 +291,33 @@ def _real(src: dict, key: str, default: float | None = None) -> float:
         raise ConfigError(f"field source.{key} is too large for a float") from None
 
 
-# The fields a config dict may hold, at the top and per source and eve kind.
-# A split's `mode` is retired: it never changed a session, and is ignored.
-_FIELDS = ("rounds", "seed", "source", "eve", "double_click_policy")
-_SOURCE_FIELDS = {"singlet": ("kind",), "spdc": ("kind", "tanh_xi", "phi", "n_max"),
-                  "attack_mixture": ("kind", "p")}
-_EVE_FIELDS = {"none": ("kind",), "split": ("kind", "max_attempts", "mode"),
-               "intercept": ("kind", "basis")}
-
-
-def _known(d: dict, names: tuple[str, ...], path: str) -> None:
-    """Refuse a field of d outside `names`: misspelt, it would take its default."""
-    for key in d:
-        if key not in names:
-            raise ConfigError(f"unknown field {path}{key}")
+def _fields(have: dict, want: dict, prefix: str = ""):
+    """(dotted name, value in `have`, value in `want`) of every field of two
+    nested dicts, None where one lacks it: per level `want`'s keys in its
+    order, then the others of `have` in theirs.  A key whose value is a dict
+    in both is no field itself; its keys are."""
+    for key in [*want, *(k for k in have if k not in want)]:
+        a, b = have.get(key), want.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            yield from _fields(a, b, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", a, b
 
 
 def config_from_dict(d: dict) -> SessionConfig:
+    """The config of a dict in the form `config_to_dict` writes, whose
+    defaulted fields may be left out.  A field that `config_to_dict` of the
+    config does not write is refused, since a misspelt one would take its
+    default unseen; only a split's retired `mode`, which never changed a
+    session, is ignored."""
     if not isinstance(d, dict):
         raise ConfigError("session config must be a JSON object")
-    _known(d, _FIELDS, "")
     rounds = _require(d, "rounds", int, "")
     seed = _require(d, "seed", int, "")
     src = _require(d, "source", dict, "")
     kind = _require(src, "kind", str, "source.")
-    if kind not in _SOURCE_FIELDS:
-        raise ConfigError(f"unknown source.kind {kind!r}")
-    _known(src, _SOURCE_FIELDS[kind], "source.")
     eve_d = _require(d, "eve", dict, "") if "eve" in d else {"kind": "none"}
     ekind = _require(eve_d, "kind", str, "eve.")
-    if ekind not in _EVE_FIELDS:
-        raise ConfigError(f"unknown eve.kind {ekind!r}")
-    _known(eve_d, _EVE_FIELDS[ekind], "eve.")
     try:
         if kind == "singlet":
             source: Source = SingletSource()
@@ -330,20 +328,29 @@ def config_from_dict(d: dict) -> SessionConfig:
             except FockError as exc:  # its message starts with the field's name
                 raise ConfigError(f"source.{exc}") from exc
             source = SpdcSource(params)
-        else:
+        elif kind == "attack_mixture":
             source = AttackMixture(_real(src, "p"))
+        else:
+            raise ConfigError(f"unknown source.kind {kind!r}")
         if ekind == "none":
             eve: EveStrategy = None
         elif ekind == "split":
             eve = SplitAttack(AttackConfig(
                 max_attempts=_optional(eve_d, "max_attempts", int, "eve.", 20)))
-        else:
+        elif ekind == "intercept":
             tok = eve_d.get("basis", "random")
-            if tok not in ("random", "HV", "DA"):
+            # compared, not looked up: an unhashable token is refused too
+            basis = [b for b, name in _BASIS_NAME.items() if name == tok]
+            if not basis:
                 raise ConfigError(f"eve.basis must be HV, DA or random, got {tok!r}")
-            eve = InterceptResend(None if tok == "random" else (HV if tok == "HV" else DA))
+            eve = InterceptResend(basis[0])
+        else:
+            raise ConfigError(f"unknown eve.kind {ekind!r}")
         config = SessionConfig(rounds=rounds, seed=seed, source=source, eve=eve,
                                double_click_policy=d.get("double_click_policy", "assign"))
+        for name, _, written in _fields(d, config_to_dict(config)):
+            if written is None and not (name == "eve.mode" and ekind == "split"):
+                raise ConfigError(f"unknown field {name}")
         if isinstance(eve, InterceptResend):
             # intercept-resend takes at most one photon per channel, which an
             # SPDC source's multi-pair terms break: reject it here, not at table build
@@ -564,8 +571,11 @@ def _eve_information(rows: np.ndarray, probabilities: np.ndarray) -> float:
     if total == 0.0:
         return 0.0  # nothing sifts, e.g. a source that emits vacuum only
     held = joint > 0
-    # unnormalised sums: a record of one symbol gives log2(1) = 0 exactly
-    return float(np.sum(joint[held] * np.log2(joint[held] * total / (pa * pe)[held])) / total)
+    # unnormalised sums: a record of one symbol gives log2(1) = 0 exactly, but
+    # one independent of the bit over several symbols may round a few ulps
+    # below 0, which no information is
+    info = np.sum(joint[held] * np.log2(joint[held] * total / (pa * pe)[held])) / total
+    return max(0.0, float(info))
 
 
 # ---------------------------------------------------------------------------
@@ -849,11 +859,12 @@ def _build_while_drawing(config: SessionConfig) -> tuple[_Template, np.ndarray]:
     return built[0], first
 
 
-def _transcript_head(config: SessionConfig, tags: tuple[str, ...]) -> bytes:
-    """The two header lines of a version-3 transcript; a ConfigError if the
-    config has no dict form."""
+def _transcript_head(config: SessionConfig, tags: tuple[str, ...], tool_version: str) -> bytes:
+    """The two header lines of a version-3 transcript, the one definition of
+    its header: `_replay.read_header` accepts these bytes only.  A
+    ConfigError if the config has no dict form."""
     meta = {"code_bytes": CODE_DTYPE.itemsize, "config": config_to_dict(config),
-            "tags": tags, "tool_version": __version__}
+            "tags": tags, "tool_version": tool_version}
     return f"{TRANSCRIPT_MAGIC}\n{json.dumps(meta, sort_keys=True, separators=(',', ':'))}\n".encode(
         "ascii")
 
@@ -873,7 +884,7 @@ def run_session(config: SessionConfig, transcript_path=None) -> SessionReport:
         for _ in blocks:
             pass
     else:
-        head = _transcript_head(config, template.emission_tags)
+        head = _transcript_head(config, template.emission_tags, __version__)
         digest = hashlib.sha256(head)
         fh = open(transcript_path, "wb")
         try:
@@ -913,7 +924,8 @@ def _parse_transcript(fh, head) -> tuple[_Tally, bool]:
     after the checked header `head` (an `_replay.Header`).
 
     The body is read by `_replay.code_reads`, which hashes each read and
-    counts its codes; the counts of the reads are added up.
+    counts its codes; the counts of the reads are added up.  It reads the
+    body to its last byte, so the file then stands at the digest.
     """
     from . import _replay
 
@@ -921,7 +933,6 @@ def _parse_transcript(fh, head) -> tuple[_Tally, bool]:
     tally = _Tally(head.template.emission_tags)
     for _, _, counts in _replay.code_reads(fh, head, digest):
         tally.counts += counts
-    fh.seek(len(head.raw) + head.body_bytes)
     return tally, fh.read(DIGEST_BYTES) == digest.digest()
 
 

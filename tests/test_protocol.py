@@ -112,19 +112,92 @@ def test_config_from_dict_error_paths():
         config_from_dict({"rounds": True, "seed": 1, "source": {"kind": "singlet"}})
 
 
+# one config of each source kind and each eavesdropper kind; the SPDC source
+# keeps at most one pair, which intercept-resend takes
+KIND_CONFIGS = [SessionConfig(rounds=10, seed=1, source=source, eve=eve,
+                              double_click_policy="discard")
+                for source in (SingletSource(), SpdcSource(SpdcParams(0.3, 0.2, n_max=1)),
+                               AttackMixture(0.4))
+                for eve in (None, SplitAttack(AttackConfig(max_attempts=3)), InterceptResend(DA))]
+
+
+def leaves(d, path=()):
+    """(path of keys, value) of every leaf of a nested dict."""
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def with_leaf(d, path, value):
+    """A copy of the nested dict d with the leaf at `path` set to value."""
+    d = json.loads(json.dumps(d))
+    inner = d
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return d
+
+
+def misspelt_twins():
+    """(id, dotted name, config dict) of a misspelt twin beside every field of
+    the dict of each KIND_CONFIGS config: at the top, in `source` and in `eve`."""
+    for doc in map(config_to_dict, KIND_CONFIGS):
+        for path, _ in leaves(doc):
+            twin = path[:-1] + (path[-1] + "_",)
+            name = ".".join(twin)
+            yield (f"{doc['source']['kind']}-{doc['eve']['kind']}-{name}", name,
+                   with_leaf(doc, twin, 0))
+
+
+MISSPELT_TWINS = list(misspelt_twins())
+
+
 @pytest.mark.parametrize("path,doc", [
     ("double_click_polcy", {"double_click_polcy": "discard"}),
     ("source.nmax", {"source": {"kind": "spdc", "tanh_xi": 0.3, "nmax": 6}}),
     ("source.tanh_xi", {"source": {"kind": "singlet", "tanh_xi": 0.3}}),
     ("eve.max_attempt", {"eve": {"kind": "split", "max_attempt": 3}}),
     ("eve.mode", {"eve": {"kind": "intercept", "mode": "analytic"}}),
-], ids=["top", "source", "other-kind", "eve", "mode-off-split"])
+] + [(path, doc) for _, path, doc in MISSPELT_TWINS],
+    ids=["top", "source", "other-kind", "eve", "mode-off-split"]
+    + [name for name, _, _ in MISSPELT_TWINS])
 def test_config_from_dict_refuses_unknown_fields(path, doc):
     # a misspelt field would take its default unseen; only a split's retired mode
     # is ignored
     base = {"rounds": 10, "seed": 1, "source": {"kind": "spdc", "tanh_xi": 0.3, "n_max": 6}}
     with pytest.raises(ConfigError, match=rf"^unknown field {re.escape(path)}$"):
         config_from_dict({**base, **doc})
+
+
+def other_values(value):
+    """Other values of the type of a config dict's field, valid or not."""
+    if isinstance(value, str):
+        return [token for token in ("assign", "discard", "singlet", "spdc", "attack_mixture",
+                                    "none", "split", "intercept", "random", "HV", "DA")
+                if token != value]
+    return [value + 1] if isinstance(value, int) else [value + 0.25]
+
+
+def test_config_from_dict_reads_every_field_config_to_dict_writes():
+    # a field changed to another value that is valid beside the others changes
+    # the config: no field that is written is ignored on read
+    changed = set()
+    for config in KIND_CONFIGS:
+        doc = config_to_dict(config)
+        for path, value in leaves(doc):
+            for other in other_values(value):
+                try:
+                    got = config_from_dict(with_leaf(doc, path, other))
+                except ConfigError:
+                    continue
+                assert got != config, (config, path, other)
+                changed.add(".".join(path))
+    # every other source kind needs fields of its own: no kind replaces another alone
+    written = {".".join(path) for config in KIND_CONFIGS
+               for path, _ in leaves(config_to_dict(config))}
+    assert changed == written - {"source.kind"}
 
 
 @pytest.mark.parametrize("source_name,source", TABLE_SOURCES, ids=[n for n, _ in TABLE_SOURCES])
@@ -613,6 +686,9 @@ def test_eve_information_of_a_record_independent_of_the_bit_is_zero():
     # a record of two symbols, drawn independently of the bit (dyadic weights)
     rows = eve_rows((1, 0, 0, -1), (1, 0, 1, -1), (1, 1, 0, -1), (1, 1, 1, -1))
     assert protocol._eve_information(rows, np.array([1.0, 3.0, 3.0, 9.0]) / 16) == 0.0
+    # and with weights that are not dyadic, whose sum rounds a few ulps below 0
+    assert protocol._eve_information(rows, np.array([0.1 * 0.3, 0.1 * 0.7, 0.9 * 0.3,
+                                                     0.9 * 0.7])) == 0.0
 
 
 def test_eve_information_with_nothing_sifted_is_zero():

@@ -239,7 +239,8 @@ def test_writer_and_reader_agree_on_the_row_code(start):
 
 def v3_bytes(config, tags, codes):
     """A version-3 transcript of `codes` as `run_session` would write it."""
-    data = protocol._transcript_head(config, tags) + codes.astype("<u2").tobytes()
+    data = (protocol._transcript_head(config, tags, protocol.__version__)
+            + codes.astype("<u2").tobytes())
     return data + hashlib.sha256(data).digest()
 
 
@@ -452,13 +453,12 @@ V3_REJECTIONS = {
                     "bad version-3 header: not JSON: maximum recursion depth exceeded…"),
     "missing-field": (lambda d, n: with_meta(d, tool_version=None).replace(
         b',"tool_version":null', b""),
-        "bad version-3 header: expected an object with the fields "
-        "code_bytes, config, tags, tool_version"),
+        "bad version-3 header: expected a JSON object with a string tool_version"),
     "code-width-4": (lambda d, n: with_meta(d, code_bytes=4),
-                     "unsupported row code width 4"),
+                     "bad version-3 header: code_bytes 4 here, 2 for its config"),
     "tag-with-comma": (lambda d, n: with_meta(d, tags=["att,ack", "singlet"]),
-                       "bad version-3 header: tags must be 1 to 56 distinct printable ASCII "
-                       "strings without commas"),
+                       "bad version-3 header: tags ['att,ack', 'singlet'] here, "
+                       "['attack', 'singlet'] for its config"),
     "misspelt-config-key": (lambda d, n: d.replace(b'"double_click_policy"',
                                                     b'"double_click_polcy"', 1),
                             "bad version-3 header: config: unknown field double_click_polcy"),
@@ -483,8 +483,18 @@ V3_REJECTIONS = {
                               "round 5: row code 1422 has probability 0 under the header's "
                               "config"),
     "tags-in-another-order": (lambda d, n: with_meta(d, tags=["singlet", "attack"]),
-                              "bad version-3 header: tags ['singlet', 'attack'] are not the "
-                              "config's emission tags ['attack', 'singlet']"),
+                              "bad version-3 header: tags ['singlet', 'attack'] here, "
+                              "['attack', 'singlet'] for its config"),
+    # the header is the bytes its writer writes, or nothing
+    "json-with-spaces": (lambda d, n: d.replace(b'{"code_bytes":2,', b'{"code_bytes": 2, ', 1),
+                         "bad version-3 header: not byte for byte the JSON its writer writes"),
+    "unsorted-keys": (lambda d, n: d.replace(b'{"code_bytes":2,', b"{", 1).replace(
+        b'"tool_version"', b'"code_bytes":2,"tool_version"', 1),
+        "bad version-3 header: not byte for byte the JSON its writer writes"),
+    "defaulted-field-left-out": (lambda d, n: with_meta(d, config={
+        "rounds": n, "seed": 17, "source": {"kind": "attack_mixture", "p": 0.7},
+        "eve": {"kind": "none"}}),
+        "bad version-3 header: config.double_click_policy None here, 'assign' for its config"),
 }
 
 
@@ -507,8 +517,7 @@ def test_corrupt_v3_transcript_is_rejected(tmp_path, name):
 @pytest.mark.parametrize("tags,code,message", [
     (["singlet"], double_click_code(), "round 0: row code 270 has probability 0 under the "
                                        "header's config"),
-    (["attack"], 0, "bad version-3 header: tags ['attack'] are not the config's emission "
-                    "tags ['singlet']"),
+    (["attack"], 0, "bad version-3 header: tags ['attack'] here, ['singlet'] for its config"),
 ], ids=["double-click", "foreign-tag"])
 def test_v3_file_its_config_cannot_produce_is_rejected(tmp_path, tags, code, message):
     # a valid digest: only the template of the header's config tells
