@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockError
+from .fock import FockError, _cut
 from .protocol import (_CODES, _TAIL_SHAPE, CODE_DTYPE, DIGEST_BYTES, TRANSCRIPT_HEADER,
                        TRANSCRIPT_MAGIC, ConfigError, SessionConfig, TranscriptError, _Template,
                        _fields, _parse_transcript, _row_texts, _session_template,
@@ -98,10 +98,11 @@ def read_header(fh) -> Header:
     MAGIC_PREFIX and a space (a CSV, version 1 or an empty file), another
     version, a JSON line without a config `config_from_dict` takes or a
     string tool_version, a body that is not one whole row code per round
-    of that config, or a header other than the one
-    `protocol._transcript_head` writes for that config, the emission tags
-    of its template and that tool_version, which names the first field
-    that differs.
+    of that config, a config whose template cannot be built (the build's
+    FockError, such as intercept-resend on an SPDC source), or a header
+    other than the one `protocol._transcript_head` writes for that config,
+    the emission tags of its template and that tool_version, which names
+    the first field that differs.
     """
     size = fh.seek(0, os.SEEK_END)
     fh.seek(0)
@@ -112,7 +113,7 @@ def read_header(fh) -> Header:
     version = magic[len(MAGIC_PREFIX) + 1:].rstrip(b"\n")
     if version != VERSION:
         raise TranscriptError("unsupported transcript version "
-                              f"{version[:20].decode('ascii', errors='replace')!r}")
+                              f"{_cut(repr(version.decode('ascii', errors='replace')))}")
     line = fh.readline(HEADER_LINE_BYTES) if magic.endswith(b"\n") else b""
     if not line.endswith(b"\n"):
         raise _bad_header(f"no JSON line of at most {HEADER_LINE_BYTES} bytes")
@@ -144,7 +145,8 @@ def read_header(fh) -> Header:
         want = json.loads(written.partition(b"\n")[2])
         for name, have, value in _fields(meta, want):
             if have != value:
-                raise _bad_header(f"{name} {have!r} here, {value!r} for its config")
+                raise _bad_header(f"{_cut(name)} {_cut(repr(have))} here, "
+                                  f"{_cut(repr(value))} for its config")
         raise _bad_header("not byte for byte the JSON its writer writes")
     return Header(raw, config, meta["config"], meta["tool_version"], body, template)
 
@@ -160,8 +162,8 @@ def check_config(config: SessionConfig | None, head: Header) -> None:
         raise TranscriptError(f"config differs from the transcript's: {exc}") from None
     name, have, value = next((f for f in _fields(head.config_dict, want) if f[1] != f[2]),
                              ("config", None, None))
-    raise TranscriptError(f"config differs from the transcript's in {name}: "
-                          f"{value!r} here, {have!r} in the transcript")
+    raise TranscriptError(f"config differs from the transcript's in {_cut(name)}: "
+                          f"{_cut(repr(value))} here, {_cut(repr(have))} in the transcript")
 
 
 def code_reads(fh, head: Header, digest):

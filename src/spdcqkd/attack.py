@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .fock import POL_H, POL_V, FockError, ModeLabel, StateVector, attack_registry
+from .fock import POL_H, POL_V, FockError, ModeLabel, StateVector, _cut, attack_registry
 from .optics import DA, HV, BasisAngle, beamsplitter_50_50, qnd_count, rotate_polarization
 
 
@@ -44,7 +44,7 @@ class AttackConfig:
 
     def __post_init__(self):
         if self.max_attempts < 1:
-            raise FockError(f"max_attempts must be >= 1, got {self.max_attempts}")
+            raise FockError(f"max_attempts must be >= 1, got {_cut(str(self.max_attempts))}")
         try:
             float(self.max_attempts)  # the exponent of the give-up probability
         except OverflowError:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .attack import attack_four_photon
-from .fock import FockError, StateVector
+from .fock import FockError, StateVector, _cut
 from .optics import HV
 from .protocol import (ConfigError, SessionConfig, TranscriptError,
                        config_from_dict, config_to_dict, replay_with_header, run_session,
@@ -211,7 +211,8 @@ def cmd_sweep(p_min, p_max, steps, out_path):
             f"--p-min/--p-max: need 0 <= p-min <= p-max <= 1, "
             f"got {p_min} and {p_max}")
     if not 1 <= steps <= MAX_SWEEP_STEPS:
-        raise click.UsageError(f"--steps: must be from 1 to {MAX_SWEEP_STEPS}, got {steps}")
+        raise click.UsageError(f"--steps: must be from 1 to {MAX_SWEEP_STEPS}, "
+                               f"got {_cut(str(steps))}")
     rows = ["p,qber,eve_info,bound,margin"]
     for p in np.linspace(p_min, p_max, steps):
         lb = leak_vs_bound(p)

@@ -21,6 +21,8 @@ DEFAULT_PRUNE_TOL = 1e-12
 # The largest occupation of any mode.  A source slot holds up to n_max
 # photons, so this is at least source.N_MAX_CAP.
 MODE_CAP = 32
+# The most characters of an outside value or field name an error message quotes.
+QUOTE_CHARS = 60
 
 # polarization slot indices within a party's channel
 POL_H = 0
@@ -44,6 +46,11 @@ def squared_norm(amps: Iterable[complex]) -> float:
     for a in amps:
         acc += a.real * a.real + a.imag * a.imag
     return acc
+
+
+def _cut(text: str) -> str:
+    """`text`, or its first QUOTE_CHARS characters and '...' if it is longer."""
+    return text if len(text) <= QUOTE_CHARS else f"{text[:QUOTE_CHARS]}..."
 
 
 class FockError(ValueError):

@@ -26,16 +26,16 @@ seed.  The sampler reads a word's bits as the uniform draw in [0, 1) that
 
 The template depends on the physics alone (the source, the eavesdropper and
 the double-click policy), never on `rounds` or `seed`, so a process keeps
-the templates of the TEMPLATE_CACHE_SIZE physics configs it used last, in a
-dict in least-recently-used order behind a lock, keyed by the config with
-`rounds` and `seed` set to fixed values.  A session asks it whether its
-template is cached without building one (`_cached_template`), which
-`functools.lru_cache` cannot answer; when two threads build one config at
-once, the first build stays cached.  Sessions, replay and
-`eve_mutual_information` take their template from that cache only; a build
-that raises is not cached.  Many
-seeds of one config in one process build it once; a one-shot `spdcqkd
-simulate` gains nothing from it.  Below it, every build takes each
+the template of the physics config it used last, keyed by the config with
+`rounds` and `seed` set to fixed values; every caller runs one config at a
+time.  A session asks whether its template is cached without building one
+(`_cached_template`), which `functools.lru_cache` cannot answer; when two
+threads build one config at once, the first build stays cached.  Sessions,
+replay and `eve_mutual_information` take their template from
+`_session_template` only, whose build refuses a config whose eavesdropper
+cannot act on its source; a build that raises is not cached.  Many seeds of
+one config in one process build it once; a one-shot `spdcqkd simulate`
+gains nothing from it.  Below it, every build takes each
 scenario's rows from `_scenario_rows`, which keeps the rows of the
 SCENARIO_MEMO_SIZE scenarios used last, keyed by the scenario state's
 exact terms in term order and its fixed eavesdropper bit.  A split or
@@ -128,7 +128,7 @@ import numpy as np
 from . import __version__, _kernels
 from ._kernels import DRAWS_PER_ROUND
 from .attack import AttackConfig, attack_four_photon, intercept_branches, split_attack_branches
-from .fock import FockError, StateVector, attack_registry, left_sum
+from .fock import FockError, StateVector, _cut, attack_registry, left_sum
 from .optics import DA, HV, BasisAngle, joint_threshold_branches, rotate_polarization
 from .security import LeakBound, binary_entropy
 from .source import SpdcParams, singlet_state, spdc_state
@@ -138,9 +138,7 @@ from .source import SpdcParams, singlet_state, spdc_state
 # longer than one piece draws ahead on the drawer thread.
 CHUNK_ROUNDS = 1 << 14
 DRAW_PIECE_ROUNDS = 1 << 12
-# Physics configs whose session template a process keeps, and scenarios
-# whose table rows it keeps (`_scenario_rows`).
-TEMPLATE_CACHE_SIZE = 8
+# Scenarios whose table rows a process keeps (`_scenario_rows`).
 SCENARIO_MEMO_SIZE = 128
 
 TRANSCRIPT_HEADER = ("round_idx,source_tag,alice_basis,bob_basis,"
@@ -221,13 +219,13 @@ class SessionConfig:
 
     def __post_init__(self):
         if self.rounds < 1:
-            raise FockError(f"rounds must be >= 1, got {self.rounds}")
+            raise FockError(f"rounds must be >= 1, got {_cut(str(self.rounds))}")
         if self.seed < 0:
-            raise FockError(f"seed must be >= 0, got {self.seed}")
+            raise FockError(f"seed must be >= 0, got {_cut(str(self.seed))}")
         if self.seed >= 1 << 128:  # the seed is the 128-bit Philox key
-            raise FockError(f"seed must be < 2**128, got {self.seed}")
+            raise FockError(f"seed must be < 2**128, got {_cut(str(self.seed))}")
         if self.double_click_policy not in ("assign", "discard"):
-            raise FockError(f"unknown double_click_policy {self.double_click_policy!r}")
+            raise FockError(f"unknown double_click_policy {_cut(repr(self.double_click_policy))}")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +307,8 @@ def config_from_dict(d: dict) -> SessionConfig:
     defaulted fields may be left out.  A field that `config_to_dict` of the
     config does not write is refused, since a misspelt one would take its
     default unseen; only a split's retired `mode`, which never changed a
-    session, is ignored."""
+    session, is ignored.  Its physics is checked only where its template is
+    built (`_session_template`), before any session uses it."""
     if not isinstance(d, dict):
         raise ConfigError("session config must be a JSON object")
     rounds = _require(d, "rounds", int, "")
@@ -331,7 +330,7 @@ def config_from_dict(d: dict) -> SessionConfig:
         elif kind == "attack_mixture":
             source = AttackMixture(_real(src, "p"))
         else:
-            raise ConfigError(f"unknown source.kind {kind!r}")
+            raise ConfigError(f"unknown source.kind {_cut(repr(kind))}")
         if ekind == "none":
             eve: EveStrategy = None
         elif ekind == "split":
@@ -342,20 +341,15 @@ def config_from_dict(d: dict) -> SessionConfig:
             # compared, not looked up: an unhashable token is refused too
             basis = [b for b, name in _BASIS_NAME.items() if name == tok]
             if not basis:
-                raise ConfigError(f"eve.basis must be HV, DA or random, got {tok!r}")
+                raise ConfigError(f"eve.basis must be HV, DA or random, got {_cut(repr(tok))}")
             eve = InterceptResend(basis[0])
         else:
-            raise ConfigError(f"unknown eve.kind {ekind!r}")
+            raise ConfigError(f"unknown eve.kind {_cut(repr(ekind))}")
         config = SessionConfig(rounds=rounds, seed=seed, source=source, eve=eve,
                                double_click_policy=d.get("double_click_policy", "assign"))
         for name, _, written in _fields(d, config_to_dict(config)):
             if written is None and not (name == "eve.mode" and ekind == "split"):
-                raise ConfigError(f"unknown field {name}")
-        if isinstance(eve, InterceptResend):
-            # intercept-resend takes at most one photon per channel, which an
-            # SPDC source's multi-pair terms break: reject it here, not at table build
-            for _, _, state in _emission_branches(source, attack_registry()):
-                intercept_branches(state, eve.basis)
+                raise ConfigError(f"unknown field {_cut(name)}")
         return config
     except (FockError, ValueError) as exc:
         if isinstance(exc, ConfigError):
@@ -745,8 +739,8 @@ def _draws_ahead(rounds: int) -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-# The cached templates, least recently used first, keyed by the config with
-# `rounds` and `seed` set to fixed values.
+# The cached template, at most one, keyed by the config with `rounds` and
+# `seed` set to fixed values; the lock makes an insert one step.
 _templates: dict[SessionConfig, _Template] = {}
 _templates_lock = threading.Lock()
 
@@ -762,30 +756,24 @@ if hasattr(os, "register_at_fork"):
 
 
 def _cached_template(config: SessionConfig) -> _Template | None:
-    """The cached template of the config's physics, now the most recently
-    used; None if it is not cached."""
-    key = replace(config, rounds=1, seed=0)
-    with _templates_lock:
-        template = _templates.pop(key, None)
-        if template is not None:
-            _templates[key] = template
-    return template
+    """The cached template of the config's physics; None if it is not cached."""
+    return _templates.get(replace(config, rounds=1, seed=0))
 
 
 def _session_template(config: SessionConfig) -> _Template:
-    """The template of the config's physics, from the cache of the last
-    TEMPLATE_CACHE_SIZE configs used, or built and cached; a FockError if it
-    cannot be built (a uint16 round index cannot address it), which caches
-    nothing."""
+    """The template of the config's physics: the cached one, or built and
+    cached in place of the one before; a FockError if it cannot be built
+    (the eavesdropper cannot act on the source, or a uint16 round index
+    cannot address it), which caches nothing."""
     template = _cached_template(config)
     if template is not None:
         return template
     key = replace(config, rounds=1, seed=0)
     template = _build_tables(key)
     with _templates_lock:
-        template = _templates.setdefault(key, template)  # another thread's build stays
-        if len(_templates) > TEMPLATE_CACHE_SIZE:
-            del _templates[next(iter(_templates))]
+        template = _templates.get(key, template)  # another thread's build stays
+        _templates.clear()
+        _templates[key] = template
     return template
 
 

@@ -17,7 +17,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .fock import FockError, StateVector, left_sum, source_registry
+from .fock import FockError, StateVector, _cut, left_sum, source_registry
 
 
 # The largest pair cutoff n_max.  Session tables grow steeply with it, most
@@ -46,7 +46,7 @@ class SpdcParams:
         if not 0.0 <= self.tanh_xi < 1.0:
             raise FockError(f"tanh_xi must be in [0, 1), got {self.tanh_xi}")
         if not 0 <= self.n_max <= N_MAX_CAP:
-            raise FockError(f"n_max must be in [0, {N_MAX_CAP}], got {self.n_max}")
+            raise FockError(f"n_max must be in [0, {N_MAX_CAP}], got {_cut(str(self.n_max))}")
         if not (math.isfinite(self.phi) and math.isfinite(self.phi * self.n_max)):
             raise FockError(f"phi must be finite, with phi * n_max finite, got {self.phi}")
 

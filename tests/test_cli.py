@@ -7,13 +7,15 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from spdcqkd import __version__, cli
+from spdcqkd import __version__, cli, protocol
 from spdcqkd.cli import main
+from spdcqkd.fock import QUOTE_CHARS
 from spdcqkd.protocol import config_from_dict, eve_mutual_information, run_session
 from spdcqkd.security import binary_entropy
 from spdcqkd.source import N_MAX_CAP
 
 from test_protocol import flip_a_sifted_round
+from test_template_cache import DRAWER, MAIN, build_threads, drawer_builds_first
 
 
 @pytest.fixture()
@@ -275,24 +277,39 @@ def test_simulate_missing_config_file(runner, tmp_path):
     assert "cannot read" in result.stderr
 
 
-def test_simulate_unsupported_attack_is_usage_error(runner, tmp_path):
+INTERCEPT_ERROR = "--config: intercept-resend expects at most one photon in channel A"
+
+
+def unsupported_attack_runs(runner, tmp_path, monkeypatch, *args):
+    """`simulate` of intercept-resend on an SPDC source, with `args`: a
+    10-round session, then a 20 000-round one that draws ahead, whose
+    template build fails on the drawer thread."""
+    for rounds, ahead in ((10, False), (20_000, True)):
+        cfg = write_config(tmp_path, {"rounds": rounds, "seed": 1,
+                                      "source": {"kind": "spdc", "tanh_xi": 0.3},
+                                      "eve": {"kind": "intercept"}})
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "_draws_ahead", lambda rounds: ahead)
+            threads = build_threads(m)
+            with drawer_builds_first(m, threads):
+                result = runner.invoke(main, ["simulate", "--config", str(cfg), *args])
+        assert threads == [DRAWER if ahead else MAIN]
+        yield result
+
+
+def test_simulate_unsupported_attack_is_usage_error(runner, tmp_path, monkeypatch):
     # intercept-resend needs one photon per channel; SPDC emits multi-pair terms
-    cfg = write_config(tmp_path, {"rounds": 10, "seed": 1,
-                                  "source": {"kind": "spdc", "tanh_xi": 0.3},
-                                  "eve": {"kind": "intercept"}})
-    result = runner.invoke(main, ["simulate", "--config", str(cfg)])
-    assert result.exit_code == 2
-    assert "intercept-resend" in result.stderr
+    for result in unsupported_attack_runs(runner, tmp_path, monkeypatch):
+        assert result.exit_code == 2
+        assert INTERCEPT_ERROR in result.stderr
 
 
-def test_simulate_leaves_no_transcript_on_table_error(runner, tmp_path):
-    cfg = write_config(tmp_path, {"rounds": 10, "seed": 1,
-                                  "source": {"kind": "spdc", "tanh_xi": 0.3},
-                                  "eve": {"kind": "intercept"}})
+def test_simulate_leaves_no_transcript_on_table_error(runner, tmp_path, monkeypatch):
     out = tmp_path / "out.csv"
-    result = runner.invoke(main, ["simulate", "--config", str(cfg), "--transcript", str(out)])
-    assert result.exit_code == 2
-    assert not out.exists()
+    for result in unsupported_attack_runs(runner, tmp_path, monkeypatch, "--transcript", str(out)):
+        assert result.exit_code == 2
+        assert INTERCEPT_ERROR in result.stderr
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("section,field,value,type_name", [
@@ -457,6 +474,7 @@ def test_replay_reports_the_header_it_read(runner, tmp_path):
     ("source", {"kind": "singlet"}, "source.kind"),
     ("eve", {"kind": "split", "max_attempts": 3}, "eve.max_attempts"),
     ("double_click_policy", "discard", "double_click_policy"),
+    ("eve", {"kind": "intercept"}, "eve.kind"),  # a config whose build fails
 ])
 def test_replay_names_the_first_config_field_that_differs(runner, tmp_path, field, value, name):
     doc = {"rounds": 1200, "seed": 6, "source": {"kind": "spdc", "tanh_xi": 0.25},
@@ -522,6 +540,69 @@ def test_replay_missing_transcript(runner, tmp_path):
         main, ["replay", "--transcript", str(tmp_path / "absent.csv")])
     assert result.exit_code == 3
     assert "cannot read" in result.stderr
+
+
+# -- outside values quoted in errors -------------------------------------------
+
+# The most characters of stderr a refused outside value may cause: click's
+# two usage lines, the message's own words and at most QUOTE_CHARS + 3
+# characters of each value or field name it quotes.
+STDERR_BOUND = 300
+LONG = "k" * 50_000
+DEEP = json.loads("[" * 900 + "]" * 900)
+NINES = int("9" * 4000)  # an integer Python still parses and prints
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"source": {"kind": LONG}}, f"unknown source.kind '{LONG[:QUOTE_CHARS - 1]}..."),
+    ({LONG: 1}, f"unknown field {LONG[:QUOTE_CHARS]}..."),
+    ({"eve": {"kind": "intercept", "basis": DEEP}},
+     f"eve.basis must be HV, DA or random, got {'[' * QUOTE_CHARS}..."),
+    ({"double_click_policy": LONG}, f"unknown double_click_policy '{LONG[:QUOTE_CHARS - 1]}..."),
+    ({"rounds": -NINES}, f"rounds must be >= 1, got -{'9' * (QUOTE_CHARS - 1)}..."),
+    ({"seed": NINES}, f"seed must be < 2**128, got {'9' * QUOTE_CHARS}..."),
+    ({"source": {"kind": "spdc", "tanh_xi": 0.3, "n_max": NINES}},
+     f"source.n_max must be in [0, 32], got {'9' * QUOTE_CHARS}..."),
+    ({"eve": {"kind": "split", "max_attempts": -NINES}},
+     f"max_attempts must be >= 1, got -{'9' * (QUOTE_CHARS - 1)}..."),
+], ids=["long-source-kind", "long-unknown-key", "deep-eve-basis", "long-policy", "long-rounds",
+        "long-seed", "long-n-max", "long-max-attempts"])
+def test_simulate_quotes_outside_values_at_a_bounded_length(runner, tmp_path, doc, message):
+    cfg = write_config(tmp_path, {**SINGLET_CFG, **doc})
+    result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert f"--config: {message}\n" in result.stderr
+    assert len(result.stderr) <= STDERR_BOUND
+
+
+def test_simulate_quotes_a_long_seed_option_at_a_bounded_length(runner, tmp_path):
+    cfg = write_config(tmp_path, SINGLET_CFG)
+    result = runner.invoke(main, ["simulate", "--config", str(cfg), "--seed", str(NINES)])
+    assert result.exit_code == 2
+    assert f"--seed: seed must be < 2**128, got {'9' * QUOTE_CHARS}...\n" in result.stderr
+    assert len(result.stderr) <= STDERR_BOUND
+
+
+def test_sweep_quotes_a_long_steps_option_at_a_bounded_length(runner):
+    result = runner.invoke(main, ["sweep", "--steps", str(NINES)])
+    assert result.exit_code == 2
+    assert (f"--steps: must be from 1 to 1000000, got {'9' * QUOTE_CHARS}...\n"
+            in result.stderr)
+    assert len(result.stderr) <= STDERR_BOUND
+
+
+def test_replay_quotes_a_header_field_at_a_bounded_length(runner, tmp_path):
+    transcript = tmp_path / "t.v3"
+    invoke_json(runner, ["simulate", "--config", str(write_config(tmp_path, SINGLET_CFG)),
+                         "--transcript", str(transcript)])
+    magic, meta, rest = transcript.read_bytes().split(b"\n", 2)
+    meta = json.dumps({**json.loads(meta), "extra": DEEP}, sort_keys=True, separators=(",", ":"))
+    transcript.write_bytes(b"\n".join([magic, meta.encode("ascii"), rest]))
+    result = runner.invoke(main, ["replay", "--transcript", str(transcript)])
+    assert result.exit_code == 2
+    assert (f"--transcript: bad version-3 header: extra {'[' * QUOTE_CHARS}... here, "
+            "None for its config\n") in result.stderr
+    assert len(result.stderr) <= STDERR_BOUND
 
 
 # -- a stdout that cannot be written ------------------------------------------

@@ -3,17 +3,19 @@
 A template depends on the physics config alone: the source, the
 eavesdropper and the double-click policy.  Sessions of any seed and round
 count, and `eve_mutual_information`, share one build per config; configs
-that differ in any physics field get their own; cached arrays are
-read-only; and cold and warm caches give the same records, tables,
-sampler guides and transcript bytes.  The exact row probabilities, the
-drawable-code mask and the eavesdropper information are computed once,
-with the template, and kept with it.  A session that draws ahead and finds
-its template not cached builds it on the drawer thread while it draws its
-first two blocks, with the same template in every field and the same
-rounds as a warm or a serial session.  Below the cache, the memo of each
-scenario's rows (`protocol._scenario_rows`) gives every pinned table bit
-for bit when it was warmed at another parameter, misses on an amplitude
-one ulp away, stays within its bound and caches no error.
+that differ in any physics field get their own; the cache holds the one
+template built last, and a switch back to a config rebuilds it from the
+scenario memo below, bit for bit; cached arrays are read-only; and cold
+and warm caches give the same records, tables, sampler guides and
+transcript bytes.  The exact row probabilities, the drawable-code mask and
+the eavesdropper information are computed once, with the template, and
+kept with it.  A session that draws ahead and finds its template not
+cached builds it on the drawer thread while it draws its first two
+blocks, with the same template in every field and the same rounds as a
+warm or a serial session.  Below the cache, the memo of each scenario's
+rows (`protocol._scenario_rows`) gives every pinned table bit for bit
+when it was warmed at another parameter, misses on an amplitude one ulp
+away, stays within its bound and caches no error.
 """
 
 import contextlib
@@ -147,9 +149,8 @@ def test_replay_takes_its_header_template_from_the_cache(tmp_path, builds):
 
 @pytest.mark.parametrize("rounds", [10, 20_000])
 def test_failed_build_is_not_cached(builds, monkeypatch, tmp_path, two_cpus, rounds):
-    # intercept-resend cannot take a multi-pair channel; config_from_dict
-    # refuses this pair, the table build raises, on the drawer thread when
-    # the session draws ahead
+    # intercept-resend cannot take a multi-pair channel; the table build
+    # refuses this pair, on the drawer thread when the session draws ahead
     config = SessionConfig(rounds=rounds, seed=1, source=SpdcSource(SpdcParams(0.3)),
                            eve=InterceptResend(HV))
     with pytest.raises(FockError) as serial:
@@ -173,32 +174,26 @@ def test_failed_build_is_not_cached(builds, monkeypatch, tmp_path, two_cpus, rou
     assert handed and any(t.name == DRAWER and t.is_alive() for t in threading.enumerate())
 
 
-def test_cache_holds_at_most_its_limit(builds):
-    size = protocol.TEMPLATE_CACHE_SIZE
-    configs = [_mixture(i / 100) for i in range(size + 3)]
+def test_the_cache_holds_one_template(builds):
+    configs = [_mixture(i / 100) for i in range(4)]
     for config in configs:
-        run_session(config)
-        assert len(protocol._templates) <= size
-    assert len(protocol._templates) == size
-    assert len(builds) == size + 3
-    run_session(configs[-1])  # the most recent is kept
-    assert len(builds) == size + 3
-    run_session(configs[0])  # the least recent went first
-    assert len(builds) == size + 4
+        template = protocol._session_template(config)
+        assert list(protocol._templates.values()) == [template]
+    assert protocol._session_template(configs[-1]) is template  # the last one is kept
+    assert len(builds) == 4
+    protocol._session_template(configs[0])  # the others went
+    assert len(builds) == 5 and len(protocol._templates) == 1
 
 
-def test_a_hit_makes_a_template_the_most_recent(builds):
-    size = protocol.TEMPLATE_CACHE_SIZE
-    configs = [_mixture(i / 100) for i in range(size + 1)]
-    for config in configs[:size]:
-        run_session(config)
-    run_session(configs[0])  # a hit: configs[1] is now the least recent
-    run_session(configs[size])
-    assert len(builds) == size + 1
-    run_session(configs[0])
-    assert len(builds) == size + 1
-    run_session(configs[1])
-    assert len(builds) == size + 2
+def test_a_config_switch_rebuilds_from_the_scenario_memo(builds):
+    # A, B, A: the second build of A takes every scenario's rows from the memo
+    first = protocol._session_template(PAPER)
+    protocol._session_template(_spdc(tanh_xi=0.45))
+    misses = protocol._scenario_rows.cache_info().misses
+    again = protocol._session_template(PAPER)
+    assert protocol._scenario_rows.cache_info().misses == misses
+    assert len(builds) == 3 and again is not first
+    assert _fields_of(again) == _fields_of(first)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

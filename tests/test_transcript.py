@@ -23,7 +23,6 @@ from click.testing import CliRunner
 from spdcqkd import _kernels, _replay, protocol
 from spdcqkd.attack import AttackConfig
 from spdcqkd.cli import main
-from spdcqkd.fock import FockError
 from spdcqkd.optics import HV
 from spdcqkd.protocol import (AttackMixture, InterceptResend, SessionConfig, SingletSource,
                               SpdcSource, SplitAttack, TranscriptError, eve_mutual_information,
@@ -444,6 +443,9 @@ V3_REJECTIONS = {
                   "unsupported transcript version '4'"),
     "bad-version-token": (lambda d, n: d.replace(b"transcript 3\n", b"transcript 3x\n", 1),
                           "unsupported transcript version '3x'"),
+    "long-version-token": (lambda d, n: d.replace(b"transcript 3\n", b"transcript 3" + b"9" * 99
+                                                  + b"\n", 1),
+                           "unsupported transcript version '3" + "9" * 58 + "..."),
     "magic-only": (lambda d, n: b"spdcqkd-transcript 3",
                    "bad version-3 header: no JSON line of at most 65536 bytes"),
     "bad-json": (lambda d, n: d.replace(b'{"code_bytes"', b'{code_bytes"', 1),
@@ -538,17 +540,22 @@ def test_v3_file_its_config_cannot_produce_is_rejected(tmp_path, tags, code, mes
         assert message in result.stderr
 
 
-def test_v3_header_whose_template_cannot_be_built_is_rejected(tmp_path, monkeypatch):
-    # every config a header can name builds today; a build error is still named
-    def unbuildable(config):
-        raise FockError("no template")
-
-    _, path, _ = write_v3(tmp_path)
-    monkeypatch.setattr(_replay, "_session_template", unbuildable)
-    with pytest.raises(TranscriptError, match=r"^bad version-3 header: config: no template$"):
+def test_v3_header_whose_template_cannot_be_built_is_rejected(tmp_path):
+    # a header can name intercept-resend on an SPDC source, which no session
+    # writes: its template build refuses the multi-pair terms
+    config = SessionConfig(rounds=3, seed=0, source=SpdcSource(SpdcParams(0.3)),
+                           eve=InterceptResend(HV))
+    path = tmp_path / "crafted.v3"
+    path.write_bytes(v3_bytes(config, ("spdc",), np.zeros(3)))
+    message = ("bad version-3 header: config: intercept-resend expects at most one photon "
+               "in channel A")
+    with pytest.raises(TranscriptError) as err:
         replay(None, path)
-    result = CliRunner().invoke(main, ["replay", "--transcript", str(path)])
-    assert result.exit_code == 2 and "config: no template" in result.stderr
+    assert str(err.value) == message
+    for args in (["replay", "--transcript", str(path)],
+                 ["transcript", "--in", str(path), "--text"]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2 and message in result.stderr
 
 
 @pytest.mark.parametrize("read_bytes", [97, 1000, _replay.READ_BYTES])
