@@ -9,10 +9,14 @@ session draws its first two blocks while the drawer builds its template:
 the build is pure Python, and the draw is one call that releases the
 interpreter lock for its whole length.
 
-Each block of draws is cut into pieces.  `ahead` hands the next block to
-the drawer thread while the calling thread samples the current one; when
-the caller comes to that block it draws the pieces the drawer has not
-taken yet, and waits only for the one the drawer is drawing.  numpy
+Each block of draws is cut into pieces.  `ahead` keeps the drawer a block
+ahead: when the caller asks for block j it hands over block j + 1, whose
+buffer the caller has just freed, before it joins block j, so the drawer
+goes from block j's pieces to block j + 1's without sleeping, and draws
+block j + 1 while the caller samples block j.  Joining a block, the
+caller draws the pieces the drawer has not taken yet; while the drawer
+still draws that block's last piece, the caller draws pieces of the next
+block instead of waiting, and waits only when none is left.  numpy
 releases the interpreter lock while it fills a piece, so the two overlap.
 
 The drawer thread runs at idle priority (SCHED_IDLE, where the platform
@@ -75,12 +79,20 @@ class _Job:
                 if not self._run_next():
                     return
 
-    def join(self):
-        """Run the pieces left, wait for the others; raise a piece's exception."""
+    def join(self, meanwhile: _Job | None = None):
+        """Run the pieces left, wait for the others; raise a piece's exception.
+
+        While another thread still runs a piece of this job, run the pieces
+        of `meanwhile`, a job handed over after this one, and block only
+        once none of them is left; their exceptions stay with `meanwhile`.
+        """
         while self._run_next():
             pass
-        with self._running:
-            pass
+        while not self._running.acquire(blocking=False):
+            if meanwhile is None or not meanwhile._run_next():
+                self._running.acquire()
+                break
+        self._running.release()
         if self._error is not None:
             raise self._error
 
@@ -137,27 +149,33 @@ def ahead(jobs):
     pieces have run; in order.
 
     The pieces of a job are zero-argument callables that build its result.
-    Exactly one job is in flight: the drawer thread runs the next job's
-    pieces while the caller works on the result it was given, and the
-    caller runs whatever pieces of that job are left when it asks for it.
-    An exception of a piece is raised here, with its type and message.
-    Closing the iterator early drops the pieces of the job in flight that
-    have not started and waits for the ones that have.
+    Asked for job j, this hands job j + 1 to the drawer thread before it
+    joins job j, so at most two jobs are in flight: the drawer goes from
+    job j's pieces to job j + 1's without waiting, and goes on with them
+    while the caller works on the result it was given.  Joining job j, the
+    caller runs the pieces of job j left, then, while the drawer still runs
+    one of job j's, the pieces of job j + 1; it waits only when none is
+    left.  An exception of a piece is raised when its job's result is asked
+    for, with its type and message.  Closing the iterator early drops the
+    pieces of the jobs in flight that have not started and waits for the
+    ones that have.
     """
     jobs = iter(jobs)
+    in_flight = []  # (result, job) handed over and not yet yielded, in order
 
-    def next_job():
+    def hand_over_next():
         item = next(jobs, None)
-        return None if item is None else (item[0], hand_over(item[1]))
+        if item is not None:
+            in_flight.append((item[0], hand_over(item[1])))
 
-    queued = next_job()
     try:
-        while queued is not None:
-            result, job = queued
-            queued = None
-            job.join()
-            queued = next_job()
+        hand_over_next()
+        while in_flight:
+            hand_over_next()
+            result, job = in_flight[0]
+            job.join(in_flight[1][1] if len(in_flight) > 1 else None)
+            del in_flight[0]
             yield result
     finally:
-        if queued is not None:
-            queued[1].cancel()
+        for _, job in in_flight:
+            job.cancel()

@@ -8,15 +8,16 @@ cutpoint method of Chen & Asau, 1974; Devroye, Non-Uniform Random Variate
 Generation, III.2.4) built once per template by `guide_tables`: a draw's
 cell of [0, 1) names its scenario, or its outcome row within the round's
 (scenario, basis pair) group, with one indexed load.  The few draws whose
-cell holds a threshold take the exact search instead (a `searchsorted` over
-the scenarios, a fixed-width binary search over the group's rows), so every
-round draws what a per-group `searchsorted` would, and the rounds drawn are
-unchanged.  The per-session template (`lookup_tables`) holds four rows per
-outcome row, one per pair of double-click draws, so a round is exactly one
-template row: the sampler returns that row's index (uint16), and the
-round's record is `template[index]`.  A session tallies from how many
-rounds drew each row, and a version-3 transcript stores each round's row
-code, `codes[index]` for the template's codes; neither builds records.
+cell holds a threshold take the exact search instead: a `searchsorted` over
+the scenarios, and one over the template's search keys for the outcome row
+(below), so every round draws what a per-group `searchsorted` would, and
+the rounds drawn are unchanged.  The per-session template (`lookup_tables`)
+holds four rows per outcome row, one per pair of double-click draws, so a
+round is exactly one template row: the sampler returns that row's index
+(uint16), and the round's record is `template[index]`.  A session tallies
+from how many rounds drew each row, and a version-3 transcript stores each
+round's row code, `codes[index]` for the template's codes; neither builds
+records.
 `template_probabilities` gives the exact probability of each row, the
 expectation of those counts.
 
@@ -29,6 +30,14 @@ test on u exactly on the word's bits: u >= 0.5 is bit 63, and u's cell
 among 2**k equal cells of [0, 1) is w >> (64 - k) (k <= 53).  Only a draw
 in a guide cell that holds a threshold is made a double.  The low 11 bits
 of every word, and slots 6-7, never change a round.
+
+The search keys hold each group's thresholds as complex numbers g + 1j*t,
+group g in the real part, threshold t in the imaginary part, in group
+order.  numpy orders complex numbers by real part, then imaginary part, so
+one `searchsorted(keys, g + 1j*u, side="right")` over all groups counts
+the slots of the groups before g and then the thresholds of group g that
+are <= u: the slot a per-group `searchsorted(side="right")` gives, for any
+number of split draws at once.
 
 Record columns: scenario, alice_basis, bob_basis, alice_kind, bob_kind,
 alice_bit, bob_key_bit, sifted, eve1_bit, eve2_bit (bits are -1 when absent;
@@ -56,12 +65,14 @@ _FNV_PRIME = 0x100000001B3
 
 def lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1, row_e2,
                   keep_double: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-width lookup arrays for `sample_rounds`: (thresholds, template).
+    """Fixed-width lookup arrays for `sample_rounds`: (keys, template).
 
     Group g (scenario g // 4, Alice basis g // 2 % 2, Bob basis g % 2)
     owns slots [g*W, (g+1)*W), W the next power of two >= its longest
-    group.  thresholds (float64[groups, W]) holds each group's `row_cum`,
-    whose last row is 1.0, and +inf in the padding.  template
+    group.  keys (complex128[groups, W]) are the search keys of the module
+    docstring: g + 1j*t, for t each group's `row_cum`, whose last row is
+    1.0, and +inf in the padding; their imaginary part, `keys.imag`, is
+    the thresholds float64[groups, W].  template
     (int8[groups * W * 4, N_COLS]) holds the whole record of each slot's
     row once per pair of double-click draws: row 4*slot + 2*a + b, with a
     and b whether draw slots 4 and 5 are >= 0.5, gives a double click of
@@ -74,8 +85,10 @@ def lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1, row_e2,
     slot = g * width
     slot += np.arange(row_cum.shape[0])
     slot -= grp_off[g]
-    thresholds = np.full(groups * width, np.inf)
-    thresholds[slot] = row_cum
+    keys = np.empty(groups * width, dtype=np.complex128)
+    keys.real = np.repeat(np.arange(groups), width)
+    keys.imag = np.inf
+    keys.imag[slot] = row_cum
     # per kind (NoClick, Bit0, Bit1, Double): Alice's bit, Bob's key bit
     # (flipped; a double click's are set per draw below), whether the party
     # clicked under the double-click policy
@@ -97,7 +110,7 @@ def lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1, row_e2,
     template[slot] = rec[:, None, :]
     template[slot[row_a == 3], :, 5] = (0, 0, 1, 1)
     template[slot[row_b == 3], :, 6] = (1, 0, 1, 0)
-    return thresholds.reshape(groups, width), template.reshape(-1, N_COLS)
+    return keys.reshape(groups, width), template.reshape(-1, N_COLS)
 
 
 def template_probabilities(scen_cum, thresholds) -> np.ndarray:
@@ -157,29 +170,6 @@ def guide_tables(scen_cum, thresholds) -> tuple[np.ndarray, np.ndarray]:
             _guide(thresholds, cells, 1))
 
 
-def _search_slots(draw, pos, thresholds) -> np.ndarray:
-    """Each draw's slot in the group whose first slot is `pos`: a branchless
-    binary search of log2(W) steps, each comparing draw >= thr[slot], the
-    comparisons `searchsorted(row_cum, draw, side="right")` makes on the
-    group's non-decreasing rows.  A draw < 1 never passes a group's last
-    row or its padding, so every probe stays inside the group and the take
-    can use mode="clip", which writes `out=` without a buffered copy."""
-    width = thresholds.shape[1]
-    thr = thresholds.ravel()
-    probe = np.empty_like(pos)
-    cut = np.empty(draw.shape[0])
-    passed = np.empty(draw.shape[0], dtype=bool)
-    step = width // 2
-    while step:
-        np.add(pos, step - 1, out=probe)
-        np.take(thr, probe, out=cut, mode="clip")
-        np.greater_equal(draw, cut, out=passed)
-        np.multiply(passed, step, out=probe)
-        pos += probe
-        step //= 2
-    return pos
-
-
 def _draws(words) -> np.ndarray:
     """float64: the draw (w >> 11) * 2**-53 of each word w, exactly."""
     return (words >> 11) * 2.0**-53
@@ -191,23 +181,24 @@ def _cell_shift(cells: int) -> int:
     return 65 - cells.bit_length()
 
 
-def sample_rounds(words, scen_cum, thresholds, scen_guide, group_guide, counts) -> np.ndarray:
+def sample_rounds(words, scen_cum, keys, scen_guide, group_guide, counts) -> np.ndarray:
     """Run one block of rounds; returns each round's template index
     (uint16[n]) and adds to `counts` (intp[len(template)]) how many rounds
     drew each row.
 
     `words` (uint64[n, DRAWS_PER_ROUND]) holds each round's words, read as
-    the draws in the module docstring; `thresholds` comes from
-    `lookup_tables`, whose template has at most MAX_TEMPLATE_ROWS rows, and
-    the guides from `guide_tables`.  A draw's cell is a shift of its word,
-    and the guide's entry for it is the scenario, then the outcome row, the
-    exact search would find.  Only draws in a cell that holds -1 are made
-    doubles and searched: the scenario draw with `searchsorted`, the
-    outcome draw with `_search_slots`.  The basis and double-click bits
-    come from one pass over the block's top bits.  A block of
-    `protocol.CHUNK_ROUNDS` keeps these temporaries in cache.
+    the draws in the module docstring; `keys` comes from `lookup_tables`,
+    whose template has at most MAX_TEMPLATE_ROWS rows, and the guides from
+    `guide_tables`.  A draw's cell is a shift of its word, and the guide's
+    entry for it is the scenario, then the outcome row, the exact search
+    would find.  Only draws in a cell that holds -1 are made doubles and
+    searched, each kind with one `searchsorted`: the scenario draws over
+    `scen_cum`, the outcome draws over the search keys, as g + 1j*u for
+    their group g.  The basis and double-click bits come from one pass over
+    the block's top bits.  A block of `protocol.CHUNK_ROUNDS` keeps these
+    temporaries in cache.
     """
-    cells = CELLS_PER_SLOT * thresholds.shape[1]
+    cells = CELLS_PER_SLOT * keys.shape[1]
     # bit 63 of a word is the sign bit of the same 8 bytes read as a double,
     # which `signbit` reads from any pattern, NaN included; on words in cache
     # numpy does this faster than it compares uint64 with 2**63
@@ -225,8 +216,9 @@ def sample_rounds(words, scen_cum, thresholds, scen_guide, group_guide, counts) 
     pos = np.take(group_guide, cell)
     split = np.flatnonzero(pos < 0)
     if split.size:
-        pos[split] = _search_slots(_draws(words[split, 3]),
-                                   cell[split] // cells * thresholds.shape[1], thresholds)
+        group = cell[split] // cells
+        pos[split] = np.searchsorted(keys.ravel(), group + 1j * _draws(words[split, 3]),
+                                     side="right")
     pos *= 4
     pos += half[:, 4] * np.int32(2)
     pos += half[:, 5]

@@ -59,8 +59,12 @@ in a process that may run on more than one CPU, gets help from the daemon
 drawer thread of `_drawer`, started on first use and shared by all
 sessions: the drawer draws the pieces of the next block, into the other
 of the session's two buffers, while the calling thread samples the
-current one, which draws the pieces the drawer has not taken when it
-comes to that block.  The drawer runs at idle priority, so it takes only
+current one.  Asking for block j, the calling thread hands over block
+j + 1, into the buffer of block j - 1 it has just sampled, before it
+joins block j, so the drawer goes on from block j to block j + 1 without
+waiting; the calling thread draws the pieces of block j the drawer has
+not taken, and, while the drawer draws block j's last piece, pieces of
+block j + 1.  The drawer runs at idle priority, so it takes only
 CPU time nothing else wants, and a session is never left waiting on a
 drawer that gets none.  A session that draws ahead and finds its template
 not cached hands the build to the drawer and meanwhile draws rounds
@@ -384,7 +388,7 @@ class _Template:
     row_b: np.ndarray
     row_e1: np.ndarray
     row_e2: np.ndarray
-    thresholds: np.ndarray
+    search_keys: np.ndarray  # complex128[groups, W]; .imag is the thresholds
     rows: np.ndarray   # int8[T, N_COLS]
     codes: np.ndarray  # CODE_DTYPE[T]
     scen_guide: np.ndarray   # int32[SCENARIO_CELLS]
@@ -519,18 +523,18 @@ def _build_tables(config: SessionConfig) -> _Template:
     grp_off = np.cumsum(grp_len) - grp_len
     row_cum = np.array(cum, dtype=np.float64)
     row_a, row_b, row_e1, row_e2 = np.array(keys, dtype=np.int8).T.copy()
-    thresholds, rows = _kernels.lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1,
-                                              row_e2, config.double_click_policy == "assign")
+    search_keys, rows = _kernels.lookup_tables(grp_off, grp_len, row_cum, row_a, row_b, row_e1,
+                                               row_e2, config.double_click_policy == "assign")
     if rows.shape[0] > _kernels.MAX_TEMPLATE_ROWS:
         raise FockError(f"the sampling template has {rows.shape[0]} rows; a round index "
                         f"addresses at most {_kernels.MAX_TEMPLATE_ROWS}")
     codes = _row_codes(rows, scen_emission).astype(CODE_DTYPE)
-    probabilities = _kernels.template_probabilities(scen_cum, thresholds)
-    scen_guide, group_guide = _kernels.guide_tables(scen_cum, thresholds)
+    probabilities = _kernels.template_probabilities(scen_cum, search_keys.imag)
+    scen_guide, group_guide = _kernels.guide_tables(scen_cum, search_keys.imag)
     return _Template(
         emission_tags=tags, scen_emission=scen_emission, scen_cum=scen_cum, grp_off=grp_off,
         grp_len=grp_len, row_cum=row_cum, row_a=row_a, row_b=row_b, row_e1=row_e1,
-        row_e2=row_e2, thresholds=thresholds, rows=rows, codes=codes, scen_guide=scen_guide,
+        row_e2=row_e2, search_keys=search_keys, rows=rows, codes=codes, scen_guide=scen_guide,
         group_guide=group_guide, probabilities=probabilities,
         drawable=np.bincount(codes[probabilities > 0], minlength=len(tags) * _CODES) > 0,
         eve_information=_eve_information(rows, probabilities))
@@ -821,7 +825,7 @@ def _simulate(config: SessionConfig):
         try:
             for start, words in drawn:
                 yield start, _kernels.sample_rounds(
-                    words, template.scen_cum, template.thresholds, template.scen_guide,
+                    words, template.scen_cum, template.search_keys, template.scen_guide,
                     template.group_guide, counts)
         finally:
             drawn.close()

@@ -3,7 +3,10 @@
 The drawer must not change a byte of the sampled template indices or the
 transcripts, must leave the pieces it has not taken to the caller, must
 hand its errors to the session that asked, must leave nothing running or
-held when a session ends early, and must survive a fork.  A session holds
+held when a session ends early, and must survive a fork.  It gets block
+j + 1 before the caller joins block j, and a caller that finds the drawer
+on block j's last piece draws block j + 1's pieces instead of waiting;
+the tests of this order wait on events, never on time.  A session holds
 one block buffer drawing on the calling thread and two drawing ahead, and
 its memory before its first draw must not grow with its rounds.
 """
@@ -225,6 +228,103 @@ def test_error_of_a_piece_on_the_drawer_is_raised_in_the_caller():
     with pytest.raises(ValueError, match=r"^draw failed on the drawer$"):
         next(draws)
     assert raised_on and raised_on[0] != main
+
+
+def drawer_busy_until(gate):
+    """Keep the drawer thread on a job of one piece until `gate` is set."""
+    busy = threading.Event()
+    _drawer.hand_over([lambda: busy.set() or gate.wait(10)])
+    assert busy.wait(10)
+
+
+def test_the_drawer_starts_the_next_job_while_the_caller_runs_this_one():
+    main = threading.get_ident()
+    gate, next_started = threading.Event(), threading.Event()
+    ran = {}
+
+    def this_piece():  # the caller's: the drawer is busy until it starts
+        ran["this"] = threading.get_ident()
+        gate.set()
+        ran["next started meanwhile"] = next_started.wait(10)
+
+    def next_piece():
+        ran["next"] = threading.get_ident()
+        next_started.set()
+
+    drawer_busy_until(gate)
+    draws = _drawer.ahead([("this", [this_piece]), ("next", [next_piece])])
+    assert next(draws) == "this"
+    assert ran["this"] == main and ran["next started meanwhile"]
+    assert next(draws) == "next"
+    assert ran["next"] != main
+    assert next(draws, None) is None
+
+
+def test_the_caller_runs_the_next_job_while_the_drawer_holds_this_one():
+    main = threading.get_ident()
+    held, next_ran = threading.Event(), threading.Event()
+    ran = []
+
+    def last_piece():  # the drawer holds it until the next job's pieces have run
+        ran.append(("last", threading.get_ident()))
+        held.set()
+        assert next_ran.wait(10)
+
+    def piece(name, done=None):
+        ran.append((name, threading.get_ident()))
+        if done is not None:
+            done.set()
+
+    jobs = [("before", []), ("this", [last_piece]),
+            ("next", [lambda: piece("a"), lambda: piece("b", next_ran)])]
+    draws = _drawer.ahead(jobs)
+    assert next(draws) == "before"  # "this" is handed over here
+    assert held.wait(10)
+    assert next(draws) == "this"
+    assert [name for name, _ in ran] == ["last", "a", "b"]
+    assert ran[0][1] != main and ran[1][1] == ran[2][1] == main
+    assert next(draws) == "next" and len(ran) == 3
+    assert next(draws, None) is None
+
+
+def test_error_of_a_next_job_piece_the_caller_ran_is_raised_for_that_job():
+    main = threading.get_ident()
+    held, failed = threading.Event(), threading.Event()
+    raised_on = []
+
+    def last_piece():
+        held.set()
+        assert failed.wait(10)
+
+    def failing():
+        raised_on.append(threading.get_ident())
+        failed.set()
+        raise ValueError("draw failed ahead of its block")
+
+    draws = _drawer.ahead([("before", []), ("this", [last_piece]), ("next", [failing])])
+    assert next(draws) == "before"
+    assert held.wait(10)
+    assert next(draws) == "this"  # yielded, though a piece of the next job failed
+    assert raised_on == [main]
+    with pytest.raises(ValueError, match=r"^draw failed ahead of its block$"):
+        next(draws)
+    assert next(draws, None) is None
+
+
+def test_closing_after_a_job_drops_the_untaken_pieces_of_the_next():
+    gate, idle = threading.Event(), threading.Event()
+    ran = []
+    drawer_busy_until(gate)
+    try:
+        draws = _drawer.ahead([("this", [lambda: ran.append("this")]),
+                               ("next", [lambda: ran.append("a"), lambda: ran.append("b")])])
+        assert next(draws) == "this"  # the next job is handed over, not taken
+        draws.close()
+    finally:
+        gate.set()
+    _drawer.hand_over([idle.set])  # the drawer comes to it after the dropped job
+    assert idle.wait(10)
+    assert ran == ["this"]
 
 
 def test_drawer_error_is_raised_in_the_session(monkeypatch, tmp_path, small_blocks):

@@ -134,10 +134,10 @@ def edge_words(tables, seed):
     def cell_edges(cells):
         return steps_beside(np.arange(cells + 1) / cells)
 
-    thresholds, _ = _kernels.lookup_tables(tables.grp_off, tables.grp_len, tables.row_cum,
-                                           tables.row_a, tables.row_b, tables.row_e1,
-                                           tables.row_e2, True)
-    outcome_edges = cell_edges(_kernels.CELLS_PER_SLOT * thresholds.shape[1])
+    keys, _ = _kernels.lookup_tables(tables.grp_off, tables.grp_len, tables.row_cum,
+                                     tables.row_a, tables.row_b, tables.row_e1, tables.row_e2,
+                                     True)
+    outcome_edges = cell_edges(_kernels.CELLS_PER_SLOT * keys.shape[1])
     for g in range(tables.grp_off.shape[0]):
         s, a, b = g // 4, g // 2 % 2, g % 2
         for k3 in outcome_edges:
@@ -204,10 +204,10 @@ def test_guides_have_cells_the_exact_search_resolves(name, source, eve):
     # exact search; on these templates both guides have such cells, so the
     # comparisons above run that search
     template = protocol._session_template(SessionConfig(rounds=1, seed=0, source=source, eve=eve))
-    width = template.thresholds.shape[1]
+    width = template.search_keys.shape[1]
     for guide, cells in ((template.scen_guide, _kernels.SCENARIO_CELLS),
                          (template.group_guide,
-                          _kernels.CELLS_PER_SLOT * width * template.thresholds.shape[0])):
+                          _kernels.CELLS_PER_SLOT * width * template.search_keys.shape[0])):
         assert guide.dtype == np.int32 and guide.shape == (cells,)
         assert 0 < (guide == -1).sum() < cells // 20
     # every other cell holds what `searchsorted` gives at its left edge
@@ -218,7 +218,7 @@ def test_guides_have_cells_the_exact_search_resolves(name, source, eve):
         template.scen_cum, edges[whole], side="right"))
     guide = template.group_guide.reshape(-1, cells)
     edges = np.arange(cells) / cells
-    for g, thr in enumerate(template.thresholds):
+    for g, thr in enumerate(template.search_keys.imag):
         whole = guide[g] >= 0
         assert np.array_equal(guide[g, whole],
                               g * width + np.searchsorted(thr, edges[whole], side="right"))
@@ -245,16 +245,72 @@ def test_thresholds_on_cell_edges_match_reference():
         row_e2=rng.integers(-1, 2, len(cum)).astype(np.int8))
     w = np.concatenate([protocol._uniform_block(15, 0, 20_000), edge_words(tables, 15)])
     for keep_double in (True, False):
-        thresholds, template = _kernels.lookup_tables(
+        keys, template = _kernels.lookup_tables(
             tables.grp_off, tables.grp_len, tables.row_cum, tables.row_a, tables.row_b,
             tables.row_e1, tables.row_e2, keep_double)
-        guides = _kernels.guide_tables(scen_cum, thresholds)
+        guides = _kernels.guide_tables(scen_cum, keys.imag)
         assert (guides[1] == -1).any()
         counts = np.zeros(template.shape[0], dtype=np.intp)
-        idx = _kernels.sample_rounds(w, scen_cum, thresholds, *guides, counts)
+        idx = _kernels.sample_rounds(w, scen_cum, keys, *guides, counts)
         want = reference_sample_rounds(draws(w), tables, keep_double)
         assert template[idx].tobytes() == want.tobytes()
         assert np.array_equal(counts, np.bincount(idx, minlength=template.shape[0]))
         changed = unread_bits_changed(w, 16)
-        assert np.array_equal(_kernels.sample_rounds(changed, scen_cum, thresholds, *guides,
+        assert np.array_equal(_kernels.sample_rounds(changed, scen_cum, keys, *guides,
                                                      np.zeros_like(counts)), idx)
+
+
+def test_split_draws_take_the_slot_of_a_per_group_searchsorted():
+    # hand-built thresholds on the draw grid k * 2**-53: zero-probability rows
+    # (repeated values, a first row at 0), groups of every length up to the
+    # width (so +inf padding), and outcome draws exactly on each threshold,
+    # one step on either side, and at random; those beside a threshold lie
+    # in its guide cell, so they take the search over the complex keys
+    rng = np.random.default_rng(32)
+    scen_cum = np.array([0.5, 1.0])
+    width, groups = 8, 4 * scen_cum.shape[0]
+    grp_len = np.array([1, 8, 3, 5, 8, 2, 7, 4])
+    rows = []
+    for g, n in enumerate(grp_len):
+        k = np.sort(rng.integers(0, 1 << 53, size=n - 1))
+        # repeats, rows of probability 0: a row may take the value before it
+        kept = np.arange(n - 1)
+        kept[rng.random(n - 1) < 0.4] = 0
+        k = k[np.maximum.accumulate(kept)]
+        if g % 3 == 1 and n > 1:
+            k[0] = 0
+        rows.append(k * 2.0**-53)
+    row_cum = np.concatenate([[*r, 1.0] for r in rows])
+    zeros = np.zeros(row_cum.shape[0], dtype=np.int8)
+    keys, template = _kernels.lookup_tables(np.cumsum(grp_len) - grp_len, grp_len, row_cum,
+                                            zeros, zeros, zeros, zeros, True)
+    thresholds = np.full((groups, width), np.inf)
+    for g, n in enumerate(grp_len):
+        thresholds[g, :n] = [*rows[g], 1.0]
+    assert keys.shape == (groups, width) and np.array_equal(keys.imag, thresholds)
+    assert np.array_equal(keys.real, np.repeat(np.arange(groups), width).reshape(groups, width))
+
+    group, outcome = [], []
+    for g in range(groups):
+        k = np.ceil(thresholds[g, :grp_len[g]] * 2.0**53).astype(np.int64)
+        k = np.concatenate((k - 1, k, k + 1, rng.integers(0, 1 << 53, size=50)))
+        k = np.unique(np.clip(k, 0, (1 << 53) - 1))
+        group += [g] * k.shape[0]
+        outcome.append(k)
+    group, outcome = np.array(group), np.concatenate(outcome)
+    w = protocol._uniform_block(32, 0, group.shape[0])
+    # scenario draw 0.25 or 0.75, basis bits from the group, outcome draw k * 2**-53
+    w[:, 0] = np.where(group // 4, np.uint64(3 << 62), np.uint64(1 << 62))
+    w[:, 1] = (w[:, 1] & ((1 << 63) - 1)) | ((group // 2 % 2).astype(np.uint64) << 63)
+    w[:, 2] = (w[:, 2] & ((1 << 63) - 1)) | ((group % 2).astype(np.uint64) << 63)
+    w[:, 3] = outcome.astype(np.uint64) << 11
+    guides = _kernels.guide_tables(scen_cum, keys.imag)
+    cells = _kernels.CELLS_PER_SLOT * width
+    split = guides[1][group * cells + (outcome * cells >> 53)] == -1
+    assert split.sum() > 50  # the draws on and beside the thresholds
+    counts = np.zeros(template.shape[0], dtype=np.intp)
+    slot = _kernels.sample_rounds(w, scen_cum, keys, *guides, counts) // 4
+    u = draws(w[:, 3])
+    want = [g * width + np.searchsorted(thresholds[g], x, side="right")
+            for g, x in zip(group, u)]
+    assert slot.tolist() == want

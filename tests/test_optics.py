@@ -332,11 +332,11 @@ def test_threshold_detect_double_click_assigns_random_bit():
         ((OutcomeKind.DOUBLE,), pytest.approx(1.0))]
     # the session template gives Alice's double click each bit on two of
     # its four equally likely draw pairs
-    thresholds, template = _kernels.lookup_tables(
+    keys, template = _kernels.lookup_tables(
         np.arange(4), np.ones(4, dtype=np.intp), np.ones(4), np.full(4, 3, dtype=np.int8),
         np.ones(4, dtype=np.int8), np.full(4, -1, dtype=np.int8),
         np.full(4, -1, dtype=np.int8), True)
-    probs = _kernels.template_probabilities(np.ones(1), thresholds)
+    probs = _kernels.template_probabilities(np.ones(1), keys.imag)
     assert template[:, 3].tolist() == [3] * 16
     assert template[:, 5].tolist() == [0, 0, 1, 1] * 4
     assert probs.tolist() == [1 / 16] * 16

@@ -597,11 +597,11 @@ def test_drawn_template_rows_match_exact_probabilities(policy):
     session, counts, drawn = protocol._simulate(config)
     for _ in drawn:
         pass
-    thresholds, template = _kernels.lookup_tables(
+    keys, template = _kernels.lookup_tables(
         session.grp_off, session.grp_len, session.row_cum, session.row_a, session.row_b,
         session.row_e1, session.row_e2, policy == "assign")
     assert np.array_equal(session.codes, protocol._row_codes(template, session.scen_emission))
-    prob = _kernels.template_probabilities(session.scen_cum, thresholds)
+    prob = _kernels.template_probabilities(session.scen_cum, keys.imag)
     assert prob.shape == counts.shape
     assert prob.sum() == pytest.approx(1.0, abs=1e-12)
     assert counts.sum() == config.rounds

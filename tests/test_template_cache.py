@@ -391,7 +391,7 @@ def test_guides_of_the_largest_template_fit_in_a_megabyte():
     config = SessionConfig(rounds=1, seed=0, source=SpdcSource(SpdcParams(0.99, n_max=32)),
                            eve=SplitAttack(AttackConfig(max_attempts=20)))
     template = protocol._session_template(config)
-    assert template.thresholds.shape == (144, 16)
+    assert template.search_keys.shape == (144, 16)
     assert template.scen_guide.nbytes + template.group_guide.nbytes <= 1 << 20
 
 
@@ -630,7 +630,7 @@ def test_guides_are_the_same_cold_and_warm(builds, monkeypatch, two_cpus):
         rebuilt = protocol._session_template(config)
         assert rebuilt is not template and _guides_digest(rebuilt) == cold, name
         assert len(builds) == 2, name
-        want = _kernels.guide_tables(template.scen_cum, template.thresholds)
+        want = _kernels.guide_tables(template.scen_cum, template.search_keys.imag)
         assert [g.tobytes() for g in want] == [template.scen_guide.tobytes(),
                                                template.group_guide.tobytes()], name
         protocol._templates.clear()
